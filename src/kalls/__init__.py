@@ -9,8 +9,7 @@ from .core import (ActiveRecord, ActiveSet, ConfidentOutcome, EmptyActiveSet,
 from .estimation import BerEstResult, ber_est, est_prob, g_factor
 from .evaluate import (ComparisonTable, RiskEstimate, compare, default_passive_k,
                        excess_risk, passive_knn)
-from .pool import (BudgetExhausted, LabelOracle, NeighborList, Pool, k_nearest,
-                   k_nearest_external)
+from .pool import BudgetExhausted, LabelOracle, NeighborList, Pool, k_nearest
 from .synth import (FAMILIES, AssumptionReport, SyntheticProblem, check_doubling,
                     check_margin, check_smoothness, make_problem)
 from .thresholds import (INFEASIBLE_BUDGET, DoublingParams, FeasibilityReport,
@@ -28,7 +27,6 @@ __all__ = [
     "ComparisonTable", "RiskEstimate", "compare", "default_passive_k",
     "excess_risk", "passive_knn",
     "BudgetExhausted", "LabelOracle", "NeighborList", "Pool", "k_nearest",
-    "k_nearest_external",
     "FAMILIES", "AssumptionReport", "SyntheticProblem", "check_doubling",
     "check_margin", "check_smoothness", "make_problem",
     "INFEASIBLE_BUDGET", "DoublingParams", "FeasibilityReport", "KallsConfig",

@@ -11,8 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, core
-from .evaluate import compare, excess_risk
-from .pool import LabelOracle, Pool
+from .evaluate import compare, excess_risk, run_active
 from .seeding import substream
 from .synth import check_doubling, check_margin, check_smoothness, make_problem
 from .thresholds import (KallsConfig, MarginParams, SmoothnessParams,
@@ -24,11 +23,10 @@ class ConfigError(ValueError):
 
 
 _PROBLEM_KEYS = {"family", "kappa", "d", "n_atoms", "seed"}
-_TOP_KEYS = {"problem", "pool_size", "budgets", "epsilon", "delta", "c_const",
-             "u_const", "lb_factor", "budget_mode", "seeds", "n_test",
-             "smoothness_override", "margin_override", "output_dir"}
-_SMOOTH_KEYS = {"alpha", "L"}
-_MARGIN_KEYS = {"beta", "C"}
+_TOP_REQUIRED = {"problem", "pool_size", "budgets", "epsilon", "delta", "seeds"}
+_TOP_KEYS = _TOP_REQUIRED | {"c_const", "u_const", "lb_factor", "budget_mode", "n_test",
+                             "smoothness_override", "margin_override", "output_dir"}
+_OVERRIDE_KEYS = {"smoothness_override": {"alpha", "L"}, "margin_override": {"beta", "C"}}
 
 
 @dataclass
@@ -50,37 +48,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _reject_unknown(raw, _TOP_KEYS, "")
-        for key in ("problem", "pool_size", "budgets", "epsilon", "delta", "seeds"):
-            if key not in raw:
-                raise ConfigError(f"missing required config key '{key}'")
-        _reject_unknown(raw["problem"], _PROBLEM_KEYS, "problem.")
-        if "family" not in raw["problem"]:
-            raise ConfigError("missing required config key 'problem.family'")
-        if raw.get("smoothness_override") is not None:
-            _reject_unknown(raw["smoothness_override"], _SMOOTH_KEYS, "smoothness_override.")
-        if raw.get("margin_override") is not None:
-            _reject_unknown(raw["margin_override"], _MARGIN_KEYS, "margin_override.")
+        _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "")
+        _check_keys(raw["problem"], _PROBLEM_KEYS, {"family"}, "problem.")
+        for key, allowed in _OVERRIDE_KEYS.items():
+            if raw.get(key) is not None:
+                _check_keys(raw[key], allowed, allowed, f"{key}.")
         if not raw["seeds"]:
             raise ConfigError("'seeds' must be nonempty")
         if not raw["budgets"]:
             raise ConfigError("'budgets' must be nonempty")
-        return cls(
-            problem=dict(raw["problem"]),
-            pool_size=int(raw["pool_size"]),
-            budgets=[int(b) for b in raw["budgets"]],
-            epsilon=float(raw["epsilon"]),
-            delta=float(raw["delta"]),
-            seeds=[int(s) for s in raw["seeds"]],
-            c_const=float(raw.get("c_const", 8.0)),
-            u_const=int(raw.get("u_const", 50)),
-            lb_factor=float(raw.get("lb_factor", 0.1)),
-            budget_mode=str(raw.get("budget_mode", "strict_paper")),
-            n_test=int(raw.get("n_test", 20_000)),
-            smoothness_override=raw.get("smoothness_override"),
-            margin_override=raw.get("margin_override"),
-            output_dir=str(raw.get("output_dir", ".")),
-        )
+        try:
+            cfg = cls(
+                problem=dict(raw["problem"]),
+                pool_size=int(raw["pool_size"]),
+                budgets=[int(b) for b in raw["budgets"]],
+                epsilon=float(raw["epsilon"]),
+                delta=float(raw["delta"]),
+                seeds=[int(s) for s in raw["seeds"]],
+                c_const=float(raw.get("c_const", 8.0)),
+                u_const=int(raw.get("u_const", 50)),
+                lb_factor=float(raw.get("lb_factor", 0.1)),
+                budget_mode=str(raw.get("budget_mode", "strict_paper")),
+                n_test=int(raw.get("n_test", 20_000)),
+                smoothness_override=raw.get("smoothness_override"),
+                margin_override=raw.get("margin_override"),
+                output_dir=str(raw.get("output_dir", ".")),
+            )
+            for budget in cfg.budgets:
+                cfg.kalls_config(budget)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
+        if cfg.smoothness_override is not None:
+            # d comes from the problem; d=1 checks alpha and L alone
+            _override(SmoothnessParams, cfg.smoothness_override, d=1)
+        if cfg.margin_override is not None:
+            _override(MarginParams, cfg.margin_override)
+        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -102,9 +105,12 @@ class ExperimentConfig:
 
     def build_problem(self):
         p = self.problem
-        return make_problem(p["family"], kappa=float(p.get("kappa", 1.0)),
-                            d=int(p.get("d", 1)), seed=int(p.get("seed", 0)),
-                            n_atoms=int(p.get("n_atoms", 256)))
+        try:
+            return make_problem(p["family"], kappa=float(p.get("kappa", 1.0)),
+                                d=int(p.get("d", 1)), seed=int(p.get("seed", 0)),
+                                n_atoms=int(p.get("n_atoms", 256)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad problem: {exc}") from exc
 
     def kalls_config(self, budget: int) -> KallsConfig:
         return KallsConfig(epsilon=self.epsilon, delta=self.delta, n=budget,
@@ -113,9 +119,7 @@ class ExperimentConfig:
 
     def smooth_params(self, problem) -> SmoothnessParams:
         if self.smoothness_override is not None:
-            return SmoothnessParams(alpha=float(self.smoothness_override["alpha"]),
-                                    L=float(self.smoothness_override["L"]),
-                                    d=problem.d)
+            return _override(SmoothnessParams, self.smoothness_override, d=problem.d)
         if problem.certified_smooth is None:
             raise ConfigError(
                 "problem has no certified smoothness (kappa=0); "
@@ -124,18 +128,28 @@ class ExperimentConfig:
 
     def margin_params(self, problem) -> MarginParams:
         if self.margin_override is not None:
-            return MarginParams(beta=float(self.margin_override["beta"]),
-                                C=float(self.margin_override["C"]))
+            return _override(MarginParams, self.margin_override)
         return problem.certified_margin
 
 
-def _reject_unknown(raw: dict, allowed: set[str], prefix: str) -> None:
+def _override(cls, values: dict, **extra):
+    try:
+        return cls(**{k: float(v) for k, v in values.items()}, **extra)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {cls.__name__} override: {exc}") from exc
+
+
+def _check_keys(raw: dict, allowed: set[str], required: set[str], prefix: str) -> None:
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{prefix or '<top>'}' must be an object")
     unknown = set(raw) - allowed
     if unknown:
         keys = ", ".join(f"{prefix}{k}" for k in sorted(unknown))
         raise ConfigError(f"unknown config key(s): {keys}")
+    missing = required - set(raw)
+    if missing:
+        keys = ", ".join(f"'{prefix}{k}'" for k in sorted(missing))
+        raise ConfigError(f"missing required config key(s): {keys}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -169,14 +183,8 @@ def cmd_run(args) -> int:
     problem = cfg.build_problem()
     seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
     budget = cfg.budgets[0]
-    kcfg = cfg.kalls_config(budget)
-    pool = Pool(problem.sample(cfg.pool_size, substream(seed, "pool", budget)))
-    oracle = LabelOracle(pool, problem.eta, budget,
-                         seed=int(substream(seed, "oracle", budget).integers(2**62)),
-                         mode=cfg.budget_mode)
-    active, trace = core.run_kalls(
-        pool, oracle, kcfg, cfg.smooth_params(problem), cfg.margin_params(problem),
-        est_rng=substream(seed, "estimation", budget), eta_fn=problem.eta)
+    active, trace = run_active(problem, cfg.kalls_config(budget), cfg.pool_size, seed,
+                               cfg.smooth_params(problem), cfg.margin_params(problem))
 
     out = _out_dir(args, cfg)
     meta = _provenance(cfg)
@@ -196,11 +204,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
-    kcfg = cfg.kalls_config(cfg.budgets[0])
-    table = compare(problem, cfg.budgets, kcfg, cfg.seeds, w=cfg.pool_size,
-                    n_test=cfg.n_test,
-                    delta_margin=margin_delta(cfg.epsilon, cfg.margin_params(problem)),
-                    threads=args.threads)
+    table = compare(problem, cfg.budgets, cfg.kalls_config(cfg.budgets[0]), cfg.seeds,
+                    w=cfg.pool_size, n_test=cfg.n_test, threads=args.threads,
+                    smooth=cfg.smooth_params(problem), margin=cfg.margin_params(problem))
     out = _out_dir(args, cfg)
     path = os.path.join(out, "comparison.csv")
     table.to_csv(path, header_comment=json.dumps(_provenance(cfg), sort_keys=True))
@@ -316,9 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import thresholds as th
 from .estimation import est_prob, est_prob_from_sq_dists
-from .pool import LabelOracle, Pool, neighbor_order
+from .pool import LabelOracle, Pool, knn_vote, nearest_order, neighbor_order
 
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
 
@@ -205,50 +205,41 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
 
 
 def reliable(pool: Pool, x_index: int, delta_s: float, smooth: th.SmoothnessParams,
-             active: ActiveSet, u_const: int, rng: np.random.Generator,
-             short_circuit: bool = True) -> bool:
+             active: ActiveSet, u_const: int, rng: np.random.Generator) -> bool:
     """Informativeness test: True when some active record's neighborhood already
     pins down the label of pool point ``x_index``.
 
     For each record (X', Y', c), estimates the pool mass of the open balls of
     radius rho(X, X') around X' and around X with accuracy (c / 64L)^(d/alpha),
-    and answers True when either estimate is <= 75/94 of that accuracy.  The
-    empty active set is never reliable.  ``short_circuit`` stops at the first
-    passing record, checking records nearest-first; the exhaustive mode follows
-    insertion order and evaluates every estimate before deciding.
+    and answers True when either estimate is <= 75/94 of that accuracy.  Records
+    are checked nearest-first and the test stops at the first that passes.  The
+    empty active set is never reliable.
     """
     if not active.records:
         return False
     x = pool.points[x_index]
-    rec_points = active.points()
-    diff = rec_points - x.reshape(1, -1)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d2, kind="stable") if short_circuit else np.arange(len(d2))
+    order, d2 = nearest_order(active.points(), x)
     d2_pool_from_x = pool.sq_dists_from(x)
 
-    found = False
     for j in order:
         rec = active.records[j]
         eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
         radius = float(np.sqrt(d2[j]))
         threshold = RELIABLE_ACCEPT_RATIO * eps_o
-        hit = est_prob(pool.points, rec.point, radius, eps_o, u_const,
-                       delta_s, rng).p_hat <= threshold
-        if not hit or not short_circuit:
-            hit = (est_prob_from_sq_dists(d2_pool_from_x, radius, eps_o, u_const,
-                                          delta_s, rng).p_hat <= threshold) or hit
-        if hit:
-            found = True
-            if short_circuit:
-                return True
-    return found
+        if est_prob(pool.points, rec.point, radius, eps_o, u_const,
+                    delta_s, rng).p_hat <= threshold:
+            return True
+        if est_prob_from_sq_dists(d2_pool_from_x, radius, eps_o, u_const,
+                                  delta_s, rng).p_hat <= threshold:
+            return True
+    return False
 
 
 def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
               smooth: th.SmoothnessParams, margin: th.MarginParams,
               est_rng: np.random.Generator,
-              eta_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-              reliable_full_eval: bool = False) -> tuple[ActiveSet, RunTrace]:
+              eta_fn: Callable[[np.ndarray], np.ndarray] | None = None
+              ) -> tuple[ActiveSet, RunTrace]:
     """Scan the pool, label informative points, and build the active set.
 
     Per scanned point s (1-based): split the confidence as delta_s = delta/(32 s^2);
@@ -277,8 +268,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         delta_s = th.per_point_delta(config.delta, s)
         x_index = s - 1
 
-        if reliable(pool, x_index, delta_s, smooth, active, config.u_const,
-                    est_rng, short_circuit=not reliable_full_eval):
+        if reliable(pool, x_index, delta_s, smooth, active, config.u_const, est_rng):
             trace.reliable_skips += 1
             continue
 
@@ -319,21 +309,10 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
 
 def one_nn_label_batch(active: ActiveSet, queries: np.ndarray) -> np.ndarray:
     """1-NN labels for a batch of queries; distance ties go to the lowest
-    source index (records are stored in source order, argmin picks the first)."""
+    source index (records are stored in source order)."""
     if not active.records:
         raise EmptyActiveSet("cannot classify with an empty active set")
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
-    pts = active.points()
-    labels = active.labels()
-    out = np.empty(q.shape[0], dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(1, pts.shape[0]))
-    for lo in range(0, q.shape[0], chunk):
-        block = q[lo:lo + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + chunk] = labels[np.argmin(d2, axis=1)]
-    return out
+    return knn_vote(active.points(), active.labels(), queries, 1)
 
 
 def one_nn_classify(active: ActiveSet, query: np.ndarray):

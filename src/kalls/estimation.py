@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .pool import sq_dists
+
 
 class SamplerExhausted(RuntimeError):
     """The draw source could not supply the requested number of samples."""
@@ -129,8 +131,7 @@ def pool_ball_sampler(points: np.ndarray, center: np.ndarray, radius: float,
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    diff = pts - np.asarray(center, dtype=np.float64).reshape(1, -1)
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = sq_dists(pts, center)[0]
     return _indicator_sampler(d2, float(radius) * float(radius), rng)
 
 

@@ -3,16 +3,16 @@ k-NN baseline for label-for-label active-vs-passive comparisons."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 
 from . import core
-from .pool import LabelOracle, Pool
+from .pool import LabelOracle, Pool, knn_vote
 from .seeding import substream
 from .synth import SyntheticProblem
-from .thresholds import KallsConfig, margin_delta
+from .thresholds import KallsConfig, MarginParams, SmoothnessParams, margin_delta
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def default_passive_k(n_labels: int, alpha: float, d: int) -> int:
 class PassiveKnn:
     """Majority-vote k-NN over an i.i.d. labeled draw.
 
-    Vote ties go to label 1 (the eta_hat >= 1/2 convention); distance ties are
-    broken by draw order.
+    Vote ties go to label 1 (the eta_hat >= 1/2 convention); distance ties go to
+    the earlier draw (``pool.knn_vote``).
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, k: int) -> None:
@@ -78,36 +78,7 @@ class PassiveKnn:
         self.k = int(k)
 
     def __call__(self, queries: np.ndarray) -> np.ndarray:
-        q = np.asarray(queries, dtype=np.float64)
-        if q.ndim == 1:
-            q = q[None, :]
-        n_train = self.X.shape[0]
-        out = np.empty(q.shape[0], dtype=np.int64)
-        chunk = max(1, 4_000_000 // max(1, n_train))
-        for lo in range(0, q.shape[0], chunk):
-            block = q[lo:lo + chunk]
-            d2 = ((block[:, None, :] - self.X[None, :, :]) ** 2).sum(axis=2)
-            out[lo:lo + chunk] = self._vote(d2)
-        return out
-
-    def _vote(self, d2: np.ndarray) -> np.ndarray:
-        k, n_train = self.k, self.X.shape[0]
-        if k == n_train:
-            ones = np.full(d2.shape[0], int(self.y.sum()))
-        else:
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            closer = d2 < kth[:, None]
-            n_closer = closer.sum(axis=1)
-            at_kth = d2 == kth[:, None]
-            ones = (self.y[None, :] * closer).sum(axis=1)
-            need = k - n_closer
-            simple = at_kth.sum(axis=1) == need
-            # Common case: no duplicate distance at the k-th slot.
-            ones = np.where(simple, ones + (self.y[None, :] * at_kth).sum(axis=1), ones)
-            for i in np.flatnonzero(~simple):
-                tied = np.flatnonzero(at_kth[i])[: need[i]]  # draw order breaks ties
-                ones[i] += int(self.y[tied].sum())
-        return (2 * ones >= k).astype(np.int64)
+        return knn_vote(self.X, self.y, queries, self.k)
 
 
 def passive_knn(problem: SyntheticProblem, n_labels: int, k_n: int | None,
@@ -186,25 +157,28 @@ class ComparisonTable:
                 ]) + "\n")
 
 
-def run_cell(problem: SyntheticProblem, config: KallsConfig, w: int,
-             budget: int, seed: int, n_test: int,
-             delta_margin: float) -> CellResult:
-    """One (budget, seed) cell: active run, label-matched passive baseline,
-    paired evaluation on a shared test draw."""
-    t0 = time.perf_counter()
-    cell_cfg = KallsConfig(epsilon=config.epsilon, delta=config.delta, n=budget,
-                           c_const=config.c_const, u_const=config.u_const,
-                           lb_factor=config.lb_factor, budget_mode=config.budget_mode)
+def run_active(problem: SyntheticProblem, config: KallsConfig, w: int, seed: int,
+               smooth: SmoothnessParams, margin: MarginParams
+               ) -> tuple[core.ActiveSet, core.RunTrace]:
+    """One active run with budget ``config.n``: the pool, the oracle and the
+    estimation stream come from substreams keyed by (seed, budget)."""
+    budget = config.n
     pool = Pool(problem.sample(w, substream(seed, "pool", budget)))
     oracle = LabelOracle(pool, problem.eta, budget,
                          seed=int(substream(seed, "oracle", budget).integers(2**62)),
                          mode=config.budget_mode)
-    active, trace = core.run_kalls(pool, oracle, cell_cfg,
-                                   problem.certified_smooth
-                                   or _nominal_smooth(problem),
-                                   problem.certified_margin,
-                                   est_rng=substream(seed, "estimation", budget),
-                                   eta_fn=problem.eta)
+    return core.run_kalls(pool, oracle, config, smooth, margin,
+                          est_rng=substream(seed, "estimation", budget),
+                          eta_fn=problem.eta)
+
+
+def run_cell(problem: SyntheticProblem, config: KallsConfig, w: int,
+             budget: int, seed: int, n_test: int, delta_margin: float,
+             smooth: SmoothnessParams, margin: MarginParams) -> CellResult:
+    """One (budget, seed) cell: active run, label-matched passive baseline,
+    paired evaluation on a shared test draw."""
+    t0 = time.perf_counter()
+    active, trace = run_active(problem, replace(config, n=budget), w, seed, smooth, margin)
     X_test = problem.sample(n_test, substream(seed, "evaluation", budget))
 
     error_parts = []
@@ -233,35 +207,36 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, w: int,
         wall_ms=(time.perf_counter() - t0) * 1e3, error="; ".join(error_parts))
 
 
-def _nominal_smooth(problem: SyntheticProblem):
-    from .thresholds import SmoothnessParams
-    return SmoothnessParams(alpha=1.0, L=2.0, d=problem.d)
-
-
 def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
             seeds: list[int], w: int, n_test: int = 20_000,
-            delta_margin: float | None = None, threads: int = 1) -> ComparisonTable:
+            delta_margin: float | None = None, threads: int = 1,
+            smooth: SmoothnessParams | None = None,
+            margin: MarginParams | None = None) -> ComparisonTable:
     """Active-vs-passive grid over budgets x seeds.
 
-    The passive baseline is trained on the labels the active run actually spent
-    (label-for-label fairness).  Per-cell failures are recorded in the row, not
-    raised.  Cells own independent substreams keyed by (seed, budget), so the
-    result is identical however the grid is scheduled.
+    The learner uses ``smooth`` and ``margin``, by default the problem's
+    certified constants; a problem without certified smoothness (kappa = 0)
+    needs ``smooth``.  The passive baseline is trained on the labels the active
+    run actually spent (label-for-label fairness).  Per-cell failures are
+    recorded in the row, not raised.  Cells own independent substreams keyed by
+    (seed, budget), so the result is identical however the grid is scheduled.
     """
     if not budgets or not seeds:
         raise ValueError("budgets and seeds must be nonempty")
+    smooth = smooth or problem.certified_smooth
+    if smooth is None:
+        raise ValueError("problem has no certified smoothness (kappa=0); pass smooth")
+    margin = margin or problem.certified_margin
     if delta_margin is None:
-        delta_margin = margin_delta(config.epsilon, problem.certified_margin)
-    cells = [(budget, seed) for budget in budgets for seed in seeds]
+        delta_margin = margin_delta(config.epsilon, margin)
+    cells = [(problem, config, w, b, s, n_test, delta_margin, smooth, margin)
+             for b in budgets for s in seeds]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(_run_cell_star,
-                               [(problem, config, w, b, s, n_test, delta_margin)
-                                for b, s in cells]))
+            rows = list(ex.map(_run_cell_star, cells))
     else:
-        rows = [run_cell(problem, config, w, b, s, n_test, delta_margin)
-                for b, s in cells]
+        rows = [run_cell(*cell) for cell in cells]
     return ComparisonTable(rows=rows, delta_margin=delta_margin)
 
 

@@ -1,10 +1,15 @@
-"""Unlabeled pool, ordered nearest-neighbor queries, and the budgeted label oracle.
+"""Unlabeled pool, nearest-neighbor search, and the budgeted label oracle.
 
-Neighbor order is the contract everything else builds on: ascending squared
-Euclidean distance, exact ties broken by ascending index.  The oracle models an
-i.i.d. labeled sample: each pool point has a single persistent Bernoulli(eta(x))
-realization, drawn up front from the seed, revealed on first request and cached
-forever after.
+Every nearest-neighbor decision in kalls is made here, under one contract:
+ascending squared Euclidean distance, ties to the lower index.  Three functions
+carry it: ``sq_dists`` (the one distance formula), ``nearest_mask`` (the exact
+k-NN set of each row of distances) and ``knn_vote`` (the k-NN majority label,
+vote ties to 1).  A full order (``nearest_order``, ``neighbor_order``,
+``k_nearest``) is one stable argsort of one ``sq_dists`` row.
+
+The oracle models an i.i.d. labeled sample: each pool point has a single
+persistent Bernoulli(eta(x)) realization, drawn up front from the seed,
+revealed on first request and cached forever after.
 """
 from __future__ import annotations
 
@@ -47,8 +52,7 @@ class Pool:
 
     def sq_dists_from(self, x: np.ndarray) -> np.ndarray:
         """Squared Euclidean distances from x to every pool point."""
-        diff = self.points - np.asarray(x, dtype=np.float64).reshape(1, -1)
-        return np.einsum("ij,ij->i", diff, diff)
+        return sq_dists(self.points, x)[0]
 
     @classmethod
     def from_csv(cls, path: str) -> "Pool":
@@ -70,47 +74,89 @@ class Pool:
                 writer.writerow([format(v, ".17g") for v in row])
 
 
+_BLOCK = 4_000_000  # distance-matrix elements per knn_vote chunk
+
+
+def sq_dists(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances from (m, d) ``queries`` (or one (d,) point) to
+    (n, d) ``points``, summed coordinate by coordinate in order."""
+    pts = np.asarray(points, dtype=np.float64)
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if q.shape[1] != pts.shape[1]:
+        raise ValueError(f"queries have {q.shape[1]} coordinates, points {pts.shape[1]}")
+    d2 = q[:, 0, None] - pts[:, 0]
+    d2 *= d2
+    for c in range(1, pts.shape[1]):
+        diff = q[:, c, None] - pts[:, c]
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
+    """Boolean (m, n) mask of the k nearest points of each row of ``d2``: all
+    strictly closer than the row's k-th smallest distance, then the lowest-index
+    points tied at it; ties are counted only in rows with more than fit."""
+    n = d2.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    mask = d2 < kth
+    tied = d2 == kth
+    need = k - np.count_nonzero(mask, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
+    tied[over] &= np.cumsum(tied[over], axis=1, dtype=np.int32) <= need[over, None]
+    mask |= tied
+    return mask
+
+
+def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
+             k: int) -> np.ndarray:
+    """Majority {0, 1} label of the k nearest points to each query; a vote tie
+    goes to 1.  Queries are processed in chunks of ``_BLOCK`` distances."""
+    ones_mask = np.asarray(labels) == 1
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    out = np.empty(q.shape[0], dtype=np.int64)
+    step = max(1, _BLOCK // len(points))
+    for lo in range(0, q.shape[0], step):
+        mask = nearest_mask(sq_dists(points, q[lo:lo + step]), k)
+        out[lo:lo + step] = 2 * np.count_nonzero(mask & ones_mask, axis=1) >= k
+    return out
+
+
+def nearest_order(points: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of all ``points``, nearest to ``query`` first, and their squared
+    distances to it."""
+    d2 = sq_dists(points, query)[0]
+    return np.argsort(d2, kind="stable"), d2
+
+
 @dataclass
 class NeighborList:
     """Ordered neighbors of a center: (index, distance) ascending, ties by index."""
 
-    center_index: int | None
+    center_index: int
     neighbors: list[tuple[int, float]]
 
 
-def _ordered_indices(sq_dists: np.ndarray) -> np.ndarray:
-    # lexsort's last key is primary: squared distance, then index.
-    idx = np.arange(sq_dists.shape[0])
-    return np.lexsort((idx, sq_dists))
+def _center_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray]:
+    if not 0 <= center_index < pool.w:
+        raise ValueError(f"center_index {center_index} out of range [0, {pool.w})")
+    order, d2 = nearest_order(pool.points, pool.points[center_index])
+    return order[order != center_index], d2
 
 
 def neighbor_order(pool: Pool, center_index: int) -> np.ndarray:
     """Full neighbor ordering of a pool point, center excluded."""
-    if not 0 <= center_index < pool.w:
-        raise ValueError(f"center_index {center_index} out of range [0, {pool.w})")
-    d2 = pool.sq_dists_from(pool.points[center_index])
-    order = _ordered_indices(d2)
-    return order[order != center_index]
+    return _center_order(pool, center_index)[0]
 
 
 def k_nearest(pool: Pool, center_index: int, k: int) -> NeighborList:
     """The k pool points closest to pool point ``center_index`` (itself excluded)."""
     if not 1 <= k <= pool.w - 1:
         raise ValueError(f"k must satisfy 1 <= k <= w-1 = {pool.w - 1}, got {k}")
-    order = neighbor_order(pool, center_index)[:k]
-    d2 = pool.sq_dists_from(pool.points[center_index])
-    return NeighborList(center_index, [(int(j), float(np.sqrt(d2[j]))) for j in order])
-
-
-def k_nearest_external(points: np.ndarray, query: np.ndarray, k: int) -> NeighborList:
-    """As ``k_nearest`` but the query point need not belong to the set."""
-    pts = _as_points(points)
-    if not 1 <= k <= pts.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= {pts.shape[0]}, got {k}")
-    diff = pts - np.asarray(query, dtype=np.float64).reshape(1, -1)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = _ordered_indices(d2)[:k]
-    return NeighborList(None, [(int(j), float(np.sqrt(d2[j]))) for j in order])
+    order, d2 = _center_order(pool, center_index)
+    return NeighborList(center_index, [(int(j), float(np.sqrt(d2[j]))) for j in order[:k]])
 
 
 class LabelOracle:
@@ -176,10 +222,3 @@ class LabelOracle:
         self._fresh += n_fresh
         self._revealed[idx] = True
         return self._labels[idx]
-
-
-def label_oracle_for(points_or_pool, eta_fn, budget: int, seed: int,
-                     mode: str = "strict_paper") -> LabelOracle:
-    """Convenience constructor accepting a Pool or a raw point array."""
-    pool = points_or_pool if isinstance(points_or_pool, Pool) else Pool(points_or_pool)
-    return LabelOracle(pool, eta_fn, budget, seed, mode)

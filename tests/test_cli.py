@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 
 import pytest
 
+import kalls.core
 from kalls.cli import ConfigError, ExperimentConfig, load_config, main
 
 
@@ -56,6 +58,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pool_size"):
             load_config(path)
 
+    def test_bad_value_type_exits_1(self, tmp_path):
+        path = write_config(tmp_path, pool_size="abc")
+        with pytest.raises(ConfigError, match="abc"):
+            load_config(path)
+        assert main(["run", "--config", path]) == 1
+
+    def test_override_missing_key_exits_1(self, tmp_path):
+        path = write_config(tmp_path, smoothness_override={"alpha": 1.0})
+        with pytest.raises(ConfigError, match="smoothness_override.L"):
+            load_config(path)
+        assert main(["run", "--config", path]) == 1
+
+    def test_value_error_inside_a_run_exits_2(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("deep failure")
+
+        monkeypatch.setattr(kalls.core, "run_kalls", broken)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: deep failure" in err
+        assert "config error" not in err
+
 
 class TestRunCommand:
     def test_run_twice_is_byte_identical(self, tmp_path):
@@ -102,6 +127,19 @@ class TestSweepCommand:
         lines = [l for l in open(os.path.join(out, "comparison.csv"))
                  if not l.startswith("#")]
         assert len(lines) == 5  # header + 2x2 cells
+
+    def test_cell_matches_run_under_margin_override(self, tmp_path):
+        # the override cuts k' from 1335 to 331 labels per point, under the budget
+        path = write_config(tmp_path, budgets=[1000],
+                            margin_override={"beta": 2.0, "C": 1.0})
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--config", path, "--out", str(run_out)]) == 0
+        assert main(["sweep", "--config", path, "--out", str(sweep_out)]) == 0
+        trace = json.load(open(run_out / "trace_seed3_n1000.json"))
+        with open(sweep_out / "comparison.csv") as fh:
+            (row,) = csv.DictReader(l for l in fh if not l.startswith("#"))
+        assert int(row["labels_used_active"]) == trace["labels_spent"]
+        assert int(row["informative_count"]) == len(trace["informative_indices"])
 
 
 class TestCheckAssumptionsCommand:

@@ -114,11 +114,8 @@ class TestReliable:
         for j, src in ((3, 1), (200, 5)):
             active.append(ActiveRecord(point=pool.points[j].copy(), inferred_label=0,
                                        lb=0.2, source_index=src))
-        a = reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
-                     substream(9, "estimation"), short_circuit=True)
-        b = reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
-                     substream(9, "estimation"), short_circuit=False)
-        assert a is True and b is True  # zero-distance record present
+        assert reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
+                        substream(9, "estimation")) is True  # zero-distance record present
 
 
 def run_once(seed, w=4000, n=1500, kappa=1.0, eps=0.2, mode="strict_paper"):
@@ -292,6 +289,11 @@ class TestOneNN:
                        key=lambda j: (sum((pts[j, c] - queries[qi, c])**2
                                           for c in range(2)), j))
             assert got[qi] == labels[best]
+
+    def test_query_dimension_must_match(self):
+        active = self._active([(0.2, 0), (0.8, 1)])
+        with pytest.raises(ValueError, match="coordinates"):
+            one_nn_label_batch(active, np.array([[0.2, 0.8]]))
 
     def test_empty_active_set_raises(self):
         with pytest.raises(EmptyActiveSet):

@@ -5,6 +5,7 @@ import pytest
 
 from kalls.evaluate import (PassiveKnn, compare, default_passive_k, excess_risk,
                             passive_knn)
+from kalls.pool import nearest_mask, sq_dists
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import KallsConfig
@@ -77,16 +78,24 @@ class TestPassiveKnn:
         clf = PassiveKnn(np.array([[0.0], [0.0], [0.0]]), np.array([1, 0, 0]), k=1)
         assert clf(np.array([[0.7]]))[0] == 1
 
-    def test_matches_naive_oracle(self):
+    @pytest.mark.parametrize("d, n, k, side", [
+        (1, 40, 1, 6), (1, 40, 5, 6), (1, 40, 40, 6),
+        (3, 40, 1, 6), (3, 40, 5, 6), (3, 40, 40, 6),
+        (2, 500, 7, 9),
+    ])
+    def test_matches_naive_oracle(self, d, n, k, side):
+        # Integer lattices make squared distances exact, so planted ties are real.
+        # Queries are separate draws: none is excluded from its own neighbours,
+        # and some land on a labeled point at distance 0.
         rng = substream(8, "points")
-        X = rng.integers(0, 6, size=(40, 2)).astype(np.float64)
-        y = rng.integers(0, 2, size=40)
-        k = 5
-        clf = PassiveKnn(X, y, k=k)
-        queries = rng.integers(0, 6, size=(60, 2)).astype(np.float64)
-        got = clf(queries)
+        X = rng.integers(0, side, size=(n, d)).astype(np.float64)
+        y = rng.integers(0, 2, size=n)
+        queries = rng.integers(0, side, size=(60, d)).astype(np.float64)
+        got = PassiveKnn(X, y, k=k)(queries)
+        mask = nearest_mask(sq_dists(X, queries), k)
         for qi, q in enumerate(queries):
-            keyed = sorted(range(40), key=lambda j: (((X[j] - q) ** 2).sum(), j))
+            keyed = sorted(range(n), key=lambda j: (((X[j] - q) ** 2).sum(), j))
+            assert np.flatnonzero(mask[qi]).tolist() == sorted(keyed[:k])
             votes = y[keyed[:k]].sum()
             assert got[qi] == (1 if 2 * votes >= k else 0)
 
@@ -161,3 +170,8 @@ class TestCompare:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             compare(self.p, [], self.cfg, seeds=[1], w=100)
+
+    def test_kappa_zero_needs_smoothness(self):
+        noiseless = make_problem("power_margin_uniform_1d", kappa=0.0, seed=0)
+        with pytest.raises(ValueError, match="smoothness"):
+            compare(noiseless, [100], self.cfg, seeds=[1], w=200, n_test=500)

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kalls.pool import (BudgetExhausted, LabelOracle, Pool, k_nearest,
-                        k_nearest_external, neighbor_order)
+from kalls.pool import BudgetExhausted, LabelOracle, Pool, k_nearest, neighbor_order
 from kalls.seeding import substream
 
 
@@ -68,26 +67,6 @@ class TestKNearest:
         pts = rng.random((300, 4))
         a = [k_nearest(Pool(pts), 5, 20).neighbors for _ in range(2)]
         assert a[0] == a[1]
-
-
-class TestKNearestExternal:
-    def test_basic(self):
-        pts = np.array([[0.2], [0.8]])
-        nl = k_nearest_external(pts, np.array([0.3]), 1)
-        assert nl.neighbors[0][0] == 0
-
-    def test_query_equal_to_stored_point(self):
-        pts = np.array([[0.2], [0.8]])
-        nl = k_nearest_external(pts, np.array([0.8]), 1)
-        assert nl.neighbors[0] == (1, 0.0)
-
-    def test_matches_brute_force(self):
-        rng = substream(10, "points")
-        pts = rng.integers(0, 9, size=(500, 2)).astype(np.float64)
-        for q in rng.integers(0, 9, size=(20, 2)).astype(np.float64):
-            want = brute_force_order(pts, q)[:7]
-            got = [j for j, _ in k_nearest_external(pts, q, 7).neighbors]
-            assert got == want
 
 
 class TestPoolCsv:
