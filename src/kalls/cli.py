@@ -254,10 +254,33 @@ def cmd_feasibility(args) -> int:
     return 0
 
 
+def _saved_problem(path: str) -> dict | None:
+    """The problem block of the config a saved artifact embeds in its leading
+    '#' lines, or None when it embeds none."""
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            try:
+                meta = json.loads(line[1:])
+            except json.JSONDecodeError:
+                continue
+            if isinstance(meta, dict) and isinstance(meta.get("config"), dict):
+                problem = meta["config"].get("problem")
+                return problem if isinstance(problem, dict) else None
+    return None
+
+
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
     active = core.ActiveSet.from_csv(args.active_set)
+    saved = _saved_problem(args.active_set)
+    for key, default in (("family", None), ("d", 1)):
+        if saved is not None and saved.get(key, default) != cfg.problem.get(key, default):
+            print(f"warning: {args.active_set} was learned with problem.{key}="
+                  f"{saved.get(key, default)!r}, the eval config has "
+                  f"{cfg.problem.get(key, default)!r}", file=sys.stderr)
     seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
     est = excess_risk(core.as_classifier(active), problem, cfg.n_test,
                       delta_margin=margin_delta(cfg.epsilon, cfg.margin_params(problem)),
@@ -319,6 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads > 1 and args.command != "sweep":
+        print(f"note: --threads {args.threads} has no effect on '{args.command}', "
+              "which runs serially", file=sys.stderr)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -81,6 +81,9 @@ class ActiveSet:
 
     @classmethod
     def from_csv(cls, path: str) -> "ActiveSet":
+        """Load what ``to_csv`` writes: '#' comment lines, the header
+        ``x0..x{d-1},label,lb,source_index`` (d = 0 for an empty set), then one
+        row of that width per record.  Any other layout raises ValueError."""
         active = cls()
         with open(path) as fh:
             rows = [line.strip() for line in fh
@@ -88,9 +91,15 @@ class ActiveSet:
         if not rows:
             raise ValueError(f"active-set CSV {path} has no header")
         header = rows[0].split(",")
-        d = sum(1 for c in header if c.startswith("x"))
-        for line in rows[1:]:
+        d = len(header) - 3
+        if header != [f"x{i}" for i in range(d)] + ["label", "lb", "source_index"]:
+            raise ValueError(f"active-set CSV {path} has header {rows[0]!r}; "
+                             "expected x0,...,x<d-1>,label,lb,source_index")
+        for row, line in enumerate(rows[1:], 1):
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"active-set CSV {path}: record {row} has "
+                                 f"{len(parts)} fields, the header {len(header)}")
             active.append(ActiveRecord(
                 point=np.asarray([float(v) for v in parts[:d]]),
                 inferred_label=int(parts[d]),
@@ -198,7 +207,7 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     eta_hat = float(cum[k_star - 1]) / k_star
     return ConfidentOutcome(
         y_hat=1 if eta_hat >= 0.5 else 0,
-        q=[(int(i), int(v)) for i, v in zip(idx[:k_star], labels)],
+        q=list(zip(idx[:k_star].tolist(), labels.tolist())),
         cut_off_fired=cut_off_fired,
         eta_hat=eta_hat,
     )

@@ -4,8 +4,10 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
+import kalls.cli
 import kalls.core
 from kalls.cli import ConfigError, ExperimentConfig, load_config, main
 
@@ -23,6 +25,19 @@ def write_config(tmp_path, **overrides):
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2))
+    return str(path)
+
+
+def write_active_set(tmp_path, problem, points):
+    """A saved active set with ``problem`` as the embedded config's problem block."""
+    active = kalls.core.ActiveSet()
+    for i, x in enumerate(points):
+        active.append(kalls.core.ActiveRecord(point=np.asarray(x, dtype=np.float64),
+                                              inferred_label=i % 2, lb=0.1,
+                                              source_index=i))
+    path = tmp_path / "active.csv"
+    meta = {"tool_version": "0", "config": {"problem": problem}}
+    active.to_csv(str(path), header_comment=json.dumps(meta, sort_keys=True))
     return str(path)
 
 
@@ -173,3 +188,62 @@ class TestEvalCommand:
         risk = json.loads(capsys.readouterr().out)
         assert 0.0 <= risk["excess_risk"] <= 0.5
         assert risk["n_test"] == 1000
+
+
+class TestEvalProvenance:
+    UNIFORM = {"family": "power_margin_uniform_1d", "kappa": 1.0, "d": 1}
+
+    def test_matching_problem_is_silent(self, tmp_path, capsys):
+        active = write_active_set(tmp_path, self.UNIFORM, [[0.25], [0.75]])
+        path = write_config(tmp_path)
+        assert main(["eval", "--config", path, "--active-set", active]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_other_family_warns(self, tmp_path, capsys):
+        active = write_active_set(tmp_path, self.UNIFORM, [[0.25], [0.75]])
+        path = write_config(tmp_path, problem={"family": "power_margin_gaussian_1d",
+                                               "kappa": 1.0, "d": 1})
+        assert main(["eval", "--config", path, "--active-set", active]) == 0
+        err = capsys.readouterr().err
+        assert "warning:" in err and "problem.family='power_margin_uniform_1d'" in err
+        assert "problem.d" not in err
+
+    def test_other_dimension_warns(self, tmp_path, capsys):
+        saved = {"family": "product_uniform_nd", "kappa": 1.0, "d": 3}
+        active = write_active_set(tmp_path, saved, [[0.25, 0.25], [0.75, 0.75]])
+        path = write_config(tmp_path, problem={"family": "product_uniform_nd",
+                                               "kappa": 1.0, "d": 2})
+        assert main(["eval", "--config", path, "--active-set", active]) == 0
+        err = capsys.readouterr().err
+        assert "warning:" in err and "problem.d=3" in err
+        assert "problem.family" not in err
+
+    @pytest.mark.parametrize("body,match", [
+        ("y0,label,lb,source_index\n0.25,0,0.1,0\n", "has header"),
+        ("x0,x1,label,lb,source_index\n0.25,0,0.1,0\n", "record 1 has 4 fields"),
+    ])
+    def test_bad_layout_exits_2(self, tmp_path, capsys, body, match):
+        active = tmp_path / "active.csv"
+        active.write_text(body)
+        path = write_config(tmp_path)
+        assert main(["eval", "--config", path, "--active-set", str(active)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command", ["run", "check-assumptions", "feasibility", "eval"])
+    def test_note_where_unused(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(kalls.cli, "cmd_" + command.replace("-", "_"), lambda args: 0)
+        path = write_config(tmp_path)
+        extra = ["--active-set", "unused.csv"] if command == "eval" else []
+        assert main([command, "--config", path, "--threads", "2"] + extra) == 0
+        assert capsys.readouterr().err == \
+            f"note: --threads 2 has no effect on '{command}', which runs serially\n"
+        assert main([command, "--config", path, "--threads", "1"] + extra) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_uses_it_silently(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda args: 0)
+        assert main(["sweep", "--config", write_config(tmp_path), "--threads", "2"]) == 0
+        assert capsys.readouterr().err == ""

@@ -314,6 +314,25 @@ class TestActiveSetCsv:
             assert a.lb == b.lb
             assert a.source_index == b.source_index
 
+    def test_empty_set_round_trip(self, tmp_path):
+        path = str(tmp_path / "empty.csv")
+        ActiveSet().to_csv(path, header_comment="provenance line")
+        assert open(path).read().splitlines()[1] == "label,lb,source_index"
+        assert len(ActiveSet.from_csv(path)) == 0
+
+    @pytest.mark.parametrize("body,match", [
+        ("y0,label,lb,source_index\n0.5,1,0.1,0\n", "header"),
+        ("x0,x1,label,lb,source_index\n0.5,1,0.1,0\n", "fields"),
+        ("x0,label,lb,source_index\n0.5,0.25,1,0.1,0\n", "fields"),
+        ("x0,label,lb\n0.5,1,0.1\n", "header"),
+        ("# comment only\n", "no header"),
+    ])
+    def test_rejects_other_layouts(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=match):
+            ActiveSet.from_csv(str(path))
+
     def test_classifier_wrapper(self):
         _, _, active, _ = run_once(seed=10)
         clf = as_classifier(active)

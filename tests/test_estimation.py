@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from kalls.estimation import (BerEstResult, SamplerExhausted, ber_est,
                               ber_est_max_stage, est_prob, g_factor)
@@ -140,3 +141,63 @@ class TestEstProb:
                 ok = true_mass >= (2.0 - g) / g * eps_o
             holds += ok
         assert holds >= 180  # failure budget delta' = 10%
+
+
+class TestBinomialStream:
+    """``est_prob`` draws each stage's ones as one binomial over the exact
+    in-ball count.  Its law of (draws_used, ones) must equal that of drawing
+    pool indices uniformly with replacement and testing membership."""
+
+    @staticmethod
+    def _histogram(results):
+        counts = {}
+        for res in results:
+            key = (res.draws_used, round(res.p_hat * res.draws_used))
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @staticmethod
+    def _pooled_table(a, b, min_expected=5.0):
+        # merge cells in key order until each merged cell expects >= 5 per sample
+        rows, acc_a, acc_b = [], 0, 0
+        for key in sorted(set(a) | set(b)):
+            acc_a += a.get(key, 0)
+            acc_b += b.get(key, 0)
+            if (acc_a + acc_b) / 2.0 >= min_expected:
+                rows.append([acc_a, acc_b])
+                acc_a = acc_b = 0
+        if acc_a + acc_b:
+            if rows:
+                rows[-1][0] += acc_a
+                rows[-1][1] += acc_b
+            else:
+                rows.append([acc_a, acc_b])
+        return np.asarray(rows, dtype=np.int64).T
+
+    # (radius, epsilon_o, i_max, terminated_early values): ball masses 0.020,
+    # 0.113 and 0.298 on the pool.  At mass 0.020 the last stage (32768 draws,
+    # threshold 0.0207) both stops early and runs out; 0.113 always runs the
+    # full 4096 draws; 0.298 stops early, at 2048 draws in all but a few trials.
+    @pytest.mark.parametrize("radius,eps_o,i_max,early", [
+        (0.01, 0.02, 15, {True, False}),
+        (0.05, 0.1, 12, {False}),
+        (0.15, 0.1, 12, {True}),
+    ])
+    def test_same_law_as_index_draws(self, radius, eps_o, i_max, early):
+        pts = substream(21, "pool").random((1000, 1))
+        d2 = (pts[:, 0] - 0.5) ** 2
+        r2 = radius * radius
+        w = d2.shape[0]
+        assert ber_est_max_stage(eps_o, DELTA_P, U) == i_max
+        trials = 2000
+        rng_b = substream(7, "estimation", 1)
+        binomial = [est_prob(pts, np.array([0.5]), radius, eps_o, U, DELTA_P, rng_b)
+                    for _ in range(trials)]
+        rng_i = substream(7, "estimation", 2)
+        index = [ber_est(lambda n: d2[rng_i.integers(0, w, n)] < r2, eps_o, DELTA_P, U)
+                 for _ in range(trials)]
+
+        assert {r.terminated_early for r in binomial} == early
+        table = self._pooled_table(self._histogram(binomial), self._histogram(index))
+        assert table.shape[1] >= 10
+        assert chi2_contingency(table).pvalue > 1e-3
