@@ -8,7 +8,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__, core
 from .evaluate import compare, excess_risk, run_active
@@ -22,25 +22,31 @@ class ConfigError(ValueError):
     pass
 
 
-_PROBLEM_KEYS = {"family", "kappa", "d", "n_atoms", "seed"}
-_TOP_REQUIRED = {"problem", "pool_size", "budgets", "epsilon", "delta", "seeds"}
-_TOP_KEYS = _TOP_REQUIRED | {"c_const", "u_const", "lb_factor", "budget_mode", "n_test",
-                             "smoothness_override", "margin_override", "output_dir"}
-_OVERRIDE_KEYS = {"smoothness_override": {"alpha", "L"}, "margin_override": {"beta", "C"}}
+# nested blocks: {key: kind} and the keys each must have
+_BLOCKS = {
+    "problem": ({"family": "str", "kappa": "float", "d": "int", "n_atoms": "int",
+                 "seed": "int"}, {"family"}),
+    "smoothness_override": ({"alpha": "float", "L": "float"}, {"alpha", "L"}),
+    "margin_override": ({"beta": "float", "C": "float"}, {"beta", "C"}),
+}
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment.  The fields are the config file's format: their names
+    are the allowed keys, those without a default the required ones, and each
+    annotation the kind ``_typed`` checks its value against."""
+
     problem: dict
     pool_size: int
     budgets: list[int]
     epsilon: float
     delta: float
     seeds: list[int]
-    c_const: float = 8.0
-    u_const: int = 50
-    lb_factor: float = 0.1
-    budget_mode: str = "strict_paper"
+    c_const: float = KallsConfig.c_const
+    u_const: int = KallsConfig.u_const
+    lb_factor: float = KallsConfig.lb_factor
+    budget_mode: str = KallsConfig.budget_mode
     n_test: int = 20_000
     smoothness_override: dict | None = None
     margin_override: dict | None = None
@@ -48,35 +54,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "")
-        _check_keys(raw["problem"], _PROBLEM_KEYS, {"family"}, "problem.")
-        for key, allowed in _OVERRIDE_KEYS.items():
-            if raw.get(key) is not None:
-                _check_keys(raw[key], allowed, allowed, f"{key}.")
-        if not raw["seeds"]:
-            raise ConfigError("'seeds' must be nonempty")
-        if not raw["budgets"]:
-            raise ConfigError("'budgets' must be nonempty")
+        values = _typed_block(raw, {f.name: f.type for f in fields(cls)},
+                              {f.name for f in fields(cls) if f.default is MISSING}, "")
+        for key, (kinds, required) in _BLOCKS.items():
+            if values.get(key) is not None:
+                values[key] = _typed_block(values[key], kinds, required, f"{key}.")
+        cfg = cls(**values)
+        for key in ("seeds", "budgets"):
+            if not getattr(cfg, key):
+                raise ConfigError(f"'{key}' must be nonempty")
+        for key, low in (("pool_size", 2), ("n_test", 1)):
+            if getattr(cfg, key) < low:
+                raise ConfigError(f"'{key}' must be >= {low}, got {getattr(cfg, key)}")
         try:
-            cfg = cls(
-                problem=dict(raw["problem"]),
-                pool_size=int(raw["pool_size"]),
-                budgets=[int(b) for b in raw["budgets"]],
-                epsilon=float(raw["epsilon"]),
-                delta=float(raw["delta"]),
-                seeds=[int(s) for s in raw["seeds"]],
-                c_const=float(raw.get("c_const", 8.0)),
-                u_const=int(raw.get("u_const", 50)),
-                lb_factor=float(raw.get("lb_factor", 0.1)),
-                budget_mode=str(raw.get("budget_mode", "strict_paper")),
-                n_test=int(raw.get("n_test", 20_000)),
-                smoothness_override=raw.get("smoothness_override"),
-                margin_override=raw.get("margin_override"),
-                output_dir=str(raw.get("output_dir", ".")),
-            )
             for budget in cfg.budgets:
                 cfg.kalls_config(budget)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
         if cfg.smoothness_override is not None:
             # d comes from the problem; d=1 checks alpha and L alone
@@ -85,31 +78,10 @@ class ExperimentConfig:
             _override(MarginParams, cfg.margin_override)
         return cfg
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": dict(self.problem),
-            "pool_size": self.pool_size,
-            "budgets": list(self.budgets),
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "seeds": list(self.seeds),
-            "c_const": self.c_const,
-            "u_const": self.u_const,
-            "lb_factor": self.lb_factor,
-            "budget_mode": self.budget_mode,
-            "n_test": self.n_test,
-            "smoothness_override": self.smoothness_override,
-            "margin_override": self.margin_override,
-            "output_dir": self.output_dir,
-        }
-
     def build_problem(self):
-        p = self.problem
         try:
-            return make_problem(p["family"], kappa=float(p.get("kappa", 1.0)),
-                                d=int(p.get("d", 1)), seed=int(p.get("seed", 0)),
-                                n_atoms=int(p.get("n_atoms", 256)))
-        except (TypeError, ValueError) as exc:
+            return make_problem(**self.problem)
+        except ValueError as exc:
             raise ConfigError(f"bad problem: {exc}") from exc
 
     def kalls_config(self, budget: int) -> KallsConfig:
@@ -134,15 +106,18 @@ class ExperimentConfig:
 
 def _override(cls, values: dict, **extra):
     try:
-        return cls(**{k: float(v) for k, v in values.items()}, **extra)
-    except (TypeError, ValueError) as exc:
+        return cls(**values, **extra)
+    except ValueError as exc:
         raise ConfigError(f"bad {cls.__name__} override: {exc}") from exc
 
 
-def _check_keys(raw: dict, allowed: set[str], required: set[str], prefix: str) -> None:
+def _typed_block(raw: dict, kinds: dict[str, str], required: set[str],
+                 prefix: str) -> dict:
+    """``raw`` with each value checked by ``_typed``; unknown or missing keys
+    are a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{prefix or '<top>'}' must be an object")
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(kinds)
     if unknown:
         keys = ", ".join(f"{prefix}{k}" for k in sorted(unknown))
         raise ConfigError(f"unknown config key(s): {keys}")
@@ -150,6 +125,27 @@ def _check_keys(raw: dict, allowed: set[str], required: set[str], prefix: str) -
     if missing:
         keys = ", ".join(f"'{prefix}{k}'" for k in sorted(missing))
         raise ConfigError(f"missing required config key(s): {keys}")
+    return {k: _typed(v, kinds[k], prefix + k) for k, v in raw.items()}
+
+
+def _typed(value, kind: str, key: str):
+    """``value`` as ``kind`` (``int``, ``float``, ``str``, ``dict``,
+    ``list[<kind>]``, optionally ``| None``).  An int is a float; a float is an
+    int only when integral; a bool is neither.  Anything else is a ConfigError,
+    never a rounded, truncated or split value."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("list[") and isinstance(value, list):
+        return [_typed(v, kind[5:-1], f"{key}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int" and number and value % 1 == 0:
+        return int(value)
+    if kind == "float" and number:
+        return float(value)
+    if (kind == "str" and isinstance(value, str)) or (kind == "dict" and isinstance(value, dict)):
+        return value
+    raise ConfigError(f"'{key}' must be {kind}, got {value!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -163,8 +159,17 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _provenance(cfg: ExperimentConfig) -> dict:
-    return {"tool_version": __version__, "config": cfg.to_dict()}
+def _provenance(cfg: ExperimentConfig, seed: int | None = None) -> dict:
+    """Tool version and config, plus ``resolved_seed`` when a ``seed`` is
+    given: the learner seed the subcommand drew from."""
+    config = asdict(cfg)
+    if seed is not None:
+        config["resolved_seed"] = seed
+    return {"tool_version": __version__, "config": config}
+
+
+def _seed(args, cfg: ExperimentConfig) -> int:
+    return args.seed_override if args.seed_override is not None else cfg.seeds[0]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -181,14 +186,13 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
-    seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
+    seed = _seed(args, cfg)
     budget = cfg.budgets[0]
     active, trace = run_active(problem, cfg.kalls_config(budget), cfg.pool_size, seed,
                                cfg.smooth_params(problem), cfg.margin_params(problem))
 
     out = _out_dir(args, cfg)
-    meta = _provenance(cfg)
-    meta["config"]["resolved_seed"] = int(seed)
+    meta = _provenance(cfg, seed)
     trace_path = os.path.join(out, f"trace_seed{seed}_n{budget}.json")
     with open(trace_path, "w") as fh:
         fh.write(trace.to_json(meta["config"], __version__))
@@ -204,12 +208,14 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
-    table = compare(problem, cfg.budgets, cfg.kalls_config(cfg.budgets[0]), cfg.seeds,
+    seeds = cfg.seeds if args.seed_override is None else [args.seed_override]
+    table = compare(problem, cfg.budgets, cfg.kalls_config(cfg.budgets[0]), seeds,
                     w=cfg.pool_size, n_test=cfg.n_test, threads=args.threads,
                     smooth=cfg.smooth_params(problem), margin=cfg.margin_params(problem))
     out = _out_dir(args, cfg)
     path = os.path.join(out, "comparison.csv")
-    table.to_csv(path, header_comment=json.dumps(_provenance(cfg), sort_keys=True))
+    table.to_csv(path, header_comment=json.dumps(_provenance(cfg, args.seed_override),
+                                                 sort_keys=True))
     print(f"wrote {path}")
     for budget in table.budgets():
         med_a = table.median_excess_active(budget, fallback=problem.mean_abs_margin())
@@ -222,13 +228,14 @@ def cmd_sweep(args) -> int:
 def cmd_check_assumptions(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
+    seed = _seed(args, cfg)
     reports = []
     if problem.certified_smooth is not None:
-        reports.append(check_smoothness(problem, rng=substream(cfg.seeds[0], "points")))
+        reports.append(check_smoothness(problem, rng=substream(seed, "points")))
     reports.append(check_margin(problem))
     if problem.certified_doubling is not None:
         reports.append(check_doubling(problem))
-    payload = _provenance(cfg)
+    payload = _provenance(cfg, seed)
     payload["reports"] = [r.as_dict() for r in reports]
     payload["all_passed"] = all(r.passed for r in reports)
     out = _out_dir(args, cfg)
@@ -281,19 +288,13 @@ def cmd_eval(args) -> int:
             print(f"warning: {args.active_set} was learned with problem.{key}="
                   f"{saved.get(key, default)!r}, the eval config has "
                   f"{cfg.problem.get(key, default)!r}", file=sys.stderr)
-    seed = args.seed_override if args.seed_override is not None else cfg.seeds[0]
+    seed = _seed(args, cfg)
     est = excess_risk(core.as_classifier(active), problem, cfg.n_test,
                       delta_margin=margin_delta(cfg.epsilon, cfg.margin_params(problem)),
                       rng=substream(seed, "evaluation"))
-    payload = _provenance(cfg)
+    payload = _provenance(cfg, seed)
     payload["active_set"] = args.active_set
-    payload["risk"] = {
-        "excess_risk": est.excess_risk,
-        "std_error": est.std_error,
-        "n_test": est.n_test,
-        "deep_margin_agreement": est.deep_margin_agreement,
-        "n_deep": est.n_deep,
-    }
+    payload["risk"] = asdict(est)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "risk.json")
@@ -310,9 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, draws=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed-override", type=int, default=None)
+        if draws:  # feasibility draws nothing, so it takes no seed
+            p.add_argument("--seed-override", type=int, default=None,
+                           help="learner seed to use instead of the config's seeds")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1)
 
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(fn=cmd_check_assumptions)
 
     p_feas = sub.add_parser("feasibility", help="print feasibility diagnostics")
-    common(p_feas)
+    common(p_feas, draws=False)
     p_feas.set_defaults(fn=cmd_feasibility)
 
     p_eval = sub.add_parser("eval", help="re-evaluate a saved active set")

@@ -9,7 +9,7 @@ backing the final 1-NN classifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -129,19 +129,6 @@ class PerPointRecord:
     k_cap: int
     k_tilde: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "q_size": self.q_size,
-            "lb": self.lb,
-            "accepted": self.accepted,
-            "eta_hat": self.eta_hat,
-            "y_hat": self.y_hat,
-            "cut_off_fired": self.cut_off_fired,
-            "k_cap": self.k_cap,
-            "k_tilde": self.k_tilde,
-        }
-
 
 @dataclass
 class RunTrace:
@@ -152,21 +139,9 @@ class RunTrace:
     points_scanned: int = 0
     reliable_skips: int = 0
 
-    def to_json_dict(self, config_dict: dict, version: str) -> dict:
-        return {
-            "tool_version": version,
-            "config": config_dict,
-            "labels_spent": self.labels_spent,
-            "stopped_reason": self.stopped_reason,
-            "points_scanned": self.points_scanned,
-            "reliable_skips": self.reliable_skips,
-            "informative_indices": list(self.informative_indices),
-            "per_point": [p.as_dict() for p in self.per_point],
-        }
-
     def to_json(self, config_dict: dict, version: str) -> str:
-        return json.dumps(self.to_json_dict(config_dict, version),
-                          sort_keys=True, indent=2) + "\n"
+        payload = {**asdict(self), "tool_version": version, "config": config_dict}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,

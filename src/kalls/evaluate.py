@@ -114,7 +114,6 @@ class CellResult:
 @dataclass
 class ComparisonTable:
     rows: list[CellResult]
-    delta_margin: float
 
     def budgets(self) -> list[int]:
         return sorted({r.budget for r in self.rows})
@@ -237,7 +236,7 @@ def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
             rows = list(ex.map(_run_cell_star, cells))
     else:
         rows = [run_cell(*cell) for cell in cells]
-    return ComparisonTable(rows=rows, delta_margin=delta_margin)
+    return ComparisonTable(rows=rows)
 
 
 def _run_cell_star(args) -> CellResult:

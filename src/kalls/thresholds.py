@@ -134,7 +134,7 @@ def confidence_radius_vec(delta: float, ks: np.ndarray) -> np.ndarray:
 
 
 def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
-                      c_const: float = 8.0) -> float:
+                      c_const: float) -> float:
     """Per-point label budget before rounding: (c/Delta^2) * bracket.
 
     bracket = log(1/delta) + loglog(1/delta) + loglog(512*sqrt(e)/Delta).
@@ -150,7 +150,7 @@ def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
 
 
 def label_budget_k(epsilon: float, delta: float, margin: MarginParams,
-                   c_const: float = 8.0) -> int:
+                   c_const: float) -> int:
     """Integer per-point label budget k(eps, delta); saturates at INFEASIBLE_BUDGET."""
     value = label_budget_real(epsilon, delta, margin, c_const)
     if not math.isfinite(value) or value >= float(INFEASIBLE_BUDGET):
@@ -174,7 +174,8 @@ def per_point_delta(delta: float, s: int) -> float:
     return delta / (32.0 * s * s)
 
 
-def adaptive_budget_bound(margin_gap: float, delta_s: float, c_const: float = 8.0) -> float:
+def adaptive_budget_bound(margin_gap: float, delta_s: float,
+                          c_const: float = KallsConfig.c_const) -> float:
     """Noise-adaptive request bound for a point with |eta(x) - 1/2| = margin_gap.
 
     (c / (4 a^2)) * (log(1/delta_s) + loglog(1/delta_s) + loglog(256*sqrt(e)/a));

@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 import kalls.cli
 import kalls.core
 from kalls.cli import ConfigError, ExperimentConfig, load_config, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, **overrides):
@@ -45,7 +50,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(asdict(cfg))
         assert again == cfg
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -79,6 +84,37 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", path]) == 1
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"pool_size": "abc"}, "pool_size"),
+        ({"pool_size": 1500.7}, "pool_size"),
+        ({"pool_size": True}, "pool_size"),
+        ({"pool_size": 1}, "pool_size"),
+        ({"budgets": "123"}, "budgets"),
+        ({"budgets": [400.5]}, "budgets"),
+        ({"seeds": "12"}, "seeds"),
+        ({"u_const": 50.9}, "u_const"),
+        ({"n_test": 0}, "n_test"),
+        ({"problem": {"family": "product_uniform_nd", "kappa": 1.0, "d": 2.7}}, "problem.d"),
+        ({"problem": {"family": "discrete_atoms", "n_atoms": 64.9}}, "problem.n_atoms"),
+    ], ids=["pool_size-str", "pool_size-float", "pool_size-bool", "pool_size-1",
+            "budgets-str", "budgets-float", "seeds-str", "u_const-float", "n_test-0",
+            "d-float", "n_atoms-float"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, key):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(path)
+        assert main(["run", "--config", path]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_integral_values_keep_their_kind(self, tmp_path):
+        path = write_config(tmp_path, pool_size=1500.0, c_const=8,
+                            problem={"family": "product_uniform_nd", "kappa": 1, "d": 2.0})
+        cfg = load_config(path)
+        assert type(cfg.pool_size) is int and cfg.pool_size == 1500
+        assert type(cfg.c_const) is float and cfg.c_const == 8.0
+        assert cfg.problem == {"family": "product_uniform_nd", "kappa": 1.0, "d": 2}
+        assert type(cfg.problem["d"]) is int
+
     def test_override_missing_key_exits_1(self, tmp_path):
         path = write_config(tmp_path, smoothness_override={"alpha": 1.0})
         with pytest.raises(ConfigError, match="smoothness_override.L"):
@@ -95,6 +131,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error: deep failure" in err
         assert "config error" not in err
+
+
+class TestReadme:
+    def test_example_config_loads(self, tmp_path):
+        example = README.read_text().split("Example config")[1]
+        path = tmp_path / "example.json"
+        path.write_text(example.split("```json\n")[1].split("```")[0])
+        load_config(str(path))
+
+    def test_key_table_is_the_schema(self):
+        rows = re.findall(r"^\| `(\w+)` \|.*\| (required|`[^`|]*`) \|$",
+                          README.read_text(), re.M)
+        documented = dict(rows)
+        assert set(documented) == {f.name for f in fields(ExperimentConfig)}
+        for f in fields(ExperimentConfig):
+            if f.default is MISSING:
+                assert documented[f.name] == "required", f.name
+            else:
+                assert json.loads(documented[f.name].strip("`")) == f.default, f.name
 
 
 class TestRunCommand:
@@ -117,7 +172,15 @@ class TestRunCommand:
         payload = json.load(open(os.path.join(out, "trace_seed3_n400.json")))
         assert payload["tool_version"]
         assert payload["config"]["pool_size"] == 1500
+        assert payload["config"]["resolved_seed"] == 3
         assert payload["labels_spent"] <= 400
+        assert set(payload) == {"tool_version", "config", "labels_spent", "stopped_reason",
+                                "points_scanned", "reliable_skips", "informative_indices",
+                                "per_point"}
+        assert payload["per_point"]
+        for point in payload["per_point"]:
+            assert set(point) == {"s", "q_size", "lb", "accepted", "eta_hat", "y_hat",
+                                  "cut_off_fired", "k_cap", "k_tilde"}
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path)
@@ -143,6 +206,21 @@ class TestSweepCommand:
                  if not l.startswith("#")]
         assert len(lines) == 5  # header + 2x2 cells
 
+    def test_seed_override_runs_one_seed(self, tmp_path):
+        path = write_config(tmp_path, budgets=[200, 400], seeds=[1, 2],
+                            pool_size=800, n_test=500)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--seed-override", "5"]) == 0
+        with open(out / "comparison.csv") as fh:
+            comments = [l for l in fh if l.startswith("#")]
+            fh.seek(0)
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        assert [(r["budget"], r["seed"]) for r in rows] == [("200", "5"), ("400", "5")]
+        meta = json.loads(comments[0][1:])
+        assert meta["config"]["resolved_seed"] == 5
+        assert meta["config"]["seeds"] == [1, 2]
+
     def test_cell_matches_run_under_margin_override(self, tmp_path):
         # the override cuts k' from 1335 to 331 labels per point, under the budget
         path = write_config(tmp_path, budgets=[1000],
@@ -166,6 +244,19 @@ class TestCheckAssumptionsCommand:
         assert payload["all_passed"] is True
         names = {r["assumption"] for r in payload["reports"]}
         assert names == {"H2", "H3", "H4"}
+        assert payload["config"]["resolved_seed"] == 3
+
+    def test_seed_override_draws_h3_pairs(self, tmp_path):
+        override, direct = tmp_path / "override", tmp_path / "direct"
+        assert main(["check-assumptions", "--config", write_config(tmp_path), "--out",
+                     str(override), "--seed-override", "11"]) == 0
+        assert main(["check-assumptions", "--config", write_config(tmp_path, seeds=[11]),
+                     "--out", str(direct)]) == 0
+        got = json.load(open(override / "assumptions.json"))
+        want = json.load(open(direct / "assumptions.json"))
+        assert got["reports"] == want["reports"]
+        assert got["config"]["resolved_seed"] == 11
+        assert got["config"]["seeds"] == [3]
 
 
 class TestFeasibilityCommand:
@@ -175,6 +266,13 @@ class TestFeasibilityCommand:
         out = capsys.readouterr().out
         assert "p_tilde_eps" in out
         assert "budget_ok" in out
+
+    def test_takes_no_seed_override(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["feasibility", "--config", path, "--seed-override", "5"])
+        assert exc.value.code == 2
+        assert "--seed-override" in capsys.readouterr().err
 
 
 class TestEvalCommand:
