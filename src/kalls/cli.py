@@ -5,6 +5,7 @@ a hard error so typos cannot silently change a run."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -160,12 +161,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _provenance(cfg: ExperimentConfig, seed: int | None = None) -> dict:
-    """Tool version and config, plus ``resolved_seed`` when a ``seed`` is
-    given: the learner seed the subcommand drew from."""
-    config = asdict(cfg)
+    """Tool version and config, plus ``resolved_seed`` next to them when a
+    ``seed`` is given: the learner seed the subcommand drew from.  The config
+    holds config keys alone, so it loads back through ``from_dict``."""
+    meta = {"tool_version": __version__, "config": asdict(cfg)}
     if seed is not None:
-        config["resolved_seed"] = seed
-    return {"tool_version": __version__, "config": config}
+        meta["resolved_seed"] = seed
+    return meta
 
 
 def _seed(args, cfg: ExperimentConfig) -> int:
@@ -195,7 +197,7 @@ def cmd_run(args) -> int:
     meta = _provenance(cfg, seed)
     trace_path = os.path.join(out, f"trace_seed{seed}_n{budget}.json")
     with open(trace_path, "w") as fh:
-        fh.write(trace.to_json(meta["config"], __version__))
+        fh.write(trace.to_json(meta["config"], __version__, resolved_seed=seed))
     active_path = os.path.join(out, f"active_set_seed{seed}_n{budget}.csv")
     active.to_csv(active_path, header_comment=json.dumps(meta, sort_keys=True))
     print(f"wrote {trace_path}")
@@ -220,8 +222,12 @@ def cmd_sweep(args) -> int:
     for budget in table.budgets():
         med_a = table.median_excess_active(budget, fallback=problem.mean_abs_margin())
         med_d = table.median_deep_agreement(budget)
+        med_p = table.median_excess_passive(budget)
+        cells = [r for r in table.rows if r.budget == budget]
+        empty = sum(r.excess_active is None for r in cells)
         print(f"budget={budget} median_excess_active={med_a:.5f} "
-              f"median_deep_agreement={med_d:.4f}")
+              f"median_deep_agreement={med_d:.4f} median_excess_passive={med_p:.5f} "
+              f"empty_active={empty}/{len(cells)}")
     return 0
 
 
@@ -283,7 +289,8 @@ def cmd_eval(args) -> int:
     problem = cfg.build_problem()
     active = core.ActiveSet.from_csv(args.active_set)
     saved = _saved_problem(args.active_set)
-    for key, default in (("family", None), ("d", 1)):
+    d_default = inspect.signature(make_problem).parameters["d"].default
+    for key, default in (("family", None), ("d", d_default)):
         if saved is not None and saved.get(key, default) != cfg.problem.get(key, default):
             print(f"warning: {args.active_set} was learned with problem.{key}="
                   f"{saved.get(key, default)!r}, the eval config has "

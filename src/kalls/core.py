@@ -139,8 +139,11 @@ class RunTrace:
     points_scanned: int = 0
     reliable_skips: int = 0
 
-    def to_json(self, config_dict: dict, version: str) -> str:
+    def to_json(self, config_dict: dict, version: str,
+                resolved_seed: int | None = None) -> str:
         payload = {**asdict(self), "tool_version": version, "config": config_dict}
+        if resolved_seed is not None:
+            payload["resolved_seed"] = resolved_seed
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -12,6 +12,7 @@ index is drawn.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -51,19 +52,33 @@ def ber_est_max_stage(epsilon_o: float, delta_prime: float, u: int) -> int:
     return math.floor(math.log2(u * math.log(2.0 * big_k / delta_prime) / epsilon_o))
 
 
+@functools.lru_cache(maxsize=1024)
+def _stages(epsilon_o: float, delta_prime: float, u: int) -> tuple[tuple[int, float], ...]:
+    """(m, threshold) of each doubling stage m = 2^3 .. 2^i_max, the threshold
+    on the running mean u*log(2m/delta')/m; empty when i_max < 3."""
+    return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
+
+
+@functools.lru_cache(maxsize=256)
+def _thresholds(delta_prime: float, u: int, i_max: int) -> tuple[tuple[int, float], ...]:
+    # apart from i_max the thresholds depend on (delta', u) alone, which
+    # ``reliable`` shares between all records of a scanned point
+    return tuple((1 << i, u * math.log(2.0 * (1 << i) / delta_prime) / (1 << i))
+                 for i in range(3, i_max + 1))
+
+
 def _stage_loop(ones_in: Callable[[int], int], epsilon_o: float, delta_prime: float,
                 u: int) -> BerEstResult:
     """The doubling-stage loop shared by every estimator here; ``ones_in(n)``
     returns the number of ones among ``n`` more draws."""
-    i_max = ber_est_max_stage(epsilon_o, delta_prime, u)
-    if i_max < 3:
+    stages = _stages(epsilon_o, delta_prime, u)
+    if not stages:
         return BerEstResult(p_hat=ones_in(4) / 4.0, draws_used=4, terminated_early=False)
     ones = m = 0
-    for i in range(3, i_max + 1):
-        target = 1 << i
+    for target, threshold in stages:
         ones += ones_in(target - m)
         m = target
-        if ones / m > u * math.log(2.0 * m / delta_prime) / m:
+        if ones / m > threshold:
             return BerEstResult(p_hat=ones / m, draws_used=m, terminated_early=True)
     return BerEstResult(p_hat=ones / m, draws_used=m, terminated_early=False)
 

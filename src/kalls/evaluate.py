@@ -126,6 +126,13 @@ class ComparisonTable:
                 for r in self.rows if r.budget == budget]
         return float(np.median(vals))
 
+    def median_excess_passive(self, budget: int) -> float:
+        """Per-budget median over the cells that trained a passive baseline;
+        nan when none did."""
+        vals = [r.excess_passive for r in self.rows
+                if r.budget == budget and r.excess_passive is not None]
+        return float(np.median(vals)) if vals else float("nan")
+
     def median_deep_agreement(self, budget: int) -> float:
         vals = [r.deep_margin_agreement if r.deep_margin_agreement is not None else 0.0
                 for r in self.rows if r.budget == budget]

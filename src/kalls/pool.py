@@ -4,8 +4,10 @@ Every nearest-neighbor decision in kalls is made here, under one contract:
 ascending squared Euclidean distance, ties to the lower index.  Three functions
 carry it: ``sq_dists`` (the one distance formula), ``nearest_mask`` (the exact
 k-NN set of each row of distances) and ``knn_vote`` (the k-NN majority label,
-vote ties to 1).  A full order (``nearest_order``, ``neighbor_order``,
-``k_nearest``) is one stable argsort of one ``sq_dists`` row.
+vote ties to 1; for d = 1 it reads each certified k-NN set off the sorted
+points, ``_nearest_windows``, and leaves the other rows to ``nearest_mask``).  A
+full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) is one stable
+argsort of one ``sq_dists`` row.
 
 The oracle models an i.i.d. labeled sample: each pool point has a single
 persistent Bernoulli(eta(x)) realization, drawn up front from the seed,
@@ -93,13 +95,17 @@ def sq_dists(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+
+
 def nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
     """Boolean (m, n) mask of the k nearest points of each row of ``d2``: all
     strictly closer than the row's k-th smallest distance, then the lowest-index
     points tied at it; ties are counted only in rows with more than fit."""
     n = d2.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(k, n)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
     mask = d2 < kth
     tied = d2 == kth
@@ -110,17 +116,66 @@ def nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
+def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d = 1: the stable order of the points ``x``, and for each query in ``q``
+    the start of a window of k consecutive sorted points and whether that
+    window is certified to be the query's k-NN set.
+
+    Along sorted x the rounded ``(q - x)^2`` of ``sq_dists`` falls and then
+    rises, so each set {d2 <= r} is a run of consecutive sorted points.  A
+    window whose two outside neighbours are both strictly farther than r, its
+    farther end's distance, is therefore exactly {d2 <= r}: k points, all
+    others farther, and the k-NN set whatever the index tie-break.  The start
+    is a bisection over [pos - k, pos], pos the query's insertion point.  Ties
+    at a window end and non-finite queries are left uncertified."""
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+
+    def d2(i: np.ndarray) -> np.ndarray:
+        diff = q - xs[i]
+        diff *= diff
+        return diff
+
+    pos = np.searchsorted(xs, q)
+    lo = np.clip(pos - k, 0, n - k)
+    hi = np.clip(pos, 0, n - k)
+    for _ in range(int(k).bit_length()):  # hi - lo <= k halves every step
+        mid = (lo + hi) >> 1
+        # start mid loses to mid + 1 when the point past its end is closer
+        later = d2(mid) > d2(np.minimum(mid + k, n - 1))
+        lo = np.where(later & (mid < hi), mid + 1, lo)
+        hi = np.where(later, hi, mid)
+    r = np.maximum(d2(lo), d2(lo + k - 1))
+    certified = ((lo == 0) | (d2(np.maximum(lo - 1, 0)) > r)) \
+        & ((lo + k == n) | (d2(np.minimum(lo + k, n - 1)) > r)) & np.isfinite(q)
+    return order, lo, certified
+
+
 def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
              k: int) -> np.ndarray:
     """Majority {0, 1} label of the k nearest points to each query; a vote tie
-    goes to 1.  Queries are processed in chunks of ``_BLOCK`` distances."""
+    goes to 1.  For d = 1 a certified window (``_nearest_windows``) gives the
+    vote as one difference of a cumulative count; the other rows are brute
+    force, in chunks of ``_BLOCK`` distances."""
+    pts = np.asarray(points, dtype=np.float64)
     ones_mask = np.asarray(labels) == 1
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     out = np.empty(q.shape[0], dtype=np.int64)
-    step = max(1, _BLOCK // len(points))
-    for lo in range(0, q.shape[0], step):
-        mask = nearest_mask(sq_dists(points, q[lo:lo + step]), k)
-        out[lo:lo + step] = 2 * np.count_nonzero(mask & ones_mask, axis=1) >= k
+    rows = np.arange(q.shape[0])
+    if pts.shape[1] == 1 == q.shape[1]:
+        _check_k(k, pts.shape[0])
+        order, start, certified = _nearest_windows(pts[:, 0], q[:, 0], k)
+        cum = np.zeros(pts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(ones_mask[order], out=cum[1:])
+        out[:] = 2 * (cum[start + k] - cum[start]) >= k
+        rows = np.flatnonzero(~certified)
+    step = max(1, _BLOCK // pts.shape[0])
+    for lo in range(0, rows.size, step):
+        chunk = rows[lo:lo + step]
+        mask = nearest_mask(sq_dists(pts, q[chunk]), k)
+        out[chunk] = 2 * np.count_nonzero(mask & ones_mask, axis=1) >= k
     return out
 
 

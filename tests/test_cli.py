@@ -172,9 +172,10 @@ class TestRunCommand:
         payload = json.load(open(os.path.join(out, "trace_seed3_n400.json")))
         assert payload["tool_version"]
         assert payload["config"]["pool_size"] == 1500
-        assert payload["config"]["resolved_seed"] == 3
+        assert payload["resolved_seed"] == 3
         assert payload["labels_spent"] <= 400
-        assert set(payload) == {"tool_version", "config", "labels_spent", "stopped_reason",
+        assert set(payload) == {"tool_version", "config", "resolved_seed",
+                                "labels_spent", "stopped_reason",
                                 "points_scanned", "reliable_skips", "informative_indices",
                                 "per_point"}
         assert payload["per_point"]
@@ -218,8 +219,27 @@ class TestSweepCommand:
             rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
         assert [(r["budget"], r["seed"]) for r in rows] == [("200", "5"), ("400", "5")]
         meta = json.loads(comments[0][1:])
-        assert meta["config"]["resolved_seed"] == 5
+        assert meta["resolved_seed"] == 5
         assert meta["config"]["seeds"] == [1, 2]
+
+    def test_summary_reports_both_arms(self, tmp_path, capsys):
+        path = write_config(tmp_path, budgets=[200, 400], seeds=[1, 2],
+                            pool_size=800, n_test=500)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        with open(out / "comparison.csv") as fh:
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("budget=")]
+        assert len(lines) == 2
+        for budget, line in zip(("200", "400"), lines):
+            parts = dict(part.split("=", 1) for part in line.split())
+            cells = [r for r in rows if r["budget"] == budget]
+            passive = [float(r["excess_passive"]) for r in cells if r["excess_passive"]]
+            assert float(parts["median_excess_passive"]) == \
+                pytest.approx(float(np.median(passive)), abs=5e-6)
+            empty = sum(r["excess_active"] == "" for r in cells)
+            assert parts["empty_active"] == f"{empty}/{len(cells)}"
+            assert "median_excess_active" in parts
 
     def test_cell_matches_run_under_margin_override(self, tmp_path):
         # the override cuts k' from 1335 to 331 labels per point, under the budget
@@ -244,7 +264,7 @@ class TestCheckAssumptionsCommand:
         assert payload["all_passed"] is True
         names = {r["assumption"] for r in payload["reports"]}
         assert names == {"H2", "H3", "H4"}
-        assert payload["config"]["resolved_seed"] == 3
+        assert payload["resolved_seed"] == 3
 
     def test_seed_override_draws_h3_pairs(self, tmp_path):
         override, direct = tmp_path / "override", tmp_path / "direct"
@@ -255,7 +275,7 @@ class TestCheckAssumptionsCommand:
         got = json.load(open(override / "assumptions.json"))
         want = json.load(open(direct / "assumptions.json"))
         assert got["reports"] == want["reports"]
-        assert got["config"]["resolved_seed"] == 11
+        assert got["resolved_seed"] == 11
         assert got["config"]["seeds"] == [3]
 
 
@@ -316,6 +336,15 @@ class TestEvalProvenance:
         assert "warning:" in err and "problem.d=3" in err
         assert "problem.family" not in err
 
+    def test_omitted_dimension_is_make_problems_default(self, tmp_path, capsys):
+        saved = {"family": "product_uniform_nd", "kappa": 1.0}
+        active = write_active_set(tmp_path, saved, [[0.25, 0.25], [0.75, 0.75]])
+        path = write_config(tmp_path, problem={"family": "product_uniform_nd",
+                                               "kappa": 1.0, "d": 2})
+        assert main(["eval", "--config", path, "--active-set", active]) == 0
+        err = capsys.readouterr().err
+        assert "warning:" in err and "problem.d=1" in err
+
     @pytest.mark.parametrize("body,match", [
         ("y0,label,lb,source_index\n0.25,0,0.1,0\n", "has header"),
         ("x0,x1,label,lb,source_index\n0.25,0,0.1,0\n", "record 1 has 4 fields"),
@@ -345,3 +374,39 @@ class TestThreadsFlag:
         monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda args: 0)
         assert main(["sweep", "--config", write_config(tmp_path), "--threads", "2"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestEmbeddedConfig:
+    """The config a subcommand writes out loads back as the config it ran."""
+
+    def _check(self, meta, path, seed):
+        assert ExperimentConfig.from_dict(meta["config"]) == load_config(path)
+        assert meta["resolved_seed"] == seed
+
+    def test_run(self, tmp_path):
+        path, out = write_config(tmp_path), tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        self._check(json.load(open(out / "trace_seed3_n400.json")), path, 3)
+        with open(out / "active_set_seed3_n400.csv") as fh:
+            self._check(json.loads(fh.readline()[1:]), path, 3)
+
+    def test_sweep_seed_override(self, tmp_path):
+        path = write_config(tmp_path, budgets=[200], pool_size=800, n_test=500)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--seed-override", "5"]) == 0
+        with open(out / "comparison.csv") as fh:
+            self._check(json.loads(fh.readline()[1:]), path, 5)
+
+    def test_check_assumptions(self, tmp_path):
+        path, out = write_config(tmp_path), tmp_path / "o"
+        assert main(["check-assumptions", "--config", path, "--out", str(out)]) == 0
+        self._check(json.load(open(out / "assumptions.json")), path, 3)
+
+    def test_eval(self, tmp_path):
+        path = write_config(tmp_path)
+        active = write_active_set(tmp_path, TestEvalProvenance.UNIFORM, [[0.25], [0.75]])
+        out = tmp_path / "o"
+        assert main(["eval", "--config", path, "--active-set", active, "--out", str(out),
+                     "--seed-override", "7"]) == 0
+        self._check(json.load(open(out / "risk.json")), path, 7)

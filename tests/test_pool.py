@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kalls.pool import BudgetExhausted, LabelOracle, Pool, k_nearest, neighbor_order
+import kalls.pool
+from kalls.pool import (BudgetExhausted, LabelOracle, Pool, k_nearest, knn_vote,
+                        nearest_mask, neighbor_order, sq_dists)
 from kalls.seeding import substream
 
 
@@ -157,3 +159,89 @@ class TestLabelOracle:
         order = neighbor_order(pool, 4)
         assert order.shape == (29,)
         assert 4 not in order
+
+
+
+class TestWindowVote:
+    """d = 1: ``knn_vote`` reads certified rows off a window of the sorted
+    points; vote and set must be brute force's (``nearest_mask`` over the full
+    distance block) on every row, certified or not."""
+
+    @staticmethod
+    def check(x, labels, queries, k):
+        points, q = x[:, None], np.asarray(queries, dtype=np.float64)[:, None]
+        mask = nearest_mask(sq_dists(points, q), k)
+        want = (2 * np.count_nonzero(mask & (labels == 1), axis=1) >= k).astype(np.int64)
+        assert np.array_equal(knn_vote(points, labels, q, k), want)
+        order, start, certified = kalls.pool._nearest_windows(x, q[:, 0], k)
+        implied = np.zeros_like(mask)
+        for row in np.flatnonzero(certified):
+            implied[row, order[start[row]:start[row] + k]] = True
+        assert np.array_equal(implied[certified], mask[certified])
+        return certified
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_continuous(self, n):
+        rng = substream(21, "points", n)
+        x, labels = rng.random(n), rng.integers(0, 2, n)
+        queries = np.concatenate([rng.random(400), rng.random(100) * 3 - 1])
+        for k in sorted({1, (n + 1) // 2, n}):
+            certified = self.check(x, labels, queries, k)
+            assert certified.all()  # no ties: nothing falls back
+
+    @pytest.mark.parametrize("side", [1, 3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 7, 30, 60])
+    def test_lattice_duplicates(self, side, k):
+        # few values, many copies, mixed labels: index tie-breaking decides the vote
+        rng = substream(22, "points", side, k)
+        x = rng.integers(0, side, 60).astype(np.float64)
+        labels = rng.integers(0, 2, 60)
+        queries = np.concatenate([np.arange(-2, side + 2, 0.5), rng.random(50) * side])
+        certified = self.check(x, labels, queries, k)
+        if k < x.size:
+            assert not certified.all()  # the fallback is exercised
+
+    def test_queries_on_and_outside_the_points(self):
+        rng = substream(23, "points")
+        x, labels = rng.random(300), rng.integers(0, 2, 300)
+        queries = np.concatenate([x, [-5.0, -1e-300, 1.0 + 1e-12, 1e6, x.min(), x.max()]])
+        for k in (1, 4, 150, 300):
+            self.check(x, labels, queries, k)
+
+    def test_rounded_distance_ties_between_distinct_points(self):
+        # far from the query, 1 and 1 + 2^-52 round to one squared distance; the
+        # lower index (the larger x here) must win the tie at the window's far end
+        x = np.array([1.0 + 2.0 ** -52, 1.0, 0.5, 3.0])
+        labels = np.array([1, 0, 1, 0])
+        for q in (-1e10, 1e10):
+            for k in (1, 2, 3):
+                self.check(x, labels, [q], k)
+
+    def test_non_finite_queries(self):
+        rng = substream(24, "points")
+        x, labels = rng.random(40), rng.integers(0, 2, 40)
+        queries = [np.nan, np.inf, -np.inf, 0.5]
+        for k in (1, 3, 39, 40):
+            certified = self.check(x, labels, queries, k)
+            assert not certified[:3].any()
+
+    def test_computes_no_full_distance_block(self, monkeypatch):
+        shapes = []
+        real = kalls.pool.sq_dists
+
+        def spy(points, queries):
+            out = real(points, queries)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(kalls.pool, "sq_dists", spy)
+        rng = substream(25, "points")
+        x, labels, queries = rng.random((2000, 1)), rng.integers(0, 2, 2000), rng.random((5000, 1))
+        knn_vote(x, labels, queries, 37)
+        assert shapes == []
+        knn_vote(np.hstack([x, x]), labels, np.hstack([queries, queries]), 37)
+        assert shapes  # d = 2 still goes through sq_dists
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            knn_vote(np.zeros((3, 1)), np.zeros(3), np.zeros((2, 1)), 4)
