@@ -25,8 +25,8 @@ class ConfigError(ValueError):
 
 # nested blocks: {key: kind} and the keys each must have
 _BLOCKS = {
-    "problem": ({"family": "str", "kappa": "float", "d": "int", "n_atoms": "int",
-                 "seed": "int"}, {"family"}),
+    "problem": ({"family": "str", "kappa": "float", "d": "int", "n_atoms": "int"},
+                {"family"}),
     "smoothness_override": ({"alpha": "float", "L": "float"}, {"alpha", "L"}),
     "margin_override": ({"beta": "float", "C": "float"}, {"beta", "C"}),
 }

@@ -302,11 +302,6 @@ def one_nn_label_batch(active: ActiveSet, queries: np.ndarray) -> np.ndarray:
     return knn_vote(active.points(), active.labels(), queries, 1)
 
 
-def one_nn_classify(active: ActiveSet, query: np.ndarray):
-    """Label of the record nearest to a single query point."""
-    return int(one_nn_label_batch(active, np.asarray(query, dtype=np.float64))[0])
-
-
 def as_classifier(active: ActiveSet) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap an active set as a batch classifier callable."""
     def classify(X: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ revealed on first request and cached forever after.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,25 +54,6 @@ class Pool:
     def sq_dists_from(self, x: np.ndarray) -> np.ndarray:
         """Squared Euclidean distances from x to every pool point."""
         return sq_dists(self.points, x)[0]
-
-    @classmethod
-    def from_csv(cls, path: str) -> "Pool":
-        """Load a pool from CSV: one row per point, d numeric columns, no header."""
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                rows.append([float(v) for v in row])
-        if not rows:
-            raise ValueError(f"pool CSV {path} is empty")
-        return cls(np.asarray(rows, dtype=np.float64))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.points:
-                writer.writerow([format(v, ".17g") for v in row])
 
 
 _BLOCK = 4_000_000  # distance-matrix elements per knn_vote chunk
@@ -218,7 +198,7 @@ class LabelOracle:
     """Budgeted, seeded access to noisy labels of pool points.
 
     The labeled dataset is realized once at construction: Y_i ~ Bernoulli(eta(X_i))
-    i.i.d. from the seed.  ``request_label`` reveals realizations; a revealed label
+    i.i.d. from the seed.  ``request_batch`` reveals realizations; a revealed label
     never changes.  Budget accounting depends on the mode:
 
       * ``strict_paper``: every request costs 1, repeat requests included.
@@ -255,10 +235,6 @@ class LabelOracle:
         """Read realizations without accounting.  Internal: callers must follow up
         with request_batch on exactly the indices whose labels they use."""
         return self._labels[np.asarray(indices, dtype=np.intp)]
-
-    def request_label(self, pool_index: int) -> int:
-        """Request one label; returns the cached realization on re-query."""
-        return int(self.request_batch(np.asarray([pool_index]))[0])
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
         """Request labels for distinct pool indices, with exact budget accounting."""

@@ -103,9 +103,6 @@ class SyntheticProblem:
     def doubling_grid(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def spec_dict(self) -> dict:
-        return {"family": self.family, "kappa": self.kappa, "d": self.d}
-
     # -- shared exact quantities -------------------------------------------
     def bayes(self, X: np.ndarray) -> np.ndarray:
         return (self.eta(X) >= 0.5).astype(np.int64)
@@ -202,10 +199,6 @@ class DiscreteAtoms(SyntheticProblem):
             self.certified_margin = MarginParams(beta=1.0 / self.kappa,
                                                  C=2.0 ** (1.0 + 1.0 / self.kappa))
         self.certified_doubling = DoublingParams(c_db=3.0, mass_floor=1e-9)
-
-    def spec_dict(self):
-        return {"family": self.family, "kappa": self.kappa, "d": self.d,
-                "n_atoms": self.n_atoms}
 
     def sample(self, n, rng=None):
         rng = rng or self.default_rng()

@@ -8,7 +8,7 @@ the (purely diagnostic) feasibility report.  All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,9 +99,12 @@ class KallsConfig:
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
 
 
-def _check_delta(delta: float) -> None:
+def _log_loglog(delta: float) -> float:
+    """log(1/delta) + loglog(1/delta), the leading terms of the bounds below."""
     if not 0.0 < delta < _INV_E:
         raise ValueError(f"delta must be in (0, 1/e) so loglog(1/delta) > 0, got {delta}")
+    log_inv = math.log(1.0 / delta)
+    return log_inv + math.log(log_inv)
 
 
 def margin_delta(epsilon: float, margin: MarginParams) -> float:
@@ -116,21 +119,19 @@ def confidence_radius(delta: float, k: int) -> float:
 
     b = sqrt((2/k) * (log(1/delta) + loglog(1/delta) + loglog(e*k)))
     """
-    _check_delta(delta)
+    head = _log_loglog(delta)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    log_inv = math.log(1.0 / delta)
-    return math.sqrt((2.0 / k) * (log_inv + math.log(log_inv) + math.log(math.log(math.e * k))))
+    return math.sqrt((2.0 / k) * (head + math.log(math.log(math.e * k))))
 
 
 def confidence_radius_vec(delta: float, ks: np.ndarray) -> np.ndarray:
     """Vectorized ``confidence_radius`` over an array of k values."""
-    _check_delta(delta)
+    head = _log_loglog(delta)
     ks = np.asarray(ks, dtype=np.float64)
     if np.any(ks < 1):
         raise ValueError("all k must be >= 1")
-    log_inv = math.log(1.0 / delta)
-    return np.sqrt((2.0 / ks) * (log_inv + math.log(log_inv) + np.log(np.log(math.e * ks))))
+    return np.sqrt((2.0 / ks) * (head + np.log(np.log(math.e * ks))))
 
 
 def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
@@ -140,12 +141,11 @@ def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
     bracket = log(1/delta) + loglog(1/delta) + loglog(512*sqrt(e)/Delta).
     Exactly linear in ``c_const``.
     """
-    _check_delta(delta)
+    head = _log_loglog(delta)
     if c_const <= 0.0:
         raise ValueError(f"c_const must be > 0, got {c_const}")
     dm = margin_delta(epsilon, margin)
-    log_inv = math.log(1.0 / delta)
-    bracket = log_inv + math.log(log_inv) + math.log(math.log(512.0 * math.sqrt(math.e) / dm))
+    bracket = head + math.log(math.log(512.0 * math.sqrt(math.e) / dm))
     return (c_const / (dm * dm)) * bracket
 
 
@@ -160,11 +160,10 @@ def label_budget_k(epsilon: float, delta: float, margin: MarginParams,
 
 def phi_n(n: int, delta: float) -> float:
     """sqrt((1/n) * (log(1/delta) + loglog(1/delta)))."""
-    _check_delta(delta)
+    head = _log_loglog(delta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    log_inv = math.log(1.0 / delta)
-    return math.sqrt((log_inv + math.log(log_inv)) / n)
+    return math.sqrt(head / n)
 
 
 def per_point_delta(delta: float, s: int) -> float:
@@ -181,12 +180,10 @@ def adaptive_budget_bound(margin_gap: float, delta_s: float,
     (c / (4 a^2)) * (log(1/delta_s) + loglog(1/delta_s) + loglog(256*sqrt(e)/a));
     diagnostic only -- it needs the true regression function.
     """
-    _check_delta(delta_s)
+    head = _log_loglog(delta_s)
     if not 0.0 < margin_gap <= 0.5:
         raise ValueError(f"margin_gap must be in (0, 1/2], got {margin_gap}")
-    log_inv = math.log(1.0 / delta_s)
-    bracket = (log_inv + math.log(log_inv)
-               + math.log(math.log(256.0 * math.sqrt(math.e) / margin_gap)))
+    bracket = head + math.log(math.log(256.0 * math.sqrt(math.e) / margin_gap))
     return (c_const / (4.0 * margin_gap * margin_gap)) * bracket
 
 
@@ -194,10 +191,11 @@ def adaptive_budget_bound(margin_gap: float, delta_s: float,
 class FeasibilityReport:
     """Diagnostic view of the asymptotic sufficiency conditions.
 
-    ``budget_poly`` and ``pool_poly`` are the polynomial parts only (the theory
-    hides polylog factors and unspecified constants inside them), so the booleans
-    are indicative, never gating.  ``estprob_pool_rhs`` is the exact pool-size
-    requirement of the unlabeled-sampling subroutine, evaluated at the supplied w.
+    ``budget_poly_part`` and ``pool_poly_part`` are the polynomial parts only
+    (the theory hides polylog factors and unspecified constants inside them), so
+    the booleans are indicative, never gating.  ``estprob_pool_rhs`` is the exact
+    pool-size requirement of the unlabeled-sampling subroutine, evaluated at the
+    supplied w.
     """
 
     epsilon: float
@@ -210,36 +208,16 @@ class FeasibilityReport:
     p_eps: float
     p_tilde_eps: float
     t_eps_delta: float
-    budget_poly: float
-    pool_poly: float
+    budget_poly_part: float
+    pool_poly_part: float
     estprob_pool_rhs: float
-    budget_ok: bool
-    pool_rate_ok: bool
+    budget_ok_poly_part_only: bool
+    pool_rate_ok_poly_part_only: bool
     pool_estprob_ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "n": self.n,
-            "w": self.w,
-            "delta_margin": self.delta_margin,
-            "k_budget": self.k_budget,
-            "phi_n": self.phi_n,
-            "p_eps": self.p_eps,
-            "p_tilde_eps": self.p_tilde_eps,
-            "t_eps_delta": self.t_eps_delta,
-            "budget_poly_part": self.budget_poly,
-            "pool_poly_part": self.pool_poly,
-            "estprob_pool_rhs": self.estprob_pool_rhs,
-            "budget_ok_poly_part_only": self.budget_ok,
-            "pool_rate_ok_poly_part_only": self.pool_rate_ok,
-            "pool_estprob_ok": self.pool_estprob_ok,
-        }
 
     def render(self) -> str:
         """Human-readable table."""
-        d = self.as_dict()
+        d = asdict(self)
         width = max(len(k) for k in d)
         lines = ["feasibility report (diagnostic only; polynomial parts omit polylog factors)"]
         for key, val in d.items():
@@ -296,10 +274,10 @@ def feasibility_report(config: KallsConfig, smooth: SmoothnessParams,
         p_eps=p_eps,
         p_tilde_eps=p_tilde,
         t_eps_delta=t_eps_delta,
-        budget_poly=budget_poly,
-        pool_poly=pool_poly,
+        budget_poly_part=budget_poly,
+        pool_poly_part=pool_poly,
         estprob_pool_rhs=estprob_rhs,
-        budget_ok=config.n >= budget_poly,
-        pool_rate_ok=w >= pool_poly,
+        budget_ok_poly_part_only=config.n >= budget_poly,
+        pool_rate_ok_poly_part_only=w >= pool_poly,
         pool_estprob_ok=pool_estprob_ok,
     )

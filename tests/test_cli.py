@@ -59,11 +59,13 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", path]) == 1
 
-    def test_unknown_problem_key(self, tmp_path):
-        path = write_config(tmp_path, problem={"family": "discrete_atoms",
-                                               "atoms": 64})
-        with pytest.raises(ConfigError, match="problem.atoms"):
+    @pytest.mark.parametrize("key", ["atoms", "seed"])
+    def test_unknown_problem_key(self, tmp_path, key):
+        # make_problem takes a seed, but every CLI draw passes its own stream
+        path = write_config(tmp_path, problem={"family": "discrete_atoms", key: 64})
+        with pytest.raises(ConfigError, match=f"problem.{key}"):
             load_config(path)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kalls.core import (AbstainEmpty, ActiveRecord, ActiveSet, EmptyActiveSet,
-                        as_classifier, confident_label, one_nn_classify,
-                        one_nn_label_batch, reliable, run_kalls)
+                        as_classifier, confident_label, one_nn_label_batch,
+                        reliable, run_kalls)
 from kalls.pool import LabelOracle, Pool
 from kalls.seeding import substream
 from kalls.synth import make_problem
@@ -262,17 +262,15 @@ class TestOneNN:
 
     def test_single_record(self):
         active = self._active([(0.5, 1)])
-        for q in (0.0, 0.2, 0.999):
-            assert one_nn_classify(active, np.array([q])) == 1
+        assert list(one_nn_label_batch(active, np.array([[0.0], [0.2], [0.999]]))) == [1, 1, 1]
 
     def test_midpoint_geometry(self):
         active = self._active([(0.2, 0), (0.8, 1)])
-        assert one_nn_classify(active, np.array([0.49])) == 0
-        assert one_nn_classify(active, np.array([0.51])) == 1
+        assert list(one_nn_label_batch(active, np.array([[0.49], [0.51]]))) == [0, 1]
 
     def test_distance_tie_prefers_lowest_source_index(self):
         active = self._active([(0.0, 1), (1.0, 0)])
-        assert one_nn_classify(active, np.array([0.5])) == 1
+        assert list(one_nn_label_batch(active, np.array([[0.5]]))) == [1]
 
     def test_matches_brute_force(self):
         rng = substream(51, "points")
@@ -297,7 +295,7 @@ class TestOneNN:
 
     def test_empty_active_set_raises(self):
         with pytest.raises(EmptyActiveSet):
-            one_nn_classify(ActiveSet(), np.array([0.5]))
+            one_nn_label_batch(ActiveSet(), np.array([[0.5]]))
 
 
 class TestActiveSetCsv:

@@ -5,6 +5,7 @@ evaluation of the same formulas.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -196,13 +197,14 @@ class TestFeasibilityReport:
 
     def test_degenerate_pool(self):
         rep = feasibility_report(self.config, self.smooth, self.margin, w=0)
-        assert not rep.pool_rate_ok
+        assert not rep.pool_rate_ok_poly_part_only
         assert not rep.pool_estprob_ok
 
     def test_never_raises_and_renders(self):
         rep = feasibility_report(self.config, self.smooth, self.margin, w=10**7)
-        assert isinstance(rep.render(), str)
-        assert rep.as_dict()["pool_estprob_ok"] in (True, False)
+        rows = rep.render().splitlines()[1:]
+        assert [r.split()[0] for r in rows] == [f.name for f in dataclasses.fields(rep)]
+        assert rep.pool_estprob_ok in (True, False)
 
 
 class TestParamValidation:
