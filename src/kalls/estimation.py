@@ -9,6 +9,12 @@ points inside the ball, so ``est_prob`` counts c once and draws each stage's
 ones as one Binomial(new draws, c/w) variate: the law of
 (p_hat, draws_used, terminated_early) is that of drawing pool indices, and no
 index is drawn.
+
+A stage whose threshold is >= 1 cannot stop the loop, since a running mean is
+at most 1.  The loop skips those stages: the first stage it runs takes all
+their draws at once (m_live of them, m_live the first stage that can stop),
+and a sum of independent Binomial(n_i, p) counts is Binomial(sum n_i, p), so
+the law of (p_hat, draws_used, terminated_early) is unchanged.
 """
 from __future__ import annotations
 
@@ -54,8 +60,8 @@ def ber_est_max_stage(epsilon_o: float, delta_prime: float, u: int) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _stages(epsilon_o: float, delta_prime: float, u: int) -> tuple[tuple[int, float], ...]:
-    """(m, threshold) of each doubling stage m = 2^3 .. 2^i_max, the threshold
-    on the running mean u*log(2m/delta')/m; empty when i_max < 3."""
+    """(m, threshold) of each doubling stage that can stop the loop, the
+    threshold on the running mean u*log(2m/delta')/m; empty when i_max < 3."""
     return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
@@ -63,8 +69,12 @@ def _stages(epsilon_o: float, delta_prime: float, u: int) -> tuple[tuple[int, fl
 def _thresholds(delta_prime: float, u: int, i_max: int) -> tuple[tuple[int, float], ...]:
     # apart from i_max the thresholds depend on (delta', u) alone, which
     # ``reliable`` shares between all records of a scanned point
-    return tuple((1 << i, u * math.log(2.0 * (1 << i) / delta_prime) / (1 << i))
-                 for i in range(3, i_max + 1))
+    stages = [(1 << i, u * math.log(2.0 * (1 << i) / delta_prime) / (1 << i))
+              for i in range(3, i_max + 1)]
+    # A running mean is at most 1.0, so a stage with threshold >= 1 cannot
+    # stop the loop; the thresholds fall with m, so dropping those stages
+    # merges their draws into the first stage that can (or into the last).
+    return tuple([stage for stage in stages if stage[1] < 1.0] or stages[-1:])
 
 
 def _stage_loop(ones_in: Callable[[int], int], epsilon_o: float, delta_prime: float,
@@ -91,9 +101,12 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
     i_max = floor(log2(u*log(2K/delta')/epsilon_o)) with
     K = (4u/epsilon_o)*log(8u/(delta'*epsilon_o)), breaking as soon as the
     running mean exceeds u*log(2m/delta')/m (when i_max < 3, 4 draws and no
-    test).  Each stage asks ``sampler`` for its m/2 new draws (8 for the first
-    stage), so exactly ``draws_used`` draws are consumed, and the returned p_hat
-    is their exact dyadic average.
+    test).  Stages whose threshold is >= 1 cannot break, so the first request
+    is for the m_live draws up to the first stage that can (or up to 2^i_max
+    if none can); each later stage asks ``sampler`` for its m/2 new draws.
+    No request exceeds 2^i_max, twice the largest stage-by-stage one.  Exactly
+    ``draws_used`` draws are consumed, and the returned p_hat is their exact
+    dyadic average.
     """
     def ones_in(count: int) -> int:
         out = np.asarray(sampler(count))

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
+import numpy.ma  # noqa: F401  np.median loads it on first use; load it with the package
 
 from . import core
 from .pool import LabelOracle, Pool, knn_vote

@@ -8,6 +8,7 @@ can be re-seeded independently and sweep cells are order-independent.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it on first use; every call draws from it
 
 # Stable numeric role codes; never renumber, traces depend on them.
 ROLES = {

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .seeding import substream
 from .thresholds import DoublingParams, MarginParams, SmoothnessParams
@@ -170,15 +169,21 @@ class GaussianPowerMargin1D(SyntheticProblem):
         rng = rng or self.default_rng()
         return rng.standard_normal((n, 1))
 
+    # scipy.special is imported here, not at module load: it is the slowest
+    # import of the package and only this family uses it
+
     def eta(self, X):
+        from scipy.special import ndtr
         return _eta_from_u(ndtr(self._points_1d(X)), self.kappa)
 
     def ball_mass(self, centers, radii):
+        from scipy.special import ndtr
         x = self._points_1d(np.atleast_1d(np.asarray(centers, dtype=np.float64)))
         r = np.asarray(radii, dtype=np.float64)
         return ndtr(x + r) - ndtr(x - r)
 
     def doubling_grid(self):
+        from scipy.special import ndtri
         centers = ndtri(np.linspace(1e-3, 1.0 - 1e-3, 40))
         radii = np.geomspace(1e-3, 8.0, 25)
         cc, rr = np.meshgrid(centers, radii, indexing="ij")

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -14,7 +16,8 @@ import kalls.cli
 import kalls.core
 from kalls.cli import ConfigError, ExperimentConfig, load_config, main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def write_config(tmp_path, **overrides):
@@ -412,3 +415,38 @@ class TestEmbeddedConfig:
         assert main(["eval", "--config", path, "--active-set", active, "--out", str(out),
                      "--seed-override", "7"]) == 0
         self._check(json.load(open(out / "risk.json")), path, 7)
+
+
+class TestImportHygiene:
+    """Start-up leaves out scipy.special, and a run or sweep call then imports
+    no numpy or scipy module inside the call."""
+
+    @staticmethod
+    def _modules_after(code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_cli_import_leaves_out_scipy_special(self):
+        modules = self._modules_after(
+            "import json, sys\nimport kalls.cli\nprint(json.dumps(sorted(sys.modules)))")
+        assert "kalls.synth" in modules
+        assert not [m for m in modules if m.split(".")[:2] == ["scipy", "special"]]
+
+    def test_run_and_sweep_import_no_numpy_or_scipy_module(self, tmp_path):
+        path = write_config(tmp_path, budgets=[200], pool_size=800, n_test=500)
+        code = f"""
+import contextlib, io, json, sys
+from kalls.cli import main
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("run", "sweep"):
+        assert main([command, "--config", {path!r}, "--out", {str(tmp_path / "o")!r},
+                     "--threads", "1"]) == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+        new = self._modules_after(code)
+        assert [m for m in new if m.split(".")[0] in ("numpy", "scipy")] == []

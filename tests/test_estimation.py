@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from kalls.estimation import (BerEstResult, SamplerExhausted, ber_est,
+from kalls.estimation import (BerEstResult, SamplerExhausted, _stages, ber_est,
                               ber_est_max_stage, est_prob, g_factor)
 from kalls.seeding import substream
 
@@ -199,5 +200,85 @@ class TestBinomialStream:
 
         assert {r.terminated_early for r in binomial} == early
         table = self._pooled_table(self._histogram(binomial), self._histogram(index))
+        assert table.shape[1] >= 10
+        assert chi2_contingency(table).pvalue > 1e-3
+
+
+class TestDeadStages:
+    """A stage whose threshold is >= 1 cannot stop the loop (a running mean is
+    at most 1), so its draws are merged into the first stage that can.  The
+    law of (draws_used, ones) must be that of running every stage 3..i_max."""
+
+    @staticmethod
+    def _every_stage(p, epsilon_o, delta_prime, u, rng):
+        """The loop over every stage m = 2^3 .. 2^i_max, one binomial each."""
+        i_max = ber_est_max_stage(epsilon_o, delta_prime, u)
+        ones = m = 0
+        for i in range(3, i_max + 1):
+            ones += int(rng.binomial(2**i - m, p))
+            m = 2**i
+            if ones / m > u * math.log(2.0 * m / delta_prime) / m:
+                return BerEstResult(ones / m, m, True)
+        return BerEstResult(ones / m, m, False)
+
+    def test_only_live_stages_or_the_last(self):
+        kinds = set()
+        for eps_o, dp, u in itertools.product((0.9, 0.5, 0.1, 1e-2, 1e-4),
+                                              (0.5, 0.1, 1e-3, 1e-6, 1e-9),
+                                              (7, 20, 50, 200)):
+            i_max = ber_est_max_stage(eps_o, dp, u)
+            stages = _stages(eps_o, dp, u)
+            # the smallest 2^i whose threshold is < 1, scanned independently
+            live = [2**i for i in range(3, i_max + 1)
+                    if u * math.log(2.0 * 2**i / dp) / 2**i < 1.0]
+            first = live[0] if live else 2**i_max
+            assert [m for m, _ in stages] == [first << j for j in range(len(stages))], \
+                (eps_o, dp, u)
+            assert stages[-1][0] == 2**i_max, (eps_o, dp, u)
+            assert all(t < 1.0 for _, t in stages) or len(stages) == 1, (eps_o, dp, u)
+            kinds.add("lone" if stages[0][1] >= 1.0 else "merged")
+        # the grid, which includes reliable's u = 50 down to delta' = 1e-9,
+        # reaches both kinds of table (u >= 7 keeps i_max >= 3)
+        assert kinds == {"lone", "merged"}
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
+    def test_sampler_requests(self, p):
+        stages = _stages(EPS_O, DELTA_P, U)
+        m_live = stages[0][0]
+        assert m_live == 512
+        requests = []
+        rng = substream(11, "estimation")
+
+        def sampler(count):
+            requests.append(count)
+            return (rng.random(count) < p).astype(np.int64)
+
+        res = ber_est(sampler, EPS_O, DELTA_P, U)
+        assert requests == [m_live] + [m_live << j for j in range(len(requests) - 1)]
+        assert sum(requests) == res.draws_used
+
+    # (mass, terminated_early values) with epsilon_o = delta' = 0.1: mass 0.9
+    # stops at 512 or 1024 draws, 0.3 at 2048 in all or nearly all trials,
+    # 0.02 never stops and runs all 4096 draws
+    @pytest.mark.parametrize("mass,early", [
+        (0.9, {True}),
+        (0.3, {True}),
+        (0.02, {False}),
+    ])
+    def test_same_law_as_every_stage(self, mass, early):
+        w = 1000
+        pts = ((np.arange(w) + 0.5) / w)[:, None]
+        center = np.array([0.0])
+        assert np.count_nonzero(pts[:, 0] < mass) == round(mass * w)
+        trials = 2000
+        rng_m = substream(8, "estimation", 1)
+        merged = [est_prob(pts, center, mass, EPS_O, U, DELTA_P, rng_m)
+                  for _ in range(trials)]
+        rng_e = substream(8, "estimation", 2)
+        every = [self._every_stage(mass, EPS_O, DELTA_P, U, rng_e) for _ in range(trials)]
+
+        assert {r.terminated_early for r in merged} == early
+        hist = TestBinomialStream._histogram
+        table = TestBinomialStream._pooled_table(hist(merged), hist(every))
         assert table.shape[1] >= 10
         assert chi2_contingency(table).pvalue > 1e-3
