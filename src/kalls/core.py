@@ -245,11 +245,9 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
 
     active = ActiveSet()
     trace = RunTrace()
-    budget_hit = False
 
     for s in range(1, pool.w + 1):
         if oracle.remaining_budget <= 0:
-            budget_hit = True
             break
         trace.points_scanned = s
         delta_s = th.per_point_delta(config.delta, s)
@@ -287,10 +285,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
                                        lb=lb, source_index=x_index))
 
     trace.labels_spent = config.n - oracle.remaining_budget
-    if budget_hit or oracle.remaining_budget <= 0:
-        trace.stopped_reason = "budget_exhausted"
-    else:
-        trace.stopped_reason = "pool_exhausted"
+    trace.stopped_reason = ("budget_exhausted" if oracle.remaining_budget <= 0
+                            else "pool_exhausted")
     return active, trace
 
 

@@ -61,7 +61,8 @@ def ber_est_max_stage(epsilon_o: float, delta_prime: float, u: int) -> int:
 @functools.lru_cache(maxsize=1024)
 def _stages(epsilon_o: float, delta_prime: float, u: int) -> tuple[tuple[int, float], ...]:
     """(m, threshold) of each doubling stage that can stop the loop, the
-    threshold on the running mean u*log(2m/delta')/m; empty when i_max < 3."""
+    threshold on the running mean u*log(2m/delta')/m."""
+    # u >= 7 and eps_o, delta' < 1 give K > 28*log(56), so i_max >= 5: never empty
     return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
@@ -81,11 +82,8 @@ def _stage_loop(ones_in: Callable[[int], int], epsilon_o: float, delta_prime: fl
                 u: int) -> BerEstResult:
     """The doubling-stage loop shared by every estimator here; ``ones_in(n)``
     returns the number of ones among ``n`` more draws."""
-    stages = _stages(epsilon_o, delta_prime, u)
-    if not stages:
-        return BerEstResult(p_hat=ones_in(4) / 4.0, draws_used=4, terminated_early=False)
     ones = m = 0
-    for target, threshold in stages:
+    for target, threshold in _stages(epsilon_o, delta_prime, u):
         ones += ones_in(target - m)
         m = target
         if ones / m > threshold:
@@ -100,13 +98,12 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
     Doubles the sample size m = 2^i for i = 3 .. i_max,
     i_max = floor(log2(u*log(2K/delta')/epsilon_o)) with
     K = (4u/epsilon_o)*log(8u/(delta'*epsilon_o)), breaking as soon as the
-    running mean exceeds u*log(2m/delta')/m (when i_max < 3, 4 draws and no
-    test).  Stages whose threshold is >= 1 cannot break, so the first request
-    is for the m_live draws up to the first stage that can (or up to 2^i_max
-    if none can); each later stage asks ``sampler`` for its m/2 new draws.
-    No request exceeds 2^i_max, twice the largest stage-by-stage one.  Exactly
-    ``draws_used`` draws are consumed, and the returned p_hat is their exact
-    dyadic average.
+    running mean exceeds u*log(2m/delta')/m.  Stages whose threshold is >= 1
+    cannot break, so the first request is for the m_live draws up to the first
+    stage that can (or up to 2^i_max if none can); each later stage asks
+    ``sampler`` for its m/2 new draws.  No request exceeds 2^i_max, twice the
+    largest stage-by-stage one.  Exactly ``draws_used`` draws are consumed, and
+    the returned p_hat is their exact dyadic average.
     """
     def ones_in(count: int) -> int:
         out = np.asarray(sampler(count))

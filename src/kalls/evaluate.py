@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from decimal import ROUND_CEILING, Decimal, localcontext
+from statistics import median
 
-import mpmath as mp
 import numpy as np
-import numpy.ma  # noqa: F401  np.median loads it on first use; load it with the package
 
 from . import core
 from .pool import LabelOracle, Pool, knn_vote
@@ -51,17 +51,18 @@ def excess_risk(classifier, problem: SyntheticProblem, n_test: int,
 
 
 def default_passive_k(n_labels: int, alpha: float, d: int) -> int:
-    """ceil(n^(2 alpha / (2 alpha + d))), resolved in high precision so exact
-    integer powers (e.g. 1000^(2/3) = 100) round to the true integer."""
+    """ceil(n^(2 alpha / (2 alpha + d))), resolved to 60 significant digits so
+    exact integer powers (e.g. 1000^(2/3) = 100) round to the true integer."""
     if n_labels < 1:
         raise ValueError("n_labels must be >= 1")
-    with mp.workdps(60):
-        e = (2 * mp.mpf(alpha)) / (2 * mp.mpf(alpha) + d)
-        v = mp.mpf(n_labels) ** e
-        nearest = mp.nint(v)
-        if abs(v - nearest) <= mp.mpf("1e-40") * max(nearest, 1):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(alpha)
+        v = Decimal(n_labels) ** (2 * a / (2 * a + d))
+        nearest = v.to_integral_value()
+        if abs(v - nearest) <= Decimal("1e-40") * max(nearest, 1):
             return max(1, int(nearest))
-        return max(1, int(mp.ceil(v)))
+        return max(1, int(v.to_integral_value(rounding=ROUND_CEILING)))
 
 
 class PassiveKnn:
@@ -125,19 +126,19 @@ class ComparisonTable:
         silently dropped."""
         vals = [r.excess_active if r.excess_active is not None else fallback
                 for r in self.rows if r.budget == budget]
-        return float(np.median(vals))
+        return float(median(vals))
 
     def median_excess_passive(self, budget: int) -> float:
         """Per-budget median over the cells that trained a passive baseline;
         nan when none did."""
         vals = [r.excess_passive for r in self.rows
                 if r.budget == budget and r.excess_passive is not None]
-        return float(np.median(vals)) if vals else float("nan")
+        return float(median(vals)) if vals else float("nan")
 
     def median_deep_agreement(self, budget: int) -> float:
         vals = [r.deep_margin_agreement if r.deep_margin_agreement is not None else 0.0
                 for r in self.rows if r.budget == budget]
-        return float(np.median(vals))
+        return float(median(vals))
 
     def to_csv(self, path: str, header_comment: str | None = None) -> None:
         cols = ["family", "kappa", "budget", "seed", "labels_used_active",

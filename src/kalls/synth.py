@@ -312,8 +312,11 @@ class ProductUniformND(SyntheticProblem):
 
 
 def make_problem(family: str, kappa: float = 1.0, d: int = 1, seed: int = 0,
-                 n_atoms: int = 256) -> SyntheticProblem:
-    """Factory for the synthetic families; kappa = 0 is the noiseless limit."""
+                 n_atoms: int | None = None) -> SyntheticProblem:
+    """Factory for the synthetic families; kappa = 0 is the noiseless limit.
+    ``n_atoms`` applies to ``discrete_atoms`` alone (default 256)."""
+    if n_atoms is not None and family != "discrete_atoms":
+        raise ValueError(f"n_atoms applies only to discrete_atoms, not {family!r}")
     if family == "power_margin_uniform_1d":
         if d != 1:
             raise ValueError("power_margin_uniform_1d is one-dimensional")
@@ -325,7 +328,8 @@ def make_problem(family: str, kappa: float = 1.0, d: int = 1, seed: int = 0,
     if family == "discrete_atoms":
         if d != 1:
             raise ValueError("discrete_atoms is one-dimensional")
-        return DiscreteAtoms(kappa, seed, n_atoms=n_atoms)
+        return (DiscreteAtoms(kappa, seed) if n_atoms is None
+                else DiscreteAtoms(kappa, seed, n_atoms=n_atoms))
     if family == "product_uniform_nd":
         return ProductUniformND(kappa, d, seed)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

@@ -126,6 +126,19 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", path]) == 1
 
+    @pytest.mark.parametrize("family", ["power_margin_uniform_1d",
+                                        "power_margin_gaussian_1d", "product_uniform_nd"])
+    def test_n_atoms_without_atoms_exits_1(self, tmp_path, capsys, family):
+        path = write_config(tmp_path, problem={"family": family, "n_atoms": 64})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "n_atoms" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_n_atoms_with_atoms_runs(self, tmp_path):
+        path = write_config(tmp_path, problem={"family": "discrete_atoms", "n_atoms": 64},
+                            budgets=[200], pool_size=400)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
     def test_value_error_inside_a_run_exits_2(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("deep failure")
@@ -418,8 +431,9 @@ class TestEmbeddedConfig:
 
 
 class TestImportHygiene:
-    """Start-up leaves out scipy.special, and a run or sweep call then imports
-    no numpy or scipy module inside the call."""
+    """Start-up leaves out scipy.special, mpmath and numpy.ma, every command
+    runs without mpmath, and a run or sweep call imports no numpy or scipy
+    module inside the call."""
 
     @staticmethod
     def _modules_after(code):
@@ -435,6 +449,26 @@ class TestImportHygiene:
             "import json, sys\nimport kalls.cli\nprint(json.dumps(sorted(sys.modules)))")
         assert "kalls.synth" in modules
         assert not [m for m in modules if m.split(".")[:2] == ["scipy", "special"]]
+        assert "mpmath" not in modules
+        assert "numpy.ma" not in modules
+
+    def test_every_command_runs_without_mpmath(self, tmp_path):
+        path = write_config(tmp_path, n_test=500)
+        out = str(tmp_path / "o")
+        code = f"""
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # any import of it raises ImportError
+from kalls.cli import main
+codes = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("run", "sweep", "feasibility"):
+        codes[command] = main([command, "--config", {path!r}, "--out", {out!r}])
+    codes["eval"] = main(["eval", "--config", {path!r}, "--active-set",
+                          {os.path.join(out, "active_set_seed3_n400.csv")!r}])
+print(json.dumps(codes))
+"""
+        assert self._modules_after(code) == {"run": 0, "sweep": 0, "feasibility": 0,
+                                             "eval": 0}
 
     def test_run_and_sweep_import_no_numpy_or_scipy_module(self, tmp_path):
         path = write_config(tmp_path, budgets=[200], pool_size=800, n_test=500)

@@ -221,6 +221,13 @@ class TestDeadStages:
                 return BerEstResult(ones / m, m, True)
         return BerEstResult(ones / m, m, False)
 
+    @pytest.mark.parametrize("eps_o", [1 - 1e-12, 1e-12])
+    @pytest.mark.parametrize("delta_prime", [1 - 1e-12, 1e-12])
+    def test_table_nonempty_at_domain_corners(self, eps_o, delta_prime):
+        # u = 7 is the smallest u; eps_o and delta' just inside (0, 1)
+        assert ber_est_max_stage(eps_o, delta_prime, 7) >= 5
+        assert _stages(eps_o, delta_prime, 7)
+
     def test_only_live_stages_or_the_last(self):
         kinds = set()
         for eps_o, dp, u in itertools.product((0.9, 0.5, 0.1, 1e-2, 1e-4),

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from kalls.evaluate import (PassiveKnn, compare, default_passive_k, excess_risk,
-                            passive_knn)
+from kalls.evaluate import (CellResult, ComparisonTable, PassiveKnn, compare,
+                            default_passive_k, excess_risk, passive_knn)
 from kalls.pool import nearest_mask, sq_dists
 from kalls.seeding import substream
 from kalls.synth import make_problem
@@ -118,6 +119,25 @@ class TestPassiveKnn:
         assert default_passive_k(10, alpha=1.0, d=1) == 5      # ceil(10^(2/3)) = ceil(4.64)
         assert default_passive_k(1, alpha=0.5, d=3) == 1
 
+    def test_default_k_matches_mpmath_rule(self):
+        def reference(n, alpha, d):
+            # the same rule in mpmath arbitrary precision
+            with mp.workdps(60):
+                v = mp.mpf(n) ** ((2 * mp.mpf(alpha)) / (2 * mp.mpf(alpha) + d))
+                nearest = mp.nint(v)
+                if abs(v - nearest) <= mp.mpf("1e-40") * max(nearest, 1):
+                    return max(1, int(nearest))
+                return max(1, int(mp.ceil(v)))
+
+        # the squares of 1..100 and of 1000, and every cube and fifth power up to 10^6
+        ns = set(range(1, 501)) | {200, 1000, 5000, 1000 ** 2}
+        for power in (2, 3, 5):
+            ns |= {b ** power for b in range(1, 101) if b ** power <= 10 ** 6}
+        for alpha in (1.0, 0.5, 0.7, 1 / 3):
+            for d in (1, 2, 3):
+                got = [default_passive_k(n, alpha, d) for n in sorted(ns)]
+                assert got == [reference(n, alpha, d) for n in sorted(ns)], (alpha, d)
+
     def test_k_larger_than_labels_rejected(self):
         p = make_problem("power_margin_uniform_1d", kappa=1.0, seed=0)
         with pytest.raises(ValueError):
@@ -166,6 +186,20 @@ class TestCompare:
     def test_median_fallback_counts_failures_as_worst_case(self):
         table = compare(self.p, [0], self.cfg, seeds=[1, 2], w=200, n_test=500)
         assert table.median_excess_active(0, fallback=self.p.mean_abs_margin()) == 0.5
+
+    def test_medians_of_an_even_count_are_midpoints(self):
+        def cell(excess_active, excess_passive, agreement):
+            return CellResult(family="f", kappa=1.0, budget=7, seed=0,
+                              labels_used_active=1, excess_active=excess_active,
+                              excess_passive=excess_passive,
+                              deep_margin_agreement=agreement, informative_count=0,
+                              wall_ms=0.0)
+
+        table = ComparisonTable(rows=[cell(0.4, 0.125, 0.5), cell(None, 0.75, None),
+                                      cell(0.1, 0.25, 1.0), cell(0.2, 0.5, 0.25)])
+        assert table.median_excess_active(7, fallback=0.9) == (0.2 + 0.4) / 2
+        assert table.median_excess_passive(7) == (0.25 + 0.5) / 2
+        assert table.median_deep_agreement(7) == (0.25 + 0.5) / 2
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
