@@ -9,7 +9,7 @@ backing the final 1-NN classifier.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -111,8 +111,11 @@ class ActiveSet:
 
 @dataclass
 class ConfidentOutcome:
+    """``q`` is the requested set Q as a (|Q|, 2) int64 array, one row
+    ``(pool index, label)`` per request, in request (neighbour) order."""
+
     y_hat: int
-    q: list[tuple[int, int]]
+    q: np.ndarray
     cut_off_fired: bool
     eta_hat: float
 
@@ -141,7 +144,9 @@ class RunTrace:
 
     def to_json(self, config_dict: dict, version: str,
                 resolved_seed: int | None = None) -> str:
-        payload = {**asdict(self), "tool_version": version, "config": config_dict}
+        # the fields are flat, so vars() gives asdict()'s JSON without its deep copy
+        payload = {**vars(self), "per_point": [vars(r) for r in self.per_point],
+                   "tool_version": version, "config": config_dict}
         if resolved_seed is not None:
             payload["resolved_seed"] = resolved_seed
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -185,7 +190,7 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     eta_hat = float(cum[k_star - 1]) / k_star
     return ConfidentOutcome(
         y_hat=1 if eta_hat >= 0.5 else 0,
-        q=list(zip(idx[:k_star].tolist(), labels.tolist())),
+        q=np.column_stack((idx[:k_star], labels)).astype(np.int64, copy=False),
         cut_off_fired=cut_off_fired,
         eta_hat=eta_hat,
     )

@@ -6,8 +6,17 @@ carry it: ``sq_dists`` (the one distance formula), ``nearest_mask`` (the exact
 k-NN set of each row of distances) and ``knn_vote`` (the k-NN majority label,
 vote ties to 1; for d = 1 it reads each certified k-NN set off the sorted
 points, ``_nearest_windows``, and leaves the other rows to ``nearest_mask``).  A
-full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) is one stable
-argsort of one ``sq_dists`` row.
+full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) sorts one
+``sq_dists`` row with numpy's default (unstable) argsort, then repairs the
+ties: where the sorted distances hold runs of equal values (adjacent NaNs
+count as one run), one sort of the int64 keys ``run_number * n + index`` puts
+each run into index order.  This is exact: any ascending sort puts the same
+run of equal values at the same positions, and the key keeps the runs in
+place and orders only within each, which is what the stable argsort does.
+A ``neighbor_order`` call on a 2-core x86-64 VM took, with the stable
+argsort and then with this one: w = 2000 uniform, 174 us -> 57 us; w = 4000
+uniform, 367 us -> 102 us; w = 4000 ``discrete_atoms`` (256 atoms, every row
+tied), 287 us -> 181 us.
 
 The oracle models an i.i.d. labeled sample: each pool point has a single
 persistent Bernoulli(eta(x)) realization, drawn up front from the seed,
@@ -161,9 +170,20 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
 
 def nearest_order(points: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of all ``points``, nearest to ``query`` first, and their squared
-    distances to it."""
+    distances to it.  The order is ``argsort(d2, kind="stable")``'s, made from
+    the faster unstable argsort by the tie repair the module docstring gives."""
     d2 = sq_dists(points, query)[0]
-    return np.argsort(d2, kind="stable"), d2
+    order = np.argsort(d2)
+    s = d2[order]
+    n = s.shape[0]
+    same = s[1:] == s[:-1]
+    if n and np.isnan(s[-1]):  # NaNs sort last, and NaN == NaN is False
+        same[np.searchsorted(s, np.nan):] = True
+    if same.any():
+        run = np.zeros(n, dtype=np.int64)
+        np.cumsum(~same, out=run[1:])
+        order = np.sort(run * n + order) % n
+    return order, d2
 
 
 @dataclass
@@ -202,7 +222,10 @@ class LabelOracle:
     never changes.  Budget accounting depends on the mode:
 
       * ``strict_paper``: every request costs 1, repeat requests included.
-      * ``cached_labels``: only first-time reveals cost 1.
+      * ``cached_labels``: only first-time reveals cost 1; an index repeated
+        within one batch is one reveal.
+
+    ``fresh_requests`` counts distinct first-time reveals in both modes.
     """
 
     def __init__(self, pool: Pool, eta_fn: Callable[[np.ndarray], np.ndarray],
@@ -237,19 +260,23 @@ class LabelOracle:
         return self._labels[np.asarray(indices, dtype=np.intp)]
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Request labels for distinct pool indices, with exact budget accounting."""
+        """Request labels for pool indices, with exact budget accounting.  A
+        request over budget raises ``BudgetExhausted`` and reveals nothing."""
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return np.zeros(0, dtype=np.int64)
         if np.any(idx < 0) or np.any(idx >= self.pool.w):
             raise ValueError("pool index out of range")
-        fresh_mask = ~self._revealed[idx]
-        n_fresh = int(np.count_nonzero(fresh_mask))
+        fresh = idx[~self._revealed[idx]]
+        self._revealed[fresh] = True
+        # revealed indices are exactly the fresh ones so far, so the count
+        # difference is the number of distinct first-time indices in ``idx``
+        n_fresh = int(np.count_nonzero(self._revealed)) - self._fresh
         cost = idx.size if self.mode == "strict_paper" else n_fresh
         if cost > self._remaining:
+            self._revealed[fresh] = False
             raise BudgetExhausted(
                 f"request of cost {cost} exceeds remaining budget {self._remaining}")
         self._remaining -= cost
         self._fresh += n_fresh
-        self._revealed[idx] = True
         return self._labels[idx]

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from kalls.core import (AbstainEmpty, ActiveRecord, ActiveSet, EmptyActiveSet,
-                        as_classifier, confident_label, one_nn_label_batch,
-                        reliable, run_kalls)
-from kalls.pool import LabelOracle, Pool
+                        PerPointRecord, RunTrace, as_classifier, confident_label,
+                        one_nn_label_batch, reliable, run_kalls)
+from kalls.pool import LabelOracle, Pool, neighbor_order
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
@@ -72,6 +75,20 @@ class TestConfidentLabel:
                               delta_s=DELTA_S)
         assert out.eta_hat == 0.5
         assert out.y_hat == 1
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    def test_q_rows_are_neighbor_order_and_oracle_labels(self, mode):
+        pool = uniform_pool(300, seed=35)
+        for eta, center in ((1.0, 0), (0.5, 150)):  # cut-off fires / runs to the cap
+            oracle = LabelOracle(pool, flat_eta(eta), 10**6, seed=9, mode=mode)
+            out = confident_label(pool, oracle, center, k_prime=200, t_budget=10**6,
+                                  delta_s=0.1)
+            k = len(out.q)
+            assert out.q.shape == (k, 2) and out.q.dtype == np.int64
+            assert out.cut_off_fired == (k < 200)
+            assert np.array_equal(out.q[:, 0], neighbor_order(pool, center)[:k])
+            assert np.array_equal(out.q[:, 1], oracle.peek_labels(out.q[:, 0]))
+            assert out.eta_hat == out.q[:, 1].mean()
 
 
 class TestReliable:
@@ -164,6 +181,28 @@ class TestRunKalls:
             assert np.array_equal(r1.point, r2.point)
             assert (r1.inferred_label, r1.lb, r1.source_index) == \
                 (r2.inferred_label, r2.lb, r2.source_index)
+
+    def test_to_json_is_the_asdict_text(self):
+        def asdict_json(trace, config, version, resolved_seed=None):
+            payload = {**asdict(trace), "tool_version": version, "config": config}
+            if resolved_seed is not None:
+                payload["resolved_seed"] = resolved_seed
+            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+        records = [PerPointRecord(s=s, q_size=3 * s, lb=0.1 * s - 0.2, accepted=s % 2 == 0,
+                                  eta_hat=s / 7, y_hat=s % 2, cut_off_fired=s == 3,
+                                  k_cap=100, k_tilde=None if s % 3 else 12.5 * s)
+                   for s in range(1, 7)]
+        trace = RunTrace(informative_indices=[1, 2, 3, 4, 5, 6], labels_spent=63,
+                         stopped_reason="budget_exhausted", per_point=records,
+                         points_scanned=9, reliable_skips=3)
+        config = {"budgets": [200], "problem": {"family": "x", "kappa": 1.0}}
+        for seed in (None, 4):
+            assert trace.to_json(config, "v", resolved_seed=seed) == \
+                asdict_json(trace, config, "v", resolved_seed=seed)
+        _, _, _, run = run_once(seed=4, w=500, n=800)
+        assert run.to_json(config, "v") == asdict_json(run, config, "v")
+        assert RunTrace().to_json({}, "v") == asdict_json(RunTrace(), {}, "v")
 
     def test_budget_safety_and_strict_accounting(self):
         _, config, _, trace = run_once(seed=2)

@@ -5,8 +5,9 @@ import pytest
 
 import kalls.pool
 from kalls.pool import (BudgetExhausted, LabelOracle, Pool, k_nearest, knn_vote,
-                        nearest_mask, neighbor_order, sq_dists)
+                        nearest_mask, nearest_order, neighbor_order, sq_dists)
 from kalls.seeding import substream
+from kalls.synth import make_problem
 
 
 def brute_force_order(points: np.ndarray, center: np.ndarray,
@@ -71,6 +72,74 @@ class TestKNearest:
         assert a[0] == a[1]
 
 
+class TestNearestOrder:
+    """``nearest_order`` repairs the ties of an unstable argsort; its order and
+    ``neighbor_order``'s must be the lexicographic (distance, index) order on
+    every input, ties and non-finite distances included."""
+
+    @staticmethod
+    def check(points, queries):
+        points = np.asarray(points, dtype=np.float64)
+        points = points[:, None] if points.ndim == 1 else points
+        n = points.shape[0]
+        for query in np.atleast_2d(np.asarray(queries, dtype=np.float64)):
+            order, d2 = nearest_order(points, query)
+            assert np.array_equal(d2, sq_dists(points, query)[0], equal_nan=True)
+            assert np.array_equal(order, np.lexsort((np.arange(n), d2)))
+
+    @staticmethod
+    def check_pool(pool, centers):
+        for c in centers:
+            d2 = sq_dists(pool.points, pool.points[c])[0]
+            want = np.lexsort((np.arange(pool.w), d2))
+            assert np.array_equal(neighbor_order(pool, c), want[want != c])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_continuous(self, d):
+        rng = substream(26, "points", d)
+        pts = rng.random((500, d))
+        self.check(pts, np.vstack([pts[:20], rng.random((20, d)) * 3 - 1]))
+        self.check_pool(Pool(pts), (0, 17, 499))
+
+    @pytest.mark.parametrize("values", [1, 3, 8])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_integer_lattice(self, values, d):
+        # exact squared distances: many real ties in every row
+        rng = substream(27, "points", values, d)
+        pts = rng.integers(0, values, (300, d)).astype(np.float64)
+        self.check(pts, np.vstack([pts[:10], rng.integers(-1, values + 1, (10, d)) + 0.5]))
+        self.check_pool(Pool(pts), (0, 150, 299))
+
+    def test_duplicate_points(self):
+        rng = substream(28, "points")
+        base = rng.random((40, 2))
+        pts = base[rng.integers(0, 40, 400)]
+        self.check(pts, np.vstack([pts[:10], base[:5], rng.random((5, 2))]))
+        self.check_pool(Pool(pts), (0, 1, 399))
+
+    def test_discrete_atoms_pool(self):
+        problem = make_problem("discrete_atoms", kappa=1.0, seed=0)
+        pool = Pool(problem.sample(4000, substream(29, "pool")))
+        self.check_pool(pool, (0, 1234, 3999))
+
+    def test_rounded_ties_on_both_sides(self):
+        # +-1 and +-(1 + 2^-52) round to equal squared distances from a tiny
+        # query on both of its sides, and from a far one on each side
+        x = np.array([1.0 + 2.0 ** -52, 1.0, -1.0, -(1.0 + 2.0 ** -52), 0.5, 3.0, -3.0] * 30)
+        self.check(x, [[1e-300], [-1e-300], [1e10], [-1e10], [0.0]])
+
+    def test_non_finite(self):
+        rng = substream(30, "points")
+        pts = rng.random((200, 3))
+        # rows that mix finite, infinite and NaN distances
+        mixed = np.concatenate([rng.random(100), [np.nan, np.inf, -np.inf] * 40, rng.random(50)])
+        rng.shuffle(mixed)
+        with np.errstate(over="ignore"):  # 1e200 squared overflows to inf
+            self.check(pts, [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0],
+                             [np.inf, -np.inf, 0.0], [1e200, 0.0, 0.0]])
+            self.check(mixed, [[0.5], [0.0], [1e200]])
+
+
 class TestPoolCsv:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -124,6 +193,36 @@ class TestLabelOracle:
         assert oracle.remaining_budget == 0
         with pytest.raises(BudgetExhausted):
             oracle.request_batch([2])
+
+    def test_cached_mode_charges_a_repeated_index_once(self):
+        pool = self._pool(w=10)
+        oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=7,
+                             mode="cached_labels")
+        labels = oracle.request_batch([3, 3, 3])
+        assert np.all(labels == labels[0])
+        assert oracle.remaining_budget == 4
+        assert oracle.fresh_requests == 1
+        oracle.request_batch([3, 4, 4, 5, 3])
+        assert oracle.remaining_budget == 2
+        assert oracle.fresh_requests == 3
+        with pytest.raises(BudgetExhausted):
+            oracle.request_batch([6, 7, 8, 6])  # 3 fresh > 2 left: nothing revealed
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (2, 3)
+        oracle.request_batch([6, 7, 6, 7])
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (0, 5)
+
+    def test_strict_mode_charges_every_repeat_and_counts_fresh_once(self):
+        pool = self._pool(w=10)
+        oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=8,
+                             mode="strict_paper")
+        oracle.request_batch([3, 3, 3])
+        assert oracle.remaining_budget == 2
+        assert oracle.fresh_requests == 1
+        with pytest.raises(BudgetExhausted):
+            oracle.request_batch([4, 4, 5])  # cost 3 > 2 left: nothing revealed
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (2, 1)
+        oracle.request_batch([4, 4])
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (0, 2)
 
     def test_label_consistency_across_modes(self):
         pool = self._pool()
