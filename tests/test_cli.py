@@ -282,6 +282,7 @@ class TestCheckAssumptionsCommand:
         assert payload["all_passed"] is True
         names = {r["assumption"] for r in payload["reports"]}
         assert names == {"H2", "H3", "H4"}
+        assert payload["not_checked"] == []
         assert payload["resolved_seed"] == 3
 
     def test_seed_override_draws_h3_pairs(self, tmp_path):
@@ -295,6 +296,21 @@ class TestCheckAssumptionsCommand:
         assert got["reports"] == want["reports"]
         assert got["resolved_seed"] == 11
         assert got["config"]["seeds"] == [3]
+
+    def test_product_d3_checks_what_it_can(self, tmp_path, capsys):
+        # no analytic ball mass for d >= 3: H3 is named as not checked, H2 decides
+        path = write_config(tmp_path, problem={"family": "product_uniform_nd", "d": 3,
+                                               "kappa": 1.0})
+        out = tmp_path / "chk"
+        assert main(["check-assumptions", "--config", path, "--out", str(out)]) == 0
+        payload = json.load(open(out / "assumptions.json"))
+        assert [r["assumption"] for r in payload["reports"]] == ["H2"]
+        assert [s["assumption"] for s in payload["not_checked"]] == ["H3"]
+        assert "d = 2 only" in payload["not_checked"][0]["reason"]
+        assert payload["all_passed"] is True
+        printed = capsys.readouterr().out
+        assert "H2: passed" in printed
+        assert "H3: not checked (" in printed
 
 
 class TestFeasibilityCommand:
@@ -387,6 +403,20 @@ class TestThreadsFlag:
             f"note: --threads 2 has no effect on '{command}', which runs serially\n"
         assert main([command, "--config", path, "--threads", "1"] + extra) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda args: 0)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", write_config(tmp_path), "--threads", value])
+        assert exc.value.code == 2
+        assert f"argument --threads: must be >= 1, got {value}" in capsys.readouterr().err
+
+    def test_malformed_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", write_config(tmp_path), "--threads", "two"])
+        assert exc.value.code == 2
+        assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
 
     def test_sweep_uses_it_silently(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda args: 0)

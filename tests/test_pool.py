@@ -335,3 +335,115 @@ class TestWindowVote:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="k must satisfy"):
             knn_vote(np.zeros((3, 1)), np.zeros(3), np.zeros((2, 1)), 4)
+
+
+class TestBruteForceVote:
+    """The brute-force ``knn_vote`` (every d >= 2 query) and ``nearest_mask``
+    against an independent reference, ``sorted(range(n), key=(d2, j))[:k]``
+    with distances summed in Python.  A NaN query's distances compare false
+    with everything, so it has no k-NN set and votes 0."""
+
+    @staticmethod
+    def check(points, labels, queries, k):
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        d2 = sq_dists(points, queries)
+        mask = nearest_mask(d2, k)
+        votes = knn_vote(points, labels, queries, k)
+        for row, query in enumerate(queries):
+            ref = [] if np.isnan(query).any() else brute_force_order(points, query)[:k]
+            assert np.flatnonzero(mask[row]).tolist() == sorted(ref)
+            assert votes[row] == int(2 * sum(labels[j] for j in ref) >= k)
+        # rows with more points at the k-th distance than fit: the trimmed ones
+        with np.errstate(invalid="ignore"):
+            kth = np.sort(d2, axis=1)[:, k - 1, None]
+            return np.count_nonzero(d2 <= kth, axis=1) > k
+
+    @staticmethod
+    def chunk_rows(monkeypatch):
+        rows = []
+        real = kalls.pool.nearest_mask
+
+        def spy(d2, k):
+            rows.append(d2.shape[0])
+            return real(d2, k)
+
+        monkeypatch.setattr(kalls.pool, "nearest_mask", spy)
+        return rows
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_continuous(self, d):
+        rng = substream(31, "points", d)
+        pts, labels = rng.random((60, d)), rng.integers(0, 2, 60)
+        queries = np.vstack([pts[:10], rng.random((40, d)) * 3 - 1])
+        for k in (1, 30, 60):
+            excess = self.check(pts, labels, queries, k)
+            assert not excess[10:].any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_integer_lattice(self, d):
+        # distinct lattice points, exact squared distances: queries on and
+        # between lattice points tie, continuous ones do not, and the two
+        # kinds alternate in one chunk
+        rng = substream(32, "points", d)
+        side = 9 if d == 2 else 5
+        grid = np.stack(np.meshgrid(*[np.arange(side)] * d), axis=-1).reshape(-1, d)
+        pts = grid[rng.permutation(grid.shape[0])[:70]].astype(np.float64)
+        labels = rng.integers(0, 2, 70)
+        tied = np.vstack([pts[:15], rng.integers(-1, side, (15, d)) + 0.5])
+        clean = rng.random((30, d)) * side
+        queries = np.stack([tied, clean], axis=1).reshape(-1, d)
+        for k in (1, 35, 70):
+            excess = self.check(pts, labels, queries, k)
+            assert not excess[1::2].any()
+            assert excess[0::2].any() == (k < 70)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_duplicate_points(self, d):
+        rng = substream(33, "points", d)
+        base = rng.random((12, d))
+        pts, labels = base[rng.integers(0, 12, 80)], rng.integers(0, 2, 80)
+        queries = np.vstack([base, pts[:8], rng.random((20, d))])
+        for k in (1, 2, 7, 40, 80):
+            excess = self.check(pts, labels, queries, k)
+            if k < 80:
+                assert excess[:20].any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_finite_queries(self, d):
+        rng = substream(34, "points", d)
+        pts, labels = rng.random((50, d)), rng.integers(0, 2, 50)
+        special = np.full((6, d), 0.5)
+        special[:, 0] = [np.nan, np.inf, -np.inf, np.inf, 0.5, 0.5]
+        special[3, 1], special[4, 1], special[5, 1] = -np.inf, np.nan, np.inf
+        queries = np.vstack([special, rng.random((6, d))])
+        for k in (1, 25, 50):
+            excess = self.check(pts, labels, queries, k)
+            assert excess[[1, 2, 3, 5]].all() == (k < 50)
+            assert knn_vote(pts, labels, queries[[0, 4]], k).tolist() == [0, 0]
+
+    def test_chunks_end_ragged(self, monkeypatch):
+        # n = 200 puts 65,536 // 200 = 327 queries in a chunk; 700 queries
+        # make two full chunks and a ragged one, each mixing tied and clean rows
+        rows = self.chunk_rows(monkeypatch)
+        rng = substream(35, "points")
+        pts = rng.integers(0, 5, (200, 2)).astype(np.float64)
+        labels = rng.integers(0, 2, 200)
+        queries = np.where(rng.random((700, 1)) < 0.5, rng.integers(0, 5, (700, 2)),
+                           rng.random((700, 2)) * 4)
+        excess = self.check(pts, labels, queries, 23)
+        assert rows == [327, 327, 46]
+        assert all(excess[lo:lo + 327].any() and not excess[lo:lo + 327].all()
+                   for lo in (0, 327, 654))
+
+    def test_rows_longer_than_block(self, monkeypatch):
+        # a row of more than _BLOCK distances is a chunk of its own
+        monkeypatch.setattr(kalls.pool, "_BLOCK", 16)
+        rows = self.chunk_rows(monkeypatch)
+        rng = substream(36, "points")
+        pts = rng.integers(0, 3, (40, 2)).astype(np.float64)
+        labels = rng.integers(0, 2, 40)
+        queries = np.vstack([pts[:5], rng.random((5, 2)) * 2])
+        for k in (1, 13, 40):
+            rows.clear()
+            self.check(pts, labels, queries, k)
+            assert rows == [1] * 10
