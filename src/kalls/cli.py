@@ -235,14 +235,27 @@ def cmd_check_assumptions(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
     seed = _seed(args, cfg)
+    # each of H2, H3 and H4 lands in exactly one of the two lists
     reports, not_checked = [], []
-    if problem.certified_smooth is not None:
+
+    def skip(assumption: str, reason: str) -> None:
+        not_checked.append({"assumption": assumption, "reason": reason})
+
+    if problem.certified_smooth is None:
+        reason = "no certified smoothness constants (kappa = 0, the noiseless limit)"
+        if cfg.smoothness_override is not None:
+            reason += "; the run takes the smoothness_override's alpha and L as given"
+        skip("H3", reason)
+    else:
         try:
             reports.append(check_smoothness(problem, rng=substream(seed, "points")))
         except NotImplementedError as exc:  # the problem has no analytic ball mass
-            not_checked.append({"assumption": "H3", "reason": str(exc)})
+            skip("H3", str(exc))
     reports.append(check_margin(problem))
-    if problem.certified_doubling is not None:
+    if problem.certified_doubling is None:
+        skip("H4", f"no certified doubling constants for {problem.family} "
+                   f"with d = {problem.d}")
+    else:
         reports.append(check_doubling(problem))
     payload = _provenance(cfg, seed)
     payload["reports"] = [r.as_dict() for r in reports]

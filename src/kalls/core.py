@@ -177,20 +177,22 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     cum = np.cumsum(peeked, dtype=np.int64)
     ks = np.arange(1, cap + 1, dtype=np.float64)
     dev = np.abs(cum / ks - 0.5)
-    fired = dev > 2.0 * th.confidence_radius_vec(delta_s, ks)
-    hits = np.flatnonzero(fired)
-    if hits.size:
-        k_star = int(hits[0]) + 1
+    fired = dev > 2.0 * th.confidence_radii(delta_s, cap)
+    first = int(fired.argmax())  # the first True, or 0 when none is
+    if fired[first]:
+        k_star = first + 1
         cut_off_fired = True
     else:
         k_star = cap
         cut_off_fired = False
 
-    labels = oracle.request_batch(idx[:k_star])
+    q = np.empty((k_star, 2), dtype=np.int64)
+    q[:, 0] = idx[:k_star]
+    q[:, 1] = oracle.request_batch(idx[:k_star])
     eta_hat = float(cum[k_star - 1]) / k_star
     return ConfidentOutcome(
         y_hat=1 if eta_hat >= 0.5 else 0,
-        q=np.column_stack((idx[:k_star], labels)).astype(np.int64, copy=False),
+        q=q,
         cut_off_fired=cut_off_fired,
         eta_hat=eta_hat,
     )

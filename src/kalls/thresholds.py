@@ -3,7 +3,8 @@
 Every quantity the active learner needs ahead of time lives here: the anytime
 confidence radius ``b(delta, k)``, the margin width ``Delta``, the per-point
 label budget ``k(eps, delta)``, the per-point confidence split ``delta_s``, and
-the (purely diagnostic) feasibility report.  All functions are pure.
+the (purely diagnostic) feasibility report.  All functions are pure; the
+table ``confidence_radii`` keeps changes how fast it answers, not what.
 """
 from __future__ import annotations
 
@@ -125,13 +126,34 @@ def confidence_radius(delta: float, k: int) -> float:
     return math.sqrt((2.0 / k) * (head + math.log(math.log(math.e * k))))
 
 
-def confidence_radius_vec(delta: float, ks: np.ndarray) -> np.ndarray:
-    """Vectorized ``confidence_radius`` over an array of k values."""
+# 2/k and log(log(e*k)) for k = 1..len: the terms of b(delta, k) that do not
+# depend on delta, grown (never shrunk) by ``confidence_radii``.  A larger cap
+# replaces the pair whole, so a reader holds a consistent pair.
+_RADIUS_TERMS = (np.zeros(0), np.zeros(0))
+
+
+def confidence_radii(delta: float, cap: int) -> np.ndarray:
+    """``confidence_radius(delta, k)`` for k = 1..cap, bit for bit: each entry
+    is formed from the same float terms with the same rounded operations, and
+    the delta-free terms are read from a table computed once with ``math.log``.
+    Callers pass a cap that changes from call to call, so the table grows to
+    the largest cap seen and is sliced."""
+    global _RADIUS_TERMS
     head = _log_loglog(delta)
-    ks = np.asarray(ks, dtype=np.float64)
-    if np.any(ks < 1):
-        raise ValueError("all k must be >= 1")
-    return np.sqrt((2.0 / ks) * (head + np.log(np.log(math.e * ks))))
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    inv, loglog = _RADIUS_TERMS
+    if cap > inv.shape[0]:
+        ks = np.arange(inv.shape[0] + 1, max(cap, 2 * inv.shape[0]) + 1, dtype=np.float64)
+        # numpy's log differs from math.log by an ulp at some k; its division
+        # and product are rounded as Python's are
+        new = map(math.log, map(math.log, (math.e * ks).tolist()))
+        inv = np.concatenate((inv, 2.0 / ks))
+        loglog = np.concatenate((loglog, np.fromiter(new, np.float64, ks.shape[0])))
+        _RADIUS_TERMS = (inv, loglog)
+    radii = loglog[:cap] + head
+    radii *= inv[:cap]
+    return np.sqrt(radii, out=radii)
 
 
 def label_budget_real(epsilon: float, delta: float, margin: MarginParams,

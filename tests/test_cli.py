@@ -297,20 +297,46 @@ class TestCheckAssumptionsCommand:
         assert got["resolved_seed"] == 11
         assert got["config"]["seeds"] == [3]
 
+    @staticmethod
+    def check_partition(payload):
+        # each assumption in exactly one of the two lists, a skip with a reason
+        checked = [r["assumption"] for r in payload["reports"]]
+        skipped = [s["assumption"] for s in payload["not_checked"]]
+        assert sorted(checked + skipped) == ["H2", "H3", "H4"]
+        assert all(s["reason"] for s in payload["not_checked"])
+        return checked, skipped
+
     def test_product_d3_checks_what_it_can(self, tmp_path, capsys):
-        # no analytic ball mass for d >= 3: H3 is named as not checked, H2 decides
+        # no analytic ball mass and no doubling constants for d >= 3: H3 and H4
+        # are named as not checked, H2 decides
         path = write_config(tmp_path, problem={"family": "product_uniform_nd", "d": 3,
                                                "kappa": 1.0})
         out = tmp_path / "chk"
         assert main(["check-assumptions", "--config", path, "--out", str(out)]) == 0
         payload = json.load(open(out / "assumptions.json"))
-        assert [r["assumption"] for r in payload["reports"]] == ["H2"]
-        assert [s["assumption"] for s in payload["not_checked"]] == ["H3"]
+        assert self.check_partition(payload) == (["H2"], ["H3", "H4"])
         assert "d = 2 only" in payload["not_checked"][0]["reason"]
+        assert "doubling" in payload["not_checked"][1]["reason"]
         assert payload["all_passed"] is True
         printed = capsys.readouterr().out
         assert "H2: passed" in printed
         assert "H3: not checked (" in printed
+        assert "H4: not checked (" in printed
+
+    @pytest.mark.parametrize("override", [None, {"alpha": 1.0, "L": 1.2}])
+    def test_noiseless_names_h3(self, tmp_path, capsys, override):
+        path = write_config(tmp_path, problem={"family": "power_margin_uniform_1d",
+                                               "kappa": 0.0},
+                            smoothness_override=override)
+        out = tmp_path / "chk"
+        assert main(["check-assumptions", "--config", path, "--out", str(out)]) == 0
+        payload = json.load(open(out / "assumptions.json"))
+        assert self.check_partition(payload) == (["H2", "H4"], ["H3"])
+        reason = payload["not_checked"][0]["reason"]
+        assert "kappa = 0" in reason
+        assert ("smoothness_override" in reason) == (override is not None)
+        assert payload["all_passed"] is True
+        assert "H3: not checked (" in capsys.readouterr().out
 
 
 class TestFeasibilityCommand:

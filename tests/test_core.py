@@ -91,6 +91,37 @@ class TestConfidentLabel:
             assert out.eta_hat == out.q[:, 1].mean()
 
 
+    def test_budget_tail_matches_sequential_loop(self):
+        # the cap is the remaining budget, which shrinks at every call; each
+        # call must be the sequential loop: request the next neighbour's
+        # label, stop once |mean - 1/2| > 2 b(delta_s, k) or at the cap
+        pool = uniform_pool(1500, seed=36)
+        oracle = LabelOracle(pool, flat_eta(0.97), 1000, seed=10)
+        caps, fired = [], []
+        for s in range(1, 100):
+            cap = oracle.remaining_budget
+            if cap < 1:
+                break
+            delta_s = 0.3 / s
+            labels = oracle.peek_labels(neighbor_order(pool, s))[:cap]
+            k = next((k for k in range(1, cap + 1)
+                      if abs(labels[:k].sum() / k - 0.5) > 2 * confidence_radius(delta_s, k)),
+                     None)
+            out = confident_label(pool, oracle, s, k_prime=10**6, t_budget=cap,
+                                  delta_s=delta_s)
+            k_star = cap if k is None else k
+            assert out.q.dtype == np.int64 and out.q.shape == (k_star, 2)
+            assert out.q[:, 0].tolist() == neighbor_order(pool, s)[:k_star].tolist()
+            assert out.q[:, 1].tolist() == labels[:k_star].tolist()
+            assert out.eta_hat == labels[:k_star].sum() / k_star
+            assert out.cut_off_fired == (k is not None)
+            caps.append(cap)
+            fired.append(out.cut_off_fired)
+        assert oracle.remaining_budget == 0
+        assert all(a > b for a, b in zip(caps, caps[1:]))
+        assert any(fired) and not fired[-1]
+
+
 class TestReliable:
     def _smooth(self):
         return SmoothnessParams(alpha=1.0, L=2.0, d=1)

@@ -92,7 +92,11 @@ class TestNearestOrder:
         for c in centers:
             d2 = sq_dists(pool.points, pool.points[c])[0]
             want = np.lexsort((np.arange(pool.w), d2))
-            assert np.array_equal(neighbor_order(pool, c), want[want != c])
+            want = want[want != c]
+            assert np.array_equal(neighbor_order(pool, c), want)
+            if pool.w > 1:
+                got = k_nearest(pool, c, pool.w - 1).neighbors
+                assert got == [(int(j), float(np.sqrt(d2[j]))) for j in want]
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_continuous(self, d):
@@ -127,6 +131,21 @@ class TestNearestOrder:
         # query on both of its sides, and from a far one on each side
         x = np.array([1.0 + 2.0 ** -52, 1.0, -1.0, -(1.0 + 2.0 ** -52), 0.5, 3.0, -3.0] * 30)
         self.check(x, [[1e-300], [-1e-300], [1e10], [-1e10], [0.0]])
+
+    def test_merged_d1_order(self):
+        # d = 1 merges the runs of sorted points left and right of the centre:
+        # rounded ties within and across the two runs (+-1 and +-(1 + 2^-52)
+        # from +-1e-300), centres at the smallest and the largest coordinate,
+        # and centres that share their coordinate with other points
+        x = np.array([1.0 + 2.0 ** -52, 1.0, -1.0, -(1.0 + 2.0 ** -52), 0.5, 3.0, -3.0] * 30
+                     + [1e-300, -1e-300, 0.0, 0.0, 1e10, -1e10, -1e10])
+        pool = Pool(x)
+        w = pool.w
+        assert x[w - 3] == x.max() and x[w - 2] == x[w - 1] == x.min()
+        self.check_pool(pool, [*range(w - 7, w), 0, 1, 2, 4, 5, 6])
+        self.check_pool(Pool([0.75, 0.25]), (0, 1))
+        self.check_pool(Pool([0.5, 0.5]), (0, 1))
+        self.check_pool(Pool([0.5]), (0,))
 
     def test_non_finite(self):
         rng = substream(30, "points")
@@ -420,6 +439,28 @@ class TestBruteForceVote:
             excess = self.check(pts, labels, queries, k)
             assert excess[[1, 2, 3, 5]].all() == (k < 50)
             assert knn_vote(pts, labels, queries[[0, 4]], k).tolist() == [0, 0]
+
+    def test_non_finite_points_rejected(self):
+        # a NaN point would void the k-th distance of every row it sits on
+        for pts in ([[0.0, 0], [np.nan, 0], [np.nan, 0]], [[0.0, 0], [np.inf, 0], [1, 1]],
+                    [[0.0], [np.nan], [1.0]]):
+            pts = np.array(pts)
+            with pytest.raises(ValueError, match="finite"):
+                knn_vote(pts, np.ones(3, dtype=np.int64), pts[:1] + 1.0, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vote_follows_nearest_order(self, d):
+        # finite points: the k-NN set of every non-NaN query, ties and infinite
+        # queries included, is its first k in nearest_order
+        rng = substream(37, "points", d)
+        pts = rng.integers(0, 4, (60, d)).astype(np.float64)
+        labels = rng.integers(0, 2, 60)
+        queries = np.vstack([pts[:10], rng.random((10, d)) * 4,
+                             np.full((1, d), np.inf), np.full((1, d), -np.inf)])
+        for k in (1, 2, 7, 30, 60):
+            want = [int(2 * labels[nearest_order(pts, q)[0][:k]].sum() >= k)
+                    for q in queries]
+            assert knn_vote(pts, labels, queries, k).tolist() == want
 
     def test_chunks_end_ragged(self, monkeypatch):
         # n = 200 puts 65,536 // 200 = 327 queries in a chunk; 700 queries

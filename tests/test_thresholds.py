@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from kalls import thresholds
 from kalls.thresholds import (INFEASIBLE_BUDGET, DoublingParams, KallsConfig,
                               MarginParams, SmoothnessParams,
                               adaptive_budget_bound, confidence_radius,
-                              confidence_radius_vec, feasibility_report,
+                              confidence_radii, feasibility_report,
                               label_budget_k, label_budget_real, margin_delta,
                               per_point_delta, phi_n)
 
@@ -66,18 +67,31 @@ class TestConfidenceRadius:
     def test_strictly_decreasing_on_grid(self):
         for delta in (1e-2, 1e-4):
             ks = np.unique(np.geomspace(1, 1e6, 200).astype(int))
-            vals = confidence_radius_vec(delta, ks)
+            vals = np.array([confidence_radius(delta, int(k)) for k in ks])
             assert np.all(np.diff(vals) < 0)
+            assert np.all(np.diff(confidence_radii(delta, 5000)) < 0)
 
     def test_quadrupling_shrinks(self):
         for k in (1, 7, 400, 31337):
             assert confidence_radius(0.01, 4 * k) < confidence_radius(0.01, k)
 
     def test_scalar_matches_vector(self):
-        ks = np.array([1, 2, 17, 328, 10**6])
-        vec = confidence_radius_vec(0.003, ks)
-        for k, v in zip(ks, vec):
-            assert confidence_radius(0.003, int(k)) == pytest.approx(v, rel=1e-15)
+        # bit for bit, at every k: numpy's log differs from math.log by an ulp
+        # at some k (855 and 1700 among them), which the table must not inherit
+        for delta in (0.01, 0.003, 1e-5, 0.05 / 32, 1e-9):
+            for cap in (1, 2, 1999, 5000):
+                want = [confidence_radius(delta, k) for k in range(1, cap + 1)]
+                assert confidence_radii(delta, cap).tolist() == want
+
+    def test_table_shrinks_and_grows(self, monkeypatch):
+        # the cap shrinks at every point near the end of a budget, then a
+        # larger one grows the table; the slices stay the scalar radii
+        monkeypatch.setattr(thresholds, "_RADIUS_TERMS", (np.zeros(0), np.zeros(0)))
+        for cap in (5000, 4999, 1999, 3, 1, 2, 6001, 7, 20_000, 5000):
+            want = [confidence_radius(0.002, k) for k in range(1, cap + 1)]
+            assert confidence_radii(0.002, cap).tolist() == want
+            assert thresholds._RADIUS_TERMS[0].shape[0] >= cap
+        assert thresholds._RADIUS_TERMS[0].shape[0] == 20_000
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -88,6 +102,10 @@ class TestConfidenceRadius:
             confidence_radius(-0.1, 10)
         with pytest.raises(ValueError):
             confidence_radius(0.01, 0)
+        with pytest.raises(ValueError):
+            confidence_radii(0.01, 0)
+        with pytest.raises(ValueError):
+            confidence_radii(0.5, 10)
 
 
 class TestLabelBudget:
