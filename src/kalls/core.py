@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import thresholds as th
-from .estimation import est_prob, est_prob_from_sq_dists
+from .estimation import est_prob
 from .pool import LabelOracle, Pool, knn_vote, nearest_order, neighbor_order
 
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
@@ -43,6 +43,8 @@ class ActiveSet:
     def __init__(self) -> None:
         self.records: list[ActiveRecord] = []
         self._points_cache: np.ndarray | None = None
+        self._rows_pool: Pool | None = None
+        self._rows_cache: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.records)
@@ -58,6 +60,16 @@ class ActiveSet:
             self._points_cache = (np.vstack([r.point for r in self.records])
                                   if self.records else np.zeros((0, 0)))
         return self._points_cache
+
+    def sorted_rows(self, pool: Pool) -> list[np.ndarray]:
+        """Each record's squared distances to the points of ``pool``, ascending.
+        A record's row is built once, on the first call after it is added; the
+        rows belong to one pool, and a different pool gets fresh rows."""
+        if self._rows_pool is not pool or len(self._rows_cache) > len(self.records):
+            self._rows_pool, self._rows_cache = pool, []
+        for rec in self.records[len(self._rows_cache):]:
+            self._rows_cache.append(np.sort(pool.sq_dists_from(rec.point)))
+        return self._rows_cache
 
     def labels(self) -> np.ndarray:
         return np.asarray([r.inferred_label for r in self.records], dtype=np.int64)
@@ -206,25 +218,32 @@ def reliable(pool: Pool, x_index: int, delta_s: float, smooth: th.SmoothnessPara
     For each record (X', Y', c), estimates the pool mass of the open balls of
     radius rho(X, X') around X' and around X with accuracy (c / 64L)^(d/alpha),
     and answers True when either estimate is <= 75/94 of that accuracy.  Records
-    are checked nearest-first and the test stops at the first that passes.  The
-    empty active set is never reliable.
+    are checked nearest-first, the ball around X' before the ball around X, and
+    the test stops at the first that passes.  The empty active set is never
+    reliable.
+
+    Each ball is counted with one ``searchsorted`` in ``est_prob``: X' on its
+    record's sorted pool row, which ``ActiveSet.sorted_rows`` builds once per
+    record (records x w x 8 bytes), and X on its own pool row, sorted once per
+    call.  The counts equal ``count_nonzero(d2 < r2)`` on the unsorted rows, so
+    every binomial draw, and the random stream, is that of a fresh distance
+    row per ball.
     """
     if not active.records:
         return False
     x = pool.points[x_index]
     order, d2 = nearest_order(active.points(), x)
-    d2_pool_from_x = pool.sq_dists_from(x)
+    rows = active.sorted_rows(pool)
+    x_row = np.sort(pool.sq_dists_from(x))
+    scale, power = 64.0 * smooth.L, smooth.d / smooth.alpha
 
-    for j in order:
-        rec = active.records[j]
-        eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
-        radius = float(np.sqrt(d2[j]))
+    # np.sqrt is bit for bit the scalar sqrt of each entry
+    for j, radius in zip(order.tolist(), np.sqrt(d2[order]).tolist()):
+        eps_o = (active.records[j].lb / scale) ** power
         threshold = RELIABLE_ACCEPT_RATIO * eps_o
-        if est_prob(pool.points, rec.point, radius, eps_o, u_const,
-                    delta_s, rng).p_hat <= threshold:
+        if est_prob(rows[j], radius, eps_o, u_const, delta_s, rng).p_hat <= threshold:
             return True
-        if est_prob_from_sq_dists(d2_pool_from_x, radius, eps_o, u_const,
-                                  delta_s, rng).p_hat <= threshold:
+        if est_prob(x_row, radius, eps_o, u_const, delta_s, rng).p_hat <= threshold:
             return True
     return False
 

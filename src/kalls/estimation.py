@@ -5,10 +5,11 @@ stopping early once the running mean clears a logarithmic threshold.
 ``est_prob`` applies the same stage loop to the indicator of an open ball under
 uniform pool draws with replacement, to estimate the pool-empirical mass of the
 ball.  Those draws are i.i.d. Bernoulli(c/w), c the exact number of the w pool
-points inside the ball, so ``est_prob`` counts c once and draws each stage's
-ones as one Binomial(new draws, c/w) variate: the law of
-(p_hat, draws_used, terminated_early) is that of drawing pool indices, and no
-index is drawn.
+points inside the ball, so ``est_prob`` counts c once, with one
+``searchsorted`` on the centre's sorted row of squared distances to the pool,
+and draws each stage's ones as one Binomial(new draws, c/w) variate: the law
+of (p_hat, draws_used, terminated_early) is that of drawing pool indices, and
+no index is drawn.
 
 A stage whose threshold is >= 1 cannot stop the loop, since a running mean is
 at most 1.  The loop skips those stages: the first stage it runs takes all
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .pool import sq_dists
 
 
 class SamplerExhausted(RuntimeError):
@@ -115,26 +114,32 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
     return _stage_loop(ones_in, epsilon_o, delta_prime, u)
 
 
-def _ball_mass(d2: np.ndarray, radius: float, epsilon_o: float, u: int,
-               delta_prime: float, rng: np.random.Generator) -> BerEstResult:
-    if radius < 0.0:
+def est_prob(sorted_d2: np.ndarray, radius: float, epsilon_o: float, u: int,
+             delta_prime: float, rng: np.random.Generator) -> BerEstResult:
+    """Estimate the pool-empirical mass of the open ball of ``radius`` about a
+    centre whose squared distances to the w pool points, in ascending order,
+    are the 1-D float64 array ``sorted_d2``.
+
+    The in-ball count is ``sorted_d2.searchsorted(r2)`` with
+    ``r2 = radius * radius``: the number of entries strictly below r2, which on
+    the same float64 values is ``count_nonzero(d2 < r2)`` exactly.  A radius
+    that is not >= 0 (NaN included) raises ``ValueError``.
+    """
+    if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     r2 = float(radius) * float(radius)
-    p = int(np.count_nonzero(d2 < r2)) / d2.shape[0]
+    p = int(sorted_d2.searchsorted(r2)) / sorted_d2.shape[0]
     return _stage_loop(lambda n: int(rng.binomial(n, p)), epsilon_o, delta_prime, u)
-
-
-def est_prob(points: np.ndarray, center: np.ndarray, radius: float, epsilon_o: float,
-             u: int, delta_prime: float, rng: np.random.Generator) -> BerEstResult:
-    """Estimate the pool-empirical mass of the open ball B(center, radius)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return _ball_mass(sq_dists(pts, center)[0], radius, epsilon_o, u, delta_prime, rng)
 
 
 def est_prob_from_sq_dists(d2: np.ndarray, radius: float, epsilon_o: float,
                            u: int, delta_prime: float,
                            rng: np.random.Generator) -> BerEstResult:
-    """``est_prob`` for callers that precomputed the squared distances to the pool."""
-    return _ball_mass(d2, radius, epsilon_o, u, delta_prime, rng)
+    """``est_prob`` on an unsorted row of squared distances to the pool.
+
+    Nothing in kalls calls it (``reliable`` keeps sorted rows).  It stays as
+    the unsorted-row form because the benchmark's per-layer probes
+    (``perfbench/layers.py``) name it, and its self-test removes it to check
+    that a missing probe target reads 0.
+    """
+    return est_prob(np.sort(d2), radius, epsilon_o, u, delta_prime, rng)

@@ -6,10 +6,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from kalls.core import (AbstainEmpty, ActiveRecord, ActiveSet, EmptyActiveSet,
-                        PerPointRecord, RunTrace, as_classifier, confident_label,
-                        one_nn_label_batch, reliable, run_kalls)
-from kalls.pool import LabelOracle, Pool, neighbor_order
+import kalls.core
+from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
+                        EmptyActiveSet, PerPointRecord, RunTrace, as_classifier,
+                        confident_label, one_nn_label_batch, reliable, run_kalls)
+from kalls.estimation import _stage_loop
+from kalls.pool import LabelOracle, Pool, nearest_order, neighbor_order, sq_dists
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
@@ -164,6 +166,92 @@ class TestReliable:
                                        lb=0.2, source_index=src))
         assert reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
                         substream(9, "estimation")) is True  # zero-distance record present
+
+
+def reference_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
+    """``reliable`` with a fresh distance row per ball, counted with
+    ``count_nonzero(d2 < r2)``: the reference the sorted rows must match."""
+    if not active.records:
+        return False
+    x = pool.points[x_index]
+    order, d2 = nearest_order(active.points(), x)
+    d2_x = sq_dists(pool.points, x)[0]
+    for j in order:
+        rec = active.records[j]
+        eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+        radius = float(np.sqrt(d2[j]))
+        for row in (sq_dists(pool.points, rec.point)[0], d2_x):
+            p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
+            res = _stage_loop(lambda n: int(rng.binomial(n, p)), eps_o, delta_s, u_const)
+            if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
+                return True
+    return False
+
+
+class TestSortedRows:
+    """``reliable`` counts its balls on sorted pool rows that ``ActiveSet``
+    caches per record; the estimation stream must be that of a fresh distance
+    row per ball."""
+
+    @staticmethod
+    def _noiseless_run(d, seed):
+        family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
+        problem = make_problem(family, kappa=0.0, d=d, seed=0)
+        pts = problem.sample(1500, substream(seed, "pool"))
+        # the first 30 points come twice, so records at distance 0 (radius 0,
+        # an empty ball) make skips in d = 2 too
+        pool = Pool(np.vstack([pts[:30], pts]))
+        oracle = LabelOracle(pool, problem.eta, 60_000, seed=seed)
+        config = KallsConfig(epsilon=0.4, delta=0.5, n=60_000)
+        rng = substream(seed, "estimation")
+        active, trace = run_kalls(pool, oracle, config,
+                                  SmoothnessParams(alpha=1.0, L=1.2, d=d),
+                                  problem.certified_margin, est_rng=rng)
+        return active, trace, rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stream_matches_fresh_distance_rows(self, d, monkeypatch):
+        skips = 0
+        for seed in (1, 2, 3):
+            active, trace, state = self._noiseless_run(d, seed)
+            with monkeypatch.context() as m:
+                m.setattr(kalls.core, "reliable", reference_reliable)
+                ref_active, ref_trace, ref_state = self._noiseless_run(d, seed)
+            assert trace.per_point == ref_trace.per_point
+            assert trace.reliable_skips == ref_trace.reliable_skips
+            assert state == ref_state
+            assert len(active) == len(ref_active) > 1
+            skips += trace.reliable_skips
+        assert skips > 0  # the test passes as well as fails
+
+    def test_rows_follow_the_pool(self):
+        rng = substream(45, "pool")
+        first, second = Pool(rng.random((80, 2))), Pool(rng.random((60, 2)))
+        active = ActiveSet()
+        for src in (4, 9):
+            active.append(ActiveRecord(point=first.points[src].copy(), inferred_label=1,
+                                       lb=0.2, source_index=src))
+
+        def expected(pool):
+            return [np.sort(sq_dists(pool.points, r.point)[0]) for r in active.records]
+
+        rows = active.sorted_rows(first)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, expected(first)))
+        kept = list(rows)
+        active.append(ActiveRecord(point=first.points[20].copy(), inferred_label=0,
+                                   lb=0.2, source_index=20))
+        rows = active.sorted_rows(first)
+        assert len(rows) == 3 and all(a is b for a, b in zip(rows, kept))  # extended
+        assert np.array_equal(rows[2], expected(first)[2])
+
+        rows = active.sorted_rows(second)  # a second pool gets fresh rows
+        assert len(rows) == 3 and all(a.shape == (60,) for a in rows)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, expected(second)))
+        for x_index in range(0, 60, 7):
+            assert reliable(second, x_index, 0.01, SmoothnessParams(1.0, 1.2, 2), active,
+                            50, substream(x_index, "estimation")) == \
+                reference_reliable(second, x_index, 0.01, SmoothnessParams(1.0, 1.2, 2),
+                                   active, 50, substream(x_index, "estimation"))
 
 
 def run_once(seed, w=4000, n=1500, kappa=1.0, eps=0.2, mode="strict_paper"):

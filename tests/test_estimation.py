@@ -8,7 +8,9 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from kalls.estimation import (BerEstResult, SamplerExhausted, _stages, ber_est,
-                              ber_est_max_stage, est_prob, g_factor)
+                              ber_est_max_stage, est_prob, est_prob_from_sq_dists,
+                              g_factor)
+from kalls.pool import sq_dists
 from kalls.seeding import substream
 
 # Standard parameters used throughout: accuracy 0.1, confidence 0.1, budget 50.
@@ -17,6 +19,13 @@ EPS_O, DELTA_P, U = 0.1, 0.1, 50
 
 def const_sampler(value):
     return lambda count: np.full(count, value, dtype=np.int64)
+
+
+def sorted_row(points, center):
+    """``est_prob``'s input: the squared distances from ``center`` to the
+    points, ascending."""
+    pts = np.asarray(points, dtype=np.float64)
+    return np.sort(sq_dists(pts if pts.ndim == 2 else pts[:, None], center)[0])
 
 
 class TestGFactor:
@@ -90,13 +99,14 @@ class TestEstProb:
 
     def test_zero_radius_open_ball_is_empty(self):
         pts = self._uniform_pool()
-        res = est_prob(pts, pts[3], 0.0, EPS_O, U, DELTA_P, substream(1, "estimation"))
+        res = est_prob(sorted_row(pts, pts[3]), 0.0, EPS_O, U, DELTA_P,
+                       substream(1, "estimation"))
         assert res.p_hat == 0.0
         assert not res.terminated_early
 
     def test_huge_radius_breaks_early(self):
         pts = self._uniform_pool()
-        res = est_prob(pts, np.array([0.5]), 2.0, EPS_O, U, DELTA_P,
+        res = est_prob(sorted_row(pts, np.array([0.5])), 2.0, EPS_O, U, DELTA_P,
                        substream(2, "estimation"))
         assert res.p_hat == 1.0
         assert res.terminated_early
@@ -104,8 +114,18 @@ class TestEstProb:
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            est_prob(self._uniform_pool(), np.array([0.5]), -0.1, EPS_O, U,
-                     DELTA_P, substream(3, "estimation"))
+            est_prob(sorted_row(self._uniform_pool(), np.array([0.5])), -0.1, EPS_O,
+                     U, DELTA_P, substream(3, "estimation"))
+
+    @pytest.mark.parametrize("radius", [np.nan, -np.inf, -0.1])
+    def test_radius_that_is_not_nonnegative_rejected(self, radius):
+        # a NaN radius would count the whole sorted row as inside the ball
+        d2 = (self._uniform_pool()[:, 0] - 0.5) ** 2
+        with pytest.raises(ValueError, match="radius"):
+            est_prob(np.sort(d2), radius, EPS_O, U, DELTA_P, substream(3, "estimation"))
+        with pytest.raises(ValueError, match="radius"):
+            est_prob_from_sq_dists(d2, radius, EPS_O, U, DELTA_P,
+                                   substream(3, "estimation"))
 
     def test_monotone_coupling_in_radius(self):
         # Shared draw stream (same seed): enlarging the ball can only turn 0s
@@ -115,7 +135,7 @@ class TestEstProb:
         center = np.array([0.5])
         results = []
         for radius in (0.02, 0.05):
-            res = est_prob(pts, center, radius, EPS_O, U, DELTA_P,
+            res = est_prob(sorted_row(pts, center), radius, EPS_O, U, DELTA_P,
                            substream(4, "estimation"))
             results.append(res)
         small, big = results
@@ -134,7 +154,7 @@ class TestEstProb:
         g = g_factor(U)
         holds = 0
         for trial in range(200):
-            res = est_prob(pts, center, radius, eps_o, U, DELTA_P,
+            res = est_prob(sorted_row(pts, center), radius, eps_o, U, DELTA_P,
                            substream(trial, "estimation", 5))
             if res.p_hat <= eps_o / g:
                 ok = true_mass <= eps_o
@@ -142,6 +162,65 @@ class TestEstProb:
                 ok = true_mass >= (2.0 - g) / g * eps_o
             holds += ok
         assert holds >= 180  # failure budget delta' = 10%
+
+
+class _RecordingRng:
+    """Stands in for the generator: records each ``binomial(n, p)`` call and
+    draws no ones, so ``p`` exposes the in-ball count c/w."""
+
+    def __init__(self):
+        self.calls = []
+
+    def binomial(self, n, p):
+        self.calls.append((n, p))
+        return 0
+
+
+class TestSortedCount:
+    """``est_prob`` counts the ball with ``searchsorted`` on the sorted row; the
+    count must be ``count_nonzero(d2 < r2)`` on the unsorted row exactly."""
+
+    @staticmethod
+    def _pools():
+        rng = substream(31, "pool")
+        one = rng.random((150, 1))
+        two = rng.random((150, 2))
+        lattice = rng.integers(0, 4, (150, 2)).astype(np.float64)
+        # every pool repeats some of its points
+        return [np.vstack([p, p[:40], p[:5]]) for p in (one, two, lattice)]
+
+    @staticmethod
+    def _radii(d2):
+        # 0, each pool distance after the sqrt round trip (r * r may land on
+        # d2 or an ulp off it), the neighbouring floats, and inf
+        roots = np.sqrt(np.unique(d2))
+        return np.concatenate([[0.0, np.inf], roots, np.nextafter(roots, 0.0),
+                               np.nextafter(roots, np.inf)])
+
+    def test_count_is_count_nonzero(self):
+        exact = 0
+        for pts in self._pools():
+            for center in pts[[0, 1, 7, -1]]:
+                d2 = sq_dists(pts, center)[0]
+                row = np.sort(d2)
+                for radius in self._radii(d2):
+                    r2 = float(radius) * float(radius)
+                    want = int(np.count_nonzero(d2 < r2)) / d2.shape[0]
+                    exact += r2 in d2
+                    for call, arg in ((est_prob, row), (est_prob_from_sq_dists, d2)):
+                        rng = _RecordingRng()
+                        call(arg, float(radius), EPS_O, U, DELTA_P, rng)
+                        assert {p for _, p in rng.calls} == {want}, (center, radius)
+        assert exact > 0  # some radii land exactly on a pool distance
+
+    def test_same_draws_as_the_unsorted_row(self):
+        pts = self._pools()[1]
+        d2 = sq_dists(pts, pts[3])[0]
+        for radius in (0.0, 0.1, 0.3, float(np.sqrt(d2[9])), np.inf):
+            a = est_prob(np.sort(d2), radius, EPS_O, U, DELTA_P, substream(5, "estimation"))
+            b = est_prob_from_sq_dists(d2, radius, EPS_O, U, DELTA_P,
+                                       substream(5, "estimation"))
+            assert a == b
 
 
 class TestBinomialStream:
@@ -192,7 +271,8 @@ class TestBinomialStream:
         assert ber_est_max_stage(eps_o, DELTA_P, U) == i_max
         trials = 2000
         rng_b = substream(7, "estimation", 1)
-        binomial = [est_prob(pts, np.array([0.5]), radius, eps_o, U, DELTA_P, rng_b)
+        row = sorted_row(pts, np.array([0.5]))
+        binomial = [est_prob(row, radius, eps_o, U, DELTA_P, rng_b)
                     for _ in range(trials)]
         rng_i = substream(7, "estimation", 2)
         index = [ber_est(lambda n: d2[rng_i.integers(0, w, n)] < r2, eps_o, DELTA_P, U)
@@ -279,7 +359,8 @@ class TestDeadStages:
         assert np.count_nonzero(pts[:, 0] < mass) == round(mass * w)
         trials = 2000
         rng_m = substream(8, "estimation", 1)
-        merged = [est_prob(pts, center, mass, EPS_O, U, DELTA_P, rng_m)
+        row = sorted_row(pts, center)
+        merged = [est_prob(row, mass, EPS_O, U, DELTA_P, rng_m)
                   for _ in range(trials)]
         rng_e = substream(8, "estimation", 2)
         every = [self._every_stage(mass, EPS_O, DELTA_P, U, rng_e) for _ in range(trials)]

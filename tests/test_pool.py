@@ -310,6 +310,25 @@ class TestWindowVote:
         if k < x.size:
             assert not certified.all()  # the fallback is exercised
 
+    def test_runs_of_equal_coordinates_at_window_ends(self):
+        # runs of 25, 20, 30 and 15 copies at 0, 1, 2 and 3, scattered over the
+        # indices with mixed labels, so an unstable sort may order each run
+        # any way.  A certified window holds whole runs; a run across a window
+        # end leaves its row to brute force.
+        rng = substream(26, "points")
+        x = rng.permutation(np.repeat([0.0, 1.0, 2.0, 3.0], [25, 20, 30, 15]))
+        labels = rng.integers(0, 2, x.size)
+        cases = [  # (query, k, certified)
+            (1.0, 20, True), (0.9, 45, True), (1.0, 75, True), (3.0, 15, True),
+            (-1.0, 25, True), (0.9, 30, False), (1.0, 50, False), (3.0, 20, False),
+            (1.5, 50, True), (1.5, 40, False),
+        ]
+        for query, k, want in cases:
+            assert self.check(x, labels, [query], k)[0] == want, (query, k)
+        queries = np.arange(-1.0, 4.01, 0.25)
+        for k in range(1, x.size + 1):
+            self.check(x, labels, queries, k)
+
     def test_queries_on_and_outside_the_points(self):
         rng = substream(23, "points")
         x, labels = rng.random(300), rng.integers(0, 2, 300)
