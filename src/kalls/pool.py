@@ -7,11 +7,26 @@ k-NN set of each row of distances) and ``knn_vote`` (the k-NN majority label,
 vote ties to 1; for d = 1 it reads each certified k-NN set off the sorted
 points, ``_nearest_windows``, and leaves the other rows to ``nearest_mask``).
 
-The brute-force vote serves every d >= 2 query and the uncertified d = 1 rows.
-It takes ``max(1, _BLOCK // n)`` queries at a time, so a chunk is about 65,536
-distances: 512 KB of float64, and 1 MB with the copy ``np.partition`` makes,
-which stays in a 2 MB L2 cache through the passes over it (block sizes from
-16,384 to 4,000,000 were timed; 65,536 to 131,072 were fastest).
+For d = 1 the window start of every query is one ``searchsorted`` among the
+window midpoints ``(xs[j] + xs[j + k]) / 2`` of the sorted points: start j
+loses to j + 1 exactly when the query is past that midpoint
+(``_nearest_windows`` gives the rounding argument).  With 20,000 uniform
+queries, n/k = 200/35, 1000/100 and 5000/293 took 4.4, 5.5 and 7.1 ms with
+the bisection this replaced and 1.5, 2.0 and 2.6 ms with the search (2-core
+x86-64 VM, the README's "Neighbour search" gives the method).  Uncertified finite queries are voted once per distinct
+value: equal queries have equal distance rows, and on ``discrete_atoms`` data
+(every point on one of 256 atoms) 20,000 queries hold at most 256 values.
+
+The brute-force vote (``_brute_vote``) serves every d >= 2 query and the
+uncertified d = 1 rows.  It takes ``max(1, _BLOCK // n)`` queries at a time,
+so a chunk is about 65,536 distances: 512 KB of float64, and 1 MB with the
+partitioned copy, which stays in a 2 MB L2 cache through the passes over it
+(block sizes from 16,384 to 4,000,000 were timed; 65,536 to 131,072 were
+fastest).  The distance, copy and mask buffers are allocated once per call
+and filled with ``out=``: 512 KB sits at glibc's dynamic mmap threshold, so in
+a fresh process every chunk-sized temporary mapped and faulted in new pages.
+The coordinates are read from column-contiguous copies of the points and the
+queries (a column of a C-ordered (n, 2) array is a stride-16 read).
 ``nearest_mask`` makes one mask pass, ``d2 <= kth`` with ``kth`` the row's k-th
 smallest distance, and counts it per row.  A row that marks exactly k points
 holds its k-NN set: every point strictly closer than ``kth`` is in any k-NN
@@ -21,8 +36,8 @@ compares false, so a NaN row marks nothing and votes 0.  On uniform d = 2 data
 with 20,000 queries, n/k = 200/13, 1000/56 and 5000/293 took together about
 2 s with 4 M-distance chunks and separate ``<``/``==`` passes, and about 1 s
 with this kernel (2-core x86-64 VM; the README's "Neighbour search" gives
-each).  Reusing the chunk buffers (``out=`` arrays) was timed too and gained
-nothing.
+each).  A fresh-process ``kalls sweep`` of a 3-cell d = 2 grid took
+1.8-2.2 s with per-chunk temporaries and 0.77-0.88 s with the buffers.
 
 A full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) sorts one
 ``sq_dists`` row with numpy's default (unstable) argsort, then repairs the
@@ -115,17 +130,21 @@ class Pool:
 _BLOCK = 65_536  # distances per brute-force knn_vote chunk (module docstring)
 
 
-def sq_dists(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def sq_dists(points: np.ndarray, queries: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """(m, n) squared distances from (m, d) ``queries`` (or one (d,) point) to
-    (n, d) ``points``, summed coordinate by coordinate in order."""
+    (n, d) ``points``, summed coordinate by coordinate in order.  ``out`` and
+    ``work``, (m, n) float64 arrays, receive the result and the squared
+    differences of the coordinates after the first; the values are the same
+    with or without them."""
     pts = np.asarray(points, dtype=np.float64)
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.shape[1] != pts.shape[1]:
         raise ValueError(f"queries have {q.shape[1]} coordinates, points {pts.shape[1]}")
-    d2 = q[:, 0, None] - pts[:, 0]
+    d2 = np.subtract(q[:, 0, None], pts[:, 0], out=out)
     d2 *= d2
     for c in range(1, pts.shape[1]):
-        diff = q[:, c, None] - pts[:, c]
+        diff = np.subtract(q[:, c, None], pts[:, c], out=work)
         diff *= diff
         d2 += diff
     return d2
@@ -136,16 +155,22 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
 
-def nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
+def nearest_mask(d2: np.ndarray, k: int, work: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Boolean (m, n) mask of the k nearest points of each row of ``d2``: all
     strictly closer than the row's k-th smallest distance, then the lowest-index
     points tied at it.  One pass marks every point at or below the k-th
     distance; only the rows where that marks more than k (ties at the k-th
-    distance) are trimmed to their lowest-index tied points."""
+    distance) are trimmed to their lowest-index tied points.  ``work`` (float64)
+    and ``out`` (bool), both shaped like ``d2``, hold the partitioned copy and
+    the mask when given."""
     n = d2.shape[1]
     _check_k(k, n)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
-    mask = d2 <= kth
+    part = np.empty_like(d2) if work is None else work
+    np.copyto(part, d2)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1, None]
+    mask = np.less_equal(d2, kth, out=out)
     count = np.count_nonzero(mask, axis=1)
     over = np.flatnonzero(count > k)
     if over.size:  # most chunks have no tie rows (the skip saved ~3% on sweep_2d)
@@ -167,9 +192,20 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     rises, so each set {d2 <= r} is a run of consecutive sorted points.  A
     window whose two outside neighbours are both strictly farther than r, its
     farther end's distance, is therefore exactly {d2 <= r}: k points, all
-    others farther, and the k-NN set whatever the index tie-break.  The start
-    is a bisection over [pos - k, pos], pos the query's insertion point.  Ties
-    at a window end and non-finite queries are left uncertified.
+    others farther, and the k-NN set whatever the index tie-break.  Ties at a
+    window end and non-finite queries are left uncertified.
+
+    Start j loses to start j + 1 when the point past its end is nearer, which
+    in exact arithmetic means ``q > (xs[j] + xs[j + k]) / 2``.  These
+    midpoints do not decrease with j, so the start is one ``searchsorted`` of
+    the query among them (side "left": a query on a midpoint keeps the lower
+    start).  A computed midpoint below the query has its exact one below it
+    too (rounding is monotone and 2q is a float), and likewise above; only a
+    computed midpoint equal to the query can hide which end is nearer, so
+    there the start steps on while the point past its end has the strictly
+    smaller rounded distance.  Exactness does not rest on the search: the
+    certificate is sound for any start, so a start that rounding moved can
+    only leave its row uncertified, for the brute-force vote.
 
     The order of equal coordinates does not matter, so the default argsort
     serves (56 us against 310 us for the stable one on 4000 uniform floats,
@@ -182,51 +218,86 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     order = np.argsort(x)
     xs = x[order]
 
-    def d2(i: np.ndarray) -> np.ndarray:
+    def d2(i: np.ndarray, q: np.ndarray = q) -> np.ndarray:
         diff = q - xs[i]
         diff *= diff
         return diff
 
-    pos = np.searchsorted(xs, q)
-    lo = np.clip(pos - k, 0, n - k)
-    hi = np.clip(pos, 0, n - k)
-    for _ in range(int(k).bit_length()):  # hi - lo <= k halves every step
-        mid = (lo + hi) >> 1
-        # start mid loses to mid + 1 when the point past its end is closer
-        later = d2(mid) > d2(np.minimum(mid + k, n - 1))
-        lo = np.where(later & (mid < hi), mid + 1, lo)
-        hi = np.where(later, hi, mid)
-    r = np.maximum(d2(lo), d2(lo + k - 1))
-    certified = ((lo == 0) | (d2(np.maximum(lo - 1, 0)) > r)) \
-        & ((lo + k == n) | (d2(np.minimum(lo + k, n - 1)) > r)) & np.isfinite(q)
-    return order, lo, certified
+    # the n - k midpoints, then a NaN that sorts last and equals no query, so
+    # every start, n - k included, indexes ``mid``
+    mid = np.full(n - k + 1, np.nan)
+    np.add(xs[:n - k], xs[k:], out=mid[:-1])
+    mid[:-1] *= 0.5
+    start = np.searchsorted(mid, q)
+    tie = np.flatnonzero(mid[start] == q)
+    while tie.size:
+        s, qt = start[tie], q[tie]
+        tie = tie[d2(s, qt) > d2(s + k, qt)]
+        start[tie] += 1
+        tie = tie[mid[start[tie]] == q[tie]]
+    r = np.maximum(d2(start), d2(start + k - 1))
+    certified = ((start == 0) | (d2(np.maximum(start - 1, 0)) > r)) \
+        & ((start + k == n) | (d2(np.minimum(start + k, n - 1)) > r)) & np.isfinite(q)
+    return order, start, certified
 
 
 def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
              k: int) -> np.ndarray:
     """Majority {0, 1} label of the k nearest points to each query; a vote tie
     goes to 1.  For d = 1 a certified window (``_nearest_windows``) gives the
-    vote as one difference of a cumulative count; the other rows are brute
-    force (``nearest_mask``), ``max(1, _BLOCK // n)`` query rows at a time.
-    The points must be finite, as a ``Pool``'s are, so the k-NN set of every
-    finite query is its first k in ``nearest_order``."""
+    vote as one difference of a cumulative count, and the other finite rows are
+    voted once per distinct query value; the rest is brute force
+    (``_brute_vote``).  The points must be finite, as a ``Pool``'s are, so the
+    k-NN set of every finite query is its first k in ``nearest_order``.  The
+    labels must have one entry per point, the queries the points' dimension,
+    and 1 <= k <= n."""
     pts = _as_points(points)
-    ones_mask = np.asarray(labels) == 1
+    n, d = pts.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), one per point, got {labels.shape}")
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    out = np.empty(q.shape[0], dtype=np.int64)
-    rows = np.arange(q.shape[0])
-    if pts.shape[1] == 1 == q.shape[1]:
-        _check_k(k, pts.shape[0])
-        order, start, certified = _nearest_windows(pts[:, 0], q[:, 0], k)
-        cum = np.zeros(pts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(ones_mask[order], out=cum[1:])
-        out[:] = 2 * (cum[start + k] - cum[start]) >= k
-        rows = np.flatnonzero(~certified)
-    step = max(1, _BLOCK // pts.shape[0])
-    for lo in range(0, rows.size, step):
-        chunk = rows[lo:lo + step]
-        mask = nearest_mask(sq_dists(pts, q[chunk]), k)
-        out[chunk] = 2 * np.count_nonzero(mask & ones_mask, axis=1) >= k
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"queries must have {d} coordinates, as the points do, "
+                         f"got shape {q.shape}")
+    _check_k(k, n)
+    ones_mask = labels == 1
+    if d > 1:
+        return _brute_vote(pts, ones_mask, q, k)
+    order, start, certified = _nearest_windows(pts[:, 0], q[:, 0], k)
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(ones_mask[order], out=cum[1:])
+    out = (2 * (cum[start + k] - cum[start]) >= k).astype(np.int64)
+    rows = np.flatnonzero(~certified)
+    finite = np.isfinite(q[rows, 0])
+    # equal queries have equal distance rows (-0.0 and 0.0 included), so one
+    # vote per distinct value serves them all
+    values, inverse = np.unique(q[rows[finite], 0], return_inverse=True)
+    out[rows[finite]] = _brute_vote(pts, ones_mask, values[:, None], k)[inverse]
+    out[rows[~finite]] = _brute_vote(pts, ones_mask, q[rows[~finite]], k)
+    return out
+
+
+def _brute_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray,
+                k: int) -> np.ndarray:
+    """The k-NN vote of every query row from its full distance row
+    (``nearest_mask``), ``max(1, _BLOCK // n)`` rows at a time.  The chunk
+    buffers are allocated once, and the coordinates are read from
+    column-contiguous copies (module docstring)."""
+    m, n = q.shape[0], pts.shape[0]
+    out = np.empty(m, dtype=np.int64)
+    if m == 0:
+        return out
+    step = min(m, max(1, _BLOCK // n))
+    pts, q = np.asfortranarray(pts), np.asfortranarray(q)
+    d2, work = np.empty((2, step, n))
+    mask = np.empty((step, n), dtype=bool)
+    for lo in range(0, m, step):
+        rows = min(step, m - lo)
+        sq_dists(pts, q[lo:lo + rows], out=d2[:rows], work=work[:rows])
+        hit = nearest_mask(d2[:rows], k, work=work[:rows], out=mask[:rows])
+        hit &= ones_mask
+        out[lo:lo + rows] = 2 * np.count_nonzero(hit, axis=1) >= k
     return out
 
 

@@ -446,6 +446,23 @@ class TestOneNN:
                                           for c in range(2)), j))
             assert got[qi] == labels[best]
 
+    def test_discrete_atoms_pool(self):
+        # every record and query sits on one of 256 atoms: a query on an atom
+        # that holds several records ties at its window end, and the queries
+        # repeat, so the d = 1 vote runs once per distinct query value
+        problem = make_problem("discrete_atoms", kappa=1.0, seed=4)
+        pts = problem.sample(400, substream(52, "pool"))
+        labels = substream(52, "points").integers(0, 2, 400)
+        active = ActiveSet()
+        for i in range(400):
+            active.append(ActiveRecord(point=pts[i], inferred_label=int(labels[i]),
+                                       lb=0.1, source_index=i))
+        queries = np.vstack([problem.sample(2000, substream(53, "points")), [[np.nan]]])
+        got = one_nn_label_batch(active, queries)
+        want = [labels[nearest_order(pts, q)[0][0]] for q in queries[:-1]]
+        assert got[:-1].tolist() == want
+        assert got[-1] == 0  # a NaN query has no nearest record
+
     def test_query_dimension_must_match(self):
         active = self._active([(0.2, 0), (0.8, 1)])
         with pytest.raises(ValueError, match="coordinates"):

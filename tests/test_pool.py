@@ -25,6 +25,34 @@ def brute_force_order(points: np.ndarray, center: np.ndarray,
     return [j for _, j in keyed]
 
 
+def bisection_windows(x: np.ndarray, q: np.ndarray, k: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``pool._nearest_windows``: each window start by bisection
+    over [pos - k, pos], pos the query's insertion point, moving on from start
+    j while the point past its end has the smaller rounded distance; with the
+    same certificate.  Returns the starts and the certificates."""
+    n = x.shape[0]
+    xs = np.sort(x)
+
+    def d2(i):
+        diff = q - xs[i]
+        diff *= diff
+        return diff
+
+    pos = np.searchsorted(xs, q)
+    lo = np.clip(pos - k, 0, n - k)
+    hi = np.clip(pos, 0, n - k)
+    for _ in range(int(k).bit_length()):
+        mid = (lo + hi) >> 1
+        later = d2(mid) > d2(np.minimum(mid + k, n - 1))
+        lo = np.where(later & (mid < hi), mid + 1, lo)
+        hi = np.where(later, hi, mid)
+    r = np.maximum(d2(lo), d2(lo + k - 1))
+    certified = ((lo == 0) | (d2(np.maximum(lo - 1, 0)) > r)) \
+        & ((lo + k == n) | (d2(np.minimum(lo + k, n - 1)) > r)) & np.isfinite(q)
+    return lo, certified
+
+
 class TestKNearest:
     def test_hand_geometry(self):
         pool = Pool(np.array([[0.0], [0.5], [0.9]]))
@@ -357,8 +385,8 @@ class TestWindowVote:
         shapes = []
         real = kalls.pool.sq_dists
 
-        def spy(points, queries):
-            out = real(points, queries)
+        def spy(points, queries, **buffers):
+            out = real(points, queries, **buffers)
             shapes.append(out.shape)
             return out
 
@@ -370,9 +398,73 @@ class TestWindowVote:
         knn_vote(np.hstack([x, x]), labels, np.hstack([queries, queries]), 37)
         assert shapes  # d = 2 still goes through sq_dists
 
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "offset"])
+    def test_midpoint_search_matches_the_bisection(self, kind):
+        # queries at random, on every computed midpoint and one ulp either side
+        # of it, and on the points; at an offset of 1e15 (ulp 0.125) the
+        # midpoints round and many coordinates coincide
+        rng = substream(28, "points", ["uniform", "lattice", "offset"].index(kind))
+        n = 120
+        x = {"uniform": rng.random(n), "lattice": rng.integers(0, 9, n).astype(np.float64),
+             "offset": 1e15 + rng.random(n) * 20}[kind]
+        labels = rng.integers(0, 2, n)
+        xs = np.sort(x)
+        for k in (1, 2, 17, 60, n - 1, n):
+            mid = (xs[:n - k] + xs[k:]) * 0.5
+            lo, hi = xs[0] - 1, xs[-1] + 1
+            queries = np.concatenate([lo + rng.random(200) * (hi - lo), mid,
+                                      np.nextafter(mid, np.inf), np.nextafter(mid, -np.inf), x])
+            _, start, certified = kalls.pool._nearest_windows(x, queries, k)
+            want_start, want_certified = bisection_windows(x, queries, k)
+            assert np.array_equal(start, want_start)
+            assert np.array_equal(certified, want_certified)
+            self.check(x, labels, queries, k)
+
+    def test_repeated_and_non_finite_queries(self, monkeypatch):
+        # uncertified finite rows are voted once per distinct value (-0.0 and
+        # 0.0 are one value); NaN and infinite rows each go to brute force
+        rows = []
+        real = kalls.pool.sq_dists
+
+        def spy(points, queries, **buffers):
+            rows.append(np.atleast_2d(queries).shape[0])
+            return real(points, queries, **buffers)
+
+        monkeypatch.setattr(kalls.pool, "sq_dists", spy)
+        rng = substream(27, "points")
+        x, labels = rng.integers(0, 8, 60).astype(np.float64), rng.integers(0, 2, 60)
+        values = np.concatenate([np.arange(-1.0, 9.0, 0.5), [-0.0, np.nan, np.inf, -np.inf]])
+        queries = values[rng.integers(0, values.size, 500)]
+        finite = np.isfinite(queries)
+        for k in (1, 7, 30, 59, 60):
+            alone = [knn_vote(x[:, None], labels, [[v]], k)[0] for v in queries]
+            rows.clear()
+            assert knn_vote(x[:, None], labels, queries[:, None], k).tolist() == alone
+            voted = sum(rows)
+            certified = self.check(x, labels, queries, k)
+            assert voted == (np.unique(queries[~certified & finite]).size
+                             + np.count_nonzero(~finite))
+
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="k must satisfy"):
-            knn_vote(np.zeros((3, 1)), np.zeros(3), np.zeros((2, 1)), 4)
+        for d in (1, 2, 3):
+            for k, m in ((4, 2), (0, 2), (99, 0)):  # no queries: k is still checked
+                with pytest.raises(ValueError, match="k must satisfy"):
+                    knn_vote(np.zeros((3, d)), np.zeros(3), np.zeros((m, d)), k)
+
+    def test_labels_must_match_the_points(self):
+        # more labels than points must not vote with the first n (d = 1) or
+        # fail inside numpy (d = 2)
+        with pytest.raises(ValueError, match="labels"):
+            knn_vote([[0], [1], [2]], [1, 0, 1, 1, 1], [[0], [1]], 1)
+        for d in (1, 2, 3):
+            for labels in ([1, 0, 1, 1, 1], [1, 0], [[1, 0, 1]], 1):
+                with pytest.raises(ValueError, match="labels"):
+                    knn_vote(np.zeros((3, d)), labels, np.zeros((2, d)), 1)
+
+    def test_queries_must_match_the_points_dimension(self):
+        for d, dq in ((1, 2), (2, 1), (2, 3), (3, 2)):
+            with pytest.raises(ValueError, match="queries"):
+                knn_vote(np.zeros((3, d)), np.zeros(3), np.zeros((2, dq)), 1)
 
 
 class TestBruteForceVote:
@@ -401,9 +493,9 @@ class TestBruteForceVote:
         rows = []
         real = kalls.pool.nearest_mask
 
-        def spy(d2, k):
+        def spy(d2, k, **buffers):
             rows.append(d2.shape[0])
-            return real(d2, k)
+            return real(d2, k, **buffers)
 
         monkeypatch.setattr(kalls.pool, "nearest_mask", spy)
         return rows
@@ -494,6 +586,35 @@ class TestBruteForceVote:
         assert rows == [327, 327, 46]
         assert all(excess[lo:lo + 327].any() and not excess[lo:lo + 327].all()
                    for lo in (0, 327, 654))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memory_layouts(self, d, monkeypatch):
+        # the same values as C-ordered, Fortran-ordered and strided views give
+        # bit-identical distances, with or without buffers, and equal votes;
+        # n = 200 makes chunks of 327, 327 and 46 of the 700 queries
+        rows = self.chunk_rows(monkeypatch)
+        rng = substream(38, "points", d)
+        big_pts = rng.integers(0, 5, (400, 2 * d)).astype(np.float64)
+        big_pts[:, 1::2] += rng.random((400, d))  # columns the views below skip
+        big_q = np.where(rng.random((1400, 1)) < 0.5, rng.integers(0, 5, (1400, 2 * d)),
+                         rng.random((1400, 2 * d)) * 4)
+        views = (big_pts[::2, ::2], big_q[::2, ::2])
+        layouts = [views, tuple(np.ascontiguousarray(v) for v in views),
+                   tuple(np.asfortranarray(v) for v in views)]
+        pts, queries = layouts[1]
+        want = (queries[:, 0, None] - pts[:, 0]) * (queries[:, 0, None] - pts[:, 0])
+        for c in range(1, d):
+            want += (queries[:, c, None] - pts[:, c]) * (queries[:, c, None] - pts[:, c])
+        labels = rng.integers(0, 2, 200)
+        self.check(pts, labels, queries, 23)
+        votes = knn_vote(pts, labels, queries, 23)
+        for p, q in layouts:
+            assert np.array_equal(sq_dists(p, q), want)
+            out, work = np.empty((2, 700, 200))
+            assert np.array_equal(sq_dists(p, q, out=out, work=work), want)
+            rows.clear()
+            assert np.array_equal(knn_vote(p, labels, q, 23), votes)
+            assert rows == [327, 327, 46]
 
     def test_rows_longer_than_block(self, monkeypatch):
         # a row of more than _BLOCK distances is a chunk of its own
