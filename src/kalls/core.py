@@ -95,7 +95,9 @@ class ActiveSet:
     def from_csv(cls, path: str) -> "ActiveSet":
         """Load what ``to_csv`` writes: '#' comment lines, the header
         ``x0..x{d-1},label,lb,source_index`` (d = 0 for an empty set), then one
-        row of that width per record.  Any other layout raises ValueError."""
+        row of that width per record, with finite coordinates and lb, a label
+        of 0 or 1, and source indices that strictly increase.  Anything else
+        raises ValueError naming the file and, for a record, its number."""
         active = cls()
         with open(path) as fh:
             rows = [line.strip() for line in fh
@@ -112,12 +114,17 @@ class ActiveSet:
             if len(parts) != len(header):
                 raise ValueError(f"active-set CSV {path}: record {row} has "
                                  f"{len(parts)} fields, the header {len(header)}")
-            active.append(ActiveRecord(
-                point=np.asarray([float(v) for v in parts[:d]]),
-                inferred_label=int(parts[d]),
-                lb=float(parts[d + 1]),
-                source_index=int(parts[d + 2]),
-            ))
+            try:
+                point = [float(v) for v in parts[:d]]
+                label, lb = int(parts[d]), float(parts[d + 1])
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} is not 0 or 1")
+                if not np.all(np.isfinite([*point, lb])):
+                    raise ValueError("a coordinate or lb is not finite")
+                active.append(ActiveRecord(point=np.asarray(point), inferred_label=label,
+                                           lb=lb, source_index=int(parts[d + 2])))
+            except ValueError as exc:  # the parse, the checks above, and append's order check
+                raise ValueError(f"active-set CSV {path}: record {row}: {exc}") from None
         return active
 
 
@@ -250,9 +257,7 @@ def reliable(pool: Pool, x_index: int, delta_s: float, smooth: th.SmoothnessPara
 
 def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
               smooth: th.SmoothnessParams, margin: th.MarginParams,
-              est_rng: np.random.Generator,
-              eta_fn: Callable[[np.ndarray], np.ndarray] | None = None
-              ) -> tuple[ActiveSet, RunTrace]:
+              est_rng: np.random.Generator) -> tuple[ActiveSet, RunTrace]:
     """Scan the pool, label informative points, and build the active set.
 
     Per scanned point s (1-based): split the confidence as delta_s = delta/(32 s^2);
@@ -260,8 +265,9 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     with per-point budget k(eps, delta_s) capped by the remaining label budget,
     record LB = |eta_hat - 1/2| - b(delta_s, |Q|), and keep the record iff
     LB >= lb_factor * b(delta_s, |Q|).  Stops when the budget is exhausted or the
-    pool is fully scanned.  ``eta_fn`` (synthetic runs only) adds the
-    noise-adaptive request bound to the trace for diagnostics.
+    pool is fully scanned.  For diagnostics, each informative point's trace
+    record carries the noise-adaptive request bound k_tilde, from the
+    oracle's eta at the point (None where eta is 1/2 or the bound overflows).
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -292,13 +298,9 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         accepted = lb >= config.lb_factor * b_q
         trace.informative_indices.append(s)
 
-        k_tilde = None
-        if eta_fn is not None:
-            gap = abs(float(eta_fn(pool.points[x_index:x_index + 1])[0]) - 0.5)
-            if gap > 0.0:
-                value = th.adaptive_budget_bound(gap, delta_s, config.c_const)
-                if np.isfinite(value):  # keep the trace valid JSON
-                    k_tilde = value
+        gap = abs(float(oracle.eta[x_index]) - 0.5)
+        value = th.adaptive_budget_bound(gap, delta_s, config.c_const) if gap else np.inf
+        k_tilde = value if np.isfinite(value) else None  # keep the trace valid JSON
         trace.per_point.append(PerPointRecord(
             s=s, q_size=q_size, lb=lb, accepted=accepted,
             eta_hat=outcome.eta_hat, y_hat=outcome.y_hat,

@@ -57,16 +57,10 @@ def ber_est_max_stage(epsilon_o: float, delta_prime: float, u: int) -> int:
     return math.floor(math.log2(u * math.log(2.0 * big_k / delta_prime) / epsilon_o))
 
 
-@functools.lru_cache(maxsize=1024)
-def _stages(epsilon_o: float, delta_prime: float, u: int) -> tuple[tuple[int, float], ...]:
-    """(m, threshold) of each doubling stage that can stop the loop, the
-    threshold on the running mean u*log(2m/delta')/m."""
-    # u >= 7 and eps_o, delta' < 1 give K > 28*log(56), so i_max >= 5: never empty
-    return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
-
-
 @functools.lru_cache(maxsize=256)
 def _thresholds(delta_prime: float, u: int, i_max: int) -> tuple[tuple[int, float], ...]:
+    """(m, threshold) of each doubling stage up to 2^i_max that can stop the
+    loop, the threshold on the running mean u*log(2m/delta')/m."""
     # apart from i_max the thresholds depend on (delta', u) alone, which
     # ``reliable`` shares between all records of a scanned point
     stages = [(1 << i, u * math.log(2.0 * (1 << i) / delta_prime) / (1 << i))
@@ -82,7 +76,9 @@ def _stage_loop(ones_in: Callable[[int], int], epsilon_o: float, delta_prime: fl
     """The doubling-stage loop shared by every estimator here; ``ones_in(n)``
     returns the number of ones among ``n`` more draws."""
     ones = m = 0
-    for target, threshold in _stages(epsilon_o, delta_prime, u):
+    # u >= 7 and eps_o, delta' < 1 give K > 28*log(56), so i_max >= 5: never empty
+    i_max = ber_est_max_stage(epsilon_o, delta_prime, u)
+    for target, threshold in _thresholds(delta_prime, u, i_max):
         ones += ones_in(target - m)
         m = target
         if ones / m > threshold:

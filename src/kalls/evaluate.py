@@ -176,8 +176,7 @@ def run_active(problem: SyntheticProblem, config: KallsConfig, w: int, seed: int
                          seed=int(substream(seed, "oracle", budget).integers(2**62)),
                          mode=config.budget_mode)
     return core.run_kalls(pool, oracle, config, smooth, margin,
-                          est_rng=substream(seed, "estimation", budget),
-                          eta_fn=problem.eta)
+                          est_rng=substream(seed, "estimation", budget))
 
 
 def run_cell(problem: SyntheticProblem, config: KallsConfig, w: int,
@@ -242,11 +241,7 @@ def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(_run_cell_star, cells))
+            rows = list(ex.map(run_cell, *zip(*cells)))
     else:
         rows = [run_cell(*cell) for cell in cells]
     return ComparisonTable(rows=rows)
-
-
-def _run_cell_star(args) -> CellResult:
-    return run_cell(*args)

@@ -1,11 +1,15 @@
 """Unlabeled pool, nearest-neighbor search, and the budgeted label oracle.
 
 Every nearest-neighbor decision in kalls is made here, under one contract:
-ascending squared Euclidean distance, ties to the lower index.  Three functions
-carry it: ``sq_dists`` (the one distance formula), ``nearest_mask`` (the exact
-k-NN set of each row of distances) and ``knn_vote`` (the k-NN majority label,
-vote ties to 1; for d = 1 it reads each certified k-NN set off the sorted
-points, ``_nearest_windows``, and leaves the other rows to ``nearest_mask``).
+ascending squared Euclidean distance, ties to the lower index.  Its domain is
+finite coordinates: ``Pool``, ``knn_vote`` and ``nearest_order`` reject a NaN
+or infinite coordinate in any point or query with a ``ValueError`` that names
+the argument.  Finite coordinates can still square to inf (1e200, say); those
+distances tie as any equal values do.  Three functions carry it:
+``sq_dists`` (the one distance formula), ``nearest_mask`` (the exact k-NN set
+of each row of distances) and ``knn_vote`` (the k-NN majority label, vote ties
+to 1; for d = 1 it reads each certified k-NN set off the sorted points,
+``_nearest_windows``, and leaves the other rows to ``nearest_mask``).
 
 For d = 1 the window start of every query is one ``searchsorted`` among the
 window midpoints ``(xs[j] + xs[j + k]) / 2`` of the sorted points: start j
@@ -13,9 +17,10 @@ loses to j + 1 exactly when the query is past that midpoint
 (``_nearest_windows`` gives the rounding argument).  With 20,000 uniform
 queries, n/k = 200/35, 1000/100 and 5000/293 took 4.4, 5.5 and 7.1 ms with
 the bisection this replaced and 1.5, 2.0 and 2.6 ms with the search (2-core
-x86-64 VM, the README's "Neighbour search" gives the method).  Uncertified finite queries are voted once per distinct
-value: equal queries have equal distance rows, and on ``discrete_atoms`` data
-(every point on one of 256 atoms) 20,000 queries hold at most 256 values.
+x86-64 VM, the README's "Neighbour search" gives the method).  Uncertified
+queries are voted once per distinct value: equal queries have equal distance
+rows, and on ``discrete_atoms`` data (every point on one of 256 atoms) 20,000
+queries hold at most 256 values.
 
 The brute-force vote (``_brute_vote``) serves every d >= 2 query and the
 uncertified d = 1 rows.  It takes ``max(1, _BLOCK // n)`` queries at a time,
@@ -31,21 +36,20 @@ queries (a column of a C-ordered (n, 2) array is a stride-16 read).
 smallest distance, and counts it per row.  A row that marks exactly k points
 holds its k-NN set: every point strictly closer than ``kth`` is in any k-NN
 set, and so are all the tied ones when they fit.  Only rows that mark more
-than k (ties at ``kth``) are trimmed to their lowest-index tied points.  NaN
-compares false, so a NaN row marks nothing and votes 0.  On uniform d = 2 data
-with 20,000 queries, n/k = 200/13, 1000/56 and 5000/293 took together about
-2 s with 4 M-distance chunks and separate ``<``/``==`` passes, and about 1 s
-with this kernel (2-core x86-64 VM; the README's "Neighbour search" gives
-each).  A fresh-process ``kalls sweep`` of a 3-cell d = 2 grid took
+than k (ties at ``kth``) are trimmed to their lowest-index tied points.  On
+uniform d = 2 data with 20,000 queries, n/k = 200/13, 1000/56 and 5000/293
+took together about 2 s with 4 M-distance chunks and separate ``<``/``==``
+passes, and about 1 s with this kernel (2-core x86-64 VM; the README's
+"Neighbour search" gives each).  A fresh-process ``kalls sweep`` of a 3-cell d = 2 grid took
 1.8-2.2 s with per-chunk temporaries and 0.77-0.88 s with the buffers.
 
 A full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) sorts one
 ``sq_dists`` row with numpy's default (unstable) argsort, then repairs the
-ties: where the sorted distances hold runs of equal values (adjacent NaNs
-count as one run), one sort of the int64 keys ``run_number * n + index`` puts
-each run into index order.  This is exact: any ascending sort puts the same
-run of equal values at the same positions, and the key keeps the runs in
-place and orders only within each, which is what the stable argsort does.
+ties: where the sorted distances hold runs of equal values, one sort of the
+int64 keys ``run_number * n + index`` puts each run into index order.  This
+is exact: any ascending sort puts the same run of equal values at the same
+positions, and the key keeps the runs in place and orders only within each,
+which is what the stable argsort does.
 A ``neighbor_order`` call on a 2-core x86-64 VM took, with the stable
 argsort and then with this one: w = 2000 uniform, 174 us -> 57 us; w = 4000
 uniform, 367 us -> 102 us; w = 4000 ``discrete_atoms`` (256 atoms, every row
@@ -72,7 +76,6 @@ revealed on first request and cached forever after.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -84,15 +87,19 @@ class BudgetExhausted(RuntimeError):
     """A label request would drive the oracle budget negative."""
 
 
+def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite-valued")
+    return values
+
+
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"points must be a nonempty (w, d) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite-valued")
-    return pts
+    return _check_finite(pts, "points")
 
 
 class Pool:
@@ -193,7 +200,8 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     window whose two outside neighbours are both strictly farther than r, its
     farther end's distance, is therefore exactly {d2 <= r}: k points, all
     others farther, and the k-NN set whatever the index tie-break.  Ties at a
-    window end and non-finite queries are left uncertified.
+    window end (distances that overflow to inf included) are left
+    uncertified.
 
     Start j loses to start j + 1 when the point past its end is nearer, which
     in exact arithmetic means ``q > (xs[j] + xs[j + k]) / 2``.  These
@@ -237,7 +245,7 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
         tie = tie[mid[start[tie]] == q[tie]]
     r = np.maximum(d2(start), d2(start + k - 1))
     certified = ((start == 0) | (d2(np.maximum(start - 1, 0)) > r)) \
-        & ((start + k == n) | (d2(np.minimum(start + k, n - 1)) > r)) & np.isfinite(q)
+        & ((start + k == n) | (d2(np.minimum(start + k, n - 1)) > r))
     return order, start, certified
 
 
@@ -245,12 +253,11 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
              k: int) -> np.ndarray:
     """Majority {0, 1} label of the k nearest points to each query; a vote tie
     goes to 1.  For d = 1 a certified window (``_nearest_windows``) gives the
-    vote as one difference of a cumulative count, and the other finite rows are
-    voted once per distinct query value; the rest is brute force
-    (``_brute_vote``).  The points must be finite, as a ``Pool``'s are, so the
-    k-NN set of every finite query is its first k in ``nearest_order``.  The
-    labels must have one entry per point, the queries the points' dimension,
-    and 1 <= k <= n."""
+    vote as one difference of a cumulative count, and the other rows are voted
+    once per distinct query value; the rest is brute force (``_brute_vote``).
+    The k-NN set of every query is its first k in ``nearest_order``.  The
+    labels must have one entry per point, the points and queries finite
+    coordinates of one dimension, and 1 <= k <= n."""
     pts = _as_points(points)
     n, d = pts.shape
     labels = np.asarray(labels)
@@ -260,6 +267,7 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
     if q.ndim != 2 or q.shape[1] != d:
         raise ValueError(f"queries must have {d} coordinates, as the points do, "
                          f"got shape {q.shape}")
+    _check_finite(q, "queries")
     _check_k(k, n)
     ones_mask = labels == 1
     if d > 1:
@@ -269,12 +277,10 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
     np.cumsum(ones_mask[order], out=cum[1:])
     out = (2 * (cum[start + k] - cum[start]) >= k).astype(np.int64)
     rows = np.flatnonzero(~certified)
-    finite = np.isfinite(q[rows, 0])
     # equal queries have equal distance rows (-0.0 and 0.0 included), so one
     # vote per distinct value serves them all
-    values, inverse = np.unique(q[rows[finite], 0], return_inverse=True)
-    out[rows[finite]] = _brute_vote(pts, ones_mask, values[:, None], k)[inverse]
-    out[rows[~finite]] = _brute_vote(pts, ones_mask, q[rows[~finite]], k)
+    values, inverse = np.unique(q[rows, 0], return_inverse=True)
+    out[rows] = _brute_vote(pts, ones_mask, values[:, None], k)[inverse]
     return out
 
 
@@ -304,8 +310,10 @@ def _brute_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray,
 def nearest_order(points: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of all ``points``, nearest to ``query`` first, and their squared
     distances to it.  The order is ``argsort(d2, kind="stable")``'s, made from
-    the faster unstable argsort by the tie repair the module docstring gives."""
-    d2 = sq_dists(points, query)[0]
+    the faster unstable argsort by the tie repair the module docstring gives.
+    The points and the query must be finite."""
+    query = _check_finite(np.asarray(query, dtype=np.float64), "query")
+    d2 = sq_dists(_as_points(points), query)[0]
     order = np.argsort(d2)
     return _repair_ties(d2[order], order, d2.shape[0]), d2
 
@@ -314,8 +322,6 @@ def _repair_ties(s: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
     """Put each run of equal values of the ascending distances ``s`` into index
     order; ``order`` holds the indices (all below ``n``) of the entries of ``s``."""
     same = s[1:] == s[:-1]
-    if s.size and math.isnan(s[-1]):  # NaNs sort last, and NaN == NaN is False
-        same[np.searchsorted(s, np.nan):] = True
     if same.any():
         run = np.zeros(s.shape[0], dtype=np.int64)
         np.cumsum(~same, out=run[1:])
@@ -381,7 +387,8 @@ class LabelOracle:
       * ``cached_labels``: only first-time reveals cost 1; an index repeated
         within one batch is one reveal.
 
-    ``fresh_requests`` counts distinct first-time reveals in both modes.
+    ``fresh_requests`` counts distinct first-time reveals in both modes, and
+    ``eta``, a read-only array, holds eta at every pool point.
     """
 
     def __init__(self, pool: Pool, eta_fn: Callable[[np.ndarray], np.ndarray],
@@ -393,9 +400,11 @@ class LabelOracle:
         self.pool = pool
         self.mode = mode
         self.seed = int(seed)
-        eta = np.asarray(eta_fn(pool.points), dtype=np.float64)
-        if eta.shape != (pool.w,) or np.any(eta < 0.0) or np.any(eta > 1.0):
+        eta = np.array(eta_fn(pool.points), dtype=np.float64)  # a copy, made read-only
+        if eta.shape != (pool.w,) or not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails
             raise ValueError("eta_fn must map pool points to values in [0, 1]")
+        eta.setflags(write=False)
+        self.eta = eta
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
         self._labels = (rng.random(pool.w) < eta).astype(np.int64)
         self._revealed = np.zeros(pool.w, dtype=bool)

@@ -408,6 +408,22 @@ class TestEvalProvenance:
     @pytest.mark.parametrize("body,match", [
         ("y0,label,lb,source_index\n0.25,0,0.1,0\n", "has header"),
         ("x0,x1,label,lb,source_index\n0.25,0,0.1,0\n", "record 1 has 4 fields"),
+        # records that parse but do not hold: a label outside {0, 1}, a
+        # non-finite coordinate or lb, source indices that do not increase
+        ("x0,label,lb,source_index\n0.25,2,0.1,0\n0.75,1,0.1,1\n",
+         "record 1: label 2 is not 0 or 1"),
+        ("x0,label,lb,source_index\n0.25,0,0.1,0\n0.75,-1,0.1,1\n",
+         "record 2: label -1 is not 0 or 1"),
+        ("x0,label,lb,source_index\n0.25,0,0.1,0\nnan,1,0.1,1\n",
+         "record 2: a coordinate or lb is not finite"),
+        ("x0,x1,label,lb,source_index\n0.25,-inf,0,0.1,0\n",
+         "record 1: a coordinate or lb is not finite"),
+        ("x0,label,lb,source_index\n0.25,0,inf,0\n", "record 1: a coordinate or lb is not finite"),
+        ("x0,label,lb,source_index\n0.25,0,0.1,4\n0.75,1,0.1,4\n",
+         "record 2: source indices must be strictly increasing"),
+        ("x0,label,lb,source_index\n0.25,0,0.1,4\n0.75,1,0.1,3\n",
+         "record 2: source indices must be strictly increasing"),
+        ("x0,label,lb,source_index\n0.25,one,0.1,0\n", "record 1: invalid literal"),
     ])
     def test_bad_layout_exits_2(self, tmp_path, capsys, body, match):
         active = tmp_path / "active.csv"
@@ -415,7 +431,7 @@ class TestEvalProvenance:
         path = write_config(tmp_path)
         assert main(["eval", "--config", path, "--active-set", str(active)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and match in err
+        assert err.startswith("error: ") and match in err and str(active) in err
 
 
 class TestThreadsFlag:

@@ -15,7 +15,7 @@ from kalls.pool import LabelOracle, Pool, nearest_order, neighbor_order, sq_dist
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
-                              confidence_radius, per_point_delta)
+                              adaptive_budget_bound, confidence_radius, per_point_delta)
 
 DELTA_S = 0.0015625  # delta = 0.05 at scan position s = 1
 
@@ -263,8 +263,7 @@ def run_once(seed, w=4000, n=1500, kappa=1.0, eps=0.2, mode="strict_paper"):
     config = KallsConfig(epsilon=eps, delta=0.05, n=n, budget_mode=mode)
     active, trace = run_kalls(pool, oracle, config, problem.certified_smooth,
                               problem.certified_margin,
-                              est_rng=substream(seed, "estimation"),
-                              eta_fn=problem.eta)
+                              est_rng=substream(seed, "estimation"))
     return problem, config, active, trace
 
 
@@ -400,6 +399,35 @@ class TestRunKalls:
                 agree += int(np.sum(pred == (eta[deep] >= 0.5)))
         assert agree / total >= 0.90
 
+    @pytest.mark.parametrize("family,d,boundary", [
+        ("power_margin_uniform_1d", 1, [0.5]),
+        ("power_margin_gaussian_1d", 1, [0.0]),
+        ("discrete_atoms", 1, None),  # no atom has eta = 1/2
+        ("product_uniform_nd", 2, [0.5, 0.5]),
+    ])
+    def test_k_tilde_is_the_bound_at_eta_of_the_point(self, family, d, boundary):
+        # k_tilde comes from the oracle's eta array; it must be the bound at eta
+        # evaluated on the point alone, and None where eta = 1/2
+        problem = make_problem(family, kappa=1.0, d=d, seed=0)
+        points = problem.sample(300, substream(12, "pool"))
+        if boundary is not None:  # scanned first, so always informative
+            points = np.vstack([boundary, points])
+        pool = Pool(points)
+        oracle = LabelOracle(pool, problem.eta, 400, seed=5, mode="cached_labels")
+        config = KallsConfig(epsilon=0.2, delta=0.05, n=400, budget_mode="cached_labels")
+        _, trace = run_kalls(pool, oracle, config, problem.certified_smooth,
+                             problem.certified_margin, est_rng=substream(12, "estimation"))
+        assert len(trace.per_point) >= 5
+        for entry in trace.per_point:
+            gap = abs(float(problem.eta(pool.points[entry.s - 1:entry.s])[0]) - 0.5)
+            want = None
+            if gap > 0.0:
+                want = adaptive_budget_bound(gap, per_point_delta(config.delta, entry.s),
+                                             config.c_const)
+            assert entry.k_tilde == want, entry.s
+        if boundary is not None:
+            assert trace.per_point[0].s == 1 and trace.per_point[0].k_tilde is None
+
     def test_oracle_budget_must_match(self):
         problem = make_problem("power_margin_uniform_1d", kappa=1.0, seed=0)
         pool = Pool(problem.sample(50, substream(8, "pool")))
@@ -457,11 +485,20 @@ class TestOneNN:
         for i in range(400):
             active.append(ActiveRecord(point=pts[i], inferred_label=int(labels[i]),
                                        lb=0.1, source_index=i))
-        queries = np.vstack([problem.sample(2000, substream(53, "points")), [[np.nan]]])
+        queries = problem.sample(2000, substream(53, "points"))
         got = one_nn_label_batch(active, queries)
-        want = [labels[nearest_order(pts, q)[0][0]] for q in queries[:-1]]
-        assert got[:-1].tolist() == want
-        assert got[-1] == 0  # a NaN query has no nearest record
+        want = [labels[nearest_order(pts, q)[0][0]] for q in queries]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_queries_rejected(self, d):
+        active = self._active([(np.full(d, 0.2), 0), (np.full(d, 0.8), 1)])
+        for c in range(d):
+            for bad in (np.nan, np.inf, -np.inf):
+                queries = np.full((3, d), 0.5)
+                queries[1, c] = bad
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    one_nn_label_batch(active, queries)
 
     def test_query_dimension_must_match(self):
         active = self._active([(0.2, 0), (0.8, 1)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from kalls.estimation import (BerEstResult, SamplerExhausted, _stages, ber_est,
+from kalls.estimation import (BerEstResult, SamplerExhausted, _thresholds, ber_est,
                               ber_est_max_stage, est_prob, est_prob_from_sq_dists,
                               g_factor)
 from kalls.pool import sq_dists
@@ -15,6 +15,11 @@ from kalls.seeding import substream
 
 # Standard parameters used throughout: accuracy 0.1, confidence 0.1, budget 50.
 EPS_O, DELTA_P, U = 0.1, 0.1, 50
+
+
+def stage_table(epsilon_o, delta_prime, u):
+    """The stage table ``_stage_loop`` runs for these parameters."""
+    return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
 def const_sampler(value):
@@ -306,7 +311,7 @@ class TestDeadStages:
     def test_table_nonempty_at_domain_corners(self, eps_o, delta_prime):
         # u = 7 is the smallest u; eps_o and delta' just inside (0, 1)
         assert ber_est_max_stage(eps_o, delta_prime, 7) >= 5
-        assert _stages(eps_o, delta_prime, 7)
+        assert stage_table(eps_o, delta_prime, 7)
 
     def test_only_live_stages_or_the_last(self):
         kinds = set()
@@ -314,7 +319,7 @@ class TestDeadStages:
                                               (0.5, 0.1, 1e-3, 1e-6, 1e-9),
                                               (7, 20, 50, 200)):
             i_max = ber_est_max_stage(eps_o, dp, u)
-            stages = _stages(eps_o, dp, u)
+            stages = stage_table(eps_o, dp, u)
             # the smallest 2^i whose threshold is < 1, scanned independently
             live = [2**i for i in range(3, i_max + 1)
                     if u * math.log(2.0 * 2**i / dp) / 2**i < 1.0]
@@ -330,7 +335,7 @@ class TestDeadStages:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
     def test_sampler_requests(self, p):
-        stages = _stages(EPS_O, DELTA_P, U)
+        stages = stage_table(EPS_O, DELTA_P, U)
         m_live = stages[0][0]
         assert m_live == 512
         requests = []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -100,6 +102,20 @@ class TestPassiveKnn:
             votes = y[keyed[:k]].sum()
             assert got[qi] == (1 if 2 * votes >= k else 0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_rejected(self, d):
+        # a NaN or infinite coordinate anywhere, in a query or a labelled point
+        rng = substream(10, "points", d)
+        X, y, queries = rng.random((20, d)), rng.integers(0, 2, 20), rng.random((5, d))
+        for c in range(d):
+            for bad in (np.nan, np.inf, -np.inf):
+                bad_q, bad_X = queries.copy(), X.copy()
+                bad_q[2, c], bad_X[4, c] = bad, bad
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    PassiveKnn(X, y, k=3)(bad_q)
+                with pytest.raises(ValueError, match="points must be finite"):
+                    PassiveKnn(bad_X, y, k=3)(queries)
+
     def test_noiseless_risk_improves_with_more_labels(self):
         p = make_problem("power_margin_uniform_1d", kappa=0.0, seed=0)
         wins = 0
@@ -182,6 +198,19 @@ class TestCompare:
         ra, rb = a.rows[0], b.rows[0]
         assert (ra.excess_active, ra.excess_passive, ra.labels_used_active) == \
             (rb.excess_active, rb.excess_passive, rb.labels_used_active)
+
+    def test_threads_give_the_same_rows(self):
+        # the process-pool branch (two workers) and the serial loop give one
+        # table, apart from the wall times
+        def rows(threads):
+            table = compare(self.p, [100, 200], self.cfg, seeds=[1, 2], w=400,
+                            n_test=500, threads=threads)
+            return [replace(row, wall_ms=0.0) for row in table.rows]
+
+        serial = rows(1)
+        assert [(r.budget, r.seed) for r in serial] == [(100, 1), (100, 2), (200, 1), (200, 2)]
+        assert any(r.informative_count for r in serial)
+        assert rows(2) == serial
 
     def test_median_fallback_counts_failures_as_worst_case(self):
         table = compare(self.p, [0], self.cfg, seeds=[1, 2], w=200, n_test=500)

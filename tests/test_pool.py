@@ -49,7 +49,7 @@ def bisection_windows(x: np.ndarray, q: np.ndarray, k: int
         hi = np.where(later, hi, mid)
     r = np.maximum(d2(lo), d2(lo + k - 1))
     certified = ((lo == 0) | (d2(np.maximum(lo - 1, 0)) > r)) \
-        & ((lo + k == n) | (d2(np.minimum(lo + k, n - 1)) > r)) & np.isfinite(q)
+        & ((lo + k == n) | (d2(np.minimum(lo + k, n - 1)) > r))
     return lo, certified
 
 
@@ -103,7 +103,7 @@ class TestKNearest:
 class TestNearestOrder:
     """``nearest_order`` repairs the ties of an unstable argsort; its order and
     ``neighbor_order``'s must be the lexicographic (distance, index) order on
-    every input, ties and non-finite distances included."""
+    every finite input, ties and distances that overflow to inf included."""
 
     @staticmethod
     def check(points, queries):
@@ -112,7 +112,7 @@ class TestNearestOrder:
         n = points.shape[0]
         for query in np.atleast_2d(np.asarray(queries, dtype=np.float64)):
             order, d2 = nearest_order(points, query)
-            assert np.array_equal(d2, sq_dists(points, query)[0], equal_nan=True)
+            assert np.array_equal(d2, sq_dists(points, query)[0])
             assert np.array_equal(order, np.lexsort((np.arange(n), d2)))
 
     @staticmethod
@@ -178,13 +178,33 @@ class TestNearestOrder:
     def test_non_finite(self):
         rng = substream(30, "points")
         pts = rng.random((200, 3))
-        # rows that mix finite, infinite and NaN distances
-        mixed = np.concatenate([rng.random(100), [np.nan, np.inf, -np.inf] * 40, rng.random(50)])
+        # finite coordinates whose squared distances overflow to inf: rows that
+        # mix finite distances with runs of tied infinite ones
+        mixed = np.concatenate([rng.random(100), [1e200, -1e200, 1e300] * 40, rng.random(50)])
         rng.shuffle(mixed)
         with np.errstate(over="ignore"):  # 1e200 squared overflows to inf
-            self.check(pts, [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0],
-                             [np.inf, -np.inf, 0.0], [1e200, 0.0, 0.0]])
+            self.check(pts, [[1e200, 0.5, 0.5], [-1e200, 0.0, 0.0], [1e200, -1e200, 0.0]])
             self.check(mixed, [[0.5], [0.0], [1e200]])
+        # NaN and infinite coordinates are rejected, in the query and in the points
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="query must be finite"):
+                nearest_order(pts, [bad, 0.5, 0.5])
+            with pytest.raises(ValueError, match="points must be finite"):
+                nearest_order(np.vstack([pts, [[0.5, bad, 0.5]]]), pts[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_rejected(self, d):
+        pts = substream(31, "points", d).random((20, d))
+        for c in range(d):
+            for bad in (np.nan, np.inf, -np.inf):
+                query = np.full(d, 0.5)
+                query[c] = bad
+                with pytest.raises(ValueError, match="query must be finite"):
+                    nearest_order(pts, query)
+                bad_pts = pts.copy()
+                bad_pts[7, c] = bad
+                with pytest.raises(ValueError, match="points must be finite"):
+                    nearest_order(bad_pts, pts[0])
 
 
 class TestPoolCsv:
@@ -286,10 +306,18 @@ class TestLabelOracle:
         idx = np.arange(50)
         assert np.array_equal(a.request_batch(idx), b.request_batch(idx))
 
+    def test_eta_is_a_read_only_copy(self):
+        pool = self._pool()
+        eta = pool.points[:, 0].copy()
+        oracle = LabelOracle(pool, lambda X: eta, 10, seed=1)
+        assert np.array_equal(oracle.eta, eta) and oracle.eta is not eta
+        assert eta.flags.writeable and not oracle.eta.flags.writeable
+
     def test_eta_validation(self):
         pool = self._pool()
-        with pytest.raises(ValueError):
-            LabelOracle(pool, lambda X: np.full(X.shape[0], 1.5), 10, seed=1)
+        for bad in (1.5, -0.5, np.nan):  # a NaN eta would draw label 0
+            with pytest.raises(ValueError, match="eta_fn"):
+                LabelOracle(pool, lambda X: np.full(X.shape[0], bad), 10, seed=1)
 
     def test_neighbor_order_excludes_center(self):
         pool = self._pool(w=30)
@@ -374,12 +402,18 @@ class TestWindowVote:
                 self.check(x, labels, [q], k)
 
     def test_non_finite_queries(self):
+        # +-1e200 is at distance inf from every point: all distances tie, and
+        # only the window of all n points is certified; NaN and infinite
+        # queries are rejected
         rng = substream(24, "points")
         x, labels = rng.random(40), rng.integers(0, 2, 40)
-        queries = [np.nan, np.inf, -np.inf, 0.5]
         for k in (1, 3, 39, 40):
-            certified = self.check(x, labels, queries, k)
-            assert not certified[:3].any()
+            with np.errstate(over="ignore"):
+                certified = self.check(x, labels, [1e200, -1e200, 0.5], k)
+            assert certified[:2].tolist() == [k == 40] * 2
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    knn_vote(x[:, None], labels, [[0.5], [bad]], k)
 
     def test_computes_no_full_distance_block(self, monkeypatch):
         shapes = []
@@ -421,8 +455,9 @@ class TestWindowVote:
             self.check(x, labels, queries, k)
 
     def test_repeated_and_non_finite_queries(self, monkeypatch):
-        # uncertified finite rows are voted once per distinct value (-0.0 and
-        # 0.0 are one value); NaN and infinite rows each go to brute force
+        # uncertified rows are voted once per distinct value (-0.0 and 0.0 are
+        # one value), the +-1e200 rows whose distances overflow to inf
+        # included; a NaN or infinite query is rejected
         rows = []
         real = kalls.pool.sq_dists
 
@@ -433,17 +468,19 @@ class TestWindowVote:
         monkeypatch.setattr(kalls.pool, "sq_dists", spy)
         rng = substream(27, "points")
         x, labels = rng.integers(0, 8, 60).astype(np.float64), rng.integers(0, 2, 60)
-        values = np.concatenate([np.arange(-1.0, 9.0, 0.5), [-0.0, np.nan, np.inf, -np.inf]])
+        values = np.concatenate([np.arange(-1.0, 9.0, 0.5), [-0.0, 1e200, -1e200]])
         queries = values[rng.integers(0, values.size, 500)]
-        finite = np.isfinite(queries)
         for k in (1, 7, 30, 59, 60):
-            alone = [knn_vote(x[:, None], labels, [[v]], k)[0] for v in queries]
-            rows.clear()
-            assert knn_vote(x[:, None], labels, queries[:, None], k).tolist() == alone
-            voted = sum(rows)
-            certified = self.check(x, labels, queries, k)
-            assert voted == (np.unique(queries[~certified & finite]).size
-                             + np.count_nonzero(~finite))
+            with np.errstate(over="ignore"):
+                alone = [knn_vote(x[:, None], labels, [[v]], k)[0] for v in queries]
+                rows.clear()
+                assert knn_vote(x[:, None], labels, queries[:, None], k).tolist() == alone
+                voted = sum(rows)
+                certified = self.check(x, labels, queries, k)
+            assert voted == np.unique(queries[~certified]).size
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    knn_vote(x[:, None], labels, np.append(queries, bad)[:, None], k)
 
     def test_k_out_of_range(self):
         for d in (1, 2, 3):
@@ -470,8 +507,7 @@ class TestWindowVote:
 class TestBruteForceVote:
     """The brute-force ``knn_vote`` (every d >= 2 query) and ``nearest_mask``
     against an independent reference, ``sorted(range(n), key=(d2, j))[:k]``
-    with distances summed in Python.  A NaN query's distances compare false
-    with everything, so it has no k-NN set and votes 0."""
+    with distances summed in Python."""
 
     @staticmethod
     def check(points, labels, queries, k):
@@ -480,13 +516,12 @@ class TestBruteForceVote:
         mask = nearest_mask(d2, k)
         votes = knn_vote(points, labels, queries, k)
         for row, query in enumerate(queries):
-            ref = [] if np.isnan(query).any() else brute_force_order(points, query)[:k]
+            ref = brute_force_order(points, query)[:k]
             assert np.flatnonzero(mask[row]).tolist() == sorted(ref)
             assert votes[row] == int(2 * sum(labels[j] for j in ref) >= k)
         # rows with more points at the k-th distance than fit: the trimmed ones
-        with np.errstate(invalid="ignore"):
-            kth = np.sort(d2, axis=1)[:, k - 1, None]
-            return np.count_nonzero(d2 <= kth, axis=1) > k
+        kth = np.sort(d2, axis=1)[:, k - 1, None]
+        return np.count_nonzero(d2 <= kth, axis=1) > k
 
     @staticmethod
     def chunk_rows(monkeypatch):
@@ -540,16 +575,22 @@ class TestBruteForceVote:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_non_finite_queries(self, d):
+        # a coordinate of +-1e200 puts every point at distance inf: the row
+        # ties throughout and keeps the k lowest indices; NaN and infinite
+        # coordinates are rejected
         rng = substream(34, "points", d)
         pts, labels = rng.random((50, d)), rng.integers(0, 2, 50)
-        special = np.full((6, d), 0.5)
-        special[:, 0] = [np.nan, np.inf, -np.inf, np.inf, 0.5, 0.5]
-        special[3, 1], special[4, 1], special[5, 1] = -np.inf, np.nan, np.inf
+        special = np.full((4, d), 0.5)
+        special[:, 0] = [1e200, -1e200, 1e200, 0.5]
+        special[2, 1], special[3, 1] = -1e200, 1e200
         queries = np.vstack([special, rng.random((6, d))])
         for k in (1, 25, 50):
-            excess = self.check(pts, labels, queries, k)
-            assert excess[[1, 2, 3, 5]].all() == (k < 50)
-            assert knn_vote(pts, labels, queries[[0, 4]], k).tolist() == [0, 0]
+            with np.errstate(over="ignore"):
+                excess = self.check(pts, labels, queries, k)
+            assert excess[:4].all() == (k < 50)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    knn_vote(pts, labels, np.vstack([queries, [[0.5, bad] + [0.5] * (d - 2)]]), k)
 
     def test_non_finite_points_rejected(self):
         # a NaN point would void the k-th distance of every row it sits on
@@ -561,17 +602,32 @@ class TestBruteForceVote:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_vote_follows_nearest_order(self, d):
-        # finite points: the k-NN set of every non-NaN query, ties and infinite
-        # queries included, is its first k in nearest_order
+        # the k-NN set of every query, ties and distances that overflow to inf
+        # included, is its first k in nearest_order
         rng = substream(37, "points", d)
         pts = rng.integers(0, 4, (60, d)).astype(np.float64)
         labels = rng.integers(0, 2, 60)
         queries = np.vstack([pts[:10], rng.random((10, d)) * 4,
-                             np.full((1, d), np.inf), np.full((1, d), -np.inf)])
+                             np.full((1, d), 1e200), np.full((1, d), -1e200)])
         for k in (1, 2, 7, 30, 60):
-            want = [int(2 * labels[nearest_order(pts, q)[0][:k]].sum() >= k)
-                    for q in queries]
-            assert knn_vote(pts, labels, queries, k).tolist() == want
+            with np.errstate(over="ignore"):
+                want = [int(2 * labels[nearest_order(pts, q)[0][:k]].sum() >= k)
+                        for q in queries]
+                assert knn_vote(pts, labels, queries, k).tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_rejected(self, d):
+        # a NaN or infinite coordinate anywhere, in a point or a query
+        rng = substream(39, "points", d)
+        pts, labels, queries = rng.random((20, d)), rng.integers(0, 2, 20), rng.random((5, d))
+        for c in range(d):
+            for bad in (np.nan, np.inf, -np.inf):
+                bad_q, bad_pts = queries.copy(), pts.copy()
+                bad_q[3, c], bad_pts[7, c] = bad, bad
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    knn_vote(pts, labels, bad_q, 3)
+                with pytest.raises(ValueError, match="points must be finite"):
+                    knn_vote(bad_pts, labels, queries, 3)
 
     def test_chunks_end_ragged(self, monkeypatch):
         # n = 200 puts 65,536 // 200 = 327 queries in a chunk; 700 queries
