@@ -4,8 +4,8 @@ plus a synthetic laboratory that makes its working assumptions executable."""
 __version__ = "0.1.0"
 
 from .core import (ActiveRecord, ActiveSet, ConfidentOutcome, EmptyActiveSet,
-                   RunTrace, as_classifier, confident_label, one_nn_label_batch,
-                   reliable, run_kalls)
+                   RunTrace, confident_label, one_nn_label_batch, reliable,
+                   run_kalls)
 from .estimation import BerEstResult, ber_est, est_prob, g_factor
 from .evaluate import (ComparisonTable, RiskEstimate, compare, default_passive_k,
                        excess_risk, passive_knn)
@@ -21,8 +21,7 @@ from .thresholds import (INFEASIBLE_BUDGET, DoublingParams, FeasibilityReport,
 __all__ = [
     "__version__",
     "ActiveRecord", "ActiveSet", "ConfidentOutcome", "EmptyActiveSet", "RunTrace",
-    "as_classifier", "confident_label", "one_nn_label_batch", "reliable",
-    "run_kalls",
+    "confident_label", "one_nn_label_batch", "reliable", "run_kalls",
     "BerEstResult", "ber_est", "est_prob", "g_factor",
     "ComparisonTable", "RiskEstimate", "compare", "default_passive_k",
     "excess_risk", "passive_knn",

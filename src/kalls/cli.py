@@ -315,9 +315,10 @@ def cmd_eval(args) -> int:
                   f"{saved.get(key, default)!r}, the eval config has "
                   f"{cfg.problem.get(key, default)!r}", file=sys.stderr)
     seed = _seed(args, cfg)
-    est = excess_risk(core.as_classifier(active), problem, cfg.n_test,
+    # the test draw of the (seed, budgets[0]) sweep cell, the cell `run` learns in
+    est = excess_risk(lambda X: core.one_nn_label_batch(active, X), problem, cfg.n_test,
                       delta_margin=margin_delta(cfg.epsilon, cfg.margin_params(problem)),
-                      rng=substream(seed, "evaluation"))
+                      rng=substream(seed, "evaluation", cfg.budgets[0]))
     payload = _provenance(cfg, seed)
     payload["active_set"] = args.active_set
     payload["risk"] = asdict(est)

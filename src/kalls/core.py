@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -325,10 +324,3 @@ def one_nn_label_batch(active: ActiveSet, queries: np.ndarray) -> np.ndarray:
         raise EmptyActiveSet("cannot classify with an empty active set")
     return knn_vote(active.points(), active.labels(), queries, 1)
 
-
-def as_classifier(active: ActiveSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap an active set as a batch classifier callable."""
-    def classify(X: np.ndarray) -> np.ndarray:
-        return one_nn_label_batch(active, X)
-
-    return classify

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Decimal, localcontext
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -83,14 +84,11 @@ class PassiveKnn:
         return knn_vote(self.X, self.y, queries, self.k)
 
 
-def passive_knn(problem: SyntheticProblem, n_labels: int, k_n: int | None,
+def passive_knn(problem: SyntheticProblem, n_labels: int, k_n: int,
                 rng: np.random.Generator) -> PassiveKnn:
     """Draw n_labels labeled pairs from the problem and return the k_n-NN rule."""
     if n_labels < 1:
         raise ValueError(f"n_labels must be >= 1, got {n_labels}")
-    if k_n is None:
-        alpha = problem.certified_smooth.alpha if problem.certified_smooth else 1.0
-        k_n = default_passive_k(n_labels, alpha, problem.d)
     if k_n > n_labels:
         raise ValueError(f"k_n {k_n} exceeds n_labels {n_labels}")
     X = problem.sample(n_labels, rng)
@@ -179,18 +177,22 @@ def run_active(problem: SyntheticProblem, config: KallsConfig, w: int, seed: int
                           est_rng=substream(seed, "estimation", budget))
 
 
-def run_cell(problem: SyntheticProblem, config: KallsConfig, w: int,
-             budget: int, seed: int, n_test: int, delta_margin: float,
-             smooth: SmoothnessParams, margin: MarginParams) -> CellResult:
-    """One (budget, seed) cell: active run, label-matched passive baseline,
-    paired evaluation on a shared test draw."""
+def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
+             n_test: int, delta_margin: float, smooth: SmoothnessParams,
+             margin: MarginParams) -> CellResult:
+    """One (budget, seed) cell, budget ``config.n``: active run, label-matched
+    passive baseline, paired evaluation on a shared test draw.  The passive k
+    is ``default_passive_k`` at the alpha of ``smooth``, the smoothness the
+    active run used."""
     t0 = time.perf_counter()
-    active, trace = run_active(problem, replace(config, n=budget), w, seed, smooth, margin)
+    budget = config.n
+    active, trace = run_active(problem, config, w, seed, smooth, margin)
     X_test = problem.sample(n_test, substream(seed, "evaluation", budget))
 
     error_parts = []
     if len(active):
-        est_a = _risk_on_sample(core.as_classifier(active), problem, X_test, delta_margin)
+        est_a = _risk_on_sample(lambda X: core.one_nn_label_batch(active, X),
+                                problem, X_test, delta_margin)
         excess_active, agreement = est_a.excess_risk, est_a.deep_margin_agreement
     else:
         excess_active, agreement = None, None
@@ -198,7 +200,8 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, w: int,
 
     labels_used = trace.labels_spent
     if labels_used >= 1:
-        classifier_p = passive_knn(problem, labels_used, None,
+        classifier_p = passive_knn(problem, labels_used,
+                                   default_passive_k(labels_used, smooth.alpha, problem.d),
                                    substream(seed, "passive", budget))
         est_p = _risk_on_sample(classifier_p, problem, X_test, delta_margin)
         excess_passive = est_p.excess_risk
@@ -219,14 +222,16 @@ def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
             delta_margin: float | None = None, threads: int = 1,
             smooth: SmoothnessParams | None = None,
             margin: MarginParams | None = None) -> ComparisonTable:
-    """Active-vs-passive grid over budgets x seeds.
+    """Active-vs-passive grid over budgets x seeds: one ``run_cell`` per
+    (budget, seed), with ``config`` at ``n = budget``.
 
     The learner uses ``smooth`` and ``margin``, by default the problem's
     certified constants; a problem without certified smoothness (kappa = 0)
     needs ``smooth``.  The passive baseline is trained on the labels the active
-    run actually spent (label-for-label fairness).  Per-cell failures are
-    recorded in the row, not raised.  Cells own independent substreams keyed by
-    (seed, budget), so the result is identical however the grid is scheduled.
+    run actually spent (label-for-label fairness), with k from the alpha of
+    ``smooth``.  Per-cell failures are recorded in the row, not raised.  Cells
+    own independent substreams keyed by (seed, budget), so the result is
+    identical however the grid is scheduled.
     """
     if not budgets or not seeds:
         raise ValueError("budgets and seeds must be nonempty")
@@ -236,12 +241,15 @@ def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
     margin = margin or problem.certified_margin
     if delta_margin is None:
         delta_margin = margin_delta(config.epsilon, margin)
-    cells = [(problem, config, w, b, s, n_test, delta_margin, smooth, margin)
-             for b in budgets for s in seeds]
+    cell = partial(run_cell, problem, w=w, n_test=n_test, delta_margin=delta_margin,
+                   smooth=smooth, margin=margin)
+    configs = [replace(config, n=b) for b in budgets]
+    # the config and the seed of each cell, budget-major
+    grid = ([c for c in configs for _ in seeds], [s for _ in configs for s in seeds])
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(run_cell, *zip(*cells)))
+            rows = list(ex.map(cell, *grid))
     else:
-        rows = [run_cell(*cell) for cell in cells]
+        rows = list(map(cell, *grid))
     return ComparisonTable(rows=rows)

@@ -20,14 +20,6 @@ import numpy as np
 from .seeding import substream
 from .thresholds import DoublingParams, MarginParams, SmoothnessParams
 
-FAMILIES = (
-    "power_margin_uniform_1d",
-    "power_margin_gaussian_1d",
-    "discrete_atoms",
-    "product_uniform_nd",
-)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     assumption: str
@@ -130,6 +122,12 @@ def _interval_mass(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0, 1.0)
 
 
+def _grid_1d(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (center, radius) pair of the two grids, centers as an (n, 1) column."""
+    cc, rr = np.meshgrid(centers, radii, indexing="ij")
+    return cc.reshape(-1, 1), rr.ravel()
+
+
 class UniformPowerMargin1D(SyntheticProblem):
     family = "power_margin_uniform_1d"
 
@@ -150,10 +148,7 @@ class UniformPowerMargin1D(SyntheticProblem):
         return _interval_mass(x - r, x + r)
 
     def doubling_grid(self):
-        centers = np.linspace(0.0125, 0.9875, 40)
-        radii = np.geomspace(1e-3, 2.0, 25)
-        cc, rr = np.meshgrid(centers, radii, indexing="ij")
-        return cc.reshape(-1, 1), rr.ravel()
+        return _grid_1d(np.linspace(0.0125, 0.9875, 40), np.geomspace(1e-3, 2.0, 25))
 
 
 class GaussianPowerMargin1D(SyntheticProblem):
@@ -184,10 +179,8 @@ class GaussianPowerMargin1D(SyntheticProblem):
 
     def doubling_grid(self):
         from scipy.special import ndtri
-        centers = ndtri(np.linspace(1e-3, 1.0 - 1e-3, 40))
-        radii = np.geomspace(1e-3, 8.0, 25)
-        cc, rr = np.meshgrid(centers, radii, indexing="ij")
-        return cc.reshape(-1, 1), rr.ravel()
+        return _grid_1d(ndtri(np.linspace(1e-3, 1.0 - 1e-3, 40)),
+                        np.geomspace(1e-3, 8.0, 25))
 
 
 class DiscreteAtoms(SyntheticProblem):
@@ -237,11 +230,8 @@ class DiscreteAtoms(SyntheticProblem):
 
     def doubling_grid(self):
         step = max(1, self.n_atoms // 40)
-        centers = self.atoms[::step]
         spacing = 1.0 / self.n_atoms
-        radii = np.geomspace(0.6 * spacing, 2.0, 25)
-        cc, rr = np.meshgrid(centers, radii, indexing="ij")
-        return cc.reshape(-1, 1), rr.ravel()
+        return _grid_1d(self.atoms[::step], np.geomspace(0.6 * spacing, 2.0, 25))
 
 
 def _quarter_disc_area(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -311,28 +301,26 @@ class ProductUniformND(SyntheticProblem):
         return cc, rr
 
 
+_FAMILY_TABLE = {cls.family: cls for cls in (UniformPowerMargin1D, GaussianPowerMargin1D,
+                                              DiscreteAtoms, ProductUniformND)}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
 def make_problem(family: str, kappa: float = 1.0, d: int = 1, seed: int = 0,
                  n_atoms: int | None = None) -> SyntheticProblem:
     """Factory for the synthetic families; kappa = 0 is the noiseless limit.
-    ``n_atoms`` applies to ``discrete_atoms`` alone (default 256)."""
-    if n_atoms is not None and family != "discrete_atoms":
+    Every family but ``product_uniform_nd`` is one-dimensional.  ``n_atoms``
+    applies to ``discrete_atoms`` alone (default 256)."""
+    if n_atoms is not None and family != DiscreteAtoms.family:
         raise ValueError(f"n_atoms applies only to discrete_atoms, not {family!r}")
-    if family == "power_margin_uniform_1d":
-        if d != 1:
-            raise ValueError("power_margin_uniform_1d is one-dimensional")
-        return UniformPowerMargin1D(kappa, seed)
-    if family == "power_margin_gaussian_1d":
-        if d != 1:
-            raise ValueError("power_margin_gaussian_1d is one-dimensional")
-        return GaussianPowerMargin1D(kappa, seed)
-    if family == "discrete_atoms":
-        if d != 1:
-            raise ValueError("discrete_atoms is one-dimensional")
-        return (DiscreteAtoms(kappa, seed) if n_atoms is None
-                else DiscreteAtoms(kappa, seed, n_atoms=n_atoms))
-    if family == "product_uniform_nd":
-        return ProductUniformND(kappa, d, seed)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    cls = _FAMILY_TABLE.get(family)
+    if cls is None:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if cls is ProductUniformND:
+        return cls(kappa, d, seed)
+    if d != 1:
+        raise ValueError(f"{family} is one-dimensional")
+    return cls(kappa, seed) if n_atoms is None else cls(kappa, seed, n_atoms=n_atoms)
 
 
 # -- assumption checkers ----------------------------------------------------

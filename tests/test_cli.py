@@ -368,6 +368,27 @@ class TestEvalCommand:
         assert risk["n_test"] == 1000
 
 
+    def test_eval_scores_the_cell_of_the_run(self, tmp_path):
+        # the CI noiseless smoke config: run keeps 2 records at budget 20000;
+        # budgets[0] is the larger budget, so a key of the last budget differs
+        path = write_config(tmp_path,
+                            problem={"family": "power_margin_uniform_1d", "kappa": 0.0},
+                            smoothness_override={"alpha": 1.0, "L": 1.2},
+                            pool_size=800, budgets=[20000, 5000], epsilon=0.4,
+                            n_test=500)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert main(["eval", "--config", path, "--out", str(out),
+                     "--active-set", str(out / "active_set_seed3_n20000.csv")]) == 0
+        with open(out / "comparison.csv") as fh:
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        (cell,) = [r for r in rows if r["budget"] == "20000" and r["seed"] == "3"]
+        risk = json.load(open(out / "risk.json"))["risk"]
+        assert risk["excess_risk"] == float(cell["excess_active"])
+        assert risk["deep_margin_agreement"] == float(cell["deep_margin_agreement"])
+
+
 class TestEvalProvenance:
     UNIFORM = {"family": "power_margin_uniform_1d", "kappa": 1.0, "d": 1}
 

@@ -11,7 +11,7 @@ from kalls.evaluate import (CellResult, ComparisonTable, PassiveKnn, compare,
 from kalls.pool import nearest_mask, sq_dists
 from kalls.seeding import substream
 from kalls.synth import make_problem
-from kalls.thresholds import KallsConfig
+from kalls.thresholds import KallsConfig, SmoothnessParams
 
 
 def bayes_classifier(problem):
@@ -211,6 +211,25 @@ class TestCompare:
         assert [(r.budget, r.seed) for r in serial] == [(100, 1), (100, 2), (200, 1), (200, 2)]
         assert any(r.informative_count for r in serial)
         assert rows(2) == serial
+
+    def test_passive_k_follows_the_smoothness_of_the_run(self):
+        # alpha 0.5 gives k = ceil(labels^(1/2)); the certified alpha of kappa 1
+        # (1.0) would give ceil(labels^(2/3))
+        smooth = SmoothnessParams(alpha=0.5, L=2.0, d=1)
+        budgets, seeds = [200, 400], [1, 2]
+        table = compare(self.p, budgets, self.cfg, seeds=seeds, w=400, n_test=500,
+                        smooth=smooth)
+        assert [(r.budget, r.seed) for r in table.rows] == [(b, s) for b in budgets
+                                                            for s in seeds]
+        for row in table.rows:
+            labels = row.labels_used_active
+            assert labels >= 1
+            passive = passive_knn(self.p, labels, default_passive_k(labels, 0.5, 1),
+                                  substream(row.seed, "passive", row.budget))
+            # excess_risk draws the cell's shared test sample from the same key
+            want = excess_risk(passive, self.p, 500, 0.0,
+                               substream(row.seed, "evaluation", row.budget))
+            assert row.excess_passive == want.excess_risk
 
     def test_median_fallback_counts_failures_as_worst_case(self):
         table = compare(self.p, [0], self.cfg, seeds=[1, 2], w=200, n_test=500)

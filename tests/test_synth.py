@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kalls.seeding import substream
-from kalls.synth import (FAMILIES, check_doubling, check_margin,
+from kalls.synth import (_FAMILY_TABLE, FAMILIES, check_doubling, check_margin,
                          check_smoothness, make_problem)
 from kalls.thresholds import DoublingParams, MarginParams, SmoothnessParams
 
@@ -19,6 +19,9 @@ def all_default_problems():
     ]
 
 
+ONE_D_FAMILIES = ["power_margin_uniform_1d", "power_margin_gaussian_1d", "discrete_atoms"]
+
+
 class TestFactory:
     def test_families_construct(self):
         for fam in FAMILIES:
@@ -26,11 +29,17 @@ class TestFactory:
             p = make_problem(fam, kappa=0.5, d=d, seed=0)
             assert p.family == fam
 
-    def test_rejects_bad_arguments(self):
+    def test_families_are_the_class_names_in_table_order(self):
+        assert FAMILIES == tuple(cls.family for cls in _FAMILY_TABLE.values())
+        assert FAMILIES == ("power_margin_uniform_1d", "power_margin_gaussian_1d",
+                            "discrete_atoms", "product_uniform_nd")
+
+    @pytest.mark.parametrize("one_d", ONE_D_FAMILIES)
+    def test_rejects_bad_arguments(self, one_d):
         with pytest.raises(ValueError):
             make_problem("no_such_family")
-        with pytest.raises(ValueError):
-            make_problem("power_margin_uniform_1d", d=2)
+        with pytest.raises(ValueError, match=f"{one_d} is one-dimensional"):
+            make_problem(one_d, d=2)
         with pytest.raises(ValueError):
             make_problem("product_uniform_nd", d=1)
         with pytest.raises(ValueError):
