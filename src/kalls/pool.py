@@ -8,8 +8,9 @@ the argument.  Finite coordinates can still square to inf (1e200, say); those
 distances tie as any equal values do.  Three functions carry it:
 ``sq_dists`` (the one distance formula), ``nearest_mask`` (the exact k-NN set
 of each row of distances) and ``knn_vote`` (the k-NN majority label, vote ties
-to 1; for d = 1 it reads each certified k-NN set off the sorted points,
-``_nearest_windows``, and leaves the other rows to ``nearest_mask``).
+to 1; it reads each certified k-NN set off the sorted points for d = 1,
+``_nearest_windows``, or off a grid block for d >= 2, ``_grid_vote``, and
+leaves the other rows to ``nearest_mask`` over all points).
 
 For d = 1 the window start of every query is one ``searchsorted`` among the
 window midpoints ``(xs[j] + xs[j + k]) / 2`` of the sorted points: start j
@@ -22,8 +23,35 @@ queries are voted once per distinct value: equal queries have equal distance
 rows, and on ``discrete_atoms`` data (every point on one of 256 atoms) 20,000
 queries hold at most 256 values.
 
-The brute-force vote (``_brute_vote``) serves every d >= 2 query and the
-uncertified d = 1 rows.  It takes ``max(1, _BLOCK // n)`` queries at a time,
+For d >= 2, ``knn_vote`` votes a query over the points near it where a
+certificate shows that they hold its k-NN set (``_grid_vote``).  The first
+two coordinates are cut into g x g cells at the points' empirical quantiles,
+g = floor((2n / k)^(1/d)), so that a d-cube one cell wide holds about k / 2
+points.  The queries of a cell are voted over the points of its 3 x 3 block
+of cells, and a row is kept when its k-th candidate distance is strictly
+below a lower bound on the distance of every point outside the block
+(``_grid_vote`` shows why the bound needs no epsilon).  The other rows go to
+the brute-force vote.  Small inputs stay on brute force (``_grid_side``):
+grids under 4 x 4, fewer than 128 points, and fewer than 40,000
+query-neighbour pairs m * k, which takes in the 1-NN over a handful of active
+records.  There the grid's sorts and per-cell calls cost more than the
+distances they save.  With 20,000 uniform d = 2 queries and the k that
+``default_passive_k`` gives at alpha 1 (n/k = 200/15, 1000/32 and 5000/71),
+the brute-force kernel took 0.042, 0.20 and 0.68 s and the grid 0.023,
+0.046 and 0.092 s (2-core x86-64 VM, best of 5).  Quantile edges keep
+the cells about equally full off the uniform law too, but more rows miss the
+certificate there: at 5000/71, Gaussian points took 0.17 s on the grid and
+clustered ones 0.16 s, against 0.60 and 0.62 s brute force.  A k-d tree
+(``scipy.spatial.cKDTree``) could propose the candidates as well, but
+importing ``scipy.spatial`` takes 0.42-0.47 s in a ``kalls`` process, most of
+what the tree saves on a sweep.  A fresh-process ``kalls sweep`` of the
+benchmark's sweep_2d grid (3 cells, 20,000 test points) took 1.18-1.37 s
+with the brute-force vote and 0.56-0.64 s with the grid (on a slower day of
+the host than the sweep figures below).
+
+The brute-force vote (``_brute_vote``) serves the grid's candidate blocks,
+the d >= 2 rows the grid leaves, and the uncertified d = 1 rows.  It takes
+``max(1, _BLOCK // n)`` queries at a time,
 so a chunk is about 65,536 distances: 512 KB of float64, and 1 MB with the
 partitioned copy, which stays in a 2 MB L2 cache through the passes over it
 (block sizes from 16,384 to 4,000,000 were timed; 65,536 to 131,072 were
@@ -37,11 +65,11 @@ smallest distance, and counts it per row.  A row that marks exactly k points
 holds its k-NN set: every point strictly closer than ``kth`` is in any k-NN
 set, and so are all the tied ones when they fit.  Only rows that mark more
 than k (ties at ``kth``) are trimmed to their lowest-index tied points.  On
-uniform d = 2 data with 20,000 queries, n/k = 200/13, 1000/56 and 5000/293
-took together about 2 s with 4 M-distance chunks and separate ``<``/``==``
-passes, and about 1 s with this kernel (2-core x86-64 VM; the README's
-"Neighbour search" gives each).  A fresh-process ``kalls sweep`` of a 3-cell d = 2 grid took
-1.8-2.2 s with per-chunk temporaries and 0.77-0.88 s with the buffers.
+uniform d = 2 data with 20,000 queries, n/k = 200/15, 1000/32 and 5000/71
+took together about 1.8 s with 4 M-distance chunks and separate ``<``/``==``
+passes, and about 0.9 s with this kernel (2-core x86-64 VM; the README's
+"Neighbour search" gives each).  The same 3-cell sweep took 1.8-2.2 s with
+per-chunk temporaries and 0.77-0.88 s with the buffers.
 
 A full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) sorts one
 ``sq_dists`` row with numpy's default (unstable) argsort, then repairs the
@@ -163,25 +191,29 @@ def _check_k(k: int, n: int) -> None:
 
 
 def nearest_mask(d2: np.ndarray, k: int, work: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, kth: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Boolean (m, n) mask of the k nearest points of each row of ``d2``: all
     strictly closer than the row's k-th smallest distance, then the lowest-index
     points tied at it.  One pass marks every point at or below the k-th
     distance; only the rows where that marks more than k (ties at the k-th
     distance) are trimmed to their lowest-index tied points.  ``work`` (float64)
     and ``out`` (bool), both shaped like ``d2``, hold the partitioned copy and
-    the mask when given."""
+    the mask when given; ``kth``, a float64 (m,) array, receives each row's
+    k-th smallest distance."""
     n = d2.shape[1]
     _check_k(k, n)
     part = np.empty_like(d2) if work is None else work
     np.copyto(part, d2)
     part.partition(k - 1, axis=1)
-    kth = part[:, k - 1, None]
-    mask = np.less_equal(d2, kth, out=out)
+    edge = part[:, k - 1, None]
+    if kth is not None:
+        kth[:] = edge[:, 0]
+    mask = np.less_equal(d2, edge, out=out)
     count = np.count_nonzero(mask, axis=1)
     over = np.flatnonzero(count > k)
     if over.size:  # most chunks have no tie rows (the skip saved ~3% on sweep_2d)
-        sub, at = d2[over], kth[over]
+        sub, at = d2[over], edge[over]
         tied = sub == at
         need = k - count[over] + np.count_nonzero(tied, axis=1)
         mask[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
@@ -254,7 +286,9 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
     """Majority {0, 1} label of the k nearest points to each query; a vote tie
     goes to 1.  For d = 1 a certified window (``_nearest_windows``) gives the
     vote as one difference of a cumulative count, and the other rows are voted
-    once per distinct query value; the rest is brute force (``_brute_vote``).
+    once per distinct query value.  For d >= 2, inputs that ``_grid_side``
+    admits are voted over the certified grid blocks of ``_grid_vote``.  The
+    rest is brute force (``_brute_vote``).
     The k-NN set of every query is its first k in ``nearest_order``.  The
     labels must have one entry per point, the points and queries finite
     coordinates of one dimension, and 1 <= k <= n."""
@@ -271,7 +305,8 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
     _check_k(k, n)
     ones_mask = labels == 1
     if d > 1:
-        return _brute_vote(pts, ones_mask, q, k)
+        g = _grid_side(n, k, q.shape[0], d)
+        return _grid_vote(pts, ones_mask, q, k, g) if g else _brute_vote(pts, ones_mask, q, k)
     order, start, certified = _nearest_windows(pts[:, 0], q[:, 0], k)
     cum = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(ones_mask[order], out=cum[1:])
@@ -285,11 +320,12 @@ def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
 
 
 def _brute_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray,
-                k: int) -> np.ndarray:
+                k: int, kth: np.ndarray | None = None) -> np.ndarray:
     """The k-NN vote of every query row from its full distance row
     (``nearest_mask``), ``max(1, _BLOCK // n)`` rows at a time.  The chunk
     buffers are allocated once, and the coordinates are read from
-    column-contiguous copies (module docstring)."""
+    column-contiguous copies (module docstring).  ``kth``, a float64 (m,)
+    array, receives each row's k-th smallest distance when given."""
     m, n = q.shape[0], pts.shape[0]
     out = np.empty(m, dtype=np.int64)
     if m == 0:
@@ -301,9 +337,84 @@ def _brute_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray,
     for lo in range(0, m, step):
         rows = min(step, m - lo)
         sq_dists(pts, q[lo:lo + rows], out=d2[:rows], work=work[:rows])
-        hit = nearest_mask(d2[:rows], k, work=work[:rows], out=mask[:rows])
+        hit = nearest_mask(d2[:rows], k, work=work[:rows], out=mask[:rows],
+                           kth=None if kth is None else kth[lo:lo + rows])
         hit &= ones_mask
         out[lo:lo + rows] = 2 * np.count_nonzero(hit, axis=1) >= k
+    return out
+
+
+def _grid_side(n: int, k: int, m: int, d: int) -> int:
+    """The cells per coordinate of the ``_grid_vote`` grid for m queries of the
+    k-NN vote over n points in d >= 2 dimensions, or 0 where brute force is
+    faster.  A d-cube one cell wide holds about k / 2 points, so the 3 x 3
+    block around a query holds its k-NN ball in most rows.  Brute force keeps
+    grids under 4 x 4, fewer than 128 points and m * k under 40,000, where
+    the grid's per-call sorts and per-cell work cost more than the distances
+    it saves (module docstring)."""
+    g = int((2 * n / k) ** (1 / d))
+    return g if g >= 4 and n >= 128 and m * k >= 40_000 else 0
+
+
+def _grid_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray, k: int,
+               g: int) -> np.ndarray:
+    """d >= 2: the k-NN vote of every query from the points in the 3 x 3
+    block of cells around it, on a g x g grid of the first two coordinates
+    with empirical-quantile edges, where a certificate holds; the other rows
+    go to ``_brute_vote`` over all points.
+
+    The candidates of a block are taken in ascending index order, so
+    ``nearest_mask`` keeps the lowest-index tie rule.  A row is certified when
+    its k-th candidate distance is strictly below a lower bound on the
+    ``sq_dists`` value of every point outside the block.  Such a point lies
+    beyond the block in coordinate c (0 or 1), past m, the largest coordinate
+    of the cells below the block or the smallest of the cells above it, and
+    its distance is at least ``fl(fl(q_c - m)^2)``: rounding is monotone, so
+    |fl(q_c - p_c)| >= |fl(q_c - m)|, and ``sq_dists`` adds non-negative terms,
+    so its sum is at least each term.  Every point within the k-th distance,
+    every tie at it included, is then a candidate, and the vote is the
+    brute-force one bit for bit."""
+    n, m = pts.shape[0], q.shape[0]
+    cell_p, cell_q = np.zeros(n, dtype=np.intp), np.zeros(m, dtype=np.intp)
+    bound = np.full(m, np.inf)
+    for c in (0, 1):
+        xs = np.sort(pts[:, c])
+        edges = xs[np.arange(1, g) * n // g]
+        cell_p = cell_p * g + np.searchsorted(edges, pts[:, c], side="right")
+        cq = np.searchsorted(edges, q[:, c], side="right")
+        cell_q = cell_q * g + cq
+        # below[j] points lie in the cells under cell j: pad[below[j]] is the
+        # largest of them, pad[below[j] + 1] the smallest point from cell j up
+        below = np.concatenate(([0], np.searchsorted(xs, edges), [n]))
+        pad = np.concatenate(([-np.inf], xs, [np.inf]))
+        # a query in cell i is at or above the edge under cell i and below the
+        # one over it, so both gaps are >= 0 (inf past the outer cells)
+        gap = np.minimum(q[:, c] - pad[below[np.maximum(cq - 1, 0)]],
+                         pad[below[np.minimum(cq + 2, g)] + 1] - q[:, c])
+        gap *= gap
+        np.minimum(bound, gap, out=bound)
+    order_p, order_q = np.argsort(cell_p), np.argsort(cell_q)
+    start_p, start_q = np.zeros((2, g * g + 1), dtype=np.intp)
+    np.cumsum(np.bincount(cell_p, minlength=g * g), out=start_p[1:])
+    np.cumsum(np.bincount(cell_q, minlength=g * g), out=start_q[1:])
+    out = np.empty(m, dtype=np.int64)
+    kth = np.empty(m)
+    rest = []
+    for cell in np.flatnonzero(start_q[1:] > start_q[:-1]):
+        rows = order_q[start_q[cell]:start_q[cell + 1]]
+        i, j = divmod(int(cell), g)
+        lo, hi = max(j - 1, 0), min(j + 1, g - 1)
+        cand = np.sort(np.concatenate([order_p[start_p[a * g + lo]:start_p[a * g + hi + 1]]
+                                       for a in range(max(i - 1, 0), min(i + 2, g))]))
+        if cand.size < k:
+            rest.append(rows)
+            continue
+        votes = _brute_vote(pts[cand], ones_mask[cand], q[rows], k, kth=kth[:rows.size])
+        sure = kth[:rows.size] < bound[rows]
+        out[rows[sure]] = votes[sure]
+        rest.append(rows[~sure])
+    rest = np.concatenate(rest)
+    out[rest] = _brute_vote(pts, ones_mask, q[rest], k)
     return out
 
 

@@ -505,9 +505,10 @@ class TestWindowVote:
 
 
 class TestBruteForceVote:
-    """The brute-force ``knn_vote`` (every d >= 2 query) and ``nearest_mask``
-    against an independent reference, ``sorted(range(n), key=(d2, j))[:k]``
-    with distances summed in Python."""
+    """The brute-force ``knn_vote`` (d >= 2 inputs under the grid's size rule,
+    as all of these are) and ``nearest_mask`` against an independent
+    reference, ``sorted(range(n), key=(d2, j))[:k]`` with distances summed in
+    Python."""
 
     @staticmethod
     def check(points, labels, queries, k):
@@ -521,6 +522,9 @@ class TestBruteForceVote:
             assert votes[row] == int(2 * sum(labels[j] for j in ref) >= k)
         # rows with more points at the k-th distance than fit: the trimmed ones
         kth = np.sort(d2, axis=1)[:, k - 1, None]
+        got = np.empty(d2.shape[0])
+        assert np.array_equal(nearest_mask(d2, k, kth=got), mask)
+        assert np.array_equal(got, kth[:, 0])
         return np.count_nonzero(d2 <= kth, axis=1) > k
 
     @staticmethod
@@ -684,3 +688,157 @@ class TestBruteForceVote:
             rows.clear()
             self.check(pts, labels, queries, k)
             assert rows == [1] * 10
+
+
+class TestGridVote:
+    """The d >= 2 grid vote (``pool._grid_vote``) against the brute-force
+    reference of ``TestBruteForceVote.check``.  ``check`` forces the grid side,
+    so that inputs small enough for the reference take the grid."""
+
+    @staticmethod
+    def check(monkeypatch, points, labels, queries, k, g):
+        """``TestBruteForceVote.check`` through a g x g grid.  Returns the tie
+        flags of ``TestBruteForceVote.check`` and whether each query row was
+        certified (False: voted by the brute-force fallback)."""
+        grid_sides, fallback = [], []
+        grid, brute = kalls.pool._grid_vote, kalls.pool._brute_vote
+
+        def grid_spy(pts, ones_mask, q, k, g):
+            grid_sides.append(g)
+            return grid(pts, ones_mask, q, k, g)
+
+        def brute_spy(pts, ones_mask, q, k, kth=None):
+            if kth is None:
+                fallback.extend(map(tuple, q))
+            return brute(pts, ones_mask, q, k, kth)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kalls.pool, "_grid_side", lambda n, k, m, d: g)
+            patch.setattr(kalls.pool, "_grid_vote", grid_spy)
+            patch.setattr(kalls.pool, "_brute_vote", brute_spy)
+            excess = TestBruteForceVote.check(points, labels, queries, k)
+        assert grid_sides == [g]
+        fallback = set(fallback)
+        return excess, np.array([tuple(q) not in fallback for q in queries])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_uniform(self, monkeypatch, d):
+        rng = substream(41, "points", d)
+        pts, labels = rng.random((300, d)), rng.integers(0, 2, 300)
+        queries = np.vstack([pts[:20], rng.random((180, d))])
+        for k, g in ((1, 8), (15, 5), (40, 4)):
+            _, certified = self.check(monkeypatch, pts, labels, queries, k, g)
+            # a block spans every third coordinate for d = 3
+            assert certified.mean() > 0.5 if d == 2 else certified.any()
+
+    def test_integer_lattice(self, monkeypatch):
+        # distinct lattice points: the quantile edges are lattice values, so
+        # points sit on cell edges, and queries on and between lattice points
+        # tie at the k-th distance; some of those rows are certified
+        rng = substream(42, "points")
+        grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
+        pts = grid[rng.permutation(400)[:300]].astype(np.float64)
+        labels = rng.integers(0, 2, 300)
+        queries = np.vstack([pts[:40], rng.integers(0, 20, (40, 2)) + 0.5,
+                             rng.integers(0, 20, (40, 2)) + np.array([0.5, 0.0]),
+                             rng.random((40, 2)) * 20])
+        for k, g in ((1, 8), (4, 10), (13, 6), (40, 4)):
+            excess, certified = self.check(monkeypatch, pts, labels, queries, k, g)
+            assert (excess & certified).any()
+
+    def test_duplicate_points(self, monkeypatch):
+        rng = substream(43, "points")
+        base = rng.random((40, 2))
+        pts, labels = base[rng.integers(0, 40, 300)], rng.integers(0, 2, 300)
+        queries = np.vstack([base, pts[:20], rng.random((60, 2))])
+        for k, g in ((1, 8), (7, 6), (20, 4)):
+            excess, certified = self.check(monkeypatch, pts, labels, queries, k, g)
+            assert (excess & certified).any()
+
+    def test_huge_coordinates(self, monkeypatch):
+        # +-1e200 coordinates in points and queries: distances that overflow
+        # to inf tie, and bounds that overflow certify nothing they should not
+        rng = substream(44, "points")
+        pts = rng.random((300, 2))
+        pts[:6] = [[1e200, 0.5], [-1e200, 0.5], [0.5, 1e200], [0.5, -1e200],
+                   [1e200, 1e200], [-1e200, 1e200]]
+        labels = rng.integers(0, 2, 300)
+        queries = np.vstack([pts[:6], [[1e200, 0.3], [0.3, -1e200], [-1e200, -1e200]],
+                             rng.random((60, 2))])
+        for k, g in ((1, 8), (15, 5), (40, 4)):
+            with np.errstate(over="ignore"):
+                _, certified = self.check(monkeypatch, pts, labels, queries, k, g)
+            assert certified[9:].any()
+
+    def test_queries_outside_the_points(self, monkeypatch):
+        rng = substream(45, "points")
+        pts, labels = rng.random((300, 2)), rng.integers(0, 2, 300)
+        queries = np.vstack([rng.random((60, 2)) * 5 - 2, rng.random((20, 2)) * 0.2 - 1.1,
+                             [[-50.0, 0.5], [0.5, 50.0], [1e6, -1e6]]])
+        for k, g in ((1, 8), (15, 5), (60, 4)):
+            _, certified = self.check(monkeypatch, pts, labels, queries, k, g)
+            assert certified.any() and not certified.all()
+
+    @pytest.mark.parametrize("law", ["gaussian", "clustered"])
+    def test_uncertified_rows_fall_back(self, monkeypatch, law):
+        # off the uniform law many rows miss the certificate: in the sparse
+        # tails, and for queries between clusters
+        rng = substream(46, "points", len(law))
+        if law == "gaussian":
+            pts, queries = rng.normal(size=(300, 2)), rng.normal(size=(100, 2)) * 1.5
+        else:
+            centres = rng.random((5, 2))
+            pts = centres[rng.integers(0, 5, 300)] + rng.normal(scale=0.02, size=(300, 2))
+            queries = np.vstack([centres[rng.integers(0, 5, 60)]
+                                 + rng.normal(scale=0.02, size=(60, 2)), rng.random((40, 2))])
+        labels = rng.integers(0, 2, 300)
+        for k, g in ((1, 8), (15, 5), (40, 4)):
+            _, certified = self.check(monkeypatch, pts, labels, queries, k, g)
+            assert certified.any() and not certified.all()
+
+    def test_one_nn_over_a_large_active_set(self, monkeypatch):
+        # 1-NN over 150 records and 40,000 queries takes the grid by the size
+        # rule; records on lattice points tie for queries between them
+        from kalls.core import ActiveRecord, ActiveSet, one_nn_label_batch
+        rng = substream(47, "points")
+        grid = np.stack(np.meshgrid(np.arange(30), np.arange(30)), axis=-1).reshape(-1, 2)
+        pts = grid[rng.permutation(900)[:150]].astype(np.float64)
+        labels = rng.integers(0, 2, 150)
+        active = ActiveSet()
+        for i, (p, y) in enumerate(zip(pts, labels)):
+            active.append(ActiveRecord(point=p, inferred_label=int(y), lb=0.0, source_index=i))
+        queries = np.vstack([rng.integers(0, 30, (20_000, 2)) + 0.5, rng.random((20_000, 2)) * 30])
+        sides = []
+        grid_vote = kalls.pool._grid_vote
+        monkeypatch.setattr(kalls.pool, "_grid_vote",
+                            lambda *args: sides.append(args[-1]) or grid_vote(*args))
+        got = one_nn_label_batch(active, queries)
+        assert sides == [17]
+        assert np.array_equal(got, kalls.pool._brute_vote(pts, labels == 1, queries, 1))
+        for row in range(0, 40_000, 200):
+            assert got[row] == labels[brute_force_order(pts, queries[row])[0]]
+
+    def test_branch_rule(self, monkeypatch):
+        side = kalls.pool._grid_side
+        # the passive arms of sweep_2d's cells, and larger ones
+        assert [side(n, k, 20_000, 2) for n, k in ((200, 15), (1000, 32), (5000, 71),
+                                                     (15_000, 123))] == [5, 7, 11, 15]
+        assert side(5000, 31, 20_000, 3) == 6
+        assert side(128, 1, 40_000, 2) == 16
+        # brute force: 1-NN over a few records, a grid under 4 x 4, fewer than
+        # 128 points, m * k under 40,000
+        assert side(3, 1, 20_000, 2) == 0
+        assert side(200, 26, 20_000, 2) == 0
+        assert side(127, 1, 10 ** 6, 2) == 0
+        assert side(200, 15, 2666, 2) == 0 and side(200, 15, 2667, 2) == 5
+        # knn_vote takes the grid exactly where the rule gives a side
+        sides = []
+        grid_vote = kalls.pool._grid_vote
+        monkeypatch.setattr(kalls.pool, "_grid_vote",
+                            lambda *args: sides.append(args[-1]) or grid_vote(*args))
+        rng = substream(48, "points")
+        pts, labels = rng.random((200, 2)), rng.integers(0, 2, 200)
+        for m in (2666, 2667):
+            knn_vote(pts, labels, rng.random((m, 2)), 15)
+        knn_vote(pts[:127], labels[:127], rng.random((40_000, 2)), 1)
+        assert sides == [5]
