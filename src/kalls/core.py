@@ -15,7 +15,7 @@ import numpy as np
 
 from . import thresholds as th
 from .estimation import est_prob
-from .pool import LabelOracle, Pool, knn_vote, nearest_order, neighbor_order
+from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
 
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
 
@@ -42,8 +42,6 @@ class ActiveSet:
     def __init__(self) -> None:
         self.records: list[ActiveRecord] = []
         self._points_cache: np.ndarray | None = None
-        self._rows_pool: Pool | None = None
-        self._rows_cache: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.records)
@@ -59,16 +57,6 @@ class ActiveSet:
             self._points_cache = (np.vstack([r.point for r in self.records])
                                   if self.records else np.zeros((0, 0)))
         return self._points_cache
-
-    def sorted_rows(self, pool: Pool) -> list[np.ndarray]:
-        """Each record's squared distances to the points of ``pool``, ascending.
-        A record's row is built once, on the first call after it is added; the
-        rows belong to one pool, and a different pool gets fresh rows."""
-        if self._rows_pool is not pool or len(self._rows_cache) > len(self.records):
-            self._rows_pool, self._rows_cache = pool, []
-        for rec in self.records[len(self._rows_cache):]:
-            self._rows_cache.append(np.sort(pool.sq_dists_from(rec.point)))
-        return self._rows_cache
 
     def labels(self) -> np.ndarray:
         return np.asarray([r.inferred_label for r in self.records], dtype=np.int64)
@@ -94,9 +82,10 @@ class ActiveSet:
     def from_csv(cls, path: str) -> "ActiveSet":
         """Load what ``to_csv`` writes: '#' comment lines, the header
         ``x0..x{d-1},label,lb,source_index`` (d = 0 for an empty set), then one
-        row of that width per record, with finite coordinates and lb, a label
-        of 0 or 1, and source indices that strictly increase.  Anything else
-        raises ValueError naming the file and, for a record, its number."""
+        row of that width per record, with at least one coordinate, finite
+        coordinates and lb, a label of 0 or 1, and source indices that strictly
+        increase.  Anything else raises ValueError naming the file and, for a
+        record, its number."""
         active = cls()
         with open(path) as fh:
             rows = [line.strip() for line in fh
@@ -114,6 +103,8 @@ class ActiveSet:
                 raise ValueError(f"active-set CSV {path}: record {row} has "
                                  f"{len(parts)} fields, the header {len(header)}")
             try:
+                if d == 0:
+                    raise ValueError("it has no coordinates")
                 point = [float(v) for v in parts[:d]]
                 label, lb = int(parts[d]), float(parts[d + 1])
                 if label not in (0, 1):
@@ -180,6 +171,11 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     majority label over the requested set.  The stopping index is computed on the
     oracle's predetermined realizations and exactly those labels are then
     requested, which is request-for-request identical to the sequential loop.
+
+    ``neighbors``, when given, must be ``neighbor_order(pool, center_index)``:
+    every pool index but the centre, nearest first, ties to the lower index
+    (``run_kalls`` passes the indices of its one ``center_order`` per point).
+    When it is None the order is computed here.
     """
     cap = min(int(k_prime), int(t_budget))
     if cap < 1:
@@ -216,10 +212,11 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     )
 
 
-def reliable(pool: Pool, x_index: int, delta_s: float, smooth: th.SmoothnessParams,
-             active: ActiveSet, u_const: int, rng: np.random.Generator) -> bool:
+def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float,
+             smooth: th.SmoothnessParams, active: ActiveSet, rows: list[np.ndarray],
+             u_const: int, rng: np.random.Generator) -> bool:
     """Informativeness test: True when some active record's neighborhood already
-    pins down the label of pool point ``x_index``.
+    pins down the label of the pool point ``x``.
 
     For each record (X', Y', c), estimates the pool mass of the open balls of
     radius rho(X, X') around X' and around X with accuracy (c / 64L)^(d/alpha),
@@ -228,19 +225,17 @@ def reliable(pool: Pool, x_index: int, delta_s: float, smooth: th.SmoothnessPara
     the test stops at the first that passes.  The empty active set is never
     reliable.
 
-    Each ball is counted with one ``searchsorted`` in ``est_prob``: X' on its
-    record's sorted pool row, which ``ActiveSet.sorted_rows`` builds once per
-    record (records x w x 8 bytes), and X on its own pool row, sorted once per
-    call.  The counts equal ``count_nonzero(d2 < r2)`` on the unsorted rows, so
-    every binomial draw, and the random stream, is that of a fresh distance
-    row per ball.
+    Each ball is counted with one ``searchsorted`` in ``est_prob`` on a sorted
+    row of squared distances to the pool: ``x_row`` is X's, and ``rows[j]`` is
+    that of record j of ``active``.  ``run_kalls`` takes X's row from its one
+    ``center_order`` of the scan step and keeps it as the row of the record X
+    becomes.  The counts equal ``count_nonzero(d2 < r2)`` on the unsorted
+    ``sq_dists`` rows, so every binomial draw, and the random stream, is that
+    of a fresh distance row per ball.
     """
     if not active.records:
         return False
-    x = pool.points[x_index]
     order, d2 = nearest_order(active.points(), x)
-    rows = active.sorted_rows(pool)
-    x_row = np.sort(pool.sq_dists_from(x))
     scale, power = 64.0 * smooth.L, smooth.d / smooth.alpha
 
     # np.sqrt is bit for bit the scalar sqrt of each entry
@@ -267,6 +262,11 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     pool is fully scanned.  For diagnostics, each informative point's trace
     record carries the noise-adaptive request bound k_tilde, from the
     oracle's eta at the point (None where eta is 1/2 or the bound overflows).
+
+    One ``center_order`` per scanned point gives X's neighbour order, which
+    ``confident_label`` requests along, and X's sorted pool row, on which
+    ``reliable`` counts the balls around X; an accepted X keeps that row for
+    the balls around its record.  No other pool distance is computed.
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -275,6 +275,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
     active = ActiveSet()
+    rows: list[np.ndarray] = []  # each record's sorted pool row, in record order
     trace = RunTrace()
 
     for s in range(1, pool.w + 1):
@@ -283,14 +284,18 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         trace.points_scanned = s
         delta_s = th.per_point_delta(config.delta, s)
         x_index = s - 1
+        neighbors, d2 = center_order(pool, x_index)
+        x_row = np.concatenate(([0.0], d2))  # X's own 0.0, left out of d2, sorts first
 
-        if reliable(pool, x_index, delta_s, smooth, active, config.u_const, est_rng):
+        if reliable(pool.points[x_index], x_row, delta_s, smooth, active, rows,
+                    config.u_const, est_rng):
             trace.reliable_skips += 1
             continue
 
         k_prime = th.label_budget_k(config.epsilon, delta_s, margin, config.c_const)
         t_before = oracle.remaining_budget
-        outcome = confident_label(pool, oracle, x_index, k_prime, t_before, delta_s)
+        outcome = confident_label(pool, oracle, x_index, k_prime, t_before, delta_s,
+                                  neighbors=neighbors)
         q_size = len(outcome.q)
         b_q = th.confidence_radius(delta_s, q_size)
         lb = abs(outcome.eta_hat - 0.5) - b_q
@@ -310,6 +315,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             active.append(ActiveRecord(point=pool.points[x_index].copy(),
                                        inferred_label=outcome.y_hat,
                                        lb=lb, source_index=x_index))
+            rows.append(x_row)
 
     trace.labels_spent = config.n - oracle.remaining_budget
     trace.stopped_reason = ("budget_exhausted" if oracle.remaining_budget <= 0

@@ -71,22 +71,23 @@ passes, and about 0.9 s with this kernel (2-core x86-64 VM; the README's
 "Neighbour search" gives each).  The same 3-cell sweep took 1.8-2.2 s with
 per-chunk temporaries and 0.77-0.88 s with the buffers.
 
-A full order (``nearest_order``, ``neighbor_order``, ``k_nearest``) sorts one
-``sq_dists`` row with numpy's default (unstable) argsort, then repairs the
-ties: where the sorted distances hold runs of equal values, one sort of the
-int64 keys ``run_number * n + index`` puts each run into index order.  This
-is exact: any ascending sort puts the same run of equal values at the same
-positions, and the key keeps the runs in place and orders only within each,
-which is what the stable argsort does.
+A full order (``nearest_order``, and ``center_order`` with its views
+``neighbor_order`` and ``k_nearest``) sorts one ``sq_dists`` row with numpy's
+default (unstable) argsort, then repairs the ties: where the sorted distances
+hold runs of equal values, one sort of the int64 keys
+``run_number * n + index`` puts each run into index order.  This is exact:
+any ascending sort puts the same run of equal values at the same positions,
+and the key keeps the runs in place and orders only within each, which is
+what the stable argsort does.
 A ``neighbor_order`` call on a 2-core x86-64 VM took, with the stable
 argsort and then with this one: w = 2000 uniform, 174 us -> 57 us; w = 4000
 uniform, 367 us -> 102 us; w = 4000 ``discrete_atoms`` (256 atoms, every row
 tied), 287 us -> 181 us.
 
-For d = 1, ``neighbor_order`` and ``k_nearest`` sort no distance row.  The
-pool keeps an ascending order of its coordinates, computed on first use with
-the default argsort (64 us at w = 4000; the stable one takes 325 us, and
-equal coordinates need no order, being equal distances from any centre).
+For d = 1, ``center_order`` sorts no distance row.  The pool keeps an
+ascending order of its coordinates, computed on first use with the default
+argsort (64 us at w = 4000; the stable one takes 325 us, and equal
+coordinates need no order, being equal distances from any centre).
 The points before the centre's sorted position, read backwards, and the
 points after it, read forwards, are two runs along which the rounded
 ``(x_c - x)^2`` never falls (the unimodality ``_nearest_windows`` rests on).
@@ -158,7 +159,13 @@ class Pool:
         return order, x[order], rank
 
     def sq_dists_from(self, x: np.ndarray) -> np.ndarray:
-        """Squared Euclidean distances from x to every pool point."""
+        """Squared Euclidean distances from x to every pool point.
+
+        Nothing in kalls calls it (``run_kalls`` takes each sorted pool row
+        from ``center_order``).  It stays because the benchmark's self-test
+        (``perfbench/test_perfbench.py``) reads it when it checks that a
+        traced run restores every wrapped function.
+        """
         return sq_dists(self.points, x)[0]
 
 
@@ -448,9 +455,12 @@ class NeighborList:
     neighbors: list[tuple[int, float]]
 
 
-def _center_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray]:
+def center_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The pool's indices but ``center_index``, nearest to it first, and their
-    squared distances in that order."""
+    squared distances in that order.  The distances are the ``sq_dists`` row of
+    the centre, its own 0.0 left out, in ascending order: with that 0.0 put in
+    front they are ``np.sort(sq_dists(pool.points, pool.points[center_index])[0])``
+    bit for bit."""
     if not 0 <= center_index < pool.w:
         raise ValueError(f"center_index {center_index} out of range [0, {pool.w})")
     if pool.d == 1:
@@ -461,7 +471,7 @@ def _center_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _merged_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """d = 1: ``_center_order`` from the two runs of sorted points on either
+    """d = 1: ``center_order`` from the two runs of sorted points on either
     side of the centre, merged by one stable argsort (module docstring)."""
     order, xs, rank = pool._sorted_1d
     p = rank[center_index]
@@ -474,15 +484,16 @@ def _merged_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray
 
 
 def neighbor_order(pool: Pool, center_index: int) -> np.ndarray:
-    """Full neighbor ordering of a pool point, center excluded."""
-    return _center_order(pool, center_index)[0]
+    """Full neighbor ordering of a pool point, center excluded: the indices of
+    ``center_order``."""
+    return center_order(pool, center_index)[0]
 
 
 def k_nearest(pool: Pool, center_index: int, k: int) -> NeighborList:
     """The k pool points closest to pool point ``center_index`` (itself excluded)."""
     if not 1 <= k <= pool.w - 1:
         raise ValueError(f"k must satisfy 1 <= k <= w-1 = {pool.w - 1}, got {k}")
-    order, d2 = _center_order(pool, center_index)
+    order, d2 = center_order(pool, center_index)
     return NeighborList(center_index, [(int(j), float(np.sqrt(r)))
                                        for j, r in zip(order[:k], d2[:k])])
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import kalls.core
+import kalls.pool
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
                         EmptyActiveSet, PerPointRecord, RunTrace, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
 from kalls.estimation import _stage_loop
-from kalls.pool import LabelOracle, Pool, nearest_order, neighbor_order, sq_dists
+from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
+                        sq_dists)
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
@@ -124,22 +126,32 @@ class TestConfidentLabel:
         assert any(fired) and not fired[-1]
 
 
+def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
+    """``reliable`` for pool point ``x_index``: its sorted pool row from
+    ``center_order``, as ``run_kalls`` takes it, and each record's from a fresh
+    ``sq_dists`` row of the record's point."""
+    x_row = np.concatenate(([0.0], center_order(pool, x_index)[1]))
+    rows = [np.sort(sq_dists(pool.points, r.point)[0]) for r in active.records]
+    return reliable(pool.points[x_index], x_row, delta_s, smooth, active, rows,
+                    u_const, rng)
+
+
 class TestReliable:
     def _smooth(self):
         return SmoothnessParams(alpha=1.0, L=2.0, d=1)
 
     def test_empty_active_set_is_never_reliable(self):
         pool = uniform_pool(50, seed=41)
-        assert reliable(pool, 0, DELTA_S, self._smooth(), ActiveSet(), 50,
-                        substream(1, "estimation")) is False
+        assert pool_reliable(pool, 0, DELTA_S, self._smooth(), ActiveSet(), 50,
+                             substream(1, "estimation")) is False
 
     def test_zero_distance_record_is_reliable(self):
         pool = uniform_pool(50, seed=42)
         active = ActiveSet()
         active.append(ActiveRecord(point=pool.points[9].copy(), inferred_label=1,
                                    lb=0.3, source_index=2))
-        assert reliable(pool, 9, DELTA_S, self._smooth(), active, 50,
-                        substream(2, "estimation")) is True
+        assert pool_reliable(pool, 9, DELTA_S, self._smooth(), active, 50,
+                             substream(2, "estimation")) is True
 
     def test_far_point_with_small_accuracy_is_informative(self):
         # record with guarantee lb so that eps_o = (lb/128)^1 = 0.05; a query at
@@ -154,8 +166,8 @@ class TestReliable:
                                    lb=0.05 * 128.0, source_index=0))
         false_count = 0
         for trial in range(200):
-            false_count += not reliable(pool, x_idx, 0.1, self._smooth(), active,
-                                        50, substream(trial, "estimation", 7))
+            false_count += not pool_reliable(pool, x_idx, 0.1, self._smooth(), active,
+                                             50, substream(trial, "estimation", 7))
         assert false_count >= 180
 
     def test_short_circuit_and_full_eval_agree_here(self):
@@ -164,23 +176,24 @@ class TestReliable:
         for j, src in ((3, 1), (200, 5)):
             active.append(ActiveRecord(point=pool.points[j].copy(), inferred_label=0,
                                        lb=0.2, source_index=src))
-        assert reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
-                        substream(9, "estimation")) is True  # zero-distance record present
+        # a zero-distance record is present
+        assert pool_reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
+                             substream(9, "estimation")) is True
 
 
-def reference_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
-    """``reliable`` with a fresh distance row per ball, counted with
-    ``count_nonzero(d2 < r2)``: the reference the sorted rows must match."""
+def reference_reliable(points, x, delta_s, smooth, active, u_const, rng):
+    """``reliable`` for ``x`` with a fresh distance row to the pool ``points``
+    per ball, counted with ``count_nonzero(d2 < r2)``: the reference the
+    sorted rows must match."""
     if not active.records:
         return False
-    x = pool.points[x_index]
     order, d2 = nearest_order(active.points(), x)
-    d2_x = sq_dists(pool.points, x)[0]
+    d2_x = sq_dists(points, x)[0]
     for j in order:
         rec = active.records[j]
         eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
         radius = float(np.sqrt(d2[j]))
-        for row in (sq_dists(pool.points, rec.point)[0], d2_x):
+        for row in (sq_dists(points, rec.point)[0], d2_x):
             p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
             res = _stage_loop(lambda n: int(rng.binomial(n, p)), eps_o, delta_s, u_const)
             if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
@@ -189,12 +202,13 @@ def reference_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
 
 
 class TestSortedRows:
-    """``reliable`` counts its balls on sorted pool rows that ``ActiveSet``
-    caches per record; the estimation stream must be that of a fresh distance
-    row per ball."""
+    """``run_kalls`` takes one ``center_order`` per scanned point; ``reliable``
+    counts its balls on the sorted pool row it gives, which an accepted point
+    keeps as its record's row.  The estimation stream must be that of a fresh
+    distance row per ball."""
 
     @staticmethod
-    def _noiseless_run(d, seed):
+    def _noiseless_run(d, seed, reference=False):
         family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
         problem = make_problem(family, kappa=0.0, d=d, seed=0)
         pts = problem.sample(1500, substream(seed, "pool"))
@@ -204,19 +218,24 @@ class TestSortedRows:
         oracle = LabelOracle(pool, problem.eta, 60_000, seed=seed)
         config = KallsConfig(epsilon=0.4, delta=0.5, n=60_000)
         rng = substream(seed, "estimation")
-        active, trace = run_kalls(pool, oracle, config,
-                                  SmoothnessParams(alpha=1.0, L=1.2, d=d),
-                                  problem.certified_margin, est_rng=rng)
+
+        def fresh_rows(x, x_row, delta_s, smooth, active, rows, u_const, rng):
+            return reference_reliable(pool.points, x, delta_s, smooth, active, u_const, rng)
+
+        with pytest.MonkeyPatch.context() as m:
+            if reference:
+                m.setattr(kalls.core, "reliable", fresh_rows)
+            active, trace = run_kalls(pool, oracle, config,
+                                      SmoothnessParams(alpha=1.0, L=1.2, d=d),
+                                      problem.certified_margin, est_rng=rng)
         return active, trace, rng.bit_generator.state
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_stream_matches_fresh_distance_rows(self, d, monkeypatch):
+    def test_stream_matches_fresh_distance_rows(self, d):
         skips = 0
         for seed in (1, 2, 3):
             active, trace, state = self._noiseless_run(d, seed)
-            with monkeypatch.context() as m:
-                m.setattr(kalls.core, "reliable", reference_reliable)
-                ref_active, ref_trace, ref_state = self._noiseless_run(d, seed)
+            ref_active, ref_trace, ref_state = self._noiseless_run(d, seed, reference=True)
             assert trace.per_point == ref_trace.per_point
             assert trace.reliable_skips == ref_trace.reliable_skips
             assert state == ref_state
@@ -225,33 +244,38 @@ class TestSortedRows:
         assert skips > 0  # the test passes as well as fails
 
     def test_rows_follow_the_pool(self):
+        # records from the points of one pool, queried on another
         rng = substream(45, "pool")
         first, second = Pool(rng.random((80, 2))), Pool(rng.random((60, 2)))
         active = ActiveSet()
-        for src in (4, 9):
-            active.append(ActiveRecord(point=first.points[src].copy(), inferred_label=1,
+        for src, label in ((4, 1), (9, 1), (20, 0)):
+            active.append(ActiveRecord(point=first.points[src].copy(), inferred_label=label,
                                        lb=0.2, source_index=src))
-
-        def expected(pool):
-            return [np.sort(sq_dists(pool.points, r.point)[0]) for r in active.records]
-
-        rows = active.sorted_rows(first)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, expected(first)))
-        kept = list(rows)
-        active.append(ActiveRecord(point=first.points[20].copy(), inferred_label=0,
-                                   lb=0.2, source_index=20))
-        rows = active.sorted_rows(first)
-        assert len(rows) == 3 and all(a is b for a, b in zip(rows, kept))  # extended
-        assert np.array_equal(rows[2], expected(first)[2])
-
-        rows = active.sorted_rows(second)  # a second pool gets fresh rows
-        assert len(rows) == 3 and all(a.shape == (60,) for a in rows)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, expected(second)))
         for x_index in range(0, 60, 7):
-            assert reliable(second, x_index, 0.01, SmoothnessParams(1.0, 1.2, 2), active,
-                            50, substream(x_index, "estimation")) == \
-                reference_reliable(second, x_index, 0.01, SmoothnessParams(1.0, 1.2, 2),
-                                   active, 50, substream(x_index, "estimation"))
+            assert pool_reliable(second, x_index, 0.01, SmoothnessParams(1.0, 1.2, 2),
+                                 active, 50, substream(x_index, "estimation")) == \
+                reference_reliable(second.points, second.points[x_index], 0.01,
+                                   SmoothnessParams(1.0, 1.2, 2), active, 50,
+                                   substream(x_index, "estimation"))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_pool_order_per_scanned_point(self, d, monkeypatch):
+        centers = []
+
+        def spy(pool, center_index):
+            centers.append(center_index)
+            return center_order(pool, center_index)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pool distance row outside the scan step's center_order")
+
+        monkeypatch.setattr(kalls.core, "center_order", spy)
+        for owner in (kalls.core, kalls.pool):
+            monkeypatch.setattr(owner, "neighbor_order", forbidden)
+        monkeypatch.setattr(Pool, "sq_dists_from", forbidden)
+        active, trace, _ = self._noiseless_run(d, seed=1)
+        assert centers == list(range(trace.points_scanned))
+        assert trace.reliable_skips > 0 and len(active) > 1
 
 
 def run_once(seed, w=4000, n=1500, kappa=1.0, eps=0.2, mode="strict_paper"):
@@ -536,6 +560,7 @@ class TestActiveSetCsv:
         ("x0,label,lb,source_index\n0.5,0.25,1,0.1,0\n", "fields"),
         ("x0,label,lb\n0.5,1,0.1\n", "header"),
         ("# comment only\n", "no header"),
+        ("label,lb,source_index\n1,0.1,0\n", "bad.csv: record 1: it has no coordinates"),
     ])
     def test_rejects_other_layouts(self, tmp_path, body, match):
         path = tmp_path / "bad.csv"

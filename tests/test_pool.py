@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import kalls.pool
-from kalls.pool import (BudgetExhausted, LabelOracle, Pool, k_nearest, knn_vote,
-                        nearest_mask, nearest_order, neighbor_order, sq_dists)
+from kalls.pool import (BudgetExhausted, LabelOracle, Pool, center_order, k_nearest,
+                        knn_vote, nearest_mask, nearest_order, neighbor_order, sq_dists)
 from kalls.seeding import substream
 from kalls.synth import make_problem
 
@@ -103,7 +103,9 @@ class TestKNearest:
 class TestNearestOrder:
     """``nearest_order`` repairs the ties of an unstable argsort; its order and
     ``neighbor_order``'s must be the lexicographic (distance, index) order on
-    every finite input, ties and distances that overflow to inf included."""
+    every finite input, ties and distances that overflow to inf included.
+    ``center_order``'s distances, with the centre's 0.0 in front, must be the
+    sorted ``sq_dists`` row bit for bit, as ``reliable`` counts balls on them."""
 
     @staticmethod
     def check(points, queries):
@@ -122,6 +124,9 @@ class TestNearestOrder:
             want = np.lexsort((np.arange(pool.w), d2))
             want = want[want != c]
             assert np.array_equal(neighbor_order(pool, c), want)
+            order, dist = center_order(pool, c)
+            assert np.array_equal(order, want)
+            assert np.concatenate(([0.0], dist)).tobytes() == np.sort(d2).tobytes()
             if pool.w > 1:
                 got = k_nearest(pool, c, pool.w - 1).neighbors
                 assert got == [(int(j), float(np.sqrt(d2[j]))) for j in want]
