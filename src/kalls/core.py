@@ -225,26 +225,35 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float,
     the test stops at the first that passes.  The empty active set is never
     reliable.
 
-    Each ball is counted with one ``searchsorted`` in ``est_prob`` on a sorted
-    row of squared distances to the pool: ``x_row`` is X's, and ``rows[j]`` is
-    that of record j of ``active``.  ``run_kalls`` takes X's row from its one
+    The balls are counted before ``est_prob`` draws, on sorted rows of squared
+    distances to the pool: ``x_row`` is X's, and ``rows[j]`` is that of
+    record j of ``active``.  ``run_kalls`` takes X's row from its one
     ``center_order`` of the scan step and keeps it as the row of the record X
-    becomes.  The counts equal ``count_nonzero(d2 < r2)`` on the unsorted
-    ``sq_dists`` rows, so every binomial draw, and the random stream, is that
-    of a fresh distance row per ball.
+    becomes.  One ``searchsorted`` of all the squared radii in ``x_row``
+    counts every ball around X; each record's ball is one ``searchsorted`` in
+    its row, made only when the test reaches the record.  The squared radii
+    are ``np.sqrt`` of the squared record distances, squared again, bit for
+    bit the scalar ``radius * radius``, so the counts equal
+    ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists`` rows and every
+    binomial draw, and the random stream, is that of a fresh distance row
+    per ball.
     """
     if not active.records:
         return False
     order, d2 = nearest_order(active.points(), x)
+    r2 = np.sqrt(d2[order])  # bit for bit the scalar sqrt of each entry
+    r2 *= r2
+    records, w_x = active.records, x_row.shape[0]
     scale, power = 64.0 * smooth.L, smooth.d / smooth.alpha
 
-    # np.sqrt is bit for bit the scalar sqrt of each entry
-    for j, radius in zip(order.tolist(), np.sqrt(d2[order]).tolist()):
-        eps_o = (active.records[j].lb / scale) ** power
+    for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
+        eps_o = (records[j].lb / scale) ** power
         threshold = RELIABLE_ACCEPT_RATIO * eps_o
-        if est_prob(rows[j], radius, eps_o, u_const, delta_s, rng).p_hat <= threshold:
+        row = rows[j]
+        if est_prob(int(row.searchsorted(r2_j)), row.shape[0], eps_o, u_const, delta_s,
+                    rng).p_hat <= threshold:
             return True
-        if est_prob(x_row, radius, eps_o, u_const, delta_s, rng).p_hat <= threshold:
+        if est_prob(in_x, w_x, eps_o, u_const, delta_s, rng).p_hat <= threshold:
             return True
     return False
 

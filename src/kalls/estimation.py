@@ -5,11 +5,11 @@ stopping early once the running mean clears a logarithmic threshold.
 ``est_prob`` applies the same stage loop to the indicator of an open ball under
 uniform pool draws with replacement, to estimate the pool-empirical mass of the
 ball.  Those draws are i.i.d. Bernoulli(c/w), c the exact number of the w pool
-points inside the ball, so ``est_prob`` counts c once, with one
-``searchsorted`` on the centre's sorted row of squared distances to the pool,
-and draws each stage's ones as one Binomial(new draws, c/w) variate: the law
-of (p_hat, draws_used, terminated_early) is that of drawing pool indices, and
-no index is drawn.
+points inside the ball, so ``est_prob`` takes c from its caller, who counts
+the ball once on a row of squared distances to the pool, and draws each
+stage's ones as one Binomial(new draws, c/w) variate: the law of (p_hat,
+draws_used, terminated_early) is that of drawing pool indices, and no index
+is drawn.
 
 A stage whose threshold is >= 1 cannot stop the loop, since a running mean is
 at most 1.  The loop skips those stages: the first stage it runs takes all
@@ -31,7 +31,9 @@ class SamplerExhausted(RuntimeError):
     """The draw source could not supply the requested number of samples."""
 
 
-@dataclass(frozen=True)
+# slots and not frozen: a frozen dataclass takes about 4x as long to build,
+# and reliable builds one per ball
+@dataclass(slots=True)
 class BerEstResult:
     p_hat: float
     draws_used: int
@@ -82,8 +84,8 @@ def _stage_loop(ones_in: Callable[[int], int], epsilon_o: float, delta_prime: fl
         ones += ones_in(target - m)
         m = target
         if ones / m > threshold:
-            return BerEstResult(p_hat=ones / m, draws_used=m, terminated_early=True)
-    return BerEstResult(p_hat=ones / m, draws_used=m, terminated_early=False)
+            return BerEstResult(ones / m, m, True)
+    return BerEstResult(ones / m, m, False)
 
 
 def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
@@ -110,32 +112,41 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
     return _stage_loop(ones_in, epsilon_o, delta_prime, u)
 
 
-def est_prob(sorted_d2: np.ndarray, radius: float, epsilon_o: float, u: int,
-             delta_prime: float, rng: np.random.Generator) -> BerEstResult:
-    """Estimate the pool-empirical mass of the open ball of ``radius`` about a
-    centre whose squared distances to the w pool points, in ascending order,
-    are the 1-D float64 array ``sorted_d2``.
+def est_prob(in_ball: int, w: int, epsilon_o: float, u: int, delta_prime: float,
+             rng: np.random.Generator) -> BerEstResult:
+    """Estimate the pool-empirical mass in_ball / w of a ball that holds
+    ``in_ball`` of the ``w`` pool points.
 
-    The in-ball count is ``sorted_d2.searchsorted(r2)`` with
-    ``r2 = radius * radius``: the number of entries strictly below r2, which on
-    the same float64 values is ``count_nonzero(d2 < r2)`` exactly.  A radius
-    that is not >= 0 (NaN included) raises ``ValueError``.
+    The caller counts the ball; this runs the stage loop on Binomial(n,
+    in_ball / w) draws and nothing else.  numpy's ``binomial`` rejects a
+    count outside [0, w].  An empty ball returns p_hat 0.0 at the last stage,
+    2^i_max draws, without drawing: Binomial(n, 0) is 0 and leaves the
+    generator as it was, so the result and the stream are the loop's, and
+    no draw of 2^63 or more (an ``i_max`` of a tiny ``epsilon_o``) reaches
+    numpy.
     """
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    r2 = float(radius) * float(radius)
-    p = int(sorted_d2.searchsorted(r2)) / sorted_d2.shape[0]
+    if in_ball == 0:
+        return BerEstResult(0.0, 1 << ber_est_max_stage(epsilon_o, delta_prime, u), False)
+    p = in_ball / w
     return _stage_loop(lambda n: int(rng.binomial(n, p)), epsilon_o, delta_prime, u)
 
 
 def est_prob_from_sq_dists(d2: np.ndarray, radius: float, epsilon_o: float,
                            u: int, delta_prime: float,
                            rng: np.random.Generator) -> BerEstResult:
-    """``est_prob`` on an unsorted row of squared distances to the pool.
+    """``est_prob`` for the open ball of ``radius`` about a centre whose
+    squared distances to the pool are the 1-D float64 array ``d2``, in any
+    order: the ball holds ``count_nonzero(d2 < radius * radius)`` points.  A
+    radius that is not >= 0 (NaN included) raises ``ValueError``.
 
-    Nothing in kalls calls it (``reliable`` keeps sorted rows).  It stays as
-    the unsorted-row form because the benchmark's per-layer probes
-    (``perfbench/layers.py``) name it, and its self-test removes it to check
-    that a missing probe target reads 0.
+    Nothing in kalls calls it (``reliable`` counts on sorted rows).  It stays
+    because the benchmark's per-layer probes (``perfbench/layers.py``) name
+    it, and its self-test removes it to check that a missing probe target
+    reads 0.
     """
-    return est_prob(np.sort(d2), radius, epsilon_o, u, delta_prime, rng)
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    d2 = np.asarray(d2)
+    r2 = float(radius) * float(radius)
+    return est_prob(int(np.count_nonzero(d2 < r2)), d2.shape[0], epsilon_o, u,
+                    delta_prime, rng)

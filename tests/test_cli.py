@@ -208,6 +208,21 @@ class TestRunCommand:
                      "--seed-override", "11"]) == 0
         assert os.path.exists(os.path.join(out, "trace_seed11_n400.json"))
 
+    def test_empty_ball_at_tiny_accuracy(self, tmp_path):
+        # kappa 0 on atoms: scanned points land on record points, so both of a
+        # record's balls are empty, and alpha 0.12 makes eps_o = (lb/64L)^(1/0.12)
+        # so small that the last stage, 2^i_max draws, is past numpy's C long
+        path = write_config(tmp_path, problem={"family": "discrete_atoms", "kappa": 0.0},
+                            smoothness_override={"alpha": 0.12, "L": 1.2},
+                            pool_size=1000, budgets=[50000], epsilon=0.4)
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", path, "--out", out]) == 0
+        payload = json.load(open(os.path.join(out, "trace_seed3_n50000.json")))
+        assert payload["stopped_reason"] == "budget_exhausted"
+        assert payload["reliable_skips"] > 0
+        active = kalls.core.ActiveSet.from_csv(os.path.join(out, "active_set_seed3_n50000.csv"))
+        assert len(active) == 8
+
     def test_input_config_not_mutated(self, tmp_path):
         path = write_config(tmp_path)
         before = open(path, "rb").read()

@@ -11,7 +11,7 @@ import kalls.pool
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
                         EmptyActiveSet, PerPointRecord, RunTrace, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import _stage_loop
+from kalls.estimation import BerEstResult, _stage_loop
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -276,6 +276,50 @@ class TestSortedRows:
         active, trace, _ = self._noiseless_run(d, seed=1)
         assert centers == list(range(trace.points_scanned))
         assert trace.reliable_skips > 0 and len(active) > 1
+
+
+
+class TestReliableCounts:
+    """``reliable`` counts every ball before ``est_prob`` draws: one
+    ``searchsorted`` of all the squared radii in X's row, and one in each
+    reached record's row.  Each count must be ``count_nonzero(d2 < r2)`` on a
+    fresh distance row, with ties, duplicate points and radius 0."""
+
+    def test_counts_are_count_nonzero(self, monkeypatch):
+        calls = []
+
+        def recording(in_ball, w, eps_o, u, delta_prime, rng):
+            calls.append((in_ball, w, eps_o))
+            return BerEstResult(1.0, 8, True)  # never passes: every record is reached
+
+        monkeypatch.setattr(kalls.core, "est_prob", recording)
+        lattice = substream(46, "pool").integers(0, 4, (120, 2)).astype(np.float64)
+        pool = Pool(np.vstack([lattice, lattice[:10]]))  # ties, and 10 points twice
+        smooth = SmoothnessParams(alpha=1.0, L=1.2, d=2)
+        empty = exact = 0
+        # X and the other copies of X's point
+        for x_index, twins in ((0, [120]), (3, [123]), (50, []), (125, [5])):
+            active = ActiveSet()
+            # records on X itself and on its twins (radius 0), and others
+            for src in sorted({1, 5, 9, 40, 77, 120, x_index, *twins}):
+                active.append(ActiveRecord(point=pool.points[src].copy(), inferred_label=1,
+                                           lb=0.1 + src / 1000.0, source_index=src))
+            calls.clear()
+            assert pool_reliable(pool, x_index, DELTA_S, smooth, active, 50,
+                                 substream(1, "estimation")) is False
+            order, d2 = nearest_order(active.points(), pool.points[x_index])
+            x_d2 = sq_dists(pool.points, pool.points[x_index])[0]
+            want = []
+            for j in order.tolist():
+                rec = active.records[j]
+                radius = float(np.sqrt(d2[j]))
+                eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+                for row in (sq_dists(pool.points, rec.point)[0], x_d2):
+                    want.append((int(np.count_nonzero(row < radius * radius)), pool.w, eps_o))
+                    exact += radius * radius in row
+            assert calls == want, x_index
+            empty += sum(c == 0 for c, _, _ in want)
+        assert empty >= 8 and exact > 0  # radius-0 balls, and radii on a pool distance
 
 
 def run_once(seed, w=4000, n=1500, kappa=1.0, eps=0.2, mode="strict_paper"):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from kalls.estimation import (BerEstResult, SamplerExhausted, _thresholds, ber_est,
-                              ber_est_max_stage, est_prob, est_prob_from_sq_dists,
+from kalls.estimation import (BerEstResult, SamplerExhausted, _stage_loop, _thresholds,
+                              ber_est, ber_est_max_stage, est_prob, est_prob_from_sq_dists,
                               g_factor)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
@@ -26,11 +26,11 @@ def const_sampler(value):
     return lambda count: np.full(count, value, dtype=np.int64)
 
 
-def sorted_row(points, center):
-    """``est_prob``'s input: the squared distances from ``center`` to the
-    points, ascending."""
+def sq_row(points, center):
+    """``est_prob_from_sq_dists``'s input: the squared distances from
+    ``center`` to the points, in pool order."""
     pts = np.asarray(points, dtype=np.float64)
-    return np.sort(sq_dists(pts if pts.ndim == 2 else pts[:, None], center)[0])
+    return sq_dists(pts if pts.ndim == 2 else pts[:, None], center)[0]
 
 
 class TestGFactor:
@@ -104,30 +104,28 @@ class TestEstProb:
 
     def test_zero_radius_open_ball_is_empty(self):
         pts = self._uniform_pool()
-        res = est_prob(sorted_row(pts, pts[3]), 0.0, EPS_O, U, DELTA_P,
-                       substream(1, "estimation"))
+        res = est_prob_from_sq_dists(sq_row(pts, pts[3]), 0.0, EPS_O, U, DELTA_P,
+                                     substream(1, "estimation"))
         assert res.p_hat == 0.0
         assert not res.terminated_early
 
     def test_huge_radius_breaks_early(self):
         pts = self._uniform_pool()
-        res = est_prob(sorted_row(pts, np.array([0.5])), 2.0, EPS_O, U, DELTA_P,
-                       substream(2, "estimation"))
+        res = est_prob_from_sq_dists(sq_row(pts, np.array([0.5])), 2.0, EPS_O, U, DELTA_P,
+                                     substream(2, "estimation"))
         assert res.p_hat == 1.0
         assert res.terminated_early
         assert res.draws_used == 512  # constant-1 stream under these parameters
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            est_prob(sorted_row(self._uniform_pool(), np.array([0.5])), -0.1, EPS_O,
-                     U, DELTA_P, substream(3, "estimation"))
+            est_prob_from_sq_dists(sq_row(self._uniform_pool(), np.array([0.5])), -0.1,
+                                   EPS_O, U, DELTA_P, substream(3, "estimation"))
 
     @pytest.mark.parametrize("radius", [np.nan, -np.inf, -0.1])
     def test_radius_that_is_not_nonnegative_rejected(self, radius):
-        # a NaN radius would count the whole sorted row as inside the ball
+        # d2 < NaN holds nowhere, so a NaN radius would read as an empty ball
         d2 = (self._uniform_pool()[:, 0] - 0.5) ** 2
-        with pytest.raises(ValueError, match="radius"):
-            est_prob(np.sort(d2), radius, EPS_O, U, DELTA_P, substream(3, "estimation"))
         with pytest.raises(ValueError, match="radius"):
             est_prob_from_sq_dists(d2, radius, EPS_O, U, DELTA_P,
                                    substream(3, "estimation"))
@@ -140,8 +138,8 @@ class TestEstProb:
         center = np.array([0.5])
         results = []
         for radius in (0.02, 0.05):
-            res = est_prob(sorted_row(pts, center), radius, EPS_O, U, DELTA_P,
-                           substream(4, "estimation"))
+            res = est_prob_from_sq_dists(sq_row(pts, center), radius, EPS_O, U, DELTA_P,
+                                         substream(4, "estimation"))
             results.append(res)
         small, big = results
         assert big.draws_used <= small.draws_used
@@ -159,8 +157,8 @@ class TestEstProb:
         g = g_factor(U)
         holds = 0
         for trial in range(200):
-            res = est_prob(sorted_row(pts, center), radius, eps_o, U, DELTA_P,
-                           substream(trial, "estimation", 5))
+            res = est_prob_from_sq_dists(sq_row(pts, center), radius, eps_o, U, DELTA_P,
+                                         substream(trial, "estimation", 5))
             if res.p_hat <= eps_o / g:
                 ok = true_mass <= eps_o
             else:
@@ -182,8 +180,11 @@ class _RecordingRng:
 
 
 class TestSortedCount:
-    """``est_prob`` counts the ball with ``searchsorted`` on the sorted row; the
-    count must be ``count_nonzero(d2 < r2)`` on the unsorted row exactly."""
+    """``reliable`` counts every ball around X with one ``searchsorted`` of all
+    the squared radii in X's sorted row, and a record's ball with one
+    ``searchsorted`` in the record's sorted row; ``est_prob_from_sq_dists``
+    counts ``count_nonzero(d2 < r2)`` on an unsorted row.  The three counts
+    must be equal exactly."""
 
     @staticmethod
     def _pools():
@@ -208,21 +209,28 @@ class TestSortedCount:
             for center in pts[[0, 1, 7, -1]]:
                 d2 = sq_dists(pts, center)[0]
                 row = np.sort(d2)
-                for radius in self._radii(d2):
-                    r2 = float(radius) * float(radius)
-                    want = int(np.count_nonzero(d2 < r2)) / d2.shape[0]
-                    exact += r2 in d2
-                    for call, arg in ((est_prob, row), (est_prob_from_sq_dists, d2)):
-                        rng = _RecordingRng()
-                        call(arg, float(radius), EPS_O, U, DELTA_P, rng)
-                        assert {p for _, p in rng.calls} == {want}, (center, radius)
+                radii = self._radii(d2)
+                r2 = radii * radii  # reliable squares all its radii in one array op
+                one_pass = row.searchsorted(r2).tolist()
+                for radius, r2_k, count in zip(radii.tolist(), r2.tolist(), one_pass):
+                    assert r2_k == radius * radius  # bit for bit the scalar square
+                    want = int(np.count_nonzero(d2 < r2_k))
+                    exact += r2_k in d2
+                    assert count == int(row.searchsorted(r2_k)) == want, (center, radius)
+                    rng = _RecordingRng()
+                    est_prob_from_sq_dists(d2, radius, EPS_O, U, DELTA_P, rng)
+                    # an empty ball draws nothing
+                    assert {p for _, p in rng.calls} == ({want / d2.shape[0]} if want
+                                                         else set()), (center, radius)
         assert exact > 0  # some radii land exactly on a pool distance
 
     def test_same_draws_as_the_unsorted_row(self):
         pts = self._pools()[1]
         d2 = sq_dists(pts, pts[3])[0]
+        row = np.sort(d2)
         for radius in (0.0, 0.1, 0.3, float(np.sqrt(d2[9])), np.inf):
-            a = est_prob(np.sort(d2), radius, EPS_O, U, DELTA_P, substream(5, "estimation"))
+            in_ball = int(row.searchsorted(float(radius) * float(radius)))
+            a = est_prob(in_ball, row.shape[0], EPS_O, U, DELTA_P, substream(5, "estimation"))
             b = est_prob_from_sq_dists(d2, radius, EPS_O, U, DELTA_P,
                                        substream(5, "estimation"))
             assert a == b
@@ -276,8 +284,8 @@ class TestBinomialStream:
         assert ber_est_max_stage(eps_o, DELTA_P, U) == i_max
         trials = 2000
         rng_b = substream(7, "estimation", 1)
-        row = sorted_row(pts, np.array([0.5]))
-        binomial = [est_prob(row, radius, eps_o, U, DELTA_P, rng_b)
+        in_ball = int(np.count_nonzero(sq_row(pts, np.array([0.5])) < r2))
+        binomial = [est_prob(in_ball, w, eps_o, U, DELTA_P, rng_b)
                     for _ in range(trials)]
         rng_i = substream(7, "estimation", 2)
         index = [ber_est(lambda n: d2[rng_i.integers(0, w, n)] < r2, eps_o, DELTA_P, U)
@@ -364,8 +372,8 @@ class TestDeadStages:
         assert np.count_nonzero(pts[:, 0] < mass) == round(mass * w)
         trials = 2000
         rng_m = substream(8, "estimation", 1)
-        row = sorted_row(pts, center)
-        merged = [est_prob(row, mass, EPS_O, U, DELTA_P, rng_m)
+        in_ball = int(np.count_nonzero(sq_row(pts, center) < mass * mass))
+        merged = [est_prob(in_ball, w, EPS_O, U, DELTA_P, rng_m)
                   for _ in range(trials)]
         rng_e = substream(8, "estimation", 2)
         every = [self._every_stage(mass, EPS_O, DELTA_P, U, rng_e) for _ in range(trials)]
@@ -375,3 +383,69 @@ class TestDeadStages:
         table = TestBinomialStream._pooled_table(hist(merged), hist(every))
         assert table.shape[1] >= 10
         assert chi2_contingency(table).pvalue > 1e-3
+
+
+class TestEmptyBall:
+    """An empty ball draws nothing: its result is the one the stage loop gets
+    from Binomial(n, 0) draws, which leave numpy's generator as it was."""
+
+    @pytest.mark.parametrize("eps_o,delta_prime", [(0.1, 0.1), (1e-3, 1e-6), (1e-12, 1e-9)])
+    def test_result_and_stream_are_the_loops(self, eps_o, delta_prime):
+        rng, loop_rng = substream(12, "estimation"), substream(12, "estimation")
+        before = rng.bit_generator.state
+        res = est_prob(0, 1000, eps_o, U, delta_prime, rng)
+        loop = _stage_loop(lambda n: int(loop_rng.binomial(n, 0.0)), eps_o, delta_prime, U)
+        assert res == loop == BerEstResult(0.0, 2 ** ber_est_max_stage(eps_o, delta_prime, U),
+                                           False)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state == before
+
+    def test_tiny_accuracy_does_not_overflow(self):
+        # (lb/64L)^(d/alpha) far below 1e-17 puts the last stage past numpy's
+        # C long, which a draw of that size cannot take
+        eps_o = 1e-20
+        i_max = ber_est_max_stage(eps_o, DELTA_P, U)
+        assert i_max >= 63
+        with pytest.raises(OverflowError):
+            substream(13, "estimation").binomial(2 ** i_max, 0.0)
+        rng = substream(13, "estimation")
+        before = rng.bit_generator.state
+        assert est_prob(0, 1000, eps_o, U, DELTA_P, rng) == BerEstResult(0.0, 2 ** i_max, False)
+        assert rng.bit_generator.state == before
+
+
+class _ScriptedRng:
+    """Stands in for the generator: keeps the running mean at the stage
+    threshold (not above it) until stage ``stop``, where it goes just above."""
+
+    def __init__(self, stages, stop):
+        self.stages, self.stop, self.calls, self.ones = stages, stop, [], 0
+
+    def binomial(self, n, p):
+        k = len(self.calls)
+        m, threshold = self.stages[k]
+        self.calls.append(n)
+        ones = min(math.floor(threshold * m) + (k == self.stop), m)
+        new, self.ones = ones - self.ones, ones
+        assert 0 <= new <= n
+        return new
+
+
+class TestStageTable:
+    def test_est_prob_runs_the_table_of_its_parameters(self):
+        # m * threshold is exact for m a power of 2, so floor(m * threshold) / m
+        # is the largest running mean that does not stop the stage
+        kinds = set()
+        for eps_o, dp in itertools.product((0.9, 0.3, 0.1, 1e-2, 1e-4, 1e-8),
+                                           (0.5, 0.1, 1e-3, 1e-6, 1e-9)):
+            stages = _thresholds(dp, U, ber_est_max_stage(eps_o, dp, U))
+            steps = [b - a for a, b in zip([0] + [m for m, _ in stages], [m for m, _ in stages])]
+            live = stages[0][1] < 1.0
+            for stop in range(len(stages) + live):
+                rng = _ScriptedRng(stages, stop if live else None)
+                res = est_prob(1, 2, eps_o, U, dp, rng)
+                last = min(stop, len(stages) - 1)
+                assert rng.calls == steps[:last + 1], (eps_o, dp, stop)
+                assert res.draws_used == stages[last][0]
+                assert res.terminated_early == (live and stop < len(stages))
+            kinds.add(live)
+        assert kinds == {True, False}  # tables that can stop and lone last stages
