@@ -12,7 +12,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__, core
-from .evaluate import compare, excess_risk, run_active
+from .evaluate import compare, evaluation_stream, excess_risk, run_active
 from .seeding import substream
 from .synth import check_doubling, check_margin, check_smoothness, make_problem
 from .thresholds import (KallsConfig, MarginParams, SmoothnessParams,
@@ -318,7 +318,7 @@ def cmd_eval(args) -> int:
     # the test draw of the (seed, budgets[0]) sweep cell, the cell `run` learns in
     est = excess_risk(lambda X: core.one_nn_label_batch(active, X), problem, cfg.n_test,
                       delta_margin=margin_delta(cfg.epsilon, cfg.margin_params(problem)),
-                      rng=substream(seed, "evaluation", cfg.budgets[0]))
+                      rng=evaluation_stream(seed, cfg.budgets[0]))
     payload = _provenance(cfg, seed)
     payload["active_set"] = args.active_set
     payload["risk"] = asdict(est)

@@ -9,6 +9,7 @@ backing the final 1-NN classifier.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,31 @@ class ActiveRecord:
     inferred_label: int
     lb: float
     source_index: int
+
+
+def _csv_cell(value) -> str:
+    """None as an empty cell, a float with 17 significant digits (enough to
+    read back the same double), anything else as ``str``."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str, columns: list[str], rows: Iterable[Iterable],
+              header_comment: str | None = None) -> None:
+    """Write ``header_comment`` as '#' lines, the ``columns`` header, then one
+    line of ``_csv_cell``s per row."""
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            for line in header_comment.splitlines():
+                fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _active_columns(d: int) -> list[str]:
+    return [f"x{i}" for i in range(d)] + ["label", "lb", "source_index"]
 
 
 class ActiveSet:
@@ -62,21 +88,10 @@ class ActiveSet:
         return np.asarray([r.inferred_label for r in self.records], dtype=np.int64)
 
     def to_csv(self, path: str, header_comment: str | None = None) -> None:
-        if not self.records:
-            d = 0
-        else:
-            d = self.records[0].point.shape[0]
-        cols = [f"x{i}" for i in range(d)] + ["label", "lb", "source_index"]
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                for line in header_comment.splitlines():
-                    fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for r in self.records:
-                coords = [format(v, ".17g") for v in r.point]
-                fh.write(",".join(coords + [str(r.inferred_label),
-                                            format(r.lb, ".17g"),
-                                            str(r.source_index)]) + "\n")
+        d = self.records[0].point.shape[0] if self.records else 0
+        write_csv(path, _active_columns(d),
+                  ([*r.point, r.inferred_label, r.lb, r.source_index] for r in self.records),
+                  header_comment)
 
     @classmethod
     def from_csv(cls, path: str) -> "ActiveSet":
@@ -94,7 +109,7 @@ class ActiveSet:
             raise ValueError(f"active-set CSV {path} has no header")
         header = rows[0].split(",")
         d = len(header) - 3
-        if header != [f"x{i}" for i in range(d)] + ["label", "lb", "source_index"]:
+        if header != _active_columns(d):
             raise ValueError(f"active-set CSV {path} has header {rows[0]!r}; "
                              "expected x0,...,x<d-1>,label,lb,source_index")
         for row, line in enumerate(rows[1:], 1):
@@ -275,7 +290,9 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     One ``center_order`` per scanned point gives X's neighbour order, which
     ``confident_label`` requests along, and X's sorted pool row, on which
     ``reliable`` counts the balls around X; an accepted X keeps that row for
-    the balls around its record.  No other pool distance is computed.
+    the balls around its record.  The only other distances are X's to the
+    records, which ``reliable`` computes with
+    ``nearest_order(active.points(), x)``.
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")

@@ -73,14 +73,21 @@ def _thresholds(delta_prime: float, u: int, i_max: int) -> tuple[tuple[int, floa
     return tuple([stage for stage in stages if stage[1] < 1.0] or stages[-1:])
 
 
-def _stage_loop(ones_in: Callable[[int], int], epsilon_o: float, delta_prime: float,
-                u: int) -> BerEstResult:
-    """The doubling-stage loop shared by every estimator here; ``ones_in(n)``
-    returns the number of ones among ``n`` more draws."""
-    ones = m = 0
+def _stage_table(epsilon_o: float, delta_prime: float,
+                 u: int) -> tuple[tuple[int, float], ...]:
+    """(m, threshold) of each stage the loop runs at these parameters: the
+    live stages up to 2^i_max, so the last holds all 2^i_max draws."""
     # u >= 7 and eps_o, delta' < 1 give K > 28*log(56), so i_max >= 5: never empty
-    i_max = ber_est_max_stage(epsilon_o, delta_prime, u)
-    for target, threshold in _thresholds(delta_prime, u, i_max):
+    return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
+
+
+def _stage_loop(ones_in: Callable[[int], int],
+                stages: tuple[tuple[int, float], ...]) -> BerEstResult:
+    """The doubling-stage loop shared by every estimator here, over a
+    ``_stage_table``; ``ones_in(n)`` returns the number of ones among ``n``
+    more draws."""
+    ones = m = 0
+    for target, threshold in stages:
         ones += ones_in(target - m)
         m = target
         if ones / m > threshold:
@@ -109,7 +116,7 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
                 f"sampler returned {out.shape} for a request of {count} draws")
         return int(np.count_nonzero(out))
 
-    return _stage_loop(ones_in, epsilon_o, delta_prime, u)
+    return _stage_loop(ones_in, _stage_table(epsilon_o, delta_prime, u))
 
 
 def est_prob(in_ball: int, w: int, epsilon_o: float, u: int, delta_prime: float,
@@ -125,10 +132,11 @@ def est_prob(in_ball: int, w: int, epsilon_o: float, u: int, delta_prime: float,
     no draw of 2^63 or more (an ``i_max`` of a tiny ``epsilon_o``) reaches
     numpy.
     """
+    stages = _stage_table(epsilon_o, delta_prime, u)
     if in_ball == 0:
-        return BerEstResult(0.0, 1 << ber_est_max_stage(epsilon_o, delta_prime, u), False)
+        return BerEstResult(0.0, stages[-1][0], False)
     p = in_ball / w
-    return _stage_loop(lambda n: int(rng.binomial(n, p)), epsilon_o, delta_prime, u)
+    return _stage_loop(lambda n: int(rng.binomial(n, p)), stages)
 
 
 def est_prob_from_sq_dists(d2: np.ndarray, radius: float, epsilon_o: float,

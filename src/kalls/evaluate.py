@@ -3,7 +3,7 @@ k-NN baseline for label-for-label active-vs-passive comparisons."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from decimal import ROUND_CEILING, Decimal, localcontext
 from functools import partial
 from statistics import median
@@ -86,11 +86,8 @@ class PassiveKnn:
 
 def passive_knn(problem: SyntheticProblem, n_labels: int, k_n: int,
                 rng: np.random.Generator) -> PassiveKnn:
-    """Draw n_labels labeled pairs from the problem and return the k_n-NN rule."""
-    if n_labels < 1:
-        raise ValueError(f"n_labels must be >= 1, got {n_labels}")
-    if k_n > n_labels:
-        raise ValueError(f"k_n {k_n} exceeds n_labels {n_labels}")
+    """Draw n_labels labeled pairs from the problem and return the k_n-NN
+    rule; ``PassiveKnn`` rejects a k_n outside [1, n_labels]."""
     X = problem.sample(n_labels, rng)
     y = (rng.random(n_labels) < problem.eta(X)).astype(np.int64)
     return PassiveKnn(X, y, k_n)
@@ -98,6 +95,10 @@ def passive_knn(problem: SyntheticProblem, n_labels: int, k_n: int,
 
 @dataclass
 class CellResult:
+    """One (budget, seed) cell, one ``comparison.csv`` row.  ``excess_active``
+    and ``deep_margin_agreement`` are None when the active set is empty,
+    ``excess_passive`` when the run spent no label."""
+
     family: str
     kappa: float
     budget: int
@@ -108,7 +109,6 @@ class CellResult:
     deep_margin_agreement: float | None
     informative_count: int
     wall_ms: float
-    error: str = ""
 
 
 @dataclass
@@ -139,28 +139,18 @@ class ComparisonTable:
         return float(median(vals))
 
     def to_csv(self, path: str, header_comment: str | None = None) -> None:
-        cols = ["family", "kappa", "budget", "seed", "labels_used_active",
-                "excess_active", "excess_passive", "deep_margin_agreement",
-                "informative_count", "wall_ms"]
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                for line in header_comment.splitlines():
-                    fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                fh.write(",".join([
-                    r.family,
-                    format(r.kappa, ".17g"),
-                    str(r.budget),
-                    str(r.seed),
-                    str(r.labels_used_active),
-                    "" if r.excess_active is None else format(r.excess_active, ".17g"),
-                    "" if r.excess_passive is None else format(r.excess_passive, ".17g"),
-                    ("" if r.deep_margin_agreement is None
-                     else format(r.deep_margin_agreement, ".17g")),
-                    str(r.informative_count),
-                    format(r.wall_ms, ".3f"),
-                ]) + "\n")
+        """One column per ``CellResult`` field, in order; ``wall_ms`` in
+        milliseconds with 3 decimals."""
+        core.write_csv(path, [f.name for f in fields(CellResult)],
+                       ({**vars(r), "wall_ms": format(r.wall_ms, ".3f")}.values()
+                        for r in self.rows),
+                       header_comment)
+
+
+def evaluation_stream(seed: int, budget: int) -> np.random.Generator:
+    """The stream of the (seed, budget) cell's test draw, which ``run_cell``
+    scores both arms on and ``kalls eval`` scores a saved active set on."""
+    return substream(seed, "evaluation", budget)
 
 
 def run_active(problem: SyntheticProblem, config: KallsConfig, w: int, seed: int,
@@ -187,38 +177,31 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
     t0 = time.perf_counter()
     budget = config.n
     active, trace = run_active(problem, config, w, seed, smooth, margin)
-    X_test = problem.sample(n_test, substream(seed, "evaluation", budget))
+    X_test = problem.sample(n_test, evaluation_stream(seed, budget))
 
-    error_parts = []
+    excess_active = agreement = excess_passive = None
     if len(active):
         est_a = _risk_on_sample(lambda X: core.one_nn_label_batch(active, X),
                                 problem, X_test, delta_margin)
         excess_active, agreement = est_a.excess_risk, est_a.deep_margin_agreement
-    else:
-        excess_active, agreement = None, None
-        error_parts.append("empty active set")
-
     labels_used = trace.labels_spent
     if labels_used >= 1:
         classifier_p = passive_knn(problem, labels_used,
                                    default_passive_k(labels_used, smooth.alpha, problem.d),
                                    substream(seed, "passive", budget))
-        est_p = _risk_on_sample(classifier_p, problem, X_test, delta_margin)
-        excess_passive = est_p.excess_risk
-    else:
-        excess_passive = None
-        error_parts.append("no labels spent; passive baseline undefined")
+        excess_passive = _risk_on_sample(classifier_p, problem, X_test,
+                                         delta_margin).excess_risk
 
     return CellResult(
         family=problem.family, kappa=problem.kappa, budget=budget, seed=seed,
         labels_used_active=labels_used, excess_active=excess_active,
         excess_passive=excess_passive, deep_margin_agreement=agreement,
         informative_count=len(trace.informative_indices),
-        wall_ms=(time.perf_counter() - t0) * 1e3, error="; ".join(error_parts))
+        wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
-            seeds: list[int], w: int, n_test: int = 20_000,
+            seeds: list[int], w: int, n_test: int,
             delta_margin: float | None = None, threads: int = 1,
             smooth: SmoothnessParams | None = None,
             margin: MarginParams | None = None) -> ComparisonTable:
@@ -229,7 +212,8 @@ def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
     certified constants; a problem without certified smoothness (kappa = 0)
     needs ``smooth``.  The passive baseline is trained on the labels the active
     run actually spent (label-for-label fairness), with k from the alpha of
-    ``smooth``.  Per-cell failures are recorded in the row, not raised.  Cells
+    ``smooth``.  A cell with no classifier has None in its row (``CellResult``
+    says where), and nothing is raised.  Cells
     own independent substreams keyed by (seed, budget), so the result is
     identical however the grid is scheduled.
     """

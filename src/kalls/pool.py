@@ -15,12 +15,9 @@ leaves the other rows to ``nearest_mask`` over all points).
 For d = 1 the window start of every query is one ``searchsorted`` among the
 window midpoints ``(xs[j] + xs[j + k]) / 2`` of the sorted points: start j
 loses to j + 1 exactly when the query is past that midpoint
-(``_nearest_windows`` gives the rounding argument).  With 20,000 uniform
-queries, n/k = 200/35, 1000/100 and 5000/293 took 4.4, 5.5 and 7.1 ms with
-the bisection this replaced and 1.5, 2.0 and 2.6 ms with the search (2-core
-x86-64 VM, the README's "Neighbour search" gives the method).  Uncertified
-queries are voted once per distinct value: equal queries have equal distance
-rows, and on ``discrete_atoms`` data (every point on one of 256 atoms) 20,000
+(``_nearest_windows`` gives the rounding argument).  Uncertified queries
+are voted once per distinct value: equal queries have equal distance rows,
+and on ``discrete_atoms`` data (every point on one of 256 atoms) 20,000
 queries hold at most 256 values.
 
 For d >= 2, ``knn_vote`` votes a query over the points near it where a
@@ -44,10 +41,7 @@ certificate there: at 5000/71, Gaussian points took 0.17 s on the grid and
 clustered ones 0.16 s, against 0.60 and 0.62 s brute force.  A k-d tree
 (``scipy.spatial.cKDTree``) could propose the candidates as well, but
 importing ``scipy.spatial`` takes 0.42-0.47 s in a ``kalls`` process, most of
-what the tree saves on a sweep.  A fresh-process ``kalls sweep`` of the
-benchmark's sweep_2d grid (3 cells, 20,000 test points) took 1.18-1.37 s
-with the brute-force vote and 0.56-0.64 s with the grid (on a slower day of
-the host than the sweep figures below).
+what the tree saves on a sweep.
 
 The brute-force vote (``_brute_vote``) serves the grid's candidate blocks,
 the d >= 2 rows the grid leaves, and the uncertified d = 1 rows.  It takes
@@ -64,12 +58,7 @@ queries (a column of a C-ordered (n, 2) array is a stride-16 read).
 smallest distance, and counts it per row.  A row that marks exactly k points
 holds its k-NN set: every point strictly closer than ``kth`` is in any k-NN
 set, and so are all the tied ones when they fit.  Only rows that mark more
-than k (ties at ``kth``) are trimmed to their lowest-index tied points.  On
-uniform d = 2 data with 20,000 queries, n/k = 200/15, 1000/32 and 5000/71
-took together about 1.8 s with 4 M-distance chunks and separate ``<``/``==``
-passes, and about 0.9 s with this kernel (2-core x86-64 VM; the README's
-"Neighbour search" gives each).  The same 3-cell sweep took 1.8-2.2 s with
-per-chunk temporaries and 0.77-0.88 s with the buffers.
+than k (ties at ``kth``) are trimmed to their lowest-index tied points.
 
 A full order (``nearest_order``, and ``center_order`` with its views
 ``neighbor_order`` and ``k_nearest``) sorts one ``sq_dists`` row with numpy's
@@ -78,11 +67,8 @@ hold runs of equal values, one sort of the int64 keys
 ``run_number * n + index`` puts each run into index order.  This is exact:
 any ascending sort puts the same run of equal values at the same positions,
 and the key keeps the runs in place and orders only within each, which is
-what the stable argsort does.
-A ``neighbor_order`` call on a 2-core x86-64 VM took, with the stable
-argsort and then with this one: w = 2000 uniform, 174 us -> 57 us; w = 4000
-uniform, 367 us -> 102 us; w = 4000 ``discrete_atoms`` (256 atoms, every row
-tied), 287 us -> 181 us.
+what the stable argsort does, in less time (the README's "Neighbour search"
+gives the timings).
 
 For d = 1, ``center_order`` sorts no distance row.  The pool keeps an
 ascending order of its coordinates, computed on first use with the default
@@ -96,8 +82,7 @@ the stable argsort (a timsort, which finds the two runs) merges them in
 O(w).  The same tie repair then puts each run of equal distances into index
 order.  Exactness does not rest on the runs: any ascending sort followed by
 the repair is the stable argsort's order; the runs only make the sort
-linear.  A w = 2000 uniform call took 72 us before this merge and 41 us
-after it, and a w = 4000 one 129 us and 74 us.
+linear.
 
 The oracle models an i.i.d. labeled sample: each pool point has a single
 persistent Bernoulli(eta(x)) realization, drawn up front from the seed,
@@ -255,8 +240,7 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     only leave its row uncertified, for the brute-force vote.
 
     The order of equal coordinates does not matter, so the default argsort
-    serves (56 us against 310 us for the stable one on 4000 uniform floats,
-    2-core x86-64 VM): the windows depend on the sorted values alone, and a
+    serves: the windows depend on the sorted values alone, and a
     run of equal coordinates that straddles a window end puts the outside
     neighbour at distance r, which voids the certificate.  A certified window
     thus holds whole runs, the same points in any order of equal

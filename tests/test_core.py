@@ -11,7 +11,7 @@ import kalls.pool
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
                         EmptyActiveSet, PerPointRecord, RunTrace, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop
+from kalls.estimation import BerEstResult, _stage_loop, _stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -195,7 +195,8 @@ def reference_reliable(points, x, delta_s, smooth, active, u_const, rng):
         radius = float(np.sqrt(d2[j]))
         for row in (sq_dists(points, rec.point)[0], d2_x):
             p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
-            res = _stage_loop(lambda n: int(rng.binomial(n, p)), eps_o, delta_s, u_const)
+            res = _stage_loop(lambda n: int(rng.binomial(n, p)),
+                              _stage_table(eps_o, delta_s, u_const))
             if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
                 return True
     return False
@@ -591,6 +592,19 @@ class TestActiveSetCsv:
             assert a.inferred_label == b.inferred_label
             assert a.lb == b.lb
             assert a.source_index == b.source_index
+
+    def test_exact_text(self, tmp_path):
+        active = ActiveSet()
+        active.append(ActiveRecord(point=np.array([0.1, 2 / 3]), inferred_label=1, lb=0.25,
+                                   source_index=4))
+        active.append(ActiveRecord(point=np.array([-1e-300, 5.0]), inferred_label=0,
+                                   lb=1e-17, source_index=9))
+        path = tmp_path / "active.csv"
+        active.to_csv(str(path), header_comment="prov")
+        assert path.read_text() == (
+            "# prov\nx0,x1,label,lb,source_index\n"
+            "0.10000000000000001,0.66666666666666663,1,0.25,4\n"
+            "-1e-300,5,0,1.0000000000000001e-17,9\n")
 
     def test_empty_set_round_trip(self, tmp_path):
         path = str(tmp_path / "empty.csv")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from kalls.estimation import (BerEstResult, SamplerExhausted, _stage_loop, _thresholds,
+from kalls.estimation import (BerEstResult, SamplerExhausted, _stage_loop, _stage_table,
                               ber_est, ber_est_max_stage, est_prob, est_prob_from_sq_dists,
                               g_factor)
 from kalls.pool import sq_dists
@@ -15,11 +15,6 @@ from kalls.seeding import substream
 
 # Standard parameters used throughout: accuracy 0.1, confidence 0.1, budget 50.
 EPS_O, DELTA_P, U = 0.1, 0.1, 50
-
-
-def stage_table(epsilon_o, delta_prime, u):
-    """The stage table ``_stage_loop`` runs for these parameters."""
-    return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
 def const_sampler(value):
@@ -319,7 +314,7 @@ class TestDeadStages:
     def test_table_nonempty_at_domain_corners(self, eps_o, delta_prime):
         # u = 7 is the smallest u; eps_o and delta' just inside (0, 1)
         assert ber_est_max_stage(eps_o, delta_prime, 7) >= 5
-        assert stage_table(eps_o, delta_prime, 7)
+        assert _stage_table(eps_o, delta_prime, 7)
 
     def test_only_live_stages_or_the_last(self):
         kinds = set()
@@ -327,7 +322,7 @@ class TestDeadStages:
                                               (0.5, 0.1, 1e-3, 1e-6, 1e-9),
                                               (7, 20, 50, 200)):
             i_max = ber_est_max_stage(eps_o, dp, u)
-            stages = stage_table(eps_o, dp, u)
+            stages = _stage_table(eps_o, dp, u)
             # the smallest 2^i whose threshold is < 1, scanned independently
             live = [2**i for i in range(3, i_max + 1)
                     if u * math.log(2.0 * 2**i / dp) / 2**i < 1.0]
@@ -343,7 +338,7 @@ class TestDeadStages:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
     def test_sampler_requests(self, p):
-        stages = stage_table(EPS_O, DELTA_P, U)
+        stages = _stage_table(EPS_O, DELTA_P, U)
         m_live = stages[0][0]
         assert m_live == 512
         requests = []
@@ -394,7 +389,8 @@ class TestEmptyBall:
         rng, loop_rng = substream(12, "estimation"), substream(12, "estimation")
         before = rng.bit_generator.state
         res = est_prob(0, 1000, eps_o, U, delta_prime, rng)
-        loop = _stage_loop(lambda n: int(loop_rng.binomial(n, 0.0)), eps_o, delta_prime, U)
+        loop = _stage_loop(lambda n: int(loop_rng.binomial(n, 0.0)),
+                           _stage_table(eps_o, delta_prime, U))
         assert res == loop == BerEstResult(0.0, 2 ** ber_est_max_stage(eps_o, delta_prime, U),
                                            False)
         assert rng.bit_generator.state == loop_rng.bit_generator.state == before
@@ -437,7 +433,7 @@ class TestStageTable:
         kinds = set()
         for eps_o, dp in itertools.product((0.9, 0.3, 0.1, 1e-2, 1e-4, 1e-8),
                                            (0.5, 0.1, 1e-3, 1e-6, 1e-9)):
-            stages = _thresholds(dp, U, ber_est_max_stage(eps_o, dp, U))
+            stages = _stage_table(eps_o, dp, U)
             steps = [b - a for a, b in zip([0] + [m for m, _ in stages], [m for m, _ in stages])]
             live = stages[0][1] < 1.0
             for stop in range(len(stages) + live):
@@ -449,3 +445,16 @@ class TestStageTable:
                 assert res.terminated_early == (live and stop < len(stages))
             kinds.add(live)
         assert kinds == {True, False}  # tables that can stop and lone last stages
+
+    def test_last_stage_holds_every_draw(self):
+        # the last stage is 2^i_max, and an empty ball reports that many draws,
+        # up to tables whose last stage no draw of numpy could take (i_max >= 63)
+        i_maxes = set()
+        for eps_o, dp, u in itertools.product((0.9, 0.1, 1e-4, 1e-8, 1e-20, 1e-40),
+                                              (0.5, 1e-3, 1e-9), (7, 50)):
+            i_max = ber_est_max_stage(eps_o, dp, u)
+            i_maxes.add(i_max)
+            assert _stage_table(eps_o, dp, u)[-1][0] == 2**i_max, (eps_o, dp, u)
+            res = est_prob(0, 1000, eps_o, u, dp, substream(14, "estimation"))
+            assert res.draws_used == 2**i_max, (eps_o, dp, u)
+        assert max(i_maxes) >= 63

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -165,13 +165,21 @@ class TestCompare:
         self.p = make_problem("power_margin_uniform_1d", kappa=1.0, seed=0)
         self.cfg = KallsConfig(epsilon=0.25, delta=0.05, n=100)
 
-    def test_zero_budget_rows_record_failures(self):
+    def test_zero_budget_rows_record_failures(self, tmp_path):
         table = compare(self.p, [0], self.cfg, seeds=[1], w=200, n_test=500)
         assert len(table.rows) == 1
         row = table.rows[0]
         assert row.excess_active is None
         assert row.excess_passive is None
-        assert "empty active set" in row.error
+        assert row.deep_margin_agreement is None
+        # an empty active set and no spent label are empty cells of the CSV
+        path = tmp_path / "cmp.csv"
+        table.to_csv(str(path))
+        header, cells = (line.split(",") for line in path.read_text().splitlines())
+        cell = dict(zip(header, cells))
+        assert cell["excess_active"] == cell["excess_passive"] == ""
+        assert cell["deep_margin_agreement"] == ""
+        assert cell["labels_used_active"] == "0"
 
     def test_single_cell_has_both_risks(self):
         # seed 3 draws a deep-margin first point, so the cell yields a classifier
@@ -189,7 +197,8 @@ class TestCompare:
         path = str(tmp_path / "cmp.csv")
         table.to_csv(path, header_comment="prov")
         lines = [l for l in open(path) if not l.startswith("#")]
-        assert lines[0].startswith("family,kappa,budget,seed,labels_used_active")
+        # one column per CellResult field, in order
+        assert lines[0].rstrip("\n").split(",") == [f.name for f in fields(CellResult)]
         assert len(lines) == 5  # header + 4 data rows
 
     def test_deterministic_rows(self):
@@ -251,9 +260,29 @@ class TestCompare:
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            compare(self.p, [], self.cfg, seeds=[1], w=100)
+            compare(self.p, [], self.cfg, seeds=[1], w=100, n_test=500)
 
     def test_kappa_zero_needs_smoothness(self):
         noiseless = make_problem("power_margin_uniform_1d", kappa=0.0, seed=0)
         with pytest.raises(ValueError, match="smoothness"):
             compare(noiseless, [100], self.cfg, seeds=[1], w=200, n_test=500)
+
+
+class TestComparisonCsv:
+    def test_exact_text(self, tmp_path):
+        # None is an empty cell, a real has 17 significant digits, wall_ms is
+        # milliseconds with 3 decimals
+        rows = [CellResult(family="discrete_atoms", kappa=1.0, budget=200, seed=3,
+                           labels_used_active=200, excess_active=None, excess_passive=0.1,
+                           deep_margin_agreement=None, informative_count=0, wall_ms=12.3456),
+                CellResult(family="discrete_atoms", kappa=0.5, budget=400, seed=4,
+                           labels_used_active=0, excess_active=1 / 3, excess_passive=None,
+                           deep_margin_agreement=0.875, informative_count=2, wall_ms=0.0004)]
+        path = tmp_path / "cmp.csv"
+        ComparisonTable(rows).to_csv(str(path), header_comment="prov\nsecond")
+        assert path.read_text() == (
+            "# prov\n# second\n"
+            "family,kappa,budget,seed,labels_used_active,excess_active,excess_passive,"
+            "deep_margin_agreement,informative_count,wall_ms\n"
+            "discrete_atoms,1,200,3,200,,0.10000000000000001,,0,12.346\n"
+            "discrete_atoms,0.5,400,4,0,0.33333333333333331,,0.875,2,0.000\n")

@@ -217,9 +217,12 @@ class TestCheckers:
     def test_gaussian_deep_tail_pair_is_exempt(self):
         p = make_problem("power_margin_gaussian_1d", kappa=1.0)
         grid = (np.array([[5.0]]), np.array([0.2]))
-        report = check_doubling(p, grid=grid, mass_floor=1e-3)
+        assert p.certified_doubling.mass_floor == 1e-3
+        report = check_doubling(p, grid=grid)
         assert report.checked == 0
         assert report.passed
+        assert report.max_violation == float("-inf")
+        assert report.as_dict()["max_violation"] == "-inf"
 
     def test_kappa_zero_margin_certificate_holds(self):
         p = make_problem("power_margin_uniform_1d", kappa=0.0)
