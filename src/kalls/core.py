@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import thresholds as th
-from .estimation import est_prob
+from .estimation import est_prob, stage_tables
 from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
 
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
@@ -227,9 +227,35 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     )
 
 
-def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float,
-             smooth: th.SmoothnessParams, active: ActiveSet, rows: list[np.ndarray],
-             u_const: int, rng: np.random.Generator) -> bool:
+class RecordRows:
+    """What ``reliable`` keeps of each active record besides its point, in
+    record order: its sorted pool row (the squared distances from the
+    record's point to the pool, ascending), its accuracy eps_o =
+    ``smooth.ball_accuracy(lb)`` and its threshold 75/94 eps_o, each computed
+    once, when the record is accepted."""
+
+    def __init__(self, smooth: th.SmoothnessParams) -> None:
+        self.smooth = smooth
+        self.rows: list[np.ndarray] = []
+        self.eps_o = np.zeros(0)
+        self.thresholds: list[float] = []
+
+    def append(self, row: np.ndarray, lb: float) -> None:
+        """Keep the row of a record with guarantee ``lb``; an accuracy that
+        underflows to 0.0, which no estimate can reach, raises ValueError."""
+        eps_o = self.smooth.ball_accuracy(lb)
+        if eps_o == 0.0:
+            s = self.smooth
+            raise ValueError(f"the ball accuracy (lb / 64L)^(d/alpha) of a record "
+                             f"underflows to 0.0 at lb {lb}, alpha {s.alpha}, L {s.L}, "
+                             f"d {s.d}")
+        self.rows.append(row)
+        self.eps_o = np.append(self.eps_o, eps_o)
+        self.thresholds.append(RELIABLE_ACCEPT_RATIO * eps_o)
+
+
+def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, active: ActiveSet,
+             rows: RecordRows, u_const: int, rng: np.random.Generator) -> bool:
     """Informativeness test: True when some active record's neighborhood already
     pins down the label of the pool point ``x``.
 
@@ -240,35 +266,38 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float,
     the test stops at the first that passes.  The empty active set is never
     reliable.
 
-    The balls are counted before ``est_prob`` draws, on sorted rows of squared
-    distances to the pool: ``x_row`` is X's, and ``rows[j]`` is that of
-    record j of ``active``.  ``run_kalls`` takes X's row from its one
-    ``center_order`` of the scan step and keeps it as the row of the record X
-    becomes.  One ``searchsorted`` of all the squared radii in ``x_row``
-    counts every ball around X; each record's ball is one ``searchsorted`` in
-    its row, made only when the test reaches the record.  The squared radii
-    are ``np.sqrt`` of the squared record distances, squared again, bit for
-    bit the scalar ``radius * radius``, so the counts equal
-    ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists`` rows and every
-    binomial draw, and the random stream, is that of a fresh distance row
-    per ball.
+    ``rows`` holds, for record j of ``active``, its sorted pool row, its
+    accuracy and its threshold, all computed when the record was accepted;
+    its rows and ``x_row`` are rows over the same pool of w points.
+    Per call, one array pass gives every record's stage table at delta' =
+    ``delta_s`` (``stage_tables``), and the balls are counted before
+    ``est_prob`` draws, on sorted rows of squared distances to the pool:
+    ``x_row`` is X's, which ``run_kalls`` takes from its one ``center_order``
+    of the scan step and keeps as the row of the record X becomes.  One
+    ``searchsorted`` of all the squared radii in ``x_row`` counts every ball
+    around X; each record's ball is one ``searchsorted`` in its row, made
+    only when the test reaches the record.  Each ball is then one
+    ``est_prob`` call, which only draws.  The squared radii are ``np.sqrt`` of the squared record
+    distances, squared again, bit for bit the scalar ``radius * radius``, so
+    the counts equal ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists``
+    rows and every binomial draw, and the random stream, is that of a fresh
+    distance row per ball.
     """
     if not active.records:
         return False
     order, d2 = nearest_order(active.points(), x)
     r2 = np.sqrt(d2[order])  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    records, w_x = active.records, x_row.shape[0]
-    scale, power = 64.0 * smooth.L, smooth.d / smooth.alpha
+    tables = stage_tables(rows.eps_o[order], delta_s, u_const)
+    record_rows, thresholds, w = rows.rows, rows.thresholds, x_row.shape[0]
 
-    for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
-        eps_o = (records[j].lb / scale) ** power
-        threshold = RELIABLE_ACCEPT_RATIO * eps_o
-        row = rows[j]
-        if est_prob(int(row.searchsorted(r2_j)), row.shape[0], eps_o, u_const, delta_s,
+    for j, r2_j, in_x, stages in zip(order.tolist(), r2.tolist(),
+                                      x_row.searchsorted(r2).tolist(), tables):
+        threshold = thresholds[j]
+        if est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages,
                     rng).p_hat <= threshold:
             return True
-        if est_prob(in_x, w_x, eps_o, u_const, delta_s, rng).p_hat <= threshold:
+        if est_prob(in_x, w, stages, rng).p_hat <= threshold:
             return True
     return False
 
@@ -292,7 +321,10 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     ``reliable`` counts the balls around X; an accepted X keeps that row for
     the balls around its record.  The only other distances are X's to the
     records, which ``reliable`` computes with
-    ``nearest_order(active.points(), x)``.
+    ``nearest_order(active.points(), x)``.  An accepted X's accuracy eps_o =
+    (LB / 64L)^(d/alpha) and threshold 75/94 eps_o are computed once, with
+    its row (``RecordRows``); an eps_o that underflows to 0.0 raises
+    ValueError there.
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -301,7 +333,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
     active = ActiveSet()
-    rows: list[np.ndarray] = []  # each record's sorted pool row, in record order
+    rows = RecordRows(smooth)
     trace = RunTrace()
 
     for s in range(1, pool.w + 1):
@@ -313,8 +345,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         neighbors, d2 = center_order(pool, x_index)
         x_row = np.concatenate(([0.0], d2))  # X's own 0.0, left out of d2, sorts first
 
-        if reliable(pool.points[x_index], x_row, delta_s, smooth, active, rows,
-                    config.u_const, est_rng):
+        if reliable(pool.points[x_index], x_row, delta_s, active, rows, config.u_const,
+                    est_rng):
             trace.reliable_skips += 1
             continue
 
@@ -338,10 +370,10 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             k_cap=min(k_prime, t_before), k_tilde=k_tilde))
 
         if accepted:
+            rows.append(x_row, lb)
             active.append(ActiveRecord(point=pool.points[x_index].copy(),
                                        inferred_label=outcome.y_hat,
                                        lb=lb, source_index=x_index))
-            rows.append(x_row)
 
     trace.labels_spent = config.n - oracle.remaining_budget
     trace.stopped_reason = ("budget_exhausted" if oracle.remaining_budget <= 0

@@ -126,6 +126,27 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", path]) == 1
 
+    # the largest accuracy (1/(128 L))^(d/alpha) underflows to 0.0: at d = 1 for
+    # alpha 0.005, only at the problem's d = 2 for alpha 0.008
+    @pytest.mark.parametrize("problem,alpha", [
+        ({"family": "power_margin_uniform_1d", "kappa": 0.0}, 0.005),
+        ({"family": "product_uniform_nd", "kappa": 0.0, "d": 2}, 0.008),
+    ])
+    def test_accuracy_that_underflows_exits_1_before_any_label(self, tmp_path, monkeypatch,
+                                                              capsys, problem, alpha):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(kalls.core, "run_kalls", forbidden)
+        path = write_config(tmp_path, problem=problem, pool_size=2000, budgets=[150_000],
+                            epsilon=0.4, seeds=[1],
+                            smoothness_override={"alpha": alpha, "L": 1.2})
+        for command in ("run", "sweep"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "underflows to 0.0" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("family", ["power_margin_uniform_1d",
                                         "power_margin_gaussian_1d", "product_uniform_nd"])
     def test_n_atoms_without_atoms_exits_1(self, tmp_path, capsys, family):

@@ -9,9 +9,9 @@ import pytest
 import kalls.core
 import kalls.pool
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
-                        EmptyActiveSet, PerPointRecord, RunTrace, confident_label,
-                        one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop, _stage_table
+                        EmptyActiveSet, PerPointRecord, RecordRows, RunTrace,
+                        confident_label, one_nn_label_batch, reliable, run_kalls)
+from kalls.estimation import BerEstResult, _stage_loop, _stage_table, est_prob
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -131,9 +131,10 @@ def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
     ``center_order``, as ``run_kalls`` takes it, and each record's from a fresh
     ``sq_dists`` row of the record's point."""
     x_row = np.concatenate(([0.0], center_order(pool, x_index)[1]))
-    rows = [np.sort(sq_dists(pool.points, r.point)[0]) for r in active.records]
-    return reliable(pool.points[x_index], x_row, delta_s, smooth, active, rows,
-                    u_const, rng)
+    rows = RecordRows(smooth)
+    for r in active.records:
+        rows.append(np.sort(sq_dists(pool.points, r.point)[0]), r.lb)
+    return reliable(pool.points[x_index], x_row, delta_s, active, rows, u_const, rng)
 
 
 class TestReliable:
@@ -181,10 +182,11 @@ class TestReliable:
                              substream(9, "estimation")) is True
 
 
-def reference_reliable(points, x, delta_s, smooth, active, u_const, rng):
+def reference_reliable(points, x, delta_s, smooth, active, u_const, rng, draws=None):
     """``reliable`` for ``x`` with a fresh distance row to the pool ``points``
-    per ball, counted with ``count_nonzero(d2 < r2)``: the reference the
-    sorted rows must match."""
+    per ball, counted with ``count_nonzero(d2 < r2)``, and eps_o, the
+    threshold and the stage table computed per ball: the reference the sorted
+    rows must match.  Each ball's ``draws_used`` is appended to ``draws``."""
     if not active.records:
         return False
     order, d2 = nearest_order(active.points(), x)
@@ -197,6 +199,8 @@ def reference_reliable(points, x, delta_s, smooth, active, u_const, rng):
             p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
             res = _stage_loop(lambda n: int(rng.binomial(n, p)),
                               _stage_table(eps_o, delta_s, u_const))
+            if draws is not None:
+                draws.append(res.draws_used)
             if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
                 return True
     return False
@@ -206,7 +210,7 @@ class TestSortedRows:
     """``run_kalls`` takes one ``center_order`` per scanned point; ``reliable``
     counts its balls on the sorted pool row it gives, which an accepted point
     keeps as its record's row.  The estimation stream must be that of a fresh
-    distance row per ball."""
+    distance row per ball, with one ``est_prob`` call per ball."""
 
     @staticmethod
     def _noiseless_run(d, seed, reference=False):
@@ -219,27 +223,41 @@ class TestSortedRows:
         oracle = LabelOracle(pool, problem.eta, 60_000, seed=seed)
         config = KallsConfig(epsilon=0.4, delta=0.5, n=60_000)
         rng = substream(seed, "estimation")
+        draws = []  # draws_used of each ball, in estimation order
 
-        def fresh_rows(x, x_row, delta_s, smooth, active, rows, u_const, rng):
-            return reference_reliable(pool.points, x, delta_s, smooth, active, u_const, rng)
+        def fresh_rows(x, x_row, delta_s, active, rows, u_const, rng):
+            return reference_reliable(pool.points, x, delta_s, rows.smooth, active, u_const,
+                                      rng, draws)
+
+        def spy(in_ball, w, stages, rng):
+            res = est_prob(in_ball, w, stages, rng)
+            draws.append(res.draws_used)
+            return res
 
         with pytest.MonkeyPatch.context() as m:
             if reference:
                 m.setattr(kalls.core, "reliable", fresh_rows)
+            else:
+                m.setattr(kalls.core, "est_prob", spy)
             active, trace = run_kalls(pool, oracle, config,
                                       SmoothnessParams(alpha=1.0, L=1.2, d=d),
                                       problem.certified_margin, est_rng=rng)
-        return active, trace, rng.bit_generator.state
+        return active, trace, rng.bit_generator.state, draws
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_stream_matches_fresh_distance_rows(self, d):
         skips = 0
         for seed in (1, 2, 3):
-            active, trace, state = self._noiseless_run(d, seed)
-            ref_active, ref_trace, ref_state = self._noiseless_run(d, seed, reference=True)
+            active, trace, state, draws = self._noiseless_run(d, seed)
+            ref_active, ref_trace, ref_state, ref_draws = self._noiseless_run(
+                d, seed, reference=True)
             assert trace.per_point == ref_trace.per_point
             assert trace.reliable_skips == ref_trace.reliable_skips
             assert state == ref_state
+            # one est_prob call per ball, with the reference's draws
+            assert len(draws) == len(ref_draws) > 0
+            assert sum(draws) == sum(ref_draws)
+            assert draws == ref_draws
             assert len(active) == len(ref_active) > 1
             skips += trace.reliable_skips
         assert skips > 0  # the test passes as well as fails
@@ -274,10 +292,30 @@ class TestSortedRows:
         for owner in (kalls.core, kalls.pool):
             monkeypatch.setattr(owner, "neighbor_order", forbidden)
         monkeypatch.setattr(Pool, "sq_dists_from", forbidden)
-        active, trace, _ = self._noiseless_run(d, seed=1)
+        active, trace, _, _ = self._noiseless_run(d, seed=1)
         assert centers == list(range(trace.points_scanned))
         assert trace.reliable_skips > 0 and len(active) > 1
 
+
+class TestRecordRows:
+    def test_accuracy_and_threshold_of_each_record(self):
+        smooth = SmoothnessParams(alpha=0.5, L=1.2, d=2)
+        rows = RecordRows(smooth)
+        lbs = (0.5, 0.2, 1e-3)
+        for lb in lbs:
+            rows.append(np.zeros(3), lb)
+        eps_o = [(lb / (64.0 * 1.2)) ** (2 / 0.5) for lb in lbs]
+        assert len(rows.rows) == 3
+        assert rows.eps_o.tolist() == eps_o
+        assert rows.thresholds == [RELIABLE_ACCEPT_RATIO * e for e in eps_o]
+
+    def test_accuracy_that_underflows_is_rejected_at_acceptance(self):
+        # the largest eps_o is (1/153.6)^100, about 2e-219; lb 0.01 gives 0.0
+        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1))
+        rows.append(np.zeros(3), 0.05)
+        with pytest.raises(ValueError, match=r"lb 0\.01, alpha 0\.01, L 1\.2, d 1"):
+            rows.append(np.zeros(3), 0.01)
+        assert len(rows.rows) == 1 and rows.eps_o.shape == (1,) and len(rows.thresholds) == 1
 
 
 class TestReliableCounts:
@@ -289,8 +327,8 @@ class TestReliableCounts:
     def test_counts_are_count_nonzero(self, monkeypatch):
         calls = []
 
-        def recording(in_ball, w, eps_o, u, delta_prime, rng):
-            calls.append((in_ball, w, eps_o))
+        def recording(in_ball, w, stages, rng):
+            calls.append((in_ball, w, stages))
             return BerEstResult(1.0, 8, True)  # never passes: every record is reached
 
         monkeypatch.setattr(kalls.core, "est_prob", recording)
@@ -316,7 +354,8 @@ class TestReliableCounts:
                 radius = float(np.sqrt(d2[j]))
                 eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
                 for row in (sq_dists(pool.points, rec.point)[0], x_d2):
-                    want.append((int(np.count_nonzero(row < radius * radius)), pool.w, eps_o))
+                    want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
+                                 _stage_table(eps_o, DELTA_S, 50)))
                     exact += radius * radius in row
             assert calls == want, x_index
             empty += sum(c == 0 for c, _, _ in want)
