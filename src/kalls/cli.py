@@ -16,7 +16,7 @@ from .evaluate import compare, evaluation_stream, excess_risk, run_active
 from .seeding import substream
 from .synth import check_doubling, check_margin, check_smoothness, make_problem
 from .thresholds import (KallsConfig, MarginParams, SmoothnessParams,
-                         feasibility_report, margin_delta)
+                         feasibility_report, margin_delta, per_point_delta)
 
 
 class ConfigError(ValueError):
@@ -91,13 +91,23 @@ class ExperimentConfig:
                            lb_factor=self.lb_factor, budget_mode=self.budget_mode)
 
     def smooth_params(self, problem) -> SmoothnessParams:
+        """The smoothness the learner runs with: the override, else the
+        problem's certified one.  It is refused where the run could not
+        estimate a single record's ball masses (``core.RecordRows``), so such
+        a config fails before any label is spent."""
         if self.smoothness_override is not None:
-            return _override(SmoothnessParams, self.smoothness_override, d=problem.d)
-        if problem.certified_smooth is None:
+            smooth = _override(SmoothnessParams, self.smoothness_override, d=problem.d)
+        elif problem.certified_smooth is None:
             raise ConfigError(
                 "problem has no certified smoothness (kappa=0); "
                 "set 'smoothness_override'")
-        return problem.certified_smooth
+        else:
+            smooth = problem.certified_smooth
+        try:
+            core.RecordRows(smooth, per_point_delta(self.delta, self.pool_size), self.u_const)
+        except ValueError as exc:
+            raise ConfigError(f"bad smoothness: {exc}") from exc
+        return smooth
 
     def margin_params(self, problem) -> MarginParams:
         if self.margin_override is not None:

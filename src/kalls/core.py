@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import thresholds as th
-from .estimation import est_prob, stage_tables
+from .estimation import est_prob, stage_table
 from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
 
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
@@ -227,30 +227,54 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     )
 
 
+def record_accuracy(smooth: th.SmoothnessParams, lb: float, delta_min: float,
+                    u_const: int) -> float:
+    """The accuracy eps_o = ``smooth.ball_accuracy(lb)`` at which ``reliable``
+    estimates the ball masses of a record with guarantee ``lb``.
+
+    ValueError, naming lb, alpha, L and d, where no stage table exists at
+    eps_o and delta' = ``delta_min``: an eps_o that underflows to 0.0, or one
+    so small that computing its i_max overflows or divides by zero (below
+    about 1e-298 at delta' 4e-10).  The table exists at every
+    delta' >= ``delta_min`` where it exists at ``delta_min``, so a run checks
+    at the delta' of its last scanned point.
+    """
+    eps_o = smooth.ball_accuracy(lb)
+    try:
+        stage_table(eps_o, delta_min, u_const)
+    except (ValueError, ArithmeticError) as exc:  # overflow or division by zero
+        raise ValueError(f"no ball-mass estimate at the accuracy (lb / 64L)^(d/alpha) = "
+                         f"{eps_o!r} of lb {lb}, alpha {smooth.alpha}, L {smooth.L}, "
+                         f"d {smooth.d} ({exc})") from None
+    return eps_o
+
+
 class RecordRows:
     """What ``reliable`` keeps of each active record besides its point, in
     record order: its sorted pool row (the squared distances from the
-    record's point to the pool, ascending), its accuracy eps_o =
-    ``smooth.ball_accuracy(lb)`` and its threshold 75/94 eps_o, each computed
-    once, when the record is accepted."""
+    record's point to the pool, ascending), its accuracy eps_o
+    (``record_accuracy``) and its threshold 75/94 eps_o, each computed once,
+    when the record is accepted.
 
-    def __init__(self, smooth: th.SmoothnessParams) -> None:
-        self.smooth = smooth
+    ``delta_min`` is the smallest delta' of the run, that of its last scanned
+    point.  lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the
+    largest accuracy, that of lb = 1/2, and a run whose every record would
+    fail is refused before it spends a label.
+    """
+
+    def __init__(self, smooth: th.SmoothnessParams, delta_min: float, u_const: int) -> None:
+        self.smooth, self.delta_min, self.u_const = smooth, delta_min, u_const
+        record_accuracy(smooth, 0.5, delta_min, u_const)
         self.rows: list[np.ndarray] = []
-        self.eps_o = np.zeros(0)
+        self.eps_o: list[float] = []
         self.thresholds: list[float] = []
 
     def append(self, row: np.ndarray, lb: float) -> None:
-        """Keep the row of a record with guarantee ``lb``; an accuracy that
-        underflows to 0.0, which no estimate can reach, raises ValueError."""
-        eps_o = self.smooth.ball_accuracy(lb)
-        if eps_o == 0.0:
-            s = self.smooth
-            raise ValueError(f"the ball accuracy (lb / 64L)^(d/alpha) of a record "
-                             f"underflows to 0.0 at lb {lb}, alpha {s.alpha}, L {s.L}, "
-                             f"d {s.d}")
+        """Keep the row of a record with guarantee ``lb``; ValueError where
+        ``record_accuracy`` raises."""
+        eps_o = record_accuracy(self.smooth, lb, self.delta_min, self.u_const)
         self.rows.append(row)
-        self.eps_o = np.append(self.eps_o, eps_o)
+        self.eps_o.append(eps_o)
         self.thresholds.append(RELIABLE_ACCEPT_RATIO * eps_o)
 
 
@@ -268,32 +292,31 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, active: ActiveSet
 
     ``rows`` holds, for record j of ``active``, its sorted pool row, its
     accuracy and its threshold, all computed when the record was accepted;
-    its rows and ``x_row`` are rows over the same pool of w points.
-    Per call, one array pass gives every record's stage table at delta' =
-    ``delta_s`` (``stage_tables``), and the balls are counted before
+    its rows and ``x_row`` are rows over the same pool of w points.  A
+    record the test reaches reads its stage table at delta' = ``delta_s``
+    (``stage_table``), which both its balls share, and each ball is then one
+    ``est_prob`` call, which only draws.  The balls are counted before
     ``est_prob`` draws, on sorted rows of squared distances to the pool:
     ``x_row`` is X's, which ``run_kalls`` takes from its one ``center_order``
     of the scan step and keeps as the row of the record X becomes.  One
     ``searchsorted`` of all the squared radii in ``x_row`` counts every ball
     around X; each record's ball is one ``searchsorted`` in its row, made
-    only when the test reaches the record.  Each ball is then one
-    ``est_prob`` call, which only draws.  The squared radii are ``np.sqrt`` of the squared record
-    distances, squared again, bit for bit the scalar ``radius * radius``, so
-    the counts equal ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists``
-    rows and every binomial draw, and the random stream, is that of a fresh
-    distance row per ball.
+    only when the test reaches the record.  The squared radii are ``np.sqrt``
+    of the squared record distances, squared again, bit for bit the scalar
+    ``radius * radius``, so the counts equal ``count_nonzero(d2 < r2)`` on
+    the unsorted ``sq_dists`` rows and every binomial draw, and the random
+    stream, is that of a fresh distance row per ball.
     """
     if not active.records:
         return False
     order, d2 = nearest_order(active.points(), x)
     r2 = np.sqrt(d2[order])  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    tables = stage_tables(rows.eps_o[order], delta_s, u_const)
-    record_rows, thresholds, w = rows.rows, rows.thresholds, x_row.shape[0]
+    record_rows, eps_o, thresholds = rows.rows, rows.eps_o, rows.thresholds
+    w = x_row.shape[0]
 
-    for j, r2_j, in_x, stages in zip(order.tolist(), r2.tolist(),
-                                      x_row.searchsorted(r2).tolist(), tables):
-        threshold = thresholds[j]
+    for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
+        stages, threshold = stage_table(eps_o[j], delta_s, u_const), thresholds[j]
         if est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages,
                     rng).p_hat <= threshold:
             return True
@@ -323,8 +346,10 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     records, which ``reliable`` computes with
     ``nearest_order(active.points(), x)``.  An accepted X's accuracy eps_o =
     (LB / 64L)^(d/alpha) and threshold 75/94 eps_o are computed once, with
-    its row (``RecordRows``); an eps_o that underflows to 0.0 raises
-    ValueError there.
+    its row (``RecordRows``).  ValueError, before any label, where the
+    largest accuracy, that of LB = 1/2, has no stage table at the last
+    scanned point's delta_s, and at acceptance where the record's own has
+    none (``record_accuracy``).
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -333,7 +358,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
     active = ActiveSet()
-    rows = RecordRows(smooth)
+    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), config.u_const)
     trace = RunTrace()
 
     for s in range(1, pool.w + 1):

@@ -9,8 +9,7 @@ points inside the ball, so ``est_prob`` takes c from its caller, who counts
 the ball once on a row of squared distances to the pool, and draws each
 stage's ones as one Binomial(new draws, c/w) variate: the law of (p_hat,
 draws_used, terminated_early) is that of drawing pool indices, and no index
-is drawn.  It takes its stage table from the caller too; ``stage_tables``
-reads the tables of many accuracies at one (delta', u) in one array pass.
+is drawn.  It takes its stage table (``stage_table``) from the caller too.
 
 A stage whose threshold is >= 1 cannot stop the loop, since a running mean is
 at most 1.  The loop skips those stages: the first stage it runs takes all
@@ -60,26 +59,6 @@ def ber_est_max_stage(epsilon_o: float, delta_prime: float, u: int) -> int:
     return math.floor(math.log2(u * math.log(2.0 * big_k / delta_prime) / epsilon_o))
 
 
-def _max_stages(epsilon_o: np.ndarray, delta_prime: float, u: int) -> np.ndarray:
-    """``ber_est_max_stage`` of each entry of the float64 array ``epsilon_o``,
-    each in (0, 1), as an int64 array.
-
-    One array pass computes the scalar's expression.  numpy's ``log`` and
-    ``log2`` may differ from ``math``'s in the last bit, which moves the log2
-    by far less than 1e-9, so its floor is the scalar's except where the log2
-    lies within 1e-9 of an integer (or is not finite): those entries are
-    recomputed with ``ber_est_max_stage`` itself, which raises where it does.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # the scalar raises for those
-        big_k = (4.0 * u / epsilon_o) * np.log(8.0 * u / (delta_prime * epsilon_o))
-        log2 = np.log2(u * np.log(2.0 * big_k / delta_prime) / epsilon_o)
-        near = ~(np.abs(log2 - np.rint(log2)) >= 1e-9)  # NaN and inf included
-    i_max = np.floor(np.where(near, 0.0, log2)).astype(np.int64)
-    for j in np.flatnonzero(near).tolist():
-        i_max[j] = ber_est_max_stage(float(epsilon_o[j]), delta_prime, u)
-    return i_max
-
-
 @functools.lru_cache(maxsize=256)
 def _thresholds(delta_prime: float, u: int, i_max: int) -> tuple[tuple[int, float], ...]:
     """(m, threshold) of each doubling stage up to 2^i_max that can stop the
@@ -99,27 +78,17 @@ def _thresholds(delta_prime: float, u: int, i_max: int) -> tuple[tuple[int, floa
     return tuple(reversed(stages))
 
 
-def _stage_table(epsilon_o: float, delta_prime: float,
-                 u: int) -> tuple[tuple[int, float], ...]:
+def stage_table(epsilon_o: float, delta_prime: float,
+                u: int) -> tuple[tuple[int, float], ...]:
     """(m, threshold) of each stage the loop runs at these parameters: the
     live stages up to 2^i_max, so the last holds all 2^i_max draws."""
     # u >= 7 and eps_o, delta' < 1 give K > 28*log(56), so i_max >= 5: never empty
     return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
-def stage_tables(epsilon_o: np.ndarray, delta_prime: float,
-                 u: int) -> list[tuple[tuple[int, float], ...]]:
-    """``_stage_table(e, delta_prime, u)`` of each entry e of the float64
-    array ``epsilon_o``: one array pass for the i_max of every entry, and one
-    table read per distinct i_max."""
-    i_max = _max_stages(epsilon_o, delta_prime, u).tolist()
-    tables = {i: _thresholds(delta_prime, u, i) for i in set(i_max)}
-    return [tables[i] for i in i_max]
-
-
 def _stage_loop(ones_in: Callable[[int], int],
                 stages: tuple[tuple[int, float], ...]) -> BerEstResult:
-    """The doubling-stage loop of ``ber_est`` over a ``_stage_table``;
+    """The doubling-stage loop of ``ber_est`` over a ``stage_table``;
     ``ones_in(n)`` returns the number of ones among ``n`` more draws."""
     ones = m = 0
     for target, threshold in stages:
@@ -151,7 +120,7 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
                 f"sampler returned {out.shape} for a request of {count} draws")
         return int(np.count_nonzero(out))
 
-    return _stage_loop(ones_in, _stage_table(epsilon_o, delta_prime, u))
+    return _stage_loop(ones_in, stage_table(epsilon_o, delta_prime, u))
 
 
 def est_prob(in_ball: int, w: int, stages: tuple[tuple[int, float], ...],
@@ -159,18 +128,19 @@ def est_prob(in_ball: int, w: int, stages: tuple[tuple[int, float], ...],
     """Estimate the pool-empirical mass in_ball / w of a ball that holds
     ``in_ball`` of the ``w`` pool points.
 
-    ``stages`` is the stage table of the estimate's (epsilon_o, delta', u),
-    from ``stage_tables`` or ``_stage_table``: the caller counts the ball and
-    reads the table, and this runs the stage loop on Binomial(n, in_ball / w)
-    draws and nothing else.  numpy's ``binomial`` rejects a count outside
-    [0, w].  An empty ball returns p_hat 0.0 at the last stage, 2^i_max
-    draws, without drawing: Binomial(n, 0) is 0 and leaves the generator as it
-    was, so the result and the stream are the loop's, and no draw of 2^63 or
-    more (an ``i_max`` of a tiny ``epsilon_o``) reaches numpy.
+    ``stages`` is ``stage_table(epsilon_o, delta', u)`` of the estimate's
+    accuracy and confidence: the caller counts the ball and reads the table,
+    and this runs the stage loop on Binomial(n, in_ball / w) draws and
+    nothing else.  numpy's ``binomial`` rejects a count outside [0, w].  An
+    empty ball returns p_hat 0.0 at the last stage, 2^i_max draws, without
+    drawing: Binomial(n, 0) is 0 and leaves the generator as it was, so the
+    result and the stream are the loop's, and no draw of 2^63 or more (an
+    ``i_max`` of a tiny ``epsilon_o``) reaches numpy.
     """
     if in_ball == 0:
         return BerEstResult(0.0, stages[-1][0], False)
-    # _stage_loop inlined: reliable makes one call per ball
+    # _stage_loop inlined, without its closure call per stage: reliable makes
+    # one call per ball
     p, binomial = in_ball / w, rng.binomial
     ones = m = 0
     for target, threshold in stages:
@@ -199,4 +169,4 @@ def est_prob_from_sq_dists(d2: np.ndarray, radius: float, epsilon_o: float,
     d2 = np.asarray(d2)
     r2 = float(radius) * float(radius)
     return est_prob(int(np.count_nonzero(d2 < r2)), d2.shape[0],
-                    _stage_table(epsilon_o, delta_prime, u), rng)
+                    stage_table(epsilon_o, delta_prime, u), rng)

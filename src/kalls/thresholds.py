@@ -37,11 +37,6 @@ class SmoothnessParams:
             raise ValueError(f"L must be > 1, got {self.L}")
         if self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d}")
-        # lb = |eta_hat - 1/2| - b <= 1/2, so no record gets a larger accuracy
-        if self.ball_accuracy(0.5) == 0.0:
-            raise ValueError(
-                f"the largest ball accuracy (1/(128 L))^(d/alpha) underflows to 0.0 "
-                f"at alpha {self.alpha}, L {self.L}, d {self.d}")
 
     def ball_accuracy(self, lb: float) -> float:
         """``reliable``'s accuracy eps_o = (lb / 64L)^(d/alpha) for the ball

@@ -126,14 +126,16 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", path]) == 1
 
-    # the largest accuracy (1/(128 L))^(d/alpha) underflows to 0.0: at d = 1 for
-    # alpha 0.005, only at the problem's d = 2 for alpha 0.008
+    # the largest accuracy (1/(128 L))^(d/alpha) has no stage table: it underflows
+    # to 0.0 at d = 1 for alpha 0.005, only at the problem's d = 2 for alpha
+    # 0.008, and at alpha 0.007 it is 4.6e-313, too small for i_max
     @pytest.mark.parametrize("problem,alpha", [
         ({"family": "power_margin_uniform_1d", "kappa": 0.0}, 0.005),
         ({"family": "product_uniform_nd", "kappa": 0.0, "d": 2}, 0.008),
+        ({"family": "power_margin_uniform_1d", "kappa": 0.0}, 0.007),
     ])
-    def test_accuracy_that_underflows_exits_1_before_any_label(self, tmp_path, monkeypatch,
-                                                              capsys, problem, alpha):
+    def test_accuracy_without_a_stage_table_exits_1_before_any_label(
+            self, tmp_path, monkeypatch, capsys, problem, alpha):
         def forbidden(*args, **kwargs):
             raise AssertionError("the run started")
 
@@ -141,11 +143,31 @@ class TestConfig:
         path = write_config(tmp_path, problem=problem, pool_size=2000, budgets=[150_000],
                             epsilon=0.4, seeds=[1],
                             smoothness_override={"alpha": alpha, "L": 1.2})
+        d = problem.get("d", 1)
         for command in ("run", "sweep"):
             assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("config error:") and "underflows to 0.0" in err
+            assert err.startswith("config error: bad smoothness:")
+            assert f"of lb 0.5, alpha {alpha}, L 1.2, d {d}" in err
         assert not (tmp_path / "o").exists()
+
+    def test_certified_smoothness_is_checked_only_where_it_is_used(self, tmp_path, capsys):
+        # kappa 0.005 certifies alpha 0.005, L 2, whose largest accuracy
+        # underflows: a run with it is refused, but a run with a valid
+        # override, and the commands that never estimate, still work
+        problem = {"family": "power_margin_uniform_1d", "kappa": 0.005}
+        path = write_config(tmp_path, problem=problem, pool_size=300, budgets=[3000],
+                            epsilon=0.4, seeds=[1])
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "of lb 0.5, alpha 0.005, L 2.0, d 1" in capsys.readouterr().err
+        assert main(["check-assumptions", "--config", path, "--out", str(tmp_path / "c")]) == 0
+        active = write_active_set(tmp_path, problem, [[0.25], [0.75]])
+        assert main(["eval", "--config", path, "--active-set", active]) == 0
+        override = write_config(tmp_path, problem=problem, pool_size=300, budgets=[3000],
+                                epsilon=0.4, seeds=[1],
+                                smoothness_override={"alpha": 1.0, "L": 1.2})
+        assert main(["run", "--config", override, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("family", ["power_margin_uniform_1d",
                                         "power_margin_gaussian_1d", "product_uniform_nd"])

@@ -11,7 +11,7 @@ import kalls.pool
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
                         EmptyActiveSet, PerPointRecord, RecordRows, RunTrace,
                         confident_label, one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop, _stage_table, est_prob
+from kalls.estimation import BerEstResult, _stage_loop, est_prob, stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -131,7 +131,7 @@ def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
     ``center_order``, as ``run_kalls`` takes it, and each record's from a fresh
     ``sq_dists`` row of the record's point."""
     x_row = np.concatenate(([0.0], center_order(pool, x_index)[1]))
-    rows = RecordRows(smooth)
+    rows = RecordRows(smooth, delta_s, u_const)
     for r in active.records:
         rows.append(np.sort(sq_dists(pool.points, r.point)[0]), r.lb)
     return reliable(pool.points[x_index], x_row, delta_s, active, rows, u_const, rng)
@@ -198,7 +198,7 @@ def reference_reliable(points, x, delta_s, smooth, active, u_const, rng, draws=N
         for row in (sq_dists(points, rec.point)[0], d2_x):
             p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
             res = _stage_loop(lambda n: int(rng.binomial(n, p)),
-                              _stage_table(eps_o, delta_s, u_const))
+                              stage_table(eps_o, delta_s, u_const))
             if draws is not None:
                 draws.append(res.draws_used)
             if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
@@ -298,24 +298,45 @@ class TestSortedRows:
 
 
 class TestRecordRows:
+    DELTA_MIN = per_point_delta(0.05, 2000)  # the last scanned point of a pool of 2000
+
     def test_accuracy_and_threshold_of_each_record(self):
         smooth = SmoothnessParams(alpha=0.5, L=1.2, d=2)
-        rows = RecordRows(smooth)
+        rows = RecordRows(smooth, self.DELTA_MIN, 50)
         lbs = (0.5, 0.2, 1e-3)
         for lb in lbs:
             rows.append(np.zeros(3), lb)
         eps_o = [(lb / (64.0 * 1.2)) ** (2 / 0.5) for lb in lbs]
         assert len(rows.rows) == 3
-        assert rows.eps_o.tolist() == eps_o
+        assert rows.eps_o == eps_o
         assert rows.thresholds == [RELIABLE_ACCEPT_RATIO * e for e in eps_o]
 
-    def test_accuracy_that_underflows_is_rejected_at_acceptance(self):
-        # the largest eps_o is (1/153.6)^100, about 2e-219; lb 0.01 gives 0.0
-        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1))
-        rows.append(np.zeros(3), 0.05)
-        with pytest.raises(ValueError, match=r"lb 0\.01, alpha 0\.01, L 1\.2, d 1"):
-            rows.append(np.zeros(3), 0.01)
-        assert len(rows.rows) == 1 and rows.eps_o.shape == (1,) and len(rows.thresholds) == 1
+    # alpha 0.01, L 1.2: eps_o = (lb / 76.8)^100, about 2e-219 at lb 1/2
+    @pytest.mark.parametrize("lb,cause", [
+        (0.01, "got 0.0"),  # underflows to 0.0
+        (0.05, "division by zero"),  # 2.3e-319: delta' * eps_o underflows
+        (0.08, "infinity"),  # 5.9e-299: K / delta' overflows
+    ])
+    def test_accuracy_without_a_stage_table_is_rejected_at_acceptance(self, lb, cause):
+        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1), self.DELTA_MIN, 50)
+        rows.append(np.zeros(3), 0.2)
+        with pytest.raises(ValueError, match=rf"of lb {lb}, alpha 0\.01, L 1\.2, d 1 .*{cause}"):
+            rows.append(np.zeros(3), lb)
+        assert len(rows.rows) == len(rows.eps_o) == len(rows.thresholds) == 1
+
+    @pytest.mark.parametrize("alpha", [0.005, 0.007])  # eps_o at lb 1/2: 0.0, 4.6e-313
+    def test_largest_accuracy_without_a_stage_table_is_rejected_up_front(self, alpha):
+        with pytest.raises(ValueError, match=rf"of lb 0\.5, alpha {alpha}, L 1\.2, d 1"):
+            RecordRows(SmoothnessParams(alpha=alpha, L=1.2, d=1), self.DELTA_MIN, 50)
+
+    def test_run_kalls_refuses_before_any_label(self):
+        pool = Pool(np.linspace(0.0, 1.0, 50)[:, None])
+        oracle = LabelOracle(pool, flat_eta(1.0), 100, seed=1)
+        with pytest.raises(ValueError, match="of lb 0.5, alpha 0.005"):
+            run_kalls(pool, oracle, KallsConfig(epsilon=0.4, delta=0.05, n=100),
+                      SmoothnessParams(alpha=0.005, L=1.2, d=1), MarginParams(beta=1.0, C=2.0),
+                      est_rng=substream(1, "estimation"))
+        assert oracle.remaining_budget == 100
 
 
 class TestReliableCounts:
@@ -355,7 +376,7 @@ class TestReliableCounts:
                 eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
                 for row in (sq_dists(pool.points, rec.point)[0], x_d2):
                     want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
-                                 _stage_table(eps_o, DELTA_S, 50)))
+                                 stage_table(eps_o, DELTA_S, 50)))
                     exact += radius * radius in row
             assert calls == want, x_index
             empty += sum(c == 0 for c, _, _ in want)

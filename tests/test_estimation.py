@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from kalls.estimation import (BerEstResult, SamplerExhausted, _max_stages, _stage_loop,
-                              _stage_table, ber_est, ber_est_max_stage, est_prob,
-                              est_prob_from_sq_dists, g_factor, stage_tables)
+from kalls.estimation import (BerEstResult, SamplerExhausted, _stage_loop, ber_est,
+                              ber_est_max_stage, est_prob, est_prob_from_sq_dists,
+                              g_factor, stage_table)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
 
@@ -225,7 +225,7 @@ class TestSortedCount:
         row = np.sort(d2)
         for radius in (0.0, 0.1, 0.3, float(np.sqrt(d2[9])), np.inf):
             in_ball = int(row.searchsorted(float(radius) * float(radius)))
-            a = est_prob(in_ball, row.shape[0], _stage_table(EPS_O, DELTA_P, U),
+            a = est_prob(in_ball, row.shape[0], stage_table(EPS_O, DELTA_P, U),
                          substream(5, "estimation"))
             b = est_prob_from_sq_dists(d2, radius, EPS_O, U, DELTA_P,
                                        substream(5, "estimation"))
@@ -281,7 +281,7 @@ class TestBinomialStream:
         trials = 2000
         rng_b = substream(7, "estimation", 1)
         in_ball = int(np.count_nonzero(sq_row(pts, np.array([0.5])) < r2))
-        binomial = [est_prob(in_ball, w, _stage_table(eps_o, DELTA_P, U), rng_b)
+        binomial = [est_prob(in_ball, w, stage_table(eps_o, DELTA_P, U), rng_b)
                     for _ in range(trials)]
         rng_i = substream(7, "estimation", 2)
         index = [ber_est(lambda n: d2[rng_i.integers(0, w, n)] < r2, eps_o, DELTA_P, U)
@@ -315,7 +315,7 @@ class TestDeadStages:
     def test_table_nonempty_at_domain_corners(self, eps_o, delta_prime):
         # u = 7 is the smallest u; eps_o and delta' just inside (0, 1)
         assert ber_est_max_stage(eps_o, delta_prime, 7) >= 5
-        assert _stage_table(eps_o, delta_prime, 7)
+        assert stage_table(eps_o, delta_prime, 7)
 
     def test_only_live_stages_or_the_last(self):
         kinds = set()
@@ -323,7 +323,7 @@ class TestDeadStages:
                                               (0.5, 0.1, 1e-3, 1e-6, 1e-9),
                                               (7, 20, 50, 200)):
             i_max = ber_est_max_stage(eps_o, dp, u)
-            stages = _stage_table(eps_o, dp, u)
+            stages = stage_table(eps_o, dp, u)
             # the smallest 2^i whose threshold is < 1, scanned independently
             live = [2**i for i in range(3, i_max + 1)
                     if u * math.log(2.0 * 2**i / dp) / 2**i < 1.0]
@@ -340,7 +340,7 @@ class TestDeadStages:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
     def test_sampler_requests(self, p):
-        stages = _stage_table(EPS_O, DELTA_P, U)
+        stages = stage_table(EPS_O, DELTA_P, U)
         m_live = stages[0][0]
         assert m_live == 512
         requests = []
@@ -370,7 +370,7 @@ class TestDeadStages:
         trials = 2000
         rng_m = substream(8, "estimation", 1)
         in_ball = int(np.count_nonzero(sq_row(pts, center) < mass * mass))
-        merged = [est_prob(in_ball, w, _stage_table(EPS_O, DELTA_P, U), rng_m)
+        merged = [est_prob(in_ball, w, stage_table(EPS_O, DELTA_P, U), rng_m)
                   for _ in range(trials)]
         rng_e = substream(8, "estimation", 2)
         every = [self._every_stage(mass, EPS_O, DELTA_P, U, rng_e) for _ in range(trials)]
@@ -390,9 +390,9 @@ class TestEmptyBall:
     def test_result_and_stream_are_the_loops(self, eps_o, delta_prime):
         rng, loop_rng = substream(12, "estimation"), substream(12, "estimation")
         before = rng.bit_generator.state
-        res = est_prob(0, 1000, _stage_table(eps_o, delta_prime, U), rng)
+        res = est_prob(0, 1000, stage_table(eps_o, delta_prime, U), rng)
         loop = _stage_loop(lambda n: int(loop_rng.binomial(n, 0.0)),
-                           _stage_table(eps_o, delta_prime, U))
+                           stage_table(eps_o, delta_prime, U))
         assert res == loop == BerEstResult(0.0, 2 ** ber_est_max_stage(eps_o, delta_prime, U),
                                            False)
         assert rng.bit_generator.state == loop_rng.bit_generator.state == before
@@ -407,7 +407,7 @@ class TestEmptyBall:
             substream(13, "estimation").binomial(2 ** i_max, 0.0)
         rng = substream(13, "estimation")
         before = rng.bit_generator.state
-        assert est_prob(0, 1000, _stage_table(eps_o, DELTA_P, U), rng) == \
+        assert est_prob(0, 1000, stage_table(eps_o, DELTA_P, U), rng) == \
             BerEstResult(0.0, 2 ** i_max, False)
         assert rng.bit_generator.state == before
 
@@ -436,7 +436,7 @@ class TestStageTable:
         kinds = set()
         for eps_o, dp in itertools.product((0.9, 0.3, 0.1, 1e-2, 1e-4, 1e-8),
                                            (0.5, 0.1, 1e-3, 1e-6, 1e-9)):
-            stages = _stage_table(eps_o, dp, U)
+            stages = stage_table(eps_o, dp, U)
             steps = [b - a for a, b in zip([0] + [m for m, _ in stages], [m for m, _ in stages])]
             live = stages[0][1] < 1.0
             for stop in range(len(stages) + live):
@@ -457,75 +457,8 @@ class TestStageTable:
                                               (0.5, 1e-3, 1e-9), (7, 50)):
             i_max = ber_est_max_stage(eps_o, dp, u)
             i_maxes.add(i_max)
-            assert _stage_table(eps_o, dp, u)[-1][0] == 2**i_max, (eps_o, dp, u)
-            res = est_prob(0, 1000, _stage_table(eps_o, dp, u), substream(14, "estimation"))
+            assert stage_table(eps_o, dp, u)[-1][0] == 2**i_max, (eps_o, dp, u)
+            res = est_prob(0, 1000, stage_table(eps_o, dp, u), substream(14, "estimation"))
             assert res.draws_used == 2**i_max, (eps_o, dp, u)
         assert max(i_maxes) >= 63
 
-
-class TestMaxStages:
-    """``_max_stages`` computes ``ber_est_max_stage`` of many accuracies in
-    one array pass, and ``stage_tables`` reads their tables; both must equal
-    the scalar path exactly, at the breakpoints of the floor too."""
-
-    @staticmethod
-    def _check(eps_o, delta_prime, u):
-        eps_o = np.asarray(eps_o, dtype=np.float64)
-        want = [ber_est_max_stage(e, delta_prime, u) for e in eps_o.tolist()]
-        assert _max_stages(eps_o, delta_prime, u).tolist() == want, (delta_prime, u)
-        return want
-
-    @staticmethod
-    def _breakpoint(n, delta_prime, u):
-        """The largest float eps_o with i_max >= n: i_max falls as eps_o grows."""
-        lo, hi = 1e-280, 1.0 - 1e-16
-        assert ber_est_max_stage(lo, delta_prime, u) >= n > ber_est_max_stage(hi, delta_prime, u)
-        while np.nextafter(lo, hi) < hi:
-            mid = math.sqrt(lo * hi) if hi / lo > 4.0 else (lo + hi) / 2.0
-            mid = min(max(mid, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-            if ber_est_max_stage(mid, delta_prime, u) >= n:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def test_grid(self):
-        eps_o = np.geomspace(1e-40, 0.999, 400)
-        for dp, u in itertools.product((0.5, 0.1, 1e-3, 1e-6, 1e-9, 1e-12), (7, 50, 200)):
-            self._check(eps_o, dp, u)
-
-    def test_breakpoints(self):
-        flips = 0
-        for dp, u in ((0.1, 50), (1e-6, 50), (0.01, 7), (1e-9, 200)):
-            for n in (14, 20, 33, 63, 64, 100):
-                edge = self._breakpoint(n, dp, u)
-                near = [edge]
-                for _ in range(4):
-                    near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], 1.0)]
-                i_max = self._check(near, dp, u)
-                assert i_max[4] == n and i_max[5] == n - 1, (dp, u, n)
-                flips += 1
-        assert flips == 24
-
-    def test_random_sample(self):
-        rng = substream(15, "estimation")
-        for _ in range(20):
-            eps_o = 10.0 ** rng.uniform(-60.0, 0.0, 500)
-            eps_o = eps_o[eps_o < 1.0]
-            self._check(eps_o, float(10.0 ** rng.uniform(-12.0, -0.01)),
-                        int(rng.integers(7, 500)))
-
-    def test_large_i_max(self):
-        i_max = self._check([1e-20, 1e-40, 1e-100, 1e-300], DELTA_P, U)
-        assert min(i_max) >= 63 and max(i_max) > 1000
-        # where the scalar cannot compute K, the array path raises as it does
-        with pytest.raises(OverflowError):
-            ber_est_max_stage(1e-307, DELTA_P, U)
-        with pytest.raises(OverflowError):
-            _max_stages(np.array([0.1, 1e-307]), DELTA_P, U)
-
-    def test_stage_tables_are_the_scalar_tables(self):
-        eps_o = np.array([0.3, 1e-3, 0.3, 1e-9, 1e-25, 2e-3])
-        for dp in (0.5, 1e-3, 1e-9):
-            assert stage_tables(eps_o, dp, U) == [_stage_table(e, dp, U)
-                                                  for e in eps_o.tolist()]
