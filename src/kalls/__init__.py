@@ -4,9 +4,8 @@ plus a synthetic laboratory that makes its working assumptions executable."""
 __version__ = "0.1.0"
 
 from .core import (ActiveRecord, ActiveSet, ConfidentOutcome, EmptyActiveSet,
-                   RunTrace, confident_label, one_nn_label_batch, reliable,
-                   run_kalls)
-from .estimation import BerEstResult, ber_est, est_prob, g_factor
+                   RunTrace, confident_label, one_nn_label_batch, run_kalls)
+from .estimation import BerEstResult, ber_est, g_factor
 from .evaluate import (ComparisonTable, RiskEstimate, compare, default_passive_k,
                        excess_risk, passive_knn)
 from .pool import BudgetExhausted, LabelOracle, NeighborList, Pool, k_nearest
@@ -21,8 +20,8 @@ from .thresholds import (INFEASIBLE_BUDGET, DoublingParams, FeasibilityReport,
 __all__ = [
     "__version__",
     "ActiveRecord", "ActiveSet", "ConfidentOutcome", "EmptyActiveSet", "RunTrace",
-    "confident_label", "one_nn_label_batch", "reliable", "run_kalls",
-    "BerEstResult", "ber_est", "est_prob", "g_factor",
+    "confident_label", "one_nn_label_batch", "run_kalls",
+    "BerEstResult", "ber_est", "g_factor",
     "ComparisonTable", "RiskEstimate", "compare", "default_passive_k",
     "excess_risk", "passive_knn",
     "BudgetExhausted", "LabelOracle", "NeighborList", "Pool", "k_nearest",

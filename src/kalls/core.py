@@ -63,11 +63,14 @@ def _active_columns(d: int) -> list[str]:
 
 
 class ActiveSet:
-    """Ordered labeled records; source indices strictly increase with insertion."""
+    """Ordered labeled records; source indices strictly increase with insertion.
+
+    The records only: what ``run_kalls`` returns, the active-set CSV and the
+    final 1-NN classifier.  During a run ``reliable`` reads the record table
+    ``RecordRows``, which keeps this set as ``rows.active``."""
 
     def __init__(self) -> None:
         self.records: list[ActiveRecord] = []
-        self._points_cache: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -76,13 +79,9 @@ class ActiveSet:
         if self.records and record.source_index <= self.records[-1].source_index:
             raise ValueError("source indices must be strictly increasing")
         self.records.append(record)
-        self._points_cache = None
 
     def points(self) -> np.ndarray:
-        if self._points_cache is None or self._points_cache.shape[0] != len(self.records):
-            self._points_cache = (np.vstack([r.point for r in self.records])
-                                  if self.records else np.zeros((0, 0)))
-        return self._points_cache
+        return np.vstack([r.point for r in self.records]) if self.records else np.zeros((0, 0))
 
     def labels(self) -> np.ndarray:
         return np.asarray([r.inferred_label for r in self.records], dtype=np.int64)
@@ -250,11 +249,13 @@ def record_accuracy(smooth: th.SmoothnessParams, lb: float, delta_min: float,
 
 
 class RecordRows:
-    """What ``reliable`` keeps of each active record besides its point, in
-    record order: its sorted pool row (the squared distances from the
-    record's point to the pool, ascending), its accuracy eps_o
-    (``record_accuracy``) and its threshold 75/94 eps_o, each computed once,
-    when the record is accepted.
+    """The run's record table: each active record and what ``reliable``
+    keeps of it, in record order.  ``active`` is the ``ActiveSet`` of the
+    records, which ``run_kalls`` returns; ``points`` is their points as an
+    (R, d) array; ``rows`` their sorted pool rows (the squared distances from
+    the record's point to the pool, ascending); ``eps_o`` their accuracies
+    (``record_accuracy``) and ``thresholds`` 75/94 of each.  All of it is
+    computed once, when the record is accepted.
 
     ``delta_min`` is the smallest delta' of the run, that of its last scanned
     point.  lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the
@@ -265,21 +266,27 @@ class RecordRows:
     def __init__(self, smooth: th.SmoothnessParams, delta_min: float, u_const: int) -> None:
         self.smooth, self.delta_min, self.u_const = smooth, delta_min, u_const
         record_accuracy(smooth, 0.5, delta_min, u_const)
+        self.active = ActiveSet()
+        self.points = np.zeros((0, smooth.d))
         self.rows: list[np.ndarray] = []
         self.eps_o: list[float] = []
         self.thresholds: list[float] = []
 
-    def append(self, row: np.ndarray, lb: float) -> None:
-        """Keep the row of a record with guarantee ``lb``; ValueError where
-        ``record_accuracy`` raises."""
-        eps_o = record_accuracy(self.smooth, lb, self.delta_min, self.u_const)
+    def append(self, record: ActiveRecord, row: np.ndarray) -> None:
+        """Keep ``record`` and its sorted pool ``row``.  ValueError, with the
+        table unchanged, where ``record_accuracy`` raises for the record's lb
+        or ``ActiveSet.append`` refuses its source index."""
+        eps_o = record_accuracy(self.smooth, record.lb, self.delta_min, self.u_const)
+        points = np.vstack((self.points, record.point))
+        self.active.append(record)
+        self.points = points
         self.rows.append(row)
         self.eps_o.append(eps_o)
         self.thresholds.append(RELIABLE_ACCEPT_RATIO * eps_o)
 
 
-def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, active: ActiveSet,
-             rows: RecordRows, u_const: int, rng: np.random.Generator) -> bool:
+def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
+             rng: np.random.Generator) -> bool:
     """Informativeness test: True when some active record's neighborhood already
     pins down the label of the pool point ``x``.
 
@@ -287,32 +294,33 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, active: ActiveSet
     radius rho(X, X') around X' and around X with accuracy (c / 64L)^(d/alpha),
     and answers True when either estimate is <= 75/94 of that accuracy.  Records
     are checked nearest-first, the ball around X' before the ball around X, and
-    the test stops at the first that passes.  The empty active set is never
-    reliable.
+    the test stops at the first that passes.  A run with no record yet is
+    never reliable.
 
-    ``rows`` holds, for record j of ``active``, its sorted pool row, its
-    accuracy and its threshold, all computed when the record was accepted;
-    its rows and ``x_row`` are rows over the same pool of w points.  A
-    record the test reaches reads its stage table at delta' = ``delta_s``
-    (``stage_table``), which both its balls share, and each ball is then one
-    ``est_prob`` call, which only draws.  The balls are counted before
-    ``est_prob`` draws, on sorted rows of squared distances to the pool:
-    ``x_row`` is X's, which ``run_kalls`` takes from its one ``center_order``
-    of the scan step and keeps as the row of the record X becomes.  One
-    ``searchsorted`` of all the squared radii in ``x_row`` counts every ball
-    around X; each record's ball is one ``searchsorted`` in its row, made
-    only when the test reaches the record.  The squared radii are ``np.sqrt``
-    of the squared record distances, squared again, bit for bit the scalar
-    ``radius * radius``, so the counts equal ``count_nonzero(d2 < r2)`` on
-    the unsorted ``sq_dists`` rows and every binomial draw, and the random
-    stream, is that of a fresh distance row per ball.
+    ``rows`` is the run's record table (``RecordRows``): the records' points,
+    sorted pool rows, accuracies and thresholds, all computed when each
+    record was accepted, and u; its rows and ``x_row`` are rows over the same
+    pool of w points.  A record the test reaches reads its stage table at
+    delta' = ``delta_s`` (``stage_table``), which both its balls share, and
+    each ball is then one ``est_prob`` call, which only draws.  The balls are
+    counted before ``est_prob`` draws, on sorted rows of squared distances
+    to the pool: ``x_row`` is X's, which ``run_kalls`` takes from its one
+    ``center_order`` of the scan step and keeps as the row of the record X
+    becomes.  One ``searchsorted`` of all the squared radii in ``x_row``
+    counts every ball around X; each record's ball is one ``searchsorted`` in
+    its row, made only when the test reaches the record.  The squared radii
+    are ``np.sqrt`` of the squared record distances, squared again, bit for
+    bit the scalar ``radius * radius``, so the counts equal
+    ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists`` rows and every
+    binomial draw, and the random stream, is that of a fresh distance row
+    per ball.
     """
-    if not active.records:
+    if not rows.rows:
         return False
-    order, d2 = nearest_order(active.points(), x)
+    order, d2 = nearest_order(rows.points, x)
     r2 = np.sqrt(d2[order])  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    record_rows, eps_o, thresholds = rows.rows, rows.eps_o, rows.thresholds
+    record_rows, eps_o, thresholds, u_const = rows.rows, rows.eps_o, rows.thresholds, rows.u_const
     w = x_row.shape[0]
 
     for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
@@ -344,12 +352,14 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     ``reliable`` counts the balls around X; an accepted X keeps that row for
     the balls around its record.  The only other distances are X's to the
     records, which ``reliable`` computes with
-    ``nearest_order(active.points(), x)``.  An accepted X's accuracy eps_o =
-    (LB / 64L)^(d/alpha) and threshold 75/94 eps_o are computed once, with
-    its row (``RecordRows``).  ValueError, before any label, where the
-    largest accuracy, that of LB = 1/2, has no stage table at the last
-    scanned point's delta_s, and at acceptance where the record's own has
-    none (``record_accuracy``).
+    ``nearest_order(rows.points, x)``.  The run keeps one record table
+    (``RecordRows``), and an accepted X is one append to it: its record, its
+    point, its row, its accuracy eps_o = (LB / 64L)^(d/alpha) and threshold
+    75/94 eps_o, each computed once.  The table's ``active`` is the returned
+    active set.  ValueError, before any label, where the largest accuracy,
+    that of LB = 1/2, has no stage table at the last scanned point's
+    delta_s, and at acceptance where the record's own has none
+    (``record_accuracy``).
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -357,7 +367,6 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         raise ValueError(
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
-    active = ActiveSet()
     rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), config.u_const)
     trace = RunTrace()
 
@@ -370,8 +379,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         neighbors, d2 = center_order(pool, x_index)
         x_row = np.concatenate(([0.0], d2))  # X's own 0.0, left out of d2, sorts first
 
-        if reliable(pool.points[x_index], x_row, delta_s, active, rows, config.u_const,
-                    est_rng):
+        if reliable(pool.points[x_index], x_row, delta_s, rows, est_rng):
             trace.reliable_skips += 1
             continue
 
@@ -395,15 +403,14 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             k_cap=min(k_prime, t_before), k_tilde=k_tilde))
 
         if accepted:
-            rows.append(x_row, lb)
-            active.append(ActiveRecord(point=pool.points[x_index].copy(),
-                                       inferred_label=outcome.y_hat,
-                                       lb=lb, source_index=x_index))
+            rows.append(ActiveRecord(point=pool.points[x_index].copy(),
+                                     inferred_label=outcome.y_hat, lb=lb,
+                                     source_index=x_index), x_row)
 
     trace.labels_spent = config.n - oracle.remaining_budget
     trace.stopped_reason = ("budget_exhausted" if oracle.remaining_budget <= 0
                             else "pool_exhausted")
-    return active, trace
+    return rows.active, trace
 
 
 def one_nn_label_batch(active: ActiveSet, queries: np.ndarray) -> np.ndarray:

@@ -196,7 +196,7 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
         family=problem.family, kappa=problem.kappa, budget=budget, seed=seed,
         labels_used_active=labels_used, excess_active=excess_active,
         excess_passive=excess_passive, deep_margin_agreement=agreement,
-        informative_count=len(trace.informative_indices),
+        informative_count=len(trace.per_point),
         wall_ms=(time.perf_counter() - t0) * 1e3)
 
 

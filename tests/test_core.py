@@ -133,8 +133,8 @@ def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
     x_row = np.concatenate(([0.0], center_order(pool, x_index)[1]))
     rows = RecordRows(smooth, delta_s, u_const)
     for r in active.records:
-        rows.append(np.sort(sq_dists(pool.points, r.point)[0]), r.lb)
-    return reliable(pool.points[x_index], x_row, delta_s, active, rows, u_const, rng)
+        rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
+    return reliable(pool.points[x_index], x_row, delta_s, rows, rng)
 
 
 class TestReliable:
@@ -225,9 +225,10 @@ class TestSortedRows:
         rng = substream(seed, "estimation")
         draws = []  # draws_used of each ball, in estimation order
 
-        def fresh_rows(x, x_row, delta_s, active, rows, u_const, rng):
-            return reference_reliable(pool.points, x, delta_s, rows.smooth, active, u_const,
-                                      rng, draws)
+        def fresh_rows(x, x_row, delta_s, rows, rng):
+            # eps_o from each record's lb, never from rows.eps_o
+            return reference_reliable(pool.points, x, delta_s, rows.smooth, rows.active,
+                                      rows.u_const, rng, draws)
 
         def spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
@@ -292,6 +293,8 @@ class TestSortedRows:
         for owner in (kalls.core, kalls.pool):
             monkeypatch.setattr(owner, "neighbor_order", forbidden)
         monkeypatch.setattr(Pool, "sq_dists_from", forbidden)
+        # reliable reads the record points from RecordRows, rebuilding none
+        monkeypatch.setattr(ActiveSet, "points", forbidden)
         active, trace, _, _ = self._noiseless_run(d, seed=1)
         assert centers == list(range(trace.points_scanned))
         assert trace.reliable_skips > 0 and len(active) > 1
@@ -300,16 +303,24 @@ class TestSortedRows:
 class TestRecordRows:
     DELTA_MIN = per_point_delta(0.05, 2000)  # the last scanned point of a pool of 2000
 
+    @staticmethod
+    def _record(lb, source_index, d=1):
+        return ActiveRecord(point=np.full(d, source_index / 10.0), inferred_label=1, lb=lb,
+                            source_index=source_index)
+
     def test_accuracy_and_threshold_of_each_record(self):
         smooth = SmoothnessParams(alpha=0.5, L=1.2, d=2)
         rows = RecordRows(smooth, self.DELTA_MIN, 50)
         lbs = (0.5, 0.2, 1e-3)
-        for lb in lbs:
-            rows.append(np.zeros(3), lb)
+        records = [self._record(lb, i, d=2) for i, lb in enumerate(lbs)]
+        for rec in records:
+            rows.append(rec, np.zeros(3))
         eps_o = [(lb / (64.0 * 1.2)) ** (2 / 0.5) for lb in lbs]
         assert len(rows.rows) == 3
         assert rows.eps_o == eps_o
         assert rows.thresholds == [RELIABLE_ACCEPT_RATIO * e for e in eps_o]
+        assert rows.active.records == records
+        assert np.array_equal(rows.points, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
 
     # alpha 0.01, L 1.2: eps_o = (lb / 76.8)^100, about 2e-219 at lb 1/2
     @pytest.mark.parametrize("lb,cause", [
@@ -319,10 +330,16 @@ class TestRecordRows:
     ])
     def test_accuracy_without_a_stage_table_is_rejected_at_acceptance(self, lb, cause):
         rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1), self.DELTA_MIN, 50)
-        rows.append(np.zeros(3), 0.2)
+        first = self._record(0.2, 3)
+        rows.append(first, np.zeros(3))
         with pytest.raises(ValueError, match=rf"of lb {lb}, alpha 0\.01, L 1\.2, d 1 .*{cause}"):
-            rows.append(np.zeros(3), lb)
+            rows.append(self._record(lb, 5), np.zeros(3))
+        # and a record out of source order, at an accuracy that has a table
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rows.append(self._record(0.2, 3), np.zeros(3))
         assert len(rows.rows) == len(rows.eps_o) == len(rows.thresholds) == 1
+        assert rows.active.records == [first]
+        assert np.array_equal(rows.points, [first.point])
 
     @pytest.mark.parametrize("alpha", [0.005, 0.007])  # eps_o at lb 1/2: 0.0, 4.6e-313
     def test_largest_accuracy_without_a_stage_table_is_rejected_up_front(self, alpha):
@@ -457,7 +474,7 @@ class TestRunKalls:
         assert trace.labels_spent == sum(p.q_size for p in trace.per_point)
 
     def test_acceptance_filter_recomputed_from_trace(self):
-        _, config, active, trace = run_once(seed=3)
+        problem, config, active, trace = run_once(seed=3)
         by_s = {p.s: p for p in trace.per_point}
         assert len(active) >= 1
         for rec in active.records:
@@ -467,6 +484,15 @@ class TestRunKalls:
             assert entry.accepted
             assert rec.lb >= config.lb_factor * b
             assert rec.lb == entry.lb
+        # conversely, the active set is exactly the accepted entries, in order
+        accepted = [p for p in trace.per_point if p.accepted]
+        assert len(active) == len(accepted)
+        pool = Pool(problem.sample(4000, substream(3, "pool")))  # run_once's pool
+        for rec, entry in zip(active.records, accepted):
+            assert rec.source_index == entry.s - 1
+            assert rec.inferred_label == entry.y_hat
+            assert rec.lb == entry.lb
+            assert np.array_equal(rec.point, pool.points[entry.s - 1])
 
     def test_rejected_entries_fail_the_filter(self):
         _, config, _, trace = run_once(seed=4)
