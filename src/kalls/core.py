@@ -157,22 +157,47 @@ class PerPointRecord:
 
 
 @dataclass
+class SkipCertificate:
+    """Why ``reliable`` skipped scanned point ``s``: the ball of the record
+    with ``source_index`` passed, around the record (``ball`` "record") or
+    around the scanned point ("point")."""
+
+    s: int
+    source_index: int
+    ball: str
+
+
+@dataclass
 class RunTrace:
-    informative_indices: list[int] = field(default_factory=list)
+    """What a run did, written as one line of JSON by ``to_json``.
+
+    ``per_point`` holds one record per informative point and
+    ``skip_certificates`` one per reliable skip, each in scan order, so
+    ``len(per_point) + reliable_skips == points_scanned``.
+    ``estimator_calls`` and ``estimator_draws`` count ``reliable``'s
+    ``est_prob`` calls and the draws they used."""
+
     labels_spent: int = 0
     stopped_reason: str = "pool_exhausted"
     per_point: list[PerPointRecord] = field(default_factory=list)
     points_scanned: int = 0
     reliable_skips: int = 0
+    estimator_calls: int = 0
+    estimator_draws: int = 0
+    skip_certificates: list[SkipCertificate] = field(default_factory=list)
 
     def to_json(self, config_dict: dict, version: str,
                 resolved_seed: int | None = None) -> str:
-        # the fields are flat, so vars() gives asdict()'s JSON without its deep copy
+        """``asdict(self)`` with the tool version, the config and, when given,
+        the resolved seed, as one line of JSON with sorted keys."""
+        # the records are flat, so vars() gives asdict()'s JSON without its deep
+        # copy; without an indent json.dumps runs its C encoder
         payload = {**vars(self), "per_point": [vars(r) for r in self.per_point],
+                   "skip_certificates": [vars(c) for c in self.skip_certificates],
                    "tool_version": version, "config": config_dict}
         if resolved_seed is not None:
             payload["resolved_seed"] = resolved_seed
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
@@ -201,11 +226,15 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
         raise AbstainEmpty("pool has no neighbors to request")
 
     idx = neighbors[:cap]
-    peeked = oracle.peek_labels(idx)
-    cum = np.cumsum(peeked, dtype=np.int64)
-    ks = np.arange(1, cap + 1, dtype=np.float64)
-    dev = np.abs(cum / ks - 0.5)
-    fired = dev > 2.0 * th.confidence_radii(delta_s, cap)
+    cum = np.add.accumulate(oracle.peek_labels(idx), dtype=np.int64)  # labels 1 so far
+    # |cum/k - 1/2| > 2 b(delta_s, k), each side formed in place with the
+    # rounded operations of np.abs(cum / k - 0.5) and 2.0 * b
+    dev = np.divide(cum, th.request_counts(cap))
+    dev -= 0.5
+    np.abs(dev, out=dev)
+    twice_b = th.confidence_radii(delta_s, cap)
+    twice_b *= 2.0
+    fired = dev > twice_b
     first = int(fired.argmax())  # the first True, or 0 when none is
     if fired[first]:
         k_star = first + 1
@@ -261,11 +290,16 @@ class RecordRows:
     point.  lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the
     largest accuracy, that of lb = 1/2, and a run whose every record would
     fail is refused before it spends a label.
+
+    ``trace`` is the run's ``RunTrace`` (a fresh one by default), where
+    ``reliable`` counts its estimates and certifies its skips.
     """
 
-    def __init__(self, smooth: th.SmoothnessParams, delta_min: float, u_const: int) -> None:
+    def __init__(self, smooth: th.SmoothnessParams, delta_min: float, u_const: int,
+                 trace: RunTrace | None = None) -> None:
         self.smooth, self.delta_min, self.u_const = smooth, delta_min, u_const
         record_accuracy(smooth, 0.5, delta_min, u_const)
+        self.trace = RunTrace() if trace is None else trace
         self.active = ActiveSet()
         self.points = np.zeros((0, smooth.d))
         self.rows: list[np.ndarray] = []
@@ -285,7 +319,7 @@ class RecordRows:
         self.thresholds.append(RELIABLE_ACCEPT_RATIO * eps_o)
 
 
-def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
+def reliable(x: np.ndarray, x_row: np.ndarray | None, delta_s: float, rows: RecordRows,
              rng: np.random.Generator) -> bool:
     """Informativeness test: True when some active record's neighborhood already
     pins down the label of the pool point ``x``.
@@ -314,6 +348,11 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists`` rows and every
     binomial draw, and the random stream, is that of a fresh distance row
     per ball.
+
+    Each call adds its ``est_prob`` calls and their draws to the counters of
+    ``rows.trace``, and a pass appends a ``SkipCertificate`` for the point
+    under test, the trace's ``points_scanned``.  ``x_row`` is read only when
+    there is a record, so a run with none may pass None.
     """
     if not rows.rows:
         return False
@@ -323,14 +362,31 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     record_rows, eps_o, thresholds, u_const = rows.rows, rows.eps_o, rows.thresholds, rows.u_const
     w = x_row.shape[0]
 
+    calls = draws = 0
+    passed = None
     for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
         stages, threshold = stage_table(eps_o[j], delta_s, u_const), thresholds[j]
-        if est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages,
-                    rng).p_hat <= threshold:
-            return True
-        if est_prob(in_x, w, stages, rng).p_hat <= threshold:
-            return True
-    return False
+        est = est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages, rng)
+        calls += 1
+        draws += est.draws_used
+        if est.p_hat <= threshold:
+            passed = j, "record"
+            break
+        est = est_prob(in_x, w, stages, rng)
+        calls += 1
+        draws += est.draws_used
+        if est.p_hat <= threshold:
+            passed = j, "point"
+            break
+    trace = rows.trace
+    trace.estimator_calls += calls
+    trace.estimator_draws += draws
+    if passed is None:
+        return False
+    j, ball = passed
+    trace.skip_certificates.append(SkipCertificate(
+        trace.points_scanned, rows.active.records[j].source_index, ball))
+    return True
 
 
 def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
@@ -350,8 +406,9 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     One ``center_order`` per scanned point gives X's neighbour order, which
     ``confident_label`` requests along, and X's sorted pool row, on which
     ``reliable`` counts the balls around X; an accepted X keeps that row for
-    the balls around its record.  The only other distances are X's to the
-    records, which ``reliable`` computes with
+    the balls around its record.  The row is built only where it is read: when
+    the run has a record, or when X is accepted.  The only other distances
+    are X's to the records, which ``reliable`` computes with
     ``nearest_order(rows.points, x)``.  The run keeps one record table
     (``RecordRows``), and an accepted X is one append to it: its record, its
     point, its row, its accuracy eps_o = (LB / 64L)^(d/alpha) and threshold
@@ -359,7 +416,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     active set.  ValueError, before any label, where the largest accuracy,
     that of LB = 1/2, has no stage table at the last scanned point's
     delta_s, and at acceptance where the record's own has none
-    (``record_accuracy``).
+    (``record_accuracy``).  The table carries the trace, so ``reliable``
+    adds its estimator counters and skip certificates to it.
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -367,8 +425,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         raise ValueError(
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
-    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), config.u_const)
     trace = RunTrace()
+    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), config.u_const, trace)
 
     for s in range(1, pool.w + 1):
         if oracle.remaining_budget <= 0:
@@ -377,7 +435,9 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         delta_s = th.per_point_delta(config.delta, s)
         x_index = s - 1
         neighbors, d2 = center_order(pool, x_index)
-        x_row = np.concatenate(([0.0], d2))  # X's own 0.0, left out of d2, sorts first
+        # X's sorted pool row, its own 0.0 (left out of d2) first; built only
+        # where it is read, by reliable's records or by X's own record
+        x_row = np.concatenate(([0.0], d2)) if rows.rows else None
 
         if reliable(pool.points[x_index], x_row, delta_s, rows, est_rng):
             trace.reliable_skips += 1
@@ -391,7 +451,6 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         b_q = th.confidence_radius(delta_s, q_size)
         lb = abs(outcome.eta_hat - 0.5) - b_q
         accepted = lb >= config.lb_factor * b_q
-        trace.informative_indices.append(s)
 
         gap = abs(float(oracle.eta[x_index]) - 0.5)
         value = th.adaptive_budget_bound(gap, delta_s, config.c_const) if gap else np.inf
@@ -403,6 +462,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             k_cap=min(k_prime, t_before), k_tilde=k_tilde))
 
         if accepted:
+            if x_row is None:
+                x_row = np.concatenate(([0.0], d2))
             rows.append(ActiveRecord(point=pool.points[x_index].copy(),
                                      inferred_label=outcome.y_hat, lb=lb,
                                      source_index=x_index), x_row)

@@ -460,9 +460,10 @@ def _merged_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray
     order, xs, rank = pool._sorted_1d
     p = rank[center_index]
     idx = np.concatenate((order[:p][::-1], order[p + 1:]))
-    d2 = xs[p] - np.concatenate((xs[:p][::-1], xs[p + 1:]))  # as sq_dists forms it
+    d2 = np.concatenate((xs[:p][::-1], xs[p + 1:]))
+    np.subtract(xs[p], d2, out=d2)  # centre minus point, squared, as sq_dists forms it
     d2 *= d2
-    merge = np.argsort(d2, kind="stable")
+    merge = d2.argsort(kind="stable")
     s = d2[merge]
     return _repair_ties(s, idx[merge], pool.w), s
 
@@ -525,24 +526,42 @@ class LabelOracle:
     def fresh_requests(self) -> int:
         return self._fresh
 
+    @staticmethod
+    def _index_array(indices: np.ndarray) -> np.ndarray:
+        """``indices`` as an intp array; ValueError for a nonempty one of any
+        dtype but an integer one (a float would be truncated and a bool read
+        as 0 and 1)."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu" and idx.size:
+            raise ValueError(f"pool indices must be integers, got dtype {idx.dtype}")
+        return idx.astype(np.intp, copy=False)
+
     def peek_labels(self, indices: np.ndarray) -> np.ndarray:
         """Read realizations without accounting.  Internal: callers must follow up
-        with request_batch on exactly the indices whose labels they use."""
-        return self._labels[np.asarray(indices, dtype=np.intp)]
+        with request_batch on exactly the indices whose labels they use.
+        ValueError for non-integer indices; the range is request_batch's check."""
+        return self._labels[self._index_array(indices)]
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
         """Request labels for pool indices, with exact budget accounting.  A
-        request over budget raises ``BudgetExhausted`` and reveals nothing."""
-        idx = np.asarray(indices, dtype=np.intp)
+        request over budget raises ``BudgetExhausted``, and one with an index
+        out of range or not an integer ``ValueError``; neither reveals or
+        charges anything.  An empty request returns no label."""
+        idx = self._index_array(indices)
         if idx.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if idx.min() < 0 or idx.max() >= self.pool.w:
+        # one pass for both ends: a negative index is a huge unsigned one
+        if idx.view(np.uintp).max() >= self.pool.w:
             raise ValueError("pool index out of range")
-        fresh = idx[~self._revealed[idx]]
-        self._revealed[fresh] = True
-        # revealed indices are exactly the fresh ones so far, so the count
-        # difference is the number of distinct first-time indices in ``idx``
-        n_fresh = int(np.count_nonzero(self._revealed)) - self._fresh
+        known = self._revealed[idx]
+        if known.all():  # no fresh index: nothing to reveal or count
+            fresh, n_fresh = idx[:0], 0
+        else:
+            fresh = idx[~known]
+            self._revealed[fresh] = True
+            # revealed indices are exactly the fresh ones so far, so the count
+            # difference is the number of distinct first-time indices in ``idx``
+            n_fresh = int(np.count_nonzero(self._revealed)) - self._fresh
         cost = idx.size if self.mode == "strict_paper" else n_fresh
         if cost > self._remaining:
             self._revealed[fresh] = False

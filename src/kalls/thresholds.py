@@ -4,7 +4,8 @@ Every quantity the active learner needs ahead of time lives here: the anytime
 confidence radius ``b(delta, k)``, the margin width ``Delta``, the per-point
 label budget ``k(eps, delta)``, the per-point confidence split ``delta_s``, and
 the (purely diagnostic) feasibility report.  All functions are pure; the
-table ``confidence_radii`` keeps changes how fast it answers, not what.
+tables ``confidence_radii`` and ``request_counts`` keep change how fast they
+answer, not what.
 """
 from __future__ import annotations
 
@@ -141,8 +142,9 @@ def confidence_radii(delta: float, cap: int) -> np.ndarray:
     """``confidence_radius(delta, k)`` for k = 1..cap, bit for bit: each entry
     is formed from the same float terms with the same rounded operations, and
     the delta-free terms are read from a table computed once with ``math.log``.
-    Callers pass a cap that changes from call to call, so the table grows to
-    the largest cap seen and is sliced."""
+    The result is a new array, which the caller may overwrite.  Callers pass
+    a cap that changes from call to call, so the table grows to the largest
+    cap seen and is sliced."""
     global _RADIUS_TERMS
     head = _log_loglog(delta)
     if cap < 1:
@@ -159,6 +161,24 @@ def confidence_radii(delta: float, cap: int) -> np.ndarray:
     radii = loglog[:cap] + head
     radii *= inv[:cap]
     return np.sqrt(radii, out=radii)
+
+
+# k = 1..len as float64, read-only: the request counts the radii above are
+# taken at, grown like the radius table and, like it, not built at import.
+_REQUEST_COUNTS = np.zeros(0)
+
+
+def request_counts(cap: int) -> np.ndarray:
+    """k = 1..cap as a read-only float64 array, sliced from a table that
+    grows to the largest cap seen (at least doubling)."""
+    global _REQUEST_COUNTS
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    if cap > _REQUEST_COUNTS.shape[0]:
+        ks = np.arange(1, max(cap, 2 * _REQUEST_COUNTS.shape[0]) + 1, dtype=np.float64)
+        ks.setflags(write=False)
+        _REQUEST_COUNTS = ks
+    return _REQUEST_COUNTS[:cap]
 
 
 def label_budget_real(epsilon: float, delta: float, margin: MarginParams,

@@ -237,8 +237,8 @@ class TestRunCommand:
         assert payload["labels_spent"] <= 400
         assert set(payload) == {"tool_version", "config", "resolved_seed",
                                 "labels_spent", "stopped_reason",
-                                "points_scanned", "reliable_skips", "informative_indices",
-                                "per_point"}
+                                "points_scanned", "reliable_skips", "per_point",
+                                "estimator_calls", "estimator_draws", "skip_certificates"}
         assert payload["per_point"]
         for point in payload["per_point"]:
             assert set(point) == {"s", "q_size", "lb", "accepted", "eta_hat", "y_hat",
@@ -328,7 +328,7 @@ class TestSweepCommand:
         with open(sweep_out / "comparison.csv") as fh:
             (row,) = csv.DictReader(l for l in fh if not l.startswith("#"))
         assert int(row["labels_used_active"]) == trace["labels_spent"]
-        assert int(row["informative_count"]) == len(trace["informative_indices"])
+        assert int(row["informative_count"]) == len(trace["per_point"])
 
 
 class TestCheckAssumptionsCommand:

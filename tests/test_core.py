@@ -8,8 +8,9 @@ import pytest
 
 import kalls.core
 import kalls.pool
+import kalls.thresholds
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
-                        EmptyActiveSet, PerPointRecord, RecordRows, RunTrace,
+                        EmptyActiveSet, PerPointRecord, RecordRows, RunTrace, SkipCertificate,
                         confident_label, one_nn_label_batch, reliable, run_kalls)
 from kalls.estimation import BerEstResult, _stage_loop, est_prob, stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
@@ -124,6 +125,34 @@ class TestConfidentLabel:
         assert oracle.remaining_budget == 0
         assert all(a > b for a, b in zip(caps, caps[1:]))
         assert any(fired) and not fired[-1]
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    def test_sequential_loop_while_the_tables_grow(self, mode, monkeypatch):
+        # from empty k and radius tables: caps that grow them, then slices of them
+        monkeypatch.setattr(kalls.thresholds, "_REQUEST_COUNTS", np.zeros(0))
+        monkeypatch.setattr(kalls.thresholds, "_RADIUS_TERMS", (np.zeros(0), np.zeros(0)))
+        pool = uniform_pool(2000, seed=37)
+        oracle = LabelOracle(pool, flat_eta(0.9), 10**6, seed=11, mode=mode)
+        fired = []
+        for s, cap in enumerate((5, 2, 400, 9, 1500, 30, 1999, 1), start=1):
+            delta_s = 0.1 / s
+            labels = oracle.peek_labels(neighbor_order(pool, s))[:cap]
+            k = next((k for k in range(1, cap + 1)
+                      if abs(labels[:k].sum() / k - 0.5) > 2 * confidence_radius(delta_s, k)),
+                     None)
+            k_star = cap if k is None else k
+            spent = oracle.remaining_budget
+            out = confident_label(pool, oracle, s, k_prime=cap, t_budget=10**6,
+                                  delta_s=delta_s)
+            assert out.q[:, 0].tolist() == neighbor_order(pool, s)[:k_star].tolist()
+            assert out.q[:, 1].tolist() == labels[:k_star].tolist()
+            assert out.eta_hat == labels[:k_star].sum() / k_star
+            assert out.cut_off_fired == (k is not None)
+            if mode == "strict_paper":
+                assert spent - oracle.remaining_budget == k_star
+            fired.append(out.cut_off_fired)
+            assert kalls.thresholds._REQUEST_COUNTS.shape[0] >= cap
+        assert any(fired) and not all(fired)
 
 
 def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
@@ -277,6 +306,46 @@ class TestSortedRows:
                 reference_reliable(second.points, second.points[x_index], 0.01,
                                    SmoothnessParams(1.0, 1.2, 2), active, 50,
                                    substream(x_index, "estimation"))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_trace_counts_every_estimate(self, d):
+        active, trace, _, draws = self._noiseless_run(d, seed=2)
+        assert trace.estimator_calls == len(draws) > 0
+        assert trace.estimator_draws == sum(draws)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_skip_names_an_earlier_record(self, d, monkeypatch):
+        passes = []  # (est_prob calls, the record they end on) of each passing call
+
+        def counted(x, x_row, delta_s, rows, rng):
+            before = rows.trace.estimator_calls
+            if reliable(x, x_row, delta_s, rows, rng):
+                n = rows.trace.estimator_calls - before  # two balls per record, nearest first
+                j = nearest_order(rows.points, x)[0][(n - 1) // 2]
+                passes.append((n, rows.active.records[j].source_index))
+                return True
+            return False
+
+        monkeypatch.setattr(kalls.core, "reliable", counted)
+        skips = 0
+        for seed in (1, 2, 3):
+            passes.clear()
+            active, trace, _, _ = self._noiseless_run(d, seed)
+            sources = {r.source_index for r in active.records}
+            certificates = trace.skip_certificates
+            assert len(certificates) == trace.reliable_skips == len(passes)
+            for c in certificates:
+                assert c.source_index in sources and c.source_index + 1 < c.s
+            # each record's ball comes before the point's, so an odd count of
+            # estimates ends on a record's ball
+            assert [(c.ball, c.source_index) for c in certificates] == \
+                [("record" if n % 2 else "point", source) for n, source in passes]
+            # every scanned point is either informative or certified, once
+            scanned = [p.s for p in trace.per_point] + [c.s for c in certificates]
+            assert len(trace.per_point) + trace.reliable_skips == trace.points_scanned
+            assert sorted(scanned) == list(range(1, trace.points_scanned + 1))
+            skips += trace.reliable_skips
+        assert skips > 0
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_pool_order_per_scanned_point(self, d, monkeypatch):
@@ -433,7 +502,7 @@ class TestRunKalls:
         smooth = SmoothnessParams(alpha=1.0, L=2.0, d=1)
         _, trace = run_kalls(pool, oracle, config, smooth, MarginParams(beta=1, C=2),
                              est_rng=substream(2, "estimation"))
-        assert trace.informative_indices[0] == 1
+        assert trace.per_point[0].s == 1
         assert trace.per_point[0].y_hat == 1
 
     def test_replay_is_bit_exact(self):
@@ -451,22 +520,30 @@ class TestRunKalls:
             payload = {**asdict(trace), "tool_version": version, "config": config}
             if resolved_seed is not None:
                 payload["resolved_seed"] = resolved_seed
-            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            return json.dumps(payload, sort_keys=True) + "\n"
 
         records = [PerPointRecord(s=s, q_size=3 * s, lb=0.1 * s - 0.2, accepted=s % 2 == 0,
                                   eta_hat=s / 7, y_hat=s % 2, cut_off_fired=s == 3,
                                   k_cap=100, k_tilde=None if s % 3 else 12.5 * s)
                    for s in range(1, 7)]
-        trace = RunTrace(informative_indices=[1, 2, 3, 4, 5, 6], labels_spent=63,
-                         stopped_reason="budget_exhausted", per_point=records,
-                         points_scanned=9, reliable_skips=3)
+        certificates = [SkipCertificate(s=s, source_index=s - 3, ball=ball)
+                        for s, ball in ((7, "record"), (8, "point"), (9, "record"))]
+        trace = RunTrace(labels_spent=63, stopped_reason="budget_exhausted",
+                         per_point=records, points_scanned=9, reliable_skips=3,
+                         estimator_calls=5, estimator_draws=4096,
+                         skip_certificates=certificates)
         config = {"budgets": [200], "problem": {"family": "x", "kappa": 1.0}}
         for seed in (None, 4):
-            assert trace.to_json(config, "v", resolved_seed=seed) == \
-                asdict_json(trace, config, "v", resolved_seed=seed)
+            text = trace.to_json(config, "v", resolved_seed=seed)
+            assert text == asdict_json(trace, config, "v", resolved_seed=seed)
+            assert text.count("\n") == 1 and text.endswith("}\n")  # one line
         _, _, _, run = run_once(seed=4, w=500, n=800)
         assert run.to_json(config, "v") == asdict_json(run, config, "v")
-        assert RunTrace().to_json({}, "v") == asdict_json(RunTrace(), {}, "v")
+        assert RunTrace().to_json({}, "v") == asdict_json(RunTrace(), {}, "v") == (
+            '{"config": {}, "estimator_calls": 0, "estimator_draws": 0, "labels_spent": 0, '
+            '"per_point": [], "points_scanned": 0, "reliable_skips": 0, '
+            '"skip_certificates": [], "stopped_reason": "pool_exhausted", '
+            '"tool_version": "v"}\n')
 
     def test_budget_safety_and_strict_accounting(self):
         _, config, _, trace = run_once(seed=2)
@@ -503,7 +580,7 @@ class TestRunKalls:
 
     def test_monotone_trace(self):
         _, _, active, trace = run_once(seed=5)
-        idx = trace.informative_indices
+        idx = [p.s for p in trace.per_point]
         assert all(b > a for a, b in zip(idx, idx[1:]))
         informative = set(idx)
         for rec in active.records:

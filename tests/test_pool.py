@@ -318,6 +318,35 @@ class TestLabelOracle:
         assert np.array_equal(oracle.eta, eta) and oracle.eta is not eta
         assert eta.flags.writeable and not oracle.eta.flags.writeable
 
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    @pytest.mark.parametrize("indices", [[1.7, 2.2], np.array([3.0]), [True, False],
+                                         np.array([True, True, False])])
+    def test_non_integer_indices_are_refused(self, mode, indices):
+        # a float was truncated to an index and a bool read as 0 or 1, and charged
+        pool = self._pool(w=10)
+        oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=9, mode=mode)
+        for read in (oracle.request_batch, oracle.peek_labels):
+            with pytest.raises(ValueError, match="integers"):
+                read(indices)
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (5, 0)
+        assert not oracle._revealed.any()
+        # integer dtypes of any width, and an empty request, still go through
+        for ok in ([1, 2], np.array([3], dtype=np.uint8), np.array([4], dtype=np.int32)):
+            assert np.array_equal(oracle.request_batch(ok), oracle._labels[np.asarray(ok)])
+        assert oracle.request_batch([]).shape == (0,)
+        assert oracle.fresh_requests == 4
+
+    @pytest.mark.parametrize("bad", [[-1], [10], [0, 5, 10], [3, -7, 2],
+                                     np.array([2**64 - 1], dtype=np.uint64)])
+    def test_out_of_range_indices_are_refused(self, bad):
+        pool = self._pool(w=10)
+        oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=9)
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.request_batch(bad)
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (5, 0)
+        assert not oracle._revealed.any()
+        assert np.array_equal(oracle.request_batch([0, 9]), oracle._labels[[0, 9]])
+
     def test_eta_validation(self):
         pool = self._pool()
         for bad in (1.5, -0.5, np.nan):  # a NaN eta would draw label 0

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from kalls.thresholds import (INFEASIBLE_BUDGET, DoublingParams, KallsConfig,
                               adaptive_budget_bound, confidence_radius,
                               confidence_radii, feasibility_report,
                               label_budget_k, label_budget_real, margin_delta,
-                              per_point_delta, phi_n)
+                              per_point_delta, phi_n, request_counts)
 
 
 def rel_err(got, want):
@@ -92,6 +95,25 @@ class TestConfidenceRadius:
             assert confidence_radii(0.002, cap).tolist() == want
             assert thresholds._RADIUS_TERMS[0].shape[0] >= cap
         assert thresholds._RADIUS_TERMS[0].shape[0] == 20_000
+
+    def test_request_counts_grow_and_stay_read_only(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "_REQUEST_COUNTS", np.zeros(0))
+        for cap in (3, 1, 2000, 7, 4001, 5):
+            ks = request_counts(cap)
+            assert ks.dtype == np.float64
+            assert ks.tolist() == [float(k) for k in range(1, cap + 1)]
+            assert not ks.flags.writeable
+        assert thresholds._REQUEST_COUNTS.shape[0] == 4001
+        with pytest.raises(ValueError):
+            request_counts(0)
+
+    def test_import_builds_no_table(self):
+        # the tables grow on first use, so importing kalls allocates neither
+        code = ("import kalls, kalls.cli; t = kalls.thresholds; "
+                "assert t._REQUEST_COUNTS.size == 0 and t._RADIUS_TERMS[0].size == 0")
+        src = os.path.dirname(os.path.dirname(thresholds.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_domain(self):
         with pytest.raises(ValueError):
