@@ -93,8 +93,8 @@ class ExperimentConfig:
     def smooth_params(self, problem) -> SmoothnessParams:
         """The smoothness the learner runs with: the override, else the
         problem's certified one.  It is refused where the run could not
-        estimate a single record's ball masses (``core.RecordRows``), so such
-        a config fails before any label is spent."""
+        estimate a single record's ball masses (``core.record_accuracy`` at
+        lb = 1/2), so such a config fails before any label is spent."""
         if self.smoothness_override is not None:
             smooth = _override(SmoothnessParams, self.smoothness_override, d=problem.d)
         elif problem.certified_smooth is None:
@@ -104,7 +104,8 @@ class ExperimentConfig:
         else:
             smooth = problem.certified_smooth
         try:
-            core.RecordRows(smooth, per_point_delta(self.delta, self.pool_size), self.u_const)
+            core.record_accuracy(smooth, 0.5, per_point_delta(self.delta, self.pool_size),
+                                 self.u_const)
         except ValueError as exc:
             raise ConfigError(f"bad smoothness: {exc}") from exc
         return smooth

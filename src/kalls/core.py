@@ -319,7 +319,7 @@ class RecordRows:
         self.thresholds.append(RELIABLE_ACCEPT_RATIO * eps_o)
 
 
-def reliable(x: np.ndarray, x_row: np.ndarray | None, delta_s: float, rows: RecordRows,
+def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
              rng: np.random.Generator) -> bool:
     """Informativeness test: True when some active record's neighborhood already
     pins down the label of the pool point ``x``.
@@ -338,26 +338,26 @@ def reliable(x: np.ndarray, x_row: np.ndarray | None, delta_s: float, rows: Reco
     delta' = ``delta_s`` (``stage_table``), which both its balls share, and
     each ball is then one ``est_prob`` call, which only draws.  The balls are
     counted before ``est_prob`` draws, on sorted rows of squared distances
-    to the pool: ``x_row`` is X's, which ``run_kalls`` takes from its one
-    ``center_order`` of the scan step and keeps as the row of the record X
-    becomes.  One ``searchsorted`` of all the squared radii in ``x_row``
-    counts every ball around X; each record's ball is one ``searchsorted`` in
-    its row, made only when the test reaches the record.  The squared radii
-    are ``np.sqrt`` of the squared record distances, squared again, bit for
-    bit the scalar ``radius * radius``, so the counts equal
+    to the pool: ``x_row`` is X's full row, its own 0.0 included, which
+    ``run_kalls`` takes from its one ``center_order`` of the scan step and
+    keeps as the row of the record X becomes.  One ``searchsorted`` of all
+    the squared radii in ``x_row`` counts every ball around X; each record's
+    ball is one ``searchsorted`` in its row, made only when the test reaches
+    the record.  The squared radii are ``np.sqrt`` of the sorted squared
+    record distances that ``nearest_order`` gives, squared again in place,
+    bit for bit the scalar ``radius * radius``, so the counts equal
     ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists`` rows and every
     binomial draw, and the random stream, is that of a fresh distance row
     per ball.
 
     Each call adds its ``est_prob`` calls and their draws to the counters of
     ``rows.trace``, and a pass appends a ``SkipCertificate`` for the point
-    under test, the trace's ``points_scanned``.  ``x_row`` is read only when
-    there is a record, so a run with none may pass None.
+    under test, the trace's ``points_scanned``.
     """
     if not rows.rows:
         return False
-    order, d2 = nearest_order(rows.points, x)
-    r2 = np.sqrt(d2[order])  # bit for bit the scalar sqrt of each entry
+    order, r2 = nearest_order(rows.points, x)
+    np.sqrt(r2, out=r2)  # bit for bit the scalar sqrt of each entry
     r2 *= r2
     record_rows, eps_o, thresholds, u_const = rows.rows, rows.eps_o, rows.thresholds, rows.u_const
     w = x_row.shape[0]
@@ -404,11 +404,10 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     oracle's eta at the point (None where eta is 1/2 or the bound overflows).
 
     One ``center_order`` per scanned point gives X's neighbour order, which
-    ``confident_label`` requests along, and X's sorted pool row, on which
-    ``reliable`` counts the balls around X; an accepted X keeps that row for
-    the balls around its record.  The row is built only where it is read: when
-    the run has a record, or when X is accepted.  The only other distances
-    are X's to the records, which ``reliable`` computes with
+    ``confident_label`` requests along, and X's full sorted pool row, on
+    which ``reliable`` counts the balls around X; an accepted X keeps that
+    very array as its record's row, for the balls around it.  The only other
+    distances are X's to the records, which ``reliable`` computes with
     ``nearest_order(rows.points, x)``.  The run keeps one record table
     (``RecordRows``), and an accepted X is one append to it: its record, its
     point, its row, its accuracy eps_o = (LB / 64L)^(d/alpha) and threshold
@@ -434,10 +433,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         trace.points_scanned = s
         delta_s = th.per_point_delta(config.delta, s)
         x_index = s - 1
-        neighbors, d2 = center_order(pool, x_index)
-        # X's sorted pool row, its own 0.0 (left out of d2) first; built only
-        # where it is read, by reliable's records or by X's own record
-        x_row = np.concatenate(([0.0], d2)) if rows.rows else None
+        neighbors, x_row = center_order(pool, x_index)
 
         if reliable(pool.points[x_index], x_row, delta_s, rows, est_rng):
             trace.reliable_skips += 1
@@ -462,8 +458,6 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             k_cap=min(k_prime, t_before), k_tilde=k_tilde))
 
         if accepted:
-            if x_row is None:
-                x_row = np.concatenate(([0.0], d2))
             rows.append(ActiveRecord(point=pool.points[x_index].copy(),
                                      inferred_label=outcome.y_hat, lb=lb,
                                      source_index=x_index), x_row)

@@ -68,15 +68,19 @@ hold runs of equal values, one sort of the int64 keys
 any ascending sort puts the same run of equal values at the same positions,
 and the key keeps the runs in place and orders only within each, which is
 what the stable argsort does, in less time (the README's "Neighbour search"
-gives the timings).
+gives the timings).  Both order functions return the order with its sorted
+row of squared distances, ``np.sort`` of the ``sq_dists`` row bit for bit:
+``center_order``'s is the centre's full pool row, its own 0.0 included,
+although its order leaves the centre out.
 
 For d = 1, ``center_order`` sorts no distance row.  The pool keeps an
 ascending order of its coordinates, computed on first use with the default
 argsort (64 us at w = 4000; the stable one takes 325 us, and equal
 coordinates need no order, being equal distances from any centre).
-The points before the centre's sorted position, read backwards, and the
-points after it, read forwards, are two runs along which the rounded
-``(x_c - x)^2`` never falls (the unimodality ``_nearest_windows`` rests on).
+The points up to the centre's sorted position, read backwards from the
+centre, and the points after it, read forwards, are two runs along which the
+rounded ``(x_c - x)^2`` never falls (the unimodality ``_nearest_windows``
+rests on).
 Their distances, formed as ``sq_dists`` forms them, are concatenated, and
 the stable argsort (a timsort, which finds the two runs) merges them in
 O(w).  The same tie repair then puts each run of equal distances into index
@@ -410,14 +414,17 @@ def _grid_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray, k: int,
 
 
 def nearest_order(points: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of all ``points``, nearest to ``query`` first, and their squared
-    distances to it.  The order is ``argsort(d2, kind="stable")``'s, made from
-    the faster unstable argsort by the tie repair the module docstring gives.
-    The points and the query must be finite."""
+    """Indices of all ``points``, nearest to ``query`` first, and the sorted
+    row of their squared distances to it: ``row[i]`` is the distance of
+    ``order[i]``, and ``row`` is ``np.sort(sq_dists(points, query)[0])`` bit for
+    bit.  The order is ``argsort(d2, kind="stable")``'s, made from the faster
+    unstable argsort by the tie repair the module docstring gives.  The points
+    and the query must be finite."""
     query = _check_finite(np.asarray(query, dtype=np.float64), "query")
     d2 = sq_dists(_as_points(points), query)[0]
     order = np.argsort(d2)
-    return _repair_ties(d2[order], order, d2.shape[0]), d2
+    row = d2[order]
+    return _repair_ties(row, order, d2.shape[0]), row
 
 
 def _repair_ties(s: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
@@ -440,32 +447,32 @@ class NeighborList:
 
 
 def center_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pool's indices but ``center_index``, nearest to it first, and their
-    squared distances in that order.  The distances are the ``sq_dists`` row of
-    the centre, its own 0.0 left out, in ascending order: with that 0.0 put in
-    front they are ``np.sort(sq_dists(pool.points, pool.points[center_index])[0])``
-    bit for bit."""
+    """The pool's indices but ``center_index``, nearest to it first, and the
+    centre's full sorted pool row, its own 0.0 included:
+    ``np.sort(sq_dists(pool.points, pool.points[center_index])[0])`` bit for
+    bit, so ``row[i + 1]`` is the distance of ``neighbours[i]``."""
     if not 0 <= center_index < pool.w:
         raise ValueError(f"center_index {center_index} out of range [0, {pool.w})")
     if pool.d == 1:
         return _merged_order(pool, center_index)
-    order, d2 = nearest_order(pool.points, pool.points[center_index])
-    order = order[order != center_index]
-    return order, d2[order]
+    order, row = nearest_order(pool.points, pool.points[center_index])
+    return order[order != center_index], row
 
 
 def _merged_order(pool: Pool, center_index: int) -> tuple[np.ndarray, np.ndarray]:
     """d = 1: ``center_order`` from the two runs of sorted points on either
-    side of the centre, merged by one stable argsort (module docstring)."""
+    side of the centre, merged by one stable argsort (module docstring).  The
+    centre heads the backward run; its 0.0 is the least distance, so the
+    stable merge keeps it first, and the repair orders the rest."""
     order, xs, rank = pool._sorted_1d
     p = rank[center_index]
-    idx = np.concatenate((order[:p][::-1], order[p + 1:]))
-    d2 = np.concatenate((xs[:p][::-1], xs[p + 1:]))
+    idx = np.concatenate((order[p::-1], order[p + 1:]))
+    d2 = np.concatenate((xs[p::-1], xs[p + 1:]))
     np.subtract(xs[p], d2, out=d2)  # centre minus point, squared, as sq_dists forms it
     d2 *= d2
     merge = d2.argsort(kind="stable")
-    s = d2[merge]
-    return _repair_ties(s, idx[merge], pool.w), s
+    row = d2[merge]
+    return _repair_ties(row[1:], idx[merge[1:]], pool.w), row
 
 
 def neighbor_order(pool: Pool, center_index: int) -> np.ndarray:
@@ -478,9 +485,9 @@ def k_nearest(pool: Pool, center_index: int, k: int) -> NeighborList:
     """The k pool points closest to pool point ``center_index`` (itself excluded)."""
     if not 1 <= k <= pool.w - 1:
         raise ValueError(f"k must satisfy 1 <= k <= w-1 = {pool.w - 1}, got {k}")
-    order, d2 = center_order(pool, center_index)
+    order, row = center_order(pool, center_index)
     return NeighborList(center_index, [(int(j), float(np.sqrt(r)))
-                                       for j, r in zip(order[:k], d2[:k])])
+                                       for j, r in zip(order[:k], row[1:k + 1])])
 
 
 class LabelOracle:
@@ -526,20 +533,23 @@ class LabelOracle:
     def fresh_requests(self) -> int:
         return self._fresh
 
-    @staticmethod
-    def _index_array(indices: np.ndarray) -> np.ndarray:
+    def _index_array(self, indices: np.ndarray) -> np.ndarray:
         """``indices`` as an intp array; ValueError for a nonempty one of any
         dtype but an integer one (a float would be truncated and a bool read
-        as 0 and 1)."""
+        as 0 and 1), or with an index out of range (a negative one would wrap)."""
         idx = np.asarray(indices)
         if idx.dtype.kind not in "iu" and idx.size:
             raise ValueError(f"pool indices must be integers, got dtype {idx.dtype}")
-        return idx.astype(np.intp, copy=False)
+        idx = idx.astype(np.intp, copy=False)
+        # one pass for both ends: a negative index is a huge unsigned one
+        if idx.size and idx.view(np.uintp).max() >= self.pool.w:
+            raise ValueError("pool index out of range")
+        return idx
 
     def peek_labels(self, indices: np.ndarray) -> np.ndarray:
         """Read realizations without accounting.  Internal: callers must follow up
         with request_batch on exactly the indices whose labels they use.
-        ValueError for non-integer indices; the range is request_batch's check."""
+        ValueError for non-integer indices or an index out of range."""
         return self._labels[self._index_array(indices)]
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
@@ -550,9 +560,6 @@ class LabelOracle:
         idx = self._index_array(indices)
         if idx.size == 0:
             return np.zeros(0, dtype=np.int64)
-        # one pass for both ends: a negative index is a huge unsigned one
-        if idx.view(np.uintp).max() >= self.pool.w:
-            raise ValueError("pool index out of range")
         known = self._revealed[idx]
         if known.all():  # no fresh index: nothing to reveal or count
             fresh, n_fresh = idx[:0], 0

@@ -53,10 +53,10 @@ class MarginParams:
     C: float
 
     def __post_init__(self) -> None:
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.C < 1.0:
-            raise ValueError(f"C must be >= 1, got {self.C}")
+        if not 0.0 <= self.beta < math.inf:  # NaN fails
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 1.0 <= self.C < math.inf:
+            raise ValueError(f"C must be finite and >= 1, got {self.C}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,10 @@ class KallsConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.n < 0:
             raise ValueError(f"label budget n must be >= 0, got {self.n}")
-        if self.c_const < 1.0:
-            raise ValueError(f"c_const must be >= 1, got {self.c_const}")
+        if not 1.0 <= self.c_const < math.inf:  # NaN fails
+            raise ValueError(f"c_const must be finite and >= 1, got {self.c_const}")
+        if not 0.0 < self.lb_factor < math.inf:  # lb 0 would make eps_o 0
+            raise ValueError(f"lb_factor must be finite and > 0, got {self.lb_factor}")
         if self.u_const < 7:
             raise ValueError(f"u_const must be >= 7, got {self.u_const}")
         if self.budget_mode not in ("strict_paper", "cached_labels"):

@@ -101,9 +101,21 @@ class TestConfig:
         ({"n_test": 0}, "n_test"),
         ({"problem": {"family": "product_uniform_nd", "kappa": 1.0, "d": 2.7}}, "problem.d"),
         ({"problem": {"family": "discrete_atoms", "n_atoms": 64.9}}, "problem.n_atoms"),
+        # json reads NaN and Infinity, which a plain `x < low` check lets through
+        ({"lb_factor": -1.0}, "lb_factor"),
+        ({"lb_factor": 0.0}, "lb_factor"),
+        ({"lb_factor": float("nan")}, "lb_factor"),
+        ({"lb_factor": float("inf")}, "lb_factor"),
+        ({"c_const": float("nan")}, "c_const"),
+        ({"c_const": float("inf")}, "c_const"),
+        ({"margin_override": {"beta": float("nan"), "C": float("nan")}}, "beta must"),
+        ({"margin_override": {"beta": 1.0, "C": float("nan")}}, "C must"),
+        ({"margin_override": {"beta": float("inf"), "C": 2.0}}, "beta must"),
     ], ids=["pool_size-str", "pool_size-float", "pool_size-bool", "pool_size-1",
             "budgets-str", "budgets-float", "seeds-str", "u_const-float", "n_test-0",
-            "d-float", "n_atoms-float"])
+            "d-float", "n_atoms-float", "lb_factor-negative", "lb_factor-0", "lb_factor-nan",
+            "lb_factor-inf", "c_const-nan", "c_const-inf", "margin-nan", "margin-C-nan",
+            "margin-beta-inf"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, key):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):

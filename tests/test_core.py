@@ -159,7 +159,7 @@ def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
     """``reliable`` for pool point ``x_index``: its sorted pool row from
     ``center_order``, as ``run_kalls`` takes it, and each record's from a fresh
     ``sq_dists`` row of the record's point."""
-    x_row = np.concatenate(([0.0], center_order(pool, x_index)[1]))
+    x_row = center_order(pool, x_index)[1]
     rows = RecordRows(smooth, delta_s, u_const)
     for r in active.records:
         rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
@@ -218,7 +218,8 @@ def reference_reliable(points, x, delta_s, smooth, active, u_const, rng, draws=N
     rows must match.  Each ball's ``draws_used`` is appended to ``draws``."""
     if not active.records:
         return False
-    order, d2 = nearest_order(active.points(), x)
+    order = nearest_order(active.points(), x)[0]
+    d2 = sq_dists(active.points(), x)[0]
     d2_x = sq_dists(points, x)[0]
     for j in order:
         rec = active.records[j]
@@ -349,16 +350,23 @@ class TestSortedRows:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_pool_order_per_scanned_point(self, d, monkeypatch):
-        centers = []
+        centers, scan_rows, tables = [], {}, []
 
         def spy(pool, center_index):
             centers.append(center_index)
-            return center_order(pool, center_index)
+            neighbours, scan_rows[center_index] = center_order(pool, center_index)
+            return neighbours, scan_rows[center_index]
+
+        class KeptRows(RecordRows):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tables.append(self)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a pool distance row outside the scan step's center_order")
 
         monkeypatch.setattr(kalls.core, "center_order", spy)
+        monkeypatch.setattr(kalls.core, "RecordRows", KeptRows)
         for owner in (kalls.core, kalls.pool):
             monkeypatch.setattr(owner, "neighbor_order", forbidden)
         monkeypatch.setattr(Pool, "sq_dists_from", forbidden)
@@ -367,6 +375,11 @@ class TestSortedRows:
         active, trace, _, _ = self._noiseless_run(d, seed=1)
         assert centers == list(range(trace.points_scanned))
         assert trace.reliable_skips > 0 and len(active) > 1
+        # each record keeps the very row its scan step's center_order returned
+        (table,) = tables
+        assert table.active is active and len(table.rows) == len(active)
+        for record, row in zip(active.records, table.rows):
+            assert row is scan_rows[record.source_index]
 
 
 class TestRecordRows:
@@ -453,7 +466,8 @@ class TestReliableCounts:
             calls.clear()
             assert pool_reliable(pool, x_index, DELTA_S, smooth, active, 50,
                                  substream(1, "estimation")) is False
-            order, d2 = nearest_order(active.points(), pool.points[x_index])
+            order = nearest_order(active.points(), pool.points[x_index])[0]
+            d2 = sq_dists(active.points(), pool.points[x_index])[0]
             x_d2 = sq_dists(pool.points, pool.points[x_index])[0]
             want = []
             for j in order.tolist():

@@ -104,8 +104,9 @@ class TestNearestOrder:
     """``nearest_order`` repairs the ties of an unstable argsort; its order and
     ``neighbor_order``'s must be the lexicographic (distance, index) order on
     every finite input, ties and distances that overflow to inf included.
-    ``center_order``'s distances, with the centre's 0.0 in front, must be the
-    sorted ``sq_dists`` row bit for bit, as ``reliable`` counts balls on them."""
+    The row each returns must be the sorted ``sq_dists`` row bit for bit,
+    ``center_order``'s the centre's full row with its own 0.0, as ``reliable``
+    counts balls on them."""
 
     @staticmethod
     def check(points, queries):
@@ -113,8 +114,9 @@ class TestNearestOrder:
         points = points[:, None] if points.ndim == 1 else points
         n = points.shape[0]
         for query in np.atleast_2d(np.asarray(queries, dtype=np.float64)):
-            order, d2 = nearest_order(points, query)
-            assert np.array_equal(d2, sq_dists(points, query)[0])
+            d2 = sq_dists(points, query)[0]
+            order, row = nearest_order(points, query)
+            assert row.tobytes() == np.sort(d2).tobytes()
             assert np.array_equal(order, np.lexsort((np.arange(n), d2)))
 
     @staticmethod
@@ -124,9 +126,9 @@ class TestNearestOrder:
             want = np.lexsort((np.arange(pool.w), d2))
             want = want[want != c]
             assert np.array_equal(neighbor_order(pool, c), want)
-            order, dist = center_order(pool, c)
+            order, row = center_order(pool, c)
             assert np.array_equal(order, want)
-            assert np.concatenate(([0.0], dist)).tobytes() == np.sort(d2).tobytes()
+            assert row.tobytes() == np.sort(d2).tobytes()
             if pool.w > 1:
                 got = k_nearest(pool, c, pool.w - 1).neighbors
                 assert got == [(int(j), float(np.sqrt(d2[j]))) for j in want]
@@ -339,10 +341,12 @@ class TestLabelOracle:
     @pytest.mark.parametrize("bad", [[-1], [10], [0, 5, 10], [3, -7, 2],
                                      np.array([2**64 - 1], dtype=np.uint64)])
     def test_out_of_range_indices_are_refused(self, bad):
+        # peek_labels too: a negative index wrapped to the end of the pool
         pool = self._pool(w=10)
         oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=9)
-        with pytest.raises(ValueError, match="out of range"):
-            oracle.request_batch(bad)
+        for read in (oracle.request_batch, oracle.peek_labels):
+            with pytest.raises(ValueError, match="out of range"):
+                read(bad)
         assert (oracle.remaining_budget, oracle.fresh_requests) == (5, 0)
         assert not oracle._revealed.any()
         assert np.array_equal(oracle.request_batch([0, 9]), oracle._labels[[0, 9]])

@@ -273,6 +273,12 @@ class TestParamValidation:
             MarginParams(beta=-0.1, C=1.0)
         with pytest.raises(ValueError):
             MarginParams(beta=1.0, C=0.5)
+        # NaN passes a plain `x < low` check; inf is no constant either
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+                MarginParams(beta=bad, C=1.0)
+            with pytest.raises(ValueError, match="C must be finite and >= 1"):
+                MarginParams(beta=1.0, C=bad)
 
     def test_doubling(self):
         with pytest.raises(ValueError):
@@ -287,3 +293,11 @@ class TestParamValidation:
             KallsConfig(epsilon=0.2, delta=0.05, n=10, budget_mode="free_lunch")
         with pytest.raises(ValueError):
             KallsConfig(epsilon=0.2, delta=0.05, n=-1)
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_const must be finite and >= 1"):
+                KallsConfig(epsilon=0.2, delta=0.05, n=10, c_const=bad)
+        # lb_factor 0 would accept a record with lb 0, whose accuracy eps_o is 0
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lb_factor must be finite and > 0"):
+                KallsConfig(epsilon=0.2, delta=0.05, n=10, lb_factor=bad)
+        assert KallsConfig(epsilon=0.2, delta=0.05, n=10, c_const=1.0, lb_factor=1e-9)
