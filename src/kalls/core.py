@@ -134,8 +134,8 @@ class ActiveSet:
 
 @dataclass
 class ConfidentOutcome:
-    """``q`` is the requested set Q as a (|Q|, 2) int64 array, one row
-    ``(pool index, label)`` per request, in request (neighbour) order."""
+    """``q`` is the requested set Q: the requested pool indices as a 1-D
+    array, in request (neighbour) order."""
 
     y_hat: int
     q: np.ndarray
@@ -243,9 +243,8 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
         k_star = cap
         cut_off_fired = False
 
-    q = np.empty((k_star, 2), dtype=np.int64)
-    q[:, 0] = idx[:k_star]
-    q[:, 1] = oracle.request_batch(idx[:k_star])
+    q = idx[:k_star]
+    oracle.request_batch(q)
     eta_hat = float(cum[k_star - 1]) / k_star
     return ConfidentOutcome(
         y_hat=1 if eta_hat >= 0.5 else 0,

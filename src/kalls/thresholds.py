@@ -4,8 +4,8 @@ Every quantity the active learner needs ahead of time lives here: the anytime
 confidence radius ``b(delta, k)``, the margin width ``Delta``, the per-point
 label budget ``k(eps, delta)``, the per-point confidence split ``delta_s``, and
 the (purely diagnostic) feasibility report.  All functions are pure; the
-tables ``confidence_radii`` and ``request_counts`` keep change how fast they
-answer, not what.
+one table that ``confidence_radii`` and ``request_counts`` read changes how
+fast they answer, not what.
 """
 from __future__ import annotations
 
@@ -134,10 +134,28 @@ def confidence_radius(delta: float, k: int) -> float:
     return math.sqrt((2.0 / k) * (head + math.log(math.log(math.e * k))))
 
 
-# 2/k and log(log(e*k)) for k = 1..len: the terms of b(delta, k) that do not
-# depend on delta, grown (never shrunk) by ``confidence_radii``.  A larger cap
-# replaces the pair whole, so a reader holds a consistent pair.
-_RADIUS_TERMS = (np.zeros(0), np.zeros(0))
+# k, 2/k and log(log(e*k)) for k = 1..len, read-only float64: the request
+# counts and the terms of b(delta, k) that do not depend on delta.  Not built
+# at import; ``_k_terms`` grows it (never shrinks it) and replaces the triple
+# whole, so a reader holds a consistent triple.
+_K_TERMS = (np.zeros(0), np.zeros(0), np.zeros(0))
+
+
+def _k_terms(cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_K_TERMS``, grown to the largest cap seen (at least doubling)."""
+    global _K_TERMS
+    size = _K_TERMS[0].shape[0]
+    if cap > size:
+        ks = np.arange(1, max(cap, 2 * size) + 1, dtype=np.float64)
+        # the logs of the new k come from math.log, since numpy's differs from
+        # it by an ulp at some k; the division and product are rounded as
+        # Python's are
+        loglog = np.fromiter(map(math.log, map(math.log, (math.e * ks[size:]).tolist())),
+                             np.float64, ks.shape[0] - size)
+        _K_TERMS = (ks, 2.0 / ks, np.concatenate((_K_TERMS[2], loglog)))
+        for column in _K_TERMS:
+            column.setflags(write=False)
+    return _K_TERMS
 
 
 def confidence_radii(delta: float, cap: int) -> np.ndarray:
@@ -147,40 +165,21 @@ def confidence_radii(delta: float, cap: int) -> np.ndarray:
     The result is a new array, which the caller may overwrite.  Callers pass
     a cap that changes from call to call, so the table grows to the largest
     cap seen and is sliced."""
-    global _RADIUS_TERMS
     head = _log_loglog(delta)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    inv, loglog = _RADIUS_TERMS
-    if cap > inv.shape[0]:
-        ks = np.arange(inv.shape[0] + 1, max(cap, 2 * inv.shape[0]) + 1, dtype=np.float64)
-        # numpy's log differs from math.log by an ulp at some k; its division
-        # and product are rounded as Python's are
-        new = map(math.log, map(math.log, (math.e * ks).tolist()))
-        inv = np.concatenate((inv, 2.0 / ks))
-        loglog = np.concatenate((loglog, np.fromiter(new, np.float64, ks.shape[0])))
-        _RADIUS_TERMS = (inv, loglog)
+    _, inv, loglog = _k_terms(cap)
     radii = loglog[:cap] + head
     radii *= inv[:cap]
     return np.sqrt(radii, out=radii)
 
 
-# k = 1..len as float64, read-only: the request counts the radii above are
-# taken at, grown like the radius table and, like it, not built at import.
-_REQUEST_COUNTS = np.zeros(0)
-
-
 def request_counts(cap: int) -> np.ndarray:
-    """k = 1..cap as a read-only float64 array, sliced from a table that
-    grows to the largest cap seen (at least doubling)."""
-    global _REQUEST_COUNTS
+    """k = 1..cap as a read-only float64 array, the request counts the radii
+    above are taken at, sliced from the same table."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if cap > _REQUEST_COUNTS.shape[0]:
-        ks = np.arange(1, max(cap, 2 * _REQUEST_COUNTS.shape[0]) + 1, dtype=np.float64)
-        ks.setflags(write=False)
-        _REQUEST_COUNTS = ks
-    return _REQUEST_COUNTS[:cap]
+    return _k_terms(cap)[0][:cap]
 
 
 def label_budget_real(epsilon: float, delta: float, margin: MarginParams,

@@ -615,6 +615,14 @@ class TestImportHygiene:
         assert "mpmath" not in modules
         assert "numpy.ma" not in modules
 
+    def test_the_package_imports_no_module(self):
+        # kalls binds only __version__, so a module loads no other kalls module
+        for module in ("kalls.pool", "kalls.estimation"):
+            code = (f"import json, sys, {module}, kalls\n"
+                    "print(json.dumps([sorted(m for m in sys.modules if m.startswith('kalls')),"
+                    " hasattr(kalls, 'run_kalls')]))")
+            assert self._modules_after(code) == [["kalls", module], False]
+
     def test_every_command_runs_without_mpmath(self, tmp_path):
         path = write_config(tmp_path, n_test=500)
         out = str(tmp_path / "o")

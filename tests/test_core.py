@@ -89,11 +89,10 @@ class TestConfidentLabel:
             out = confident_label(pool, oracle, center, k_prime=200, t_budget=10**6,
                                   delta_s=0.1)
             k = len(out.q)
-            assert out.q.shape == (k, 2) and out.q.dtype == np.int64
+            assert out.q.shape == (k,) and out.q.dtype == np.int64
             assert out.cut_off_fired == (k < 200)
-            assert np.array_equal(out.q[:, 0], neighbor_order(pool, center)[:k])
-            assert np.array_equal(out.q[:, 1], oracle.peek_labels(out.q[:, 0]))
-            assert out.eta_hat == out.q[:, 1].mean()
+            assert np.array_equal(out.q, neighbor_order(pool, center)[:k])
+            assert out.eta_hat == oracle.peek_labels(out.q).mean()
 
 
     def test_budget_tail_matches_sequential_loop(self):
@@ -115,9 +114,9 @@ class TestConfidentLabel:
             out = confident_label(pool, oracle, s, k_prime=10**6, t_budget=cap,
                                   delta_s=delta_s)
             k_star = cap if k is None else k
-            assert out.q.dtype == np.int64 and out.q.shape == (k_star, 2)
-            assert out.q[:, 0].tolist() == neighbor_order(pool, s)[:k_star].tolist()
-            assert out.q[:, 1].tolist() == labels[:k_star].tolist()
+            assert out.q.dtype == np.int64 and out.q.shape == (k_star,)
+            assert out.q.tolist() == neighbor_order(pool, s)[:k_star].tolist()
+            assert out.eta_hat == oracle.peek_labels(out.q).mean()
             assert out.eta_hat == labels[:k_star].sum() / k_star
             assert out.cut_off_fired == (k is not None)
             caps.append(cap)
@@ -128,9 +127,8 @@ class TestConfidentLabel:
 
     @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
     def test_sequential_loop_while_the_tables_grow(self, mode, monkeypatch):
-        # from empty k and radius tables: caps that grow them, then slices of them
-        monkeypatch.setattr(kalls.thresholds, "_REQUEST_COUNTS", np.zeros(0))
-        monkeypatch.setattr(kalls.thresholds, "_RADIUS_TERMS", (np.zeros(0), np.zeros(0)))
+        # from an empty k table: caps that grow it, then slices of it
+        monkeypatch.setattr(kalls.thresholds, "_K_TERMS", (np.zeros(0),) * 3)
         pool = uniform_pool(2000, seed=37)
         oracle = LabelOracle(pool, flat_eta(0.9), 10**6, seed=11, mode=mode)
         fired = []
@@ -144,14 +142,14 @@ class TestConfidentLabel:
             spent = oracle.remaining_budget
             out = confident_label(pool, oracle, s, k_prime=cap, t_budget=10**6,
                                   delta_s=delta_s)
-            assert out.q[:, 0].tolist() == neighbor_order(pool, s)[:k_star].tolist()
-            assert out.q[:, 1].tolist() == labels[:k_star].tolist()
+            assert out.q.tolist() == neighbor_order(pool, s)[:k_star].tolist()
+            assert out.eta_hat == oracle.peek_labels(out.q).mean()
             assert out.eta_hat == labels[:k_star].sum() / k_star
             assert out.cut_off_fired == (k is not None)
             if mode == "strict_paper":
                 assert spent - oracle.remaining_budget == k_star
             fired.append(out.cut_off_fired)
-            assert kalls.thresholds._REQUEST_COUNTS.shape[0] >= cap
+            assert kalls.thresholds._K_TERMS[0].shape[0] >= cap
         assert any(fired) and not all(fired)
 
 

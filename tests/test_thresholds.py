@@ -89,28 +89,28 @@ class TestConfidenceRadius:
     def test_table_shrinks_and_grows(self, monkeypatch):
         # the cap shrinks at every point near the end of a budget, then a
         # larger one grows the table; the slices stay the scalar radii
-        monkeypatch.setattr(thresholds, "_RADIUS_TERMS", (np.zeros(0), np.zeros(0)))
+        monkeypatch.setattr(thresholds, "_K_TERMS", (np.zeros(0),) * 3)
         for cap in (5000, 4999, 1999, 3, 1, 2, 6001, 7, 20_000, 5000):
             want = [confidence_radius(0.002, k) for k in range(1, cap + 1)]
             assert confidence_radii(0.002, cap).tolist() == want
-            assert thresholds._RADIUS_TERMS[0].shape[0] >= cap
-        assert thresholds._RADIUS_TERMS[0].shape[0] == 20_000
+            assert thresholds._K_TERMS[0].shape[0] >= cap
+        assert thresholds._K_TERMS[0].shape[0] == 20_000
 
     def test_request_counts_grow_and_stay_read_only(self, monkeypatch):
-        monkeypatch.setattr(thresholds, "_REQUEST_COUNTS", np.zeros(0))
+        monkeypatch.setattr(thresholds, "_K_TERMS", (np.zeros(0),) * 3)
         for cap in (3, 1, 2000, 7, 4001, 5):
             ks = request_counts(cap)
             assert ks.dtype == np.float64
             assert ks.tolist() == [float(k) for k in range(1, cap + 1)]
             assert not ks.flags.writeable
-        assert thresholds._REQUEST_COUNTS.shape[0] == 4001
+        assert thresholds._K_TERMS[0].shape[0] == 4001
         with pytest.raises(ValueError):
             request_counts(0)
 
     def test_import_builds_no_table(self):
-        # the tables grow on first use, so importing kalls allocates neither
+        # the table grows on first use, so importing kalls allocates none of it
         code = ("import kalls, kalls.cli; t = kalls.thresholds; "
-                "assert t._REQUEST_COUNTS.size == 0 and t._RADIUS_TERMS[0].size == 0")
+                "assert [c.size for c in t._K_TERMS] == [0, 0, 0]")
         src = os.path.dirname(os.path.dirname(thresholds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
