@@ -26,15 +26,25 @@ class RiskEstimate:
     n_deep: int
 
 
-def _risk_on_sample(classifier, problem: SyntheticProblem, X: np.ndarray,
-                    delta_margin: float) -> RiskEstimate:
+def _bayes_terms(problem: SyntheticProblem, X: np.ndarray, delta_margin: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a test draw's risk takes that no classifier changes: the loss
+    weights |2 eta - 1|, the Bayes labels and the mask |eta - 1/2| >
+    delta_margin."""
     eta = problem.eta(X)
-    fstar = (eta >= 0.5).astype(np.int64)
+    return (np.abs(2.0 * eta - 1.0), (eta >= 0.5).astype(np.int64),
+            np.abs(eta - 0.5) > delta_margin)
+
+
+def _risk_on_sample(classifier, X: np.ndarray,
+                    terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> RiskEstimate:
+    """The risk of ``classifier`` on the test draw ``X``, whose ``_bayes_terms``
+    are ``terms``."""
+    weight, fstar, deep = terms
     pred = np.asarray(classifier(X), dtype=np.int64)
-    loss = np.abs(2.0 * eta - 1.0) * (pred != fstar)
+    loss = weight * (pred != fstar)
     n = X.shape[0]
     std_error = float(np.std(loss, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    deep = np.abs(eta - 0.5) > delta_margin
     n_deep = int(np.count_nonzero(deep))
     agreement = float(np.mean(pred[deep] == fstar[deep])) if n_deep else 1.0
     return RiskEstimate(excess_risk=float(np.mean(loss)), std_error=std_error,
@@ -48,7 +58,7 @@ def excess_risk(classifier, problem: SyntheticProblem, n_test: int,
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
     X = problem.sample(n_test, rng)
-    return _risk_on_sample(classifier, problem, X, delta_margin)
+    return _risk_on_sample(classifier, X, _bayes_terms(problem, X, delta_margin))
 
 
 def default_passive_k(n_labels: int, alpha: float, d: int) -> int:
@@ -178,19 +188,19 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
     budget = config.n
     active, trace = run_active(problem, config, w, seed, smooth, margin)
     X_test = problem.sample(n_test, evaluation_stream(seed, budget))
+    terms = _bayes_terms(problem, X_test, delta_margin)  # shared by both arms
 
     excess_active = agreement = excess_passive = None
     if len(active):
         est_a = _risk_on_sample(lambda X: core.one_nn_label_batch(active, X),
-                                problem, X_test, delta_margin)
+                                X_test, terms)
         excess_active, agreement = est_a.excess_risk, est_a.deep_margin_agreement
     labels_used = trace.labels_spent
     if labels_used >= 1:
         classifier_p = passive_knn(problem, labels_used,
                                    default_passive_k(labels_used, smooth.alpha, problem.d),
                                    substream(seed, "passive", budget))
-        excess_passive = _risk_on_sample(classifier_p, problem, X_test,
-                                         delta_margin).excess_risk
+        excess_passive = _risk_on_sample(classifier_p, X_test, terms).excess_risk
 
     return CellResult(
         family=problem.family, kappa=problem.kappa, budget=budget, seed=seed,

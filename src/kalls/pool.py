@@ -12,13 +12,15 @@ to 1; it reads each certified k-NN set off the sorted points for d = 1,
 ``_nearest_windows``, or off a grid block for d >= 2, ``_grid_vote``, and
 leaves the other rows to ``nearest_mask`` over all points).
 
-For d = 1 the window start of every query is one ``searchsorted`` among the
-window midpoints ``(xs[j] + xs[j + k]) / 2`` of the sorted points: start j
-loses to j + 1 exactly when the query is past that midpoint
-(``_nearest_windows`` gives the rounding argument).  Uncertified queries
-are voted once per distinct value: equal queries have equal distance rows,
-and on ``discrete_atoms`` data (every point on one of 256 atoms) 20,000
-queries hold at most 256 values.
+For d = 1 the window start of every query is the number of window midpoints
+``(xs[j] + xs[j + k]) / 2`` of the sorted points below it: start j loses to
+j + 1 exactly when the query is past that midpoint (``_nearest_windows``
+gives the rounding argument).  The queries are read in ascending order, so
+the count is one ``searchsorted`` between two sorted arrays and the distance
+gathers walk the sorted points in order; each start and certificate is then
+scattered back to its query.  Uncertified queries are voted once per distinct
+value: equal queries have equal distance rows, and on ``discrete_atoms`` data
+(every point on one of 256 atoms) 20,000 queries hold at most 256 values.
 
 For d >= 2, ``knn_vote`` votes a query over the points near it where a
 certificate shows that they hold its k-NN set (``_grid_vote``).  The first
@@ -55,7 +57,8 @@ a fresh process every chunk-sized temporary mapped and faulted in new pages.
 The coordinates are read from column-contiguous copies of the points and the
 queries (a column of a C-ordered (n, 2) array is a stride-16 read).
 ``nearest_mask`` makes one mask pass, ``d2 <= kth`` with ``kth`` the row's k-th
-smallest distance, and counts it per row.  A row that marks exactly k points
+smallest distance, and counts it per row byte by byte (``_row_counts``, as
+the vote counts its marked ones).  A row that marks exactly k points
 holds its k-NN set: every point strictly closer than ``kth`` is in any k-NN
 set, and so are all the tied ones when they fit.  Only rows that mark more
 than k (ties at ``kth``) are trimmed to their lowest-index tied points.
@@ -186,6 +189,13 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
 
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each row of a 2-d boolean array, added byte by byte
+    into int32 (``count_nonzero`` with an axis sums into intp, about 2.5 times
+    slower; int32 holds any row count below 2^31)."""
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+
+
 def nearest_mask(d2: np.ndarray, k: int, work: np.ndarray | None = None,
                  out: np.ndarray | None = None, kth: np.ndarray | None = None
                  ) -> np.ndarray:
@@ -206,12 +216,12 @@ def nearest_mask(d2: np.ndarray, k: int, work: np.ndarray | None = None,
     if kth is not None:
         kth[:] = edge[:, 0]
     mask = np.less_equal(d2, edge, out=out)
-    count = np.count_nonzero(mask, axis=1)
+    count = _row_counts(mask)
     over = np.flatnonzero(count > k)
     if over.size:  # most chunks have no tie rows (the skip saved ~3% on sweep_2d)
         sub, at = d2[over], edge[over]
         tied = sub == at
-        need = k - count[over] + np.count_nonzero(tied, axis=1)
+        need = k - count[over] + _row_counts(tied)
         mask[over] = (sub < at) | (tied & (np.cumsum(tied, axis=1, dtype=np.int32)
                                            <= need[:, None]))
     return mask
@@ -233,28 +243,44 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
 
     Start j loses to start j + 1 when the point past its end is nearer, which
     in exact arithmetic means ``q > (xs[j] + xs[j + k]) / 2``.  These
-    midpoints do not decrease with j, so the start is one ``searchsorted`` of
-    the query among them (side "left": a query on a midpoint keeps the lower
-    start).  A computed midpoint below the query has its exact one below it
-    too (rounding is monotone and 2q is a float), and likewise above; only a
-    computed midpoint equal to the query can hide which end is nearer, so
-    there the start steps on while the point past its end has the strictly
-    smaller rounded distance.  Exactness does not rest on the search: the
-    certificate is sound for any start, so a start that rounding moved can
-    only leave its row uncertified, for the brute-force vote.
+    midpoints do not decrease with j, so the start is the number of midpoints
+    below the query (a query on a midpoint keeps the lower start).  A computed
+    midpoint below the query has its exact one below it too (rounding is
+    monotone and 2q is a float), and likewise above; only a computed midpoint
+    equal to the query can hide which end is nearer, so there the start steps
+    on while the point past its end has the strictly smaller rounded distance.
+    Exactness does not rest on the search: the certificate is sound for any
+    start, so a start that rounding moved can only leave its row uncertified,
+    for the brute-force vote.
+
+    The queries are read in ascending order (one default argsort) and the
+    results scattered back to theirs; a start and its certificate are
+    functions of the query alone, so the order changes only the memory
+    access.  Sorted, the counting is one ``searchsorted`` of the shorter of
+    the two sorted arrays, midpoints and queries, into the longer (a
+    midpoint's position among the queries is where the queries above it
+    begin, and a cumulative count of those positions gives the starts), and
+    the tie walk and the four distance gathers read ``xs`` in order.
 
     The order of equal coordinates does not matter, so the default argsort
     serves: the windows depend on the sorted values alone, and a
     run of equal coordinates that straddles a window end puts the outside
     neighbour at distance r, which voids the certificate.  A certified window
     thus holds whole runs, the same points in any order of equal
-    coordinates."""
-    n = x.shape[0]
+    coordinates.  Equal queries (-0.0 and 0.0 among them) have equal
+    distances to every point, so their order does not matter either."""
+    n, m = x.shape[0], q.shape[0]
     order = np.argsort(x)
-    xs = x[order]
+    # the sorted points with each end repeated outside: xp[s + i] is the point
+    # before window s (clipped) for i = 0, its first for 1, its last for k and
+    # the point after it (clipped) for k + 1
+    xp = x[np.concatenate((order[:1], order, order[-1:]))]
+    xs = xp[1:-1]
+    by_q = np.argsort(q)
+    qs = q[by_q]
 
-    def d2(i: np.ndarray, q: np.ndarray = q) -> np.ndarray:
-        diff = q - xs[i]
+    def d2(i: int, s: np.ndarray, q: np.ndarray = qs) -> np.ndarray:
+        diff = q - xp[i:].take(s)
         diff *= diff
         return diff
 
@@ -263,17 +289,24 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     mid = np.full(n - k + 1, np.nan)
     np.add(xs[:n - k], xs[k:], out=mid[:-1])
     mid[:-1] *= 0.5
-    start = np.searchsorted(mid, q)
-    tie = np.flatnonzero(mid[start] == q)
+    if mid.size <= m:
+        # the queries from position p[j] on are above midpoint j
+        p = np.searchsorted(qs, mid, side="right")
+        start = np.cumsum(np.bincount(p, minlength=m + 1)[:m])
+    else:
+        start = np.searchsorted(mid, qs)
+    tie = np.flatnonzero(mid.take(start) == qs)
     while tie.size:
-        s, qt = start[tie], q[tie]
-        tie = tie[d2(s, qt) > d2(s + k, qt)]
+        s, qt = start[tie], qs[tie]
+        tie = tie[d2(1, s, qt) > d2(k + 1, s, qt)]
         start[tie] += 1
-        tie = tie[mid[start[tie]] == q[tie]]
-    r = np.maximum(d2(start), d2(start + k - 1))
-    certified = ((start == 0) | (d2(np.maximum(start - 1, 0)) > r)) \
-        & ((start + k == n) | (d2(np.minimum(start + k, n - 1)) > r))
-    return order, start, certified
+        tie = tie[mid[start[tie]] == qs[tie]]
+    r = np.maximum(d2(1, start), d2(k, start))
+    certified = ((start == 0) | (d2(0, start) > r)) \
+        & ((start == n - k) | (d2(k + 1, start) > r))
+    start_q, certified_q = np.empty_like(start), np.empty_like(certified)
+    start_q[by_q], certified_q[by_q] = start, certified
+    return order, start_q, certified_q
 
 
 def knn_vote(points: np.ndarray, labels: np.ndarray, queries: np.ndarray,
@@ -335,7 +368,7 @@ def _brute_vote(pts: np.ndarray, ones_mask: np.ndarray, q: np.ndarray,
         hit = nearest_mask(d2[:rows], k, work=work[:rows], out=mask[:rows],
                            kth=None if kth is None else kth[lo:lo + rows])
         hit &= ones_mask
-        out[lo:lo + rows] = 2 * np.count_nonzero(hit, axis=1) >= k
+        out[lo:lo + rows] = 2 * _row_counts(hit) >= k
     return out
 
 
@@ -548,8 +581,10 @@ class LabelOracle:
 
     def peek_labels(self, indices: np.ndarray) -> np.ndarray:
         """Read realizations without accounting.  Internal: callers must follow up
-        with request_batch on exactly the indices whose labels they use.
-        ValueError for non-integer indices or an index out of range."""
+        with request_batch on exactly the indices whose labels they use, or
+        with ``_charge`` on a prefix of the indices read here, which this
+        call has checked.  ValueError for non-integer indices or an index out
+        of range."""
         return self._labels[self._index_array(indices)]
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
@@ -558,8 +593,15 @@ class LabelOracle:
         out of range or not an integer ``ValueError``; neither reveals or
         charges anything.  An empty request returns no label."""
         idx = self._index_array(indices)
+        self._charge(idx)
+        return self._labels[idx]
+
+    def _charge(self, idx: np.ndarray) -> None:
+        """The accounting of ``request_batch`` for an intp array of indices
+        that ``_index_array`` has passed: reveal and charge them, or raise
+        ``BudgetExhausted`` and change nothing."""
         if idx.size == 0:
-            return np.zeros(0, dtype=np.int64)
+            return
         known = self._revealed[idx]
         if known.all():  # no fresh index: nothing to reveal or count
             fresh, n_fresh = idx[:0], 0
@@ -576,4 +618,3 @@ class LabelOracle:
                 f"request of cost {cost} exceeds remaining budget {self._remaining}")
         self._remaining -= cost
         self._fresh += n_fresh
-        return self._labels[idx]

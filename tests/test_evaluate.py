@@ -268,6 +268,45 @@ class TestCompare:
             compare(noiseless, [100], self.cfg, seeds=[1], w=200, n_test=500)
 
 
+# Every field of a comparison.csv row but wall_ms, as compare gave it on these
+# grids when the values were recorded: the d = 1 window vote, the d = 2 grid
+# vote with its brute-force rows, and the discrete-atoms vote once per distinct
+# query value.  A change to the neighbour search that claims the same results
+# must leave them as they are.
+PINNED_ROWS = {
+    ("power_margin_uniform_1d", 1): [
+        (400, 3, 400, 0.24938237234267427, 0.004216684016750015, 0.4994994994994995, 1),
+        (400, 4, 400, 0.24375695886239027, 0.008673373542183668, 0.5180487804878049, 1),
+        (3000, 3, 3000, 0.25187199027827983, 0.00019080701230126063, 0.4984771573604061, 3),
+        (3000, 4, 3000, 0.25009734636016917, 0.001220070975936054, 0.504950495049505, 3),
+    ],
+    ("product_uniform_nd", 2): [
+        (400, 3, 400, 0.24554941860905552, 0.008187903240700074, 0.4782157676348548, 1),
+        (400, 4, 400, 0.24409382093292856, 0.014079679520390019, 0.5153922542204568, 1),
+        (8000, 3, 8000, 0.2506790696781077, 0.005566144755298637, 0.48530901722391084, 5),
+        (8000, 4, 8000, None, 0.0033735154602660667, None, 5),
+    ],
+    ("discrete_atoms", 1): [
+        (400, 3, 400, 0.255033203125, 0.005048828125, 0.49615384615384617, 1),
+        (400, 4, 400, None, 0.012763671875, None, 1),
+        (3000, 3, 3000, 0.24144921875, 0.000193359375, 0.5079491255961844, 2),
+        (3000, 4, 3000, 0.242380859375, 0.000791015625, 0.5075456711675933, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("family, d", list(PINNED_ROWS))
+def test_sweep_rows_are_pinned(family, d):
+    problem = make_problem(family, kappa=1.0, d=d, seed=0)
+    budgets = sorted({row[0] for row in PINNED_ROWS[family, d]})
+    table = compare(problem, budgets, KallsConfig(epsilon=0.25, delta=0.05, n=200),
+                    seeds=[3, 4], w=2000, n_test=2000)
+    got = [(r.budget, r.seed, r.labels_used_active, r.excess_active, r.excess_passive,
+            r.deep_margin_agreement, r.informative_count) for r in table.rows]
+    assert {(r.family, r.kappa) for r in table.rows} == {(family, 1.0)}
+    assert got == PINNED_ROWS[family, d]
+
+
 class TestComparisonCsv:
     def test_exact_text(self, tmp_path):
         # None is an empty cell, a real has 17 significant digits, wall_ms is

@@ -880,3 +880,103 @@ class TestGridVote:
             knn_vote(pts, labels, rng.random((m, 2)), 15)
         knn_vote(pts[:127], labels[:127], rng.random((40_000, 2)), 1)
         assert sides == [5]
+
+
+class TestQueryOrderInvariance:
+    """A vote is a function of its query alone, whatever the order of the
+    others: ``knn_vote(P, y, Q[perm], k) == knn_vote(P, y, Q, k)[perm]`` on the
+    window path (d = 1, which reads its queries sorted), the grid path and the
+    brute-force path (d >= 2), and in the brute-force kernel's row counts."""
+
+    @staticmethod
+    def points(kind, n, d, rng):
+        if kind == "uniform":
+            return rng.random((n, d))
+        if kind == "lattice":  # few values, many duplicate points
+            return rng.integers(0, 6, (n, d)).astype(np.float64)
+        if d == 1:  # the discrete_atoms family itself
+            return make_problem("discrete_atoms", kappa=1.0, seed=0).sample(n, rng)
+        return rng.random((64, d))[rng.integers(0, 64, n)]  # atoms in d dimensions
+
+    @staticmethod
+    def queries(points, m, rng):
+        """m queries: inside and outside the points' range, on the points and
+        repeated, with -0.0 and 0.0 in the first coordinate."""
+        n, d = points.shape
+        lo, hi = points.min(axis=0) - 1.0, points.max(axis=0) + 1.0
+        mix = [lo + rng.random((m, d)) * (hi - lo), points[rng.integers(0, n, m)]]
+        signed_zero = np.zeros((2, d))
+        signed_zero[0, 0] = -0.0
+        q = np.vstack(mix + [signed_zero, points[:3], points[:3]])
+        return q[rng.permutation(q.shape[0])[:m]]
+
+    @staticmethod
+    def check(points, labels, queries, k, rng):
+        """The votes of ``queries``, after checking them against the votes of
+        the queries shuffled, reversed, sorted and reverse-sorted by their
+        first coordinate, and repeated."""
+        votes = knn_vote(points, labels, queries, k)
+        m = queries.shape[0]
+        by_first = np.argsort(queries[:, 0], kind="stable")
+        for perm in (rng.permutation(m), np.arange(m)[::-1], by_first, by_first[::-1],
+                     np.concatenate([np.arange(m), np.arange(m)])):
+            assert np.array_equal(knn_vote(points, labels, queries[perm], k), votes[perm])
+        return votes
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "atoms"])
+    @pytest.mark.parametrize("d, n, k, m, path", [
+        (1, 400, 1, 1000, "window"), (1, 400, 19, 1000, "window"),
+        (1, 400, 400, 300, "window"), (1, 2000, 37, 300, "window"),
+        (2, 600, 10, 4000, "grid"), (3, 600, 10, 4000, "grid"),
+        (2, 600, 10, 300, "brute"), (3, 600, 10, 300, "brute"),
+    ])
+    def test_permuted_queries(self, kind, d, n, k, m, path):
+        rng = substream(60, "points", ["uniform", "lattice", "atoms"].index(kind), d, n, k, m)
+        pts = self.points(kind, n, d, rng)
+        labels = rng.integers(0, 2, n)
+        if d > 1:
+            assert (kalls.pool._grid_side(n, k, m, d) > 0) == (path == "grid")
+        self.check(pts, labels, self.queries(pts, m, rng), k, rng)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_no_query_and_one(self, d, m):
+        rng = substream(61, "points", d, m)
+        pts, labels = rng.random((50, d)), rng.integers(0, 2, 50)
+        q = np.zeros((m, d))
+        q[:, 0] = -0.0
+        for k in (1, 7, 50):
+            votes = self.check(pts, labels, q, k, rng)
+            assert votes.shape == (m,)
+            if m:
+                assert votes[0] == knn_vote(pts, labels, np.zeros((1, d)), k)[0]
+
+    def test_window_sorted_queries_match_single_votes(self):
+        # the starts and certificates of _nearest_windows, per query, do not
+        # depend on the other queries: each equals that query's own call
+        rng = substream(62, "points")
+        x = np.concatenate([rng.random(150), rng.integers(0, 4, 50).astype(np.float64)])
+        q = np.concatenate([rng.random(80) * 3 - 1, x[:40], [-0.0, 0.0, 0.0, -0.0]])
+        for k in (1, 13, 100, 200):
+            for queries in (q, np.sort(q), np.sort(q)[::-1]):
+                order, start, certified = kalls.pool._nearest_windows(x, queries, k)
+                for i, v in enumerate(queries):
+                    _, s1, c1 = kalls.pool._nearest_windows(x, np.array([v]), k)
+                    assert (start[i], certified[i]) == (s1[0], c1[0])
+
+    def test_kernel_rows_past_two_to_the_sixteenth(self):
+        # one brute-force row of 70,000 marks: a row count in 16 bits would
+        # wrap to 4,464, so k = n would vote 0 with every label 1, and ties
+        # over k = n - 1 would go untrimmed
+        n = 70_000
+        rng = substream(63, "points")
+        pts = rng.integers(0, 2, (n, 2)).astype(np.float64)
+        labels = np.ones(n, dtype=np.int64)
+        queries = np.array([[0.5, 0.5], [-0.0, 0.0], [3.0, -2.0]])
+        assert kalls.pool._grid_side(n, n, queries.shape[0], 2) == 0
+        votes = self.check(pts, labels, queries, n, rng)
+        assert votes.tolist() == [1, 1, 1]
+        mask = nearest_mask(np.full((1, n), 0.5), n - 1)
+        assert np.count_nonzero(mask) == n - 1 and not mask[0, -1]
+        labels[-1] = 0
+        assert self.check(pts, labels, queries[:1], n - 1, rng).tolist() == [1]
