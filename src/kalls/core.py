@@ -244,7 +244,7 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
         cut_off_fired = False
 
     q = idx[:k_star]
-    oracle._charge(q)  # peek_labels has checked idx, of which q is a prefix
+    oracle.request_batch(q)
     eta_hat = float(cum[k_star - 1]) / k_star
     return ConfidentOutcome(
         y_hat=1 if eta_hat >= 0.5 else 0,

@@ -256,11 +256,11 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     The queries are read in ascending order (one default argsort) and the
     results scattered back to theirs; a start and its certificate are
     functions of the query alone, so the order changes only the memory
-    access.  Sorted, the counting is one ``searchsorted`` of the shorter of
-    the two sorted arrays, midpoints and queries, into the longer (a
-    midpoint's position among the queries is where the queries above it
-    begin, and a cumulative count of those positions gives the starts), and
-    the tie walk and the four distance gathers read ``xs`` in order.
+    access.  Sorted, the counting is one ``searchsorted`` of the midpoints
+    into the queries: a midpoint's position among them is where the queries
+    above it begin, and a cumulative count of those positions gives the
+    starts.  The tie walk and the four distance gathers then read ``xs`` in
+    order.
 
     The order of equal coordinates does not matter, so the default argsort
     serves: the windows depend on the sorted values alone, and a
@@ -289,12 +289,9 @@ def _nearest_windows(x: np.ndarray, q: np.ndarray, k: int
     mid = np.full(n - k + 1, np.nan)
     np.add(xs[:n - k], xs[k:], out=mid[:-1])
     mid[:-1] *= 0.5
-    if mid.size <= m:
-        # the queries from position p[j] on are above midpoint j
-        p = np.searchsorted(qs, mid, side="right")
-        start = np.cumsum(np.bincount(p, minlength=m + 1)[:m])
-    else:
-        start = np.searchsorted(mid, qs)
+    # the queries from position p[j] on are above midpoint j
+    p = np.searchsorted(qs, mid, side="right")
+    start = np.cumsum(np.bincount(p, minlength=m + 1)[:m])
     tie = np.flatnonzero(mid.take(start) == qs)
     while tie.size:
         s, qt = start[tie], qs[tie]
@@ -581,10 +578,8 @@ class LabelOracle:
 
     def peek_labels(self, indices: np.ndarray) -> np.ndarray:
         """Read realizations without accounting.  Internal: callers must follow up
-        with request_batch on exactly the indices whose labels they use, or
-        with ``_charge`` on a prefix of the indices read here, which this
-        call has checked.  ValueError for non-integer indices or an index out
-        of range."""
+        with request_batch on exactly the indices whose labels they use.
+        ValueError for non-integer indices or an index out of range."""
         return self._labels[self._index_array(indices)]
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
@@ -593,15 +588,8 @@ class LabelOracle:
         out of range or not an integer ``ValueError``; neither reveals or
         charges anything.  An empty request returns no label."""
         idx = self._index_array(indices)
-        self._charge(idx)
-        return self._labels[idx]
-
-    def _charge(self, idx: np.ndarray) -> None:
-        """The accounting of ``request_batch`` for an intp array of indices
-        that ``_index_array`` has passed: reveal and charge them, or raise
-        ``BudgetExhausted`` and change nothing."""
         if idx.size == 0:
-            return
+            return np.zeros(0, dtype=np.int64)
         known = self._revealed[idx]
         if known.all():  # no fresh index: nothing to reveal or count
             fresh, n_fresh = idx[:0], 0
@@ -618,3 +606,4 @@ class LabelOracle:
                 f"request of cost {cost} exceeds remaining budget {self._remaining}")
         self._remaining -= cost
         self._fresh += n_fresh
+        return self._labels[idx]
