@@ -45,7 +45,6 @@ class ExperimentConfig:
     delta: float
     seeds: list[int]
     c_const: float = KallsConfig.c_const
-    u_const: int = KallsConfig.u_const
     lb_factor: float = KallsConfig.lb_factor
     budget_mode: str = KallsConfig.budget_mode
     n_test: int = 20_000
@@ -87,8 +86,8 @@ class ExperimentConfig:
 
     def kalls_config(self, budget: int) -> KallsConfig:
         return KallsConfig(epsilon=self.epsilon, delta=self.delta, n=budget,
-                           c_const=self.c_const, u_const=self.u_const,
-                           lb_factor=self.lb_factor, budget_mode=self.budget_mode)
+                           c_const=self.c_const, lb_factor=self.lb_factor,
+                           budget_mode=self.budget_mode)
 
     def smooth_params(self, problem) -> SmoothnessParams:
         """The smoothness the learner runs with: the override, else the
@@ -104,8 +103,7 @@ class ExperimentConfig:
         else:
             smooth = problem.certified_smooth
         try:
-            core.record_accuracy(smooth, 0.5, per_point_delta(self.delta, self.pool_size),
-                                 self.u_const)
+            core.record_accuracy(smooth, 0.5, per_point_delta(self.delta, self.pool_size))
         except ValueError as exc:
             raise ConfigError(f"bad smoothness: {exc}") from exc
         return smooth

@@ -18,6 +18,10 @@ from . import thresholds as th
 from .estimation import est_prob, stage_table
 from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
 
+# BerEst's u in the informativeness test.  Its dichotomy certifies a mass
+# <= eps_o from an estimate <= eps_o / g(u), and 75/94 = 1/g(50); at a smaller
+# u the ratio is smaller (1/g(7) = 0.52), so the two are fixed together.
+_U = 50
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
 
 
@@ -254,21 +258,20 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     )
 
 
-def record_accuracy(smooth: th.SmoothnessParams, lb: float, delta_min: float,
-                    u_const: int) -> float:
+def record_accuracy(smooth: th.SmoothnessParams, lb: float, delta_min: float) -> float:
     """The accuracy eps_o = ``smooth.ball_accuracy(lb)`` at which ``reliable``
     estimates the ball masses of a record with guarantee ``lb``.
 
     ValueError, naming lb, alpha, L and d, where no stage table exists at
-    eps_o and delta' = ``delta_min``: an eps_o that underflows to 0.0, or one
-    so small that computing its i_max overflows or divides by zero (below
-    about 1e-298 at delta' 4e-10).  The table exists at every
+    eps_o, delta' = ``delta_min`` and u = 50: an eps_o that underflows to
+    0.0, or one so small that computing its i_max overflows or divides by
+    zero (below about 1e-298 at delta' 4e-10).  The table exists at every
     delta' >= ``delta_min`` where it exists at ``delta_min``, so a run checks
     at the delta' of its last scanned point.
     """
     eps_o = smooth.ball_accuracy(lb)
     try:
-        stage_table(eps_o, delta_min, u_const)
+        stage_table(eps_o, delta_min, _U)
     except (ValueError, ArithmeticError) as exc:  # overflow or division by zero
         raise ValueError(f"no ball-mass estimate at the accuracy (lb / 64L)^(d/alpha) = "
                          f"{eps_o!r} of lb {lb}, alpha {smooth.alpha}, L {smooth.L}, "
@@ -282,8 +285,9 @@ class RecordRows:
     records, which ``run_kalls`` returns; ``points`` is their points as an
     (R, d) array; ``rows`` their sorted pool rows (the squared distances from
     the record's point to the pool, ascending); ``eps_o`` their accuracies
-    (``record_accuracy``) and ``thresholds`` 75/94 of each.  All of it is
-    computed once, when the record is accepted.
+    (``record_accuracy``) and ``thresholds`` 75/94 = 1/g(50) of each, for
+    estimates at u = 50.  All of it is computed once, when the record is
+    accepted.
 
     ``delta_min`` is the smallest delta' of the run, that of its last scanned
     point.  lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the
@@ -294,10 +298,10 @@ class RecordRows:
     ``reliable`` counts its estimates and certifies its skips.
     """
 
-    def __init__(self, smooth: th.SmoothnessParams, delta_min: float, u_const: int,
+    def __init__(self, smooth: th.SmoothnessParams, delta_min: float,
                  trace: RunTrace | None = None) -> None:
-        self.smooth, self.delta_min, self.u_const = smooth, delta_min, u_const
-        record_accuracy(smooth, 0.5, delta_min, u_const)
+        self.smooth, self.delta_min = smooth, delta_min
+        record_accuracy(smooth, 0.5, delta_min)
         self.trace = RunTrace() if trace is None else trace
         self.active = ActiveSet()
         self.points = np.zeros((0, smooth.d))
@@ -309,7 +313,7 @@ class RecordRows:
         """Keep ``record`` and its sorted pool ``row``.  ValueError, with the
         table unchanged, where ``record_accuracy`` raises for the record's lb
         or ``ActiveSet.append`` refuses its source index."""
-        eps_o = record_accuracy(self.smooth, record.lb, self.delta_min, self.u_const)
+        eps_o = record_accuracy(self.smooth, record.lb, self.delta_min)
         points = np.vstack((self.points, record.point))
         self.active.append(record)
         self.points = points
@@ -324,30 +328,32 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     pins down the label of the pool point ``x``.
 
     For each record (X', Y', c), estimates the pool mass of the open balls of
-    radius rho(X, X') around X' and around X with accuracy (c / 64L)^(d/alpha),
-    and answers True when either estimate is <= 75/94 of that accuracy.  Records
-    are checked nearest-first, the ball around X' before the ball around X, and
-    the test stops at the first that passes.  A run with no record yet is
+    radius rho(X, X') around X' and around X with accuracy (c / 64L)^(d/alpha)
+    and u = 50, and answers True when either estimate is <= 75/94 of that
+    accuracy: 75/94 = 1/g(50), so a pass certifies, by the estimator's
+    dichotomy, a ball mass of at most that accuracy.  Records are checked
+    nearest-first, the ball around X' before the ball around X, and the test
+    stops at the first that passes.  A run with no record yet is
     never reliable.
 
     ``rows`` is the run's record table (``RecordRows``): the records' points,
     sorted pool rows, accuracies and thresholds, all computed when each
-    record was accepted, and u; its rows and ``x_row`` are rows over the same
+    record was accepted; its rows and ``x_row`` are rows over the same
     pool of w points.  A record the test reaches reads its stage table at
-    delta' = ``delta_s`` (``stage_table``), which both its balls share, and
-    each ball is then one ``est_prob`` call, which only draws.  The balls are
-    counted before ``est_prob`` draws, on sorted rows of squared distances
-    to the pool: ``x_row`` is X's full row, its own 0.0 included, which
-    ``run_kalls`` takes from its one ``center_order`` of the scan step and
-    keeps as the row of the record X becomes.  One ``searchsorted`` of all
-    the squared radii in ``x_row`` counts every ball around X; each record's
-    ball is one ``searchsorted`` in its row, made only when the test reaches
-    the record.  The squared radii are ``np.sqrt`` of the sorted squared
-    record distances that ``nearest_order`` gives, squared again in place,
-    bit for bit the scalar ``radius * radius``, so the counts equal
-    ``count_nonzero(d2 < r2)`` on the unsorted ``sq_dists`` rows and every
-    binomial draw, and the random stream, is that of a fresh distance row
-    per ball.
+    delta' = ``delta_s`` and u = 50 (``stage_table``), which both its balls
+    share, and each ball is then one ``est_prob`` call, which only draws.
+    The balls are counted before ``est_prob`` draws, on sorted rows of
+    squared distances to the pool: ``x_row`` is X's full row, its own 0.0
+    included, which ``run_kalls`` takes from its one ``center_order`` of the
+    scan step and keeps as the row of the record X becomes.  One
+    ``searchsorted`` of all the squared radii in ``x_row`` counts every ball
+    around X; each record's ball is one ``searchsorted`` in its row, made
+    only when the test reaches the record.  The squared radii are
+    ``np.sqrt`` of the sorted squared record distances that
+    ``nearest_order`` gives, squared again in place, bit for bit the scalar
+    ``radius * radius``, so the counts equal ``count_nonzero(d2 < r2)`` on
+    the unsorted ``sq_dists`` rows and every binomial draw, and the random
+    stream, is that of a fresh distance row per ball.
 
     Each call adds its ``est_prob`` calls and their draws to the counters of
     ``rows.trace``, and a pass appends a ``SkipCertificate`` for the point
@@ -358,13 +364,13 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     order, r2 = nearest_order(rows.points, x)
     np.sqrt(r2, out=r2)  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    record_rows, eps_o, thresholds, u_const = rows.rows, rows.eps_o, rows.thresholds, rows.u_const
+    record_rows, eps_o, thresholds = rows.rows, rows.eps_o, rows.thresholds
     w = x_row.shape[0]
 
     calls = draws = 0
     passed = None
     for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
-        stages, threshold = stage_table(eps_o[j], delta_s, u_const), thresholds[j]
+        stages, threshold = stage_table(eps_o[j], delta_s, _U), thresholds[j]
         est = est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages, rng)
         calls += 1
         draws += est.draws_used
@@ -410,12 +416,13 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     ``nearest_order(rows.points, x)``.  The run keeps one record table
     (``RecordRows``), and an accepted X is one append to it: its record, its
     point, its row, its accuracy eps_o = (LB / 64L)^(d/alpha) and threshold
-    75/94 eps_o, each computed once.  The table's ``active`` is the returned
-    active set.  ValueError, before any label, where the largest accuracy,
-    that of LB = 1/2, has no stage table at the last scanned point's
-    delta_s, and at acceptance where the record's own has none
-    (``record_accuracy``).  The table carries the trace, so ``reliable``
-    adds its estimator counters and skip certificates to it.
+    75/94 eps_o, each computed once; every estimate takes u = 50, the u at
+    which 75/94 = 1/g(u).  The table's ``active`` is the returned active
+    set.  ValueError, before any label, where the largest accuracy, that of
+    LB = 1/2, has no stage table at the last scanned point's delta_s, and
+    at acceptance where the record's own has none (``record_accuracy``).
+    The table carries the trace, so ``reliable`` adds its estimator counters
+    and skip certificates to it.
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -424,7 +431,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
     trace = RunTrace()
-    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), config.u_const, trace)
+    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), trace)
 
     for s in range(1, pool.w + 1):
         if oracle.remaining_budget <= 0:

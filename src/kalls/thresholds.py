@@ -87,7 +87,6 @@ class KallsConfig:
     delta: float
     n: int
     c_const: float = 8.0
-    u_const: int = 50
     lb_factor: float = 0.1
     budget_mode: str = "strict_paper"
 
@@ -102,8 +101,6 @@ class KallsConfig:
             raise ValueError(f"c_const must be finite and >= 1, got {self.c_const}")
         if not 0.0 < self.lb_factor < math.inf:  # lb 0 would make eps_o 0
             raise ValueError(f"lb_factor must be finite and > 0, got {self.lb_factor}")
-        if self.u_const < 7:
-            raise ValueError(f"u_const must be >= 7, got {self.u_const}")
         if self.budget_mode not in ("strict_paper", "cached_labels"):
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
 
@@ -243,7 +240,8 @@ class FeasibilityReport:
     (the theory hides polylog factors and unspecified constants inside them), so
     the booleans are indicative, never gating.  ``estprob_pool_rhs`` is the exact
     pool-size requirement of the unlabeled-sampling subroutine, evaluated at the
-    supplied w.
+    supplied w.  ``k_budget`` and ``phi_n`` need loglog(1/delta) > 0, so they
+    are NaN where delta >= 1/e, a delta a run accepts.
     """
 
     epsilon: float
@@ -251,7 +249,7 @@ class FeasibilityReport:
     n: int
     w: int
     delta_margin: float
-    k_budget: int
+    k_budget: int | float
     phi_n: float
     p_eps: float
     p_tilde_eps: float
@@ -300,10 +298,11 @@ def feasibility_report(config: KallsConfig, smooth: SmoothnessParams,
     p_tilde = (dm / (128.0 * smooth.L)) ** (smooth.d / smooth.alpha)
     t_eps_delta = math.log(8.0 / delta) / p_tilde
 
-    k_budget = label_budget_k(eps, delta, margin, config.c_const)
-    phi = phi_n(max(config.n, 1), delta) if delta < _INV_E else float("nan")
+    defined = delta < _INV_E  # k_budget and phi_n need loglog(1/delta) > 0
+    k_budget = label_budget_k(eps, delta, margin, config.c_const) if defined else float("nan")
+    phi = phi_n(max(config.n, 1), delta) if defined else float("nan")
 
-    if config.n >= 1 and delta < _INV_E and w >= 1:
+    if config.n >= 1 and defined and w >= 1:
         psi = (config.lb_factor * phi / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
         estprob_rhs = 400.0 * math.log(12800.0 * w * w / (delta * psi)) / psi
         pool_estprob_ok = w >= estprob_rhs

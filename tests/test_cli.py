@@ -36,15 +36,16 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
-def write_active_set(tmp_path, problem, points):
-    """A saved active set with ``problem`` as the embedded config's problem block."""
+def write_active_set(tmp_path, problem, points, **config):
+    """A saved active set with ``problem`` as the embedded config's problem
+    block, beside the other embedded ``config`` keys."""
     active = kalls.core.ActiveSet()
     for i, x in enumerate(points):
         active.append(kalls.core.ActiveRecord(point=np.asarray(x, dtype=np.float64),
                                               inferred_label=i % 2, lb=0.1,
                                               source_index=i))
     path = tmp_path / "active.csv"
-    meta = {"tool_version": "0", "config": {"problem": problem}}
+    meta = {"tool_version": "0", "config": {"problem": problem, **config}}
     active.to_csv(str(path), header_comment=json.dumps(meta, sort_keys=True))
     return str(path)
 
@@ -56,11 +57,16 @@ class TestConfig:
         again = ExperimentConfig.from_dict(asdict(cfg))
         assert again == cfg
 
-    def test_unknown_top_level_key(self, tmp_path):
-        path = write_config(tmp_path, buget=3)
-        with pytest.raises(ConfigError, match="buget"):
+    # older configs set u_const; u is the core's constant 50 (75/94 = 1/g(50))
+    @pytest.mark.parametrize("key,value", [("buget", 3), ("u_const", 50)],
+                             ids=["buget", "u_const"])
+    def test_unknown_top_level_key(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
             load_config(path)
-        assert main(["run", "--config", path]) == 1
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["atoms", "seed"])
     def test_unknown_problem_key(self, tmp_path, key):
@@ -97,7 +103,6 @@ class TestConfig:
         ({"budgets": "123"}, "budgets"),
         ({"budgets": [400.5]}, "budgets"),
         ({"seeds": "12"}, "seeds"),
-        ({"u_const": 50.9}, "u_const"),
         ({"n_test": 0}, "n_test"),
         ({"problem": {"family": "product_uniform_nd", "kappa": 1.0, "d": 2.7}}, "problem.d"),
         ({"problem": {"family": "discrete_atoms", "n_atoms": 64.9}}, "problem.n_atoms"),
@@ -112,7 +117,7 @@ class TestConfig:
         ({"margin_override": {"beta": 1.0, "C": float("nan")}}, "C must"),
         ({"margin_override": {"beta": float("inf"), "C": 2.0}}, "beta must"),
     ], ids=["pool_size-str", "pool_size-float", "pool_size-bool", "pool_size-1",
-            "budgets-str", "budgets-float", "seeds-str", "u_const-float", "n_test-0",
+            "budgets-str", "budgets-float", "seeds-str", "n_test-0",
             "d-float", "n_atoms-float", "lb_factor-negative", "lb_factor-0", "lb_factor-nan",
             "lb_factor-inf", "c_const-nan", "c_const-inf", "margin-nan", "margin-C-nan",
             "margin-beta-inf"])
@@ -417,6 +422,14 @@ class TestFeasibilityCommand:
         assert "p_tilde_eps" in out
         assert "budget_ok" in out
 
+    def test_delta_a_run_accepts_above_one_over_e(self, tmp_path, capsys):
+        # k(eps, delta) and phi_n need loglog(1/delta) > 0: both print as nan
+        path = write_config(tmp_path, delta=0.5)
+        assert main(["feasibility", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  k_budget +nan$", out, re.M)
+        assert re.search(r"^  phi_n +nan$", out, re.M)
+
     def test_takes_no_seed_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +480,21 @@ class TestEvalProvenance:
         path = write_config(tmp_path)
         assert main(["eval", "--config", path, "--active-set", active]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_config_with_the_removed_u_const_key(self, tmp_path, capsys):
+        # an active set saved while u_const was a config key: eval reads the
+        # embedded problem block alone, so it scores the set as before
+        path = write_config(tmp_path)
+        old = {**asdict(load_config(path)), "u_const": 50}
+        problem = old.pop("problem")
+        scores = []
+        for config in ({}, old):
+            active = write_active_set(tmp_path, problem, [[0.25], [0.75]], **config)
+            assert main(["eval", "--config", path, "--active-set", active]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            scores.append(json.loads(out.out))
+        assert scores[0] == scores[1]
 
     def test_other_family_warns(self, tmp_path, capsys):
         active = write_active_set(tmp_path, self.UNIFORM, [[0.25], [0.75]])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,7 @@ import kalls.thresholds
 from kalls.core import (RELIABLE_ACCEPT_RATIO, AbstainEmpty, ActiveRecord, ActiveSet,
                         EmptyActiveSet, PerPointRecord, RecordRows, RunTrace, SkipCertificate,
                         confident_label, one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop, est_prob, stage_table
+from kalls.estimation import BerEstResult, _stage_loop, est_prob, g_factor, stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -153,12 +154,12 @@ class TestConfidentLabel:
         assert any(fired) and not all(fired)
 
 
-def pool_reliable(pool, x_index, delta_s, smooth, active, u_const, rng):
+def pool_reliable(pool, x_index, delta_s, smooth, active, rng):
     """``reliable`` for pool point ``x_index``: its sorted pool row from
     ``center_order``, as ``run_kalls`` takes it, and each record's from a fresh
     ``sq_dists`` row of the record's point."""
     x_row = center_order(pool, x_index)[1]
-    rows = RecordRows(smooth, delta_s, u_const)
+    rows = RecordRows(smooth, delta_s)
     for r in active.records:
         rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
     return reliable(pool.points[x_index], x_row, delta_s, rows, rng)
@@ -170,7 +171,7 @@ class TestReliable:
 
     def test_empty_active_set_is_never_reliable(self):
         pool = uniform_pool(50, seed=41)
-        assert pool_reliable(pool, 0, DELTA_S, self._smooth(), ActiveSet(), 50,
+        assert pool_reliable(pool, 0, DELTA_S, self._smooth(), ActiveSet(),
                              substream(1, "estimation")) is False
 
     def test_zero_distance_record_is_reliable(self):
@@ -178,7 +179,7 @@ class TestReliable:
         active = ActiveSet()
         active.append(ActiveRecord(point=pool.points[9].copy(), inferred_label=1,
                                    lb=0.3, source_index=2))
-        assert pool_reliable(pool, 9, DELTA_S, self._smooth(), active, 50,
+        assert pool_reliable(pool, 9, DELTA_S, self._smooth(), active,
                              substream(2, "estimation")) is True
 
     def test_far_point_with_small_accuracy_is_informative(self):
@@ -195,7 +196,7 @@ class TestReliable:
         false_count = 0
         for trial in range(200):
             false_count += not pool_reliable(pool, x_idx, 0.1, self._smooth(), active,
-                                             50, substream(trial, "estimation", 7))
+                                             substream(trial, "estimation", 7))
         assert false_count >= 180
 
     def test_short_circuit_and_full_eval_agree_here(self):
@@ -205,15 +206,16 @@ class TestReliable:
             active.append(ActiveRecord(point=pool.points[j].copy(), inferred_label=0,
                                        lb=0.2, source_index=src))
         # a zero-distance record is present
-        assert pool_reliable(pool, 3, DELTA_S, self._smooth(), active, 50,
+        assert pool_reliable(pool, 3, DELTA_S, self._smooth(), active,
                              substream(9, "estimation")) is True
 
 
-def reference_reliable(points, x, delta_s, smooth, active, u_const, rng, draws=None):
+def reference_reliable(points, x, delta_s, smooth, active, rng, draws=None):
     """``reliable`` for ``x`` with a fresh distance row to the pool ``points``
     per ball, counted with ``count_nonzero(d2 < r2)``, and eps_o, the
-    threshold and the stage table computed per ball: the reference the sorted
-    rows must match.  Each ball's ``draws_used`` is appended to ``draws``."""
+    threshold and the stage table (at the core's u) computed per ball: the
+    reference the sorted rows must match.  Each ball's ``draws_used`` is
+    appended to ``draws``."""
     if not active.records:
         return False
     order = nearest_order(active.points(), x)[0]
@@ -226,7 +228,7 @@ def reference_reliable(points, x, delta_s, smooth, active, u_const, rng, draws=N
         for row in (sq_dists(points, rec.point)[0], d2_x):
             p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
             res = _stage_loop(lambda n: int(rng.binomial(n, p)),
-                              stage_table(eps_o, delta_s, u_const))
+                              stage_table(eps_o, delta_s, kalls.core._U))
             if draws is not None:
                 draws.append(res.draws_used)
             if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
@@ -256,7 +258,7 @@ class TestSortedRows:
         def fresh_rows(x, x_row, delta_s, rows, rng):
             # eps_o from each record's lb, never from rows.eps_o
             return reference_reliable(pool.points, x, delta_s, rows.smooth, rows.active,
-                                      rows.u_const, rng, draws)
+                                      rng, draws)
 
         def spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
@@ -301,9 +303,9 @@ class TestSortedRows:
                                        lb=0.2, source_index=src))
         for x_index in range(0, 60, 7):
             assert pool_reliable(second, x_index, 0.01, SmoothnessParams(1.0, 1.2, 2),
-                                 active, 50, substream(x_index, "estimation")) == \
+                                 active, substream(x_index, "estimation")) == \
                 reference_reliable(second.points, second.points[x_index], 0.01,
-                                   SmoothnessParams(1.0, 1.2, 2), active, 50,
+                                   SmoothnessParams(1.0, 1.2, 2), active,
                                    substream(x_index, "estimation"))
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -390,7 +392,7 @@ class TestRecordRows:
 
     def test_accuracy_and_threshold_of_each_record(self):
         smooth = SmoothnessParams(alpha=0.5, L=1.2, d=2)
-        rows = RecordRows(smooth, self.DELTA_MIN, 50)
+        rows = RecordRows(smooth, self.DELTA_MIN)
         lbs = (0.5, 0.2, 1e-3)
         records = [self._record(lb, i, d=2) for i, lb in enumerate(lbs)]
         for rec in records:
@@ -402,6 +404,12 @@ class TestRecordRows:
         assert rows.active.records == records
         assert np.array_equal(rows.points, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
 
+    def test_threshold_ratio_is_one_over_g_of_the_estimates_u(self):
+        # BerEst's dichotomy makes a pass certify a mass <= eps_o only where the
+        # ratio is 1/g(u) at the u the stage tables take; 75/94 = 1/g(50)
+        ratio = 1.0 / g_factor(kalls.core._U)
+        assert abs(ratio - RELIABLE_ACCEPT_RATIO) <= math.ulp(RELIABLE_ACCEPT_RATIO)
+
     # alpha 0.01, L 1.2: eps_o = (lb / 76.8)^100, about 2e-219 at lb 1/2
     @pytest.mark.parametrize("lb,cause", [
         (0.01, "got 0.0"),  # underflows to 0.0
@@ -409,7 +417,7 @@ class TestRecordRows:
         (0.08, "infinity"),  # 5.9e-299: K / delta' overflows
     ])
     def test_accuracy_without_a_stage_table_is_rejected_at_acceptance(self, lb, cause):
-        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1), self.DELTA_MIN, 50)
+        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1), self.DELTA_MIN)
         first = self._record(0.2, 3)
         rows.append(first, np.zeros(3))
         with pytest.raises(ValueError, match=rf"of lb {lb}, alpha 0\.01, L 1\.2, d 1 .*{cause}"):
@@ -424,7 +432,7 @@ class TestRecordRows:
     @pytest.mark.parametrize("alpha", [0.005, 0.007])  # eps_o at lb 1/2: 0.0, 4.6e-313
     def test_largest_accuracy_without_a_stage_table_is_rejected_up_front(self, alpha):
         with pytest.raises(ValueError, match=rf"of lb 0\.5, alpha {alpha}, L 1\.2, d 1"):
-            RecordRows(SmoothnessParams(alpha=alpha, L=1.2, d=1), self.DELTA_MIN, 50)
+            RecordRows(SmoothnessParams(alpha=alpha, L=1.2, d=1), self.DELTA_MIN)
 
     def test_run_kalls_refuses_before_any_label(self):
         pool = Pool(np.linspace(0.0, 1.0, 50)[:, None])
@@ -462,7 +470,7 @@ class TestReliableCounts:
                 active.append(ActiveRecord(point=pool.points[src].copy(), inferred_label=1,
                                            lb=0.1 + src / 1000.0, source_index=src))
             calls.clear()
-            assert pool_reliable(pool, x_index, DELTA_S, smooth, active, 50,
+            assert pool_reliable(pool, x_index, DELTA_S, smooth, active,
                                  substream(1, "estimation")) is False
             order = nearest_order(active.points(), pool.points[x_index])[0]
             d2 = sq_dists(active.points(), pool.points[x_index])[0]
@@ -474,7 +482,7 @@ class TestReliableCounts:
                 eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
                 for row in (sq_dists(pool.points, rec.point)[0], x_d2):
                     want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
-                                 stage_table(eps_o, DELTA_S, 50)))
+                                 stage_table(eps_o, DELTA_S, kalls.core._U)))
                     exact += radius * radius in row
             assert calls == want, x_index
             empty += sum(c == 0 for c, _, _ in want)

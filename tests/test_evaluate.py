@@ -325,3 +325,29 @@ class TestComparisonCsv:
             "deep_margin_agreement,informative_count,wall_ms\n"
             "discrete_atoms,1,200,3,200,,0.10000000000000001,,0,12.346\n"
             "discrete_atoms,0.5,400,4,0,0.33333333333333331,,0.875,2,0.000\n")
+
+
+@pytest.mark.parametrize("family", ["power_margin_uniform_1d", "discrete_atoms"])
+def test_active_beats_passive_where_the_claim_holds(family):
+    """The paper's central claim, that the active learner outperforms its
+    passive counterpart, on two regimes where it holds: kappa 2 at budget
+    15,000 (w 50,000, ``cached_labels``, c 1, eps 0.2, delta 0.05, n_test
+    20,000), on the uniform family and on discrete atoms, the abstract's
+    discrete-distribution claim.  The active arm must have the lower excess
+    risk in at least 15 of seeds 1-20 (one-sided sign-test p = 0.021 under no
+    effect; a learner that wins 95% of seeds falls below 15 with probability
+    about 3e-4).  The settings were fixed before the first run.
+
+    A probe over w 50,000, budgets 1000, 5000 and 15,000, kappa 1 and 2 and
+    all four families found no win in every budget-1000 cell, in Gaussian
+    and discrete atoms at kappa 1 against this rate-k passive arm at every
+    budget, and in almost every cell against the best passive k in
+    {k0, 2k0, 4k0, 8k0}.  This test pins none of those regimes."""
+    problem = make_problem(family, kappa=2.0, seed=0)
+    config = KallsConfig(epsilon=0.2, delta=0.05, n=15_000, c_const=1.0,
+                         budget_mode="cached_labels")
+    table = compare(problem, [15_000], config, seeds=list(range(1, 21)), w=50_000,
+                    n_test=20_000)
+    wins = sum(r.excess_active is not None and r.excess_active < r.excess_passive
+               for r in table.rows)
+    assert len(table.rows) == 20 and wins >= 15, wins

@@ -241,10 +241,15 @@ class TestFeasibilityReport:
         assert not rep.pool_estprob_ok
 
     def test_never_raises_and_renders(self):
-        rep = feasibility_report(self.config, self.smooth, self.margin, w=10**7)
-        rows = rep.render().splitlines()[1:]
-        assert [r.split()[0] for r in rows] == [f.name for f in dataclasses.fields(rep)]
-        assert rep.pool_estprob_ok in (True, False)
+        # delta 0.5 is a delta a run accepts, above 1/e, where loglog(1/delta)
+        # <= 0: k_budget and phi_n are NaN there
+        for delta in (0.05, 0.5):
+            config = dataclasses.replace(self.config, delta=delta)
+            rep = feasibility_report(config, self.smooth, self.margin, w=10**7)
+            rows = rep.render().splitlines()[1:]
+            assert [r.split()[0] for r in rows] == [f.name for f in dataclasses.fields(rep)]
+            assert rep.pool_estprob_ok in (True, False)
+            assert math.isnan(rep.k_budget) == math.isnan(rep.phi_n) == (delta == 0.5)
 
 
 class TestParamValidation:
