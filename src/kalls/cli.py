@@ -15,8 +15,8 @@ from . import __version__, core
 from .evaluate import compare, evaluation_stream, excess_risk, run_active
 from .seeding import substream
 from .synth import check_doubling, check_margin, check_smoothness, make_problem
-from .thresholds import (KallsConfig, MarginParams, SmoothnessParams,
-                         feasibility_report, margin_delta, per_point_delta)
+from .thresholds import (KallsConfig, SmoothnessParams, feasibility_report, margin_delta,
+                         per_point_delta)
 
 
 class ConfigError(ValueError):
@@ -28,7 +28,6 @@ _BLOCKS = {
     "problem": ({"family": "str", "kappa": "float", "d": "int", "n_atoms": "int"},
                 {"family"}),
     "smoothness_override": ({"alpha": "float", "L": "float"}, {"alpha", "L"}),
-    "margin_override": ({"beta": "float", "C": "float"}, {"beta", "C"}),
 }
 
 
@@ -45,12 +44,9 @@ class ExperimentConfig:
     delta: float
     seeds: list[int]
     c_const: float = KallsConfig.c_const
-    lb_factor: float = KallsConfig.lb_factor
     budget_mode: str = KallsConfig.budget_mode
     n_test: int = 20_000
     smoothness_override: dict | None = None
-    margin_override: dict | None = None
-    output_dir: str = "."
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -74,8 +70,6 @@ class ExperimentConfig:
         if cfg.smoothness_override is not None:
             # d comes from the problem; d=1 checks alpha and L alone
             _override(SmoothnessParams, cfg.smoothness_override, d=1)
-        if cfg.margin_override is not None:
-            _override(MarginParams, cfg.margin_override)
         return cfg
 
     def build_problem(self):
@@ -86,8 +80,7 @@ class ExperimentConfig:
 
     def kalls_config(self, budget: int) -> KallsConfig:
         return KallsConfig(epsilon=self.epsilon, delta=self.delta, n=budget,
-                           c_const=self.c_const, lb_factor=self.lb_factor,
-                           budget_mode=self.budget_mode)
+                           c_const=self.c_const, budget_mode=self.budget_mode)
 
     def smooth_params(self, problem) -> SmoothnessParams:
         """The smoothness the learner runs with: the override, else the
@@ -107,11 +100,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad smoothness: {exc}") from exc
         return smooth
-
-    def margin_params(self, problem) -> MarginParams:
-        if self.margin_override is not None:
-            return _override(MarginParams, self.margin_override)
-        return problem.certified_margin
 
 
 def _override(cls, values: dict, **extra):
@@ -188,8 +176,8 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _out_dir(args, cfg: ExperimentConfig) -> str:
-    out = args.out or cfg.output_dir
+def _out_dir(args) -> str:
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -200,9 +188,9 @@ def cmd_run(args) -> int:
     seed = _seed(args, cfg)
     budget = cfg.budgets[0]
     active, trace = run_active(problem, cfg.kalls_config(budget), cfg.pool_size, seed,
-                               cfg.smooth_params(problem), cfg.margin_params(problem))
+                               cfg.smooth_params(problem), problem.certified_margin)
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     meta = _provenance(cfg, seed)
     trace_path = os.path.join(out, f"trace_seed{seed}_n{budget}.json")
     with open(trace_path, "w") as fh:
@@ -222,8 +210,8 @@ def cmd_sweep(args) -> int:
     seeds = cfg.seeds if args.seed_override is None else [args.seed_override]
     table = compare(problem, cfg.budgets, cfg.kalls_config(cfg.budgets[0]), seeds,
                     w=cfg.pool_size, n_test=cfg.n_test, threads=args.threads,
-                    smooth=cfg.smooth_params(problem), margin=cfg.margin_params(problem))
-    out = _out_dir(args, cfg)
+                    smooth=cfg.smooth_params(problem))
+    out = _out_dir(args)
     path = os.path.join(out, "comparison.csv")
     table.to_csv(path, header_comment=json.dumps(_provenance(cfg, args.seed_override),
                                                  sort_keys=True))
@@ -256,8 +244,10 @@ def cmd_check_assumptions(args) -> int:
             reason += "; the run takes the smoothness_override's alpha and L as given"
         skip("H3", reason)
     else:
+        smooth = cfg.smooth_params(problem)  # the run's: the override, if any
         try:
-            reports.append(check_smoothness(problem, rng=substream(seed, "points")))
+            reports.append(check_smoothness(problem, rng=substream(seed, "points"),
+                                            smooth=smooth))
         except NotImplementedError as exc:  # the problem has no analytic ball mass
             skip("H3", str(exc))
     reports.append(check_margin(problem))
@@ -270,7 +260,7 @@ def cmd_check_assumptions(args) -> int:
     payload["reports"] = [r.as_dict() for r in reports]
     payload["not_checked"] = not_checked
     payload["all_passed"] = all(r.passed for r in reports)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     path = os.path.join(out, "assumptions.json")
     _write_json(path, payload)
     print(f"wrote {path}")
@@ -286,10 +276,9 @@ def cmd_feasibility(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.build_problem()
     smooth = cfg.smooth_params(problem)
-    margin = cfg.margin_params(problem)
     for budget in cfg.budgets:
-        report = feasibility_report(cfg.kalls_config(budget), smooth, margin,
-                                    w=cfg.pool_size)
+        report = feasibility_report(cfg.kalls_config(budget), smooth,
+                                    problem.certified_margin, w=cfg.pool_size)
         print(report.render())
         print()
     return 0
@@ -326,7 +315,7 @@ def cmd_eval(args) -> int:
     seed = _seed(args, cfg)
     # the test draw of the (seed, budgets[0]) sweep cell, the cell `run` learns in
     est = excess_risk(lambda X: core.one_nn_label_batch(active, X), problem, cfg.n_test,
-                      delta_margin=margin_delta(cfg.epsilon, cfg.margin_params(problem)),
+                      delta_margin=margin_delta(cfg.epsilon, problem.certified_margin),
                       rng=evaluation_stream(seed, cfg.budgets[0]))
     payload = _provenance(cfg, seed)
     payload["active_set"] = args.active_set
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         if draws:  # feasibility draws nothing, so it takes no seed
             p.add_argument("--seed-override", type=int, default=None,
                            help="learner seed to use instead of the config's seeds")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=None, help="output directory (default: .; eval: stdout)")
         p.add_argument("--threads", type=_threads, default=1)
 
     p_run = sub.add_parser("run", help="single active-learning run")

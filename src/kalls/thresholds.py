@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,14 +82,17 @@ class KallsConfig:
       * ``strict_paper``   -- every oracle request costs budget, repeats included.
       * ``cached_labels``  -- a pool point's label is drawn once and re-requests
         of the same point are free.
+
+    ``lb_factor`` is fixed, not a field: a record is accepted when its
+    lower-bound guarantee is at least ``lb_factor * b(delta_s, |Q|)``.
     """
 
     epsilon: float
     delta: float
     n: int
     c_const: float = 8.0
-    lb_factor: float = 0.1
     budget_mode: str = "strict_paper"
+    lb_factor: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -99,8 +103,6 @@ class KallsConfig:
             raise ValueError(f"label budget n must be >= 0, got {self.n}")
         if not 1.0 <= self.c_const < math.inf:  # NaN fails
             raise ValueError(f"c_const must be finite and >= 1, got {self.c_const}")
-        if not 0.0 < self.lb_factor < math.inf:  # lb 0 would make eps_o 0
-            raise ValueError(f"lb_factor must be finite and > 0, got {self.lb_factor}")
         if self.budget_mode not in ("strict_paper", "cached_labels"):
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
 
@@ -277,6 +279,14 @@ class FeasibilityReport:
         return "\n".join(lines)
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def feasibility_report(config: KallsConfig, smooth: SmoothnessParams,
                        margin: MarginParams, w: int) -> FeasibilityReport:
     """Evaluate the sufficiency conditions at the supplied (n, w); never raises.
@@ -284,31 +294,31 @@ def feasibility_report(config: KallsConfig, smooth: SmoothnessParams,
     Reported quantities: the budget bound's polynomial part, the two pool bounds
     (rate polynomial part, and the exact unlabeled-sampling requirement with
     c_bar = lb_factor and phi_n), the covering scales p_eps / p_tilde_eps and
-    the covering horizon T(eps, delta).
+    the covering horizon T(eps, delta).  A polynomial part that overflows, and
+    a quantity divided by a scale that underflows to 0, are inf, so the check
+    it enters fails.
     """
     eps, delta = config.epsilon, config.delta
     dm = margin_delta(eps, margin)
     exp_pool = (2.0 * smooth.alpha + smooth.d) / (smooth.alpha * (margin.beta + 1.0))
     exp_budget = ((2.0 * smooth.alpha + smooth.d - smooth.alpha * margin.beta)
                   / (smooth.alpha * (margin.beta + 1.0)))
-    budget_poly = (1.0 / eps) ** exp_budget
-    pool_poly = (1.0 / eps) ** exp_pool
+    budget_poly = _power_or_inf(1.0 / eps, exp_budget)
+    pool_poly = _power_or_inf(1.0 / eps, exp_pool)
 
     p_eps = (31.0 * dm / (1024.0 * smooth.L)) ** (smooth.d / smooth.alpha)
     p_tilde = (dm / (128.0 * smooth.L)) ** (smooth.d / smooth.alpha)
-    t_eps_delta = math.log(8.0 / delta) / p_tilde
+    t_eps_delta = math.log(8.0 / delta) / p_tilde if p_tilde > 0.0 else math.inf
 
     defined = delta < _INV_E  # k_budget and phi_n need loglog(1/delta) > 0
     k_budget = label_budget_k(eps, delta, margin, config.c_const) if defined else float("nan")
     phi = phi_n(max(config.n, 1), delta) if defined else float("nan")
 
-    if config.n >= 1 and defined and w >= 1:
-        psi = (config.lb_factor * phi / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+    psi = (config.lb_factor * phi / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+    if config.n >= 1 and defined and w >= 1 and psi > 0.0:
         estprob_rhs = 400.0 * math.log(12800.0 * w * w / (delta * psi)) / psi
-        pool_estprob_ok = w >= estprob_rhs
     else:
-        estprob_rhs = float("inf")
-        pool_estprob_ok = False
+        estprob_rhs = math.inf
 
     return FeasibilityReport(
         epsilon=eps,
@@ -326,5 +336,5 @@ def feasibility_report(config: KallsConfig, smooth: SmoothnessParams,
         estprob_pool_rhs=estprob_rhs,
         budget_ok_poly_part_only=config.n >= budget_poly,
         pool_rate_ok_poly_part_only=w >= pool_poly,
-        pool_estprob_ok=pool_estprob_ok,
+        pool_estprob_ok=w >= estprob_rhs,
     )

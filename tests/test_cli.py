@@ -57,9 +57,17 @@ class TestConfig:
         again = ExperimentConfig.from_dict(asdict(cfg))
         assert again == cfg
 
-    # older configs set u_const; u is the core's constant 50 (75/94 = 1/g(50))
-    @pytest.mark.parametrize("key,value", [("buget", 3), ("u_const", 50)],
-                             ids=["buget", "u_const"])
+    # older configs set u_const, lb_factor, margin_override or output_dir; u
+    # is the core's constant 50 (75/94 = 1/g(50)), lb_factor is 0.1, the
+    # margin is the problem's certified one and the output directory is --out.
+    # json reads NaN and Infinity: a removed key is refused whatever its value
+    @pytest.mark.parametrize("key,value", [
+        ("buget", 3), ("u_const", 50),
+        ("lb_factor", -1.0), ("lb_factor", 0.0), ("lb_factor", float("nan")),
+        ("lb_factor", float("inf")),
+        ("margin_override", {"beta": 1.0, "C": 2.0}), ("output_dir", "elsewhere"),
+    ], ids=["buget", "u_const", "lb_factor-negative", "lb_factor-0", "lb_factor-nan",
+            "lb_factor-inf", "margin_override", "output_dir"])
     def test_unknown_top_level_key(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
@@ -107,20 +115,11 @@ class TestConfig:
         ({"problem": {"family": "product_uniform_nd", "kappa": 1.0, "d": 2.7}}, "problem.d"),
         ({"problem": {"family": "discrete_atoms", "n_atoms": 64.9}}, "problem.n_atoms"),
         # json reads NaN and Infinity, which a plain `x < low` check lets through
-        ({"lb_factor": -1.0}, "lb_factor"),
-        ({"lb_factor": 0.0}, "lb_factor"),
-        ({"lb_factor": float("nan")}, "lb_factor"),
-        ({"lb_factor": float("inf")}, "lb_factor"),
         ({"c_const": float("nan")}, "c_const"),
         ({"c_const": float("inf")}, "c_const"),
-        ({"margin_override": {"beta": float("nan"), "C": float("nan")}}, "beta must"),
-        ({"margin_override": {"beta": 1.0, "C": float("nan")}}, "C must"),
-        ({"margin_override": {"beta": float("inf"), "C": 2.0}}, "beta must"),
     ], ids=["pool_size-str", "pool_size-float", "pool_size-bool", "pool_size-1",
             "budgets-str", "budgets-float", "seeds-str", "n_test-0",
-            "d-float", "n_atoms-float", "lb_factor-negative", "lb_factor-0", "lb_factor-nan",
-            "lb_factor-inf", "c_const-nan", "c_const-inf", "margin-nan", "margin-C-nan",
-            "margin-beta-inf"])
+            "d-float", "n_atoms-float", "c_const-nan", "c_const-inf"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, key):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -170,14 +169,16 @@ class TestConfig:
 
     def test_certified_smoothness_is_checked_only_where_it_is_used(self, tmp_path, capsys):
         # kappa 0.005 certifies alpha 0.005, L 2, whose largest accuracy
-        # underflows: a run with it is refused, but a run with a valid
-        # override, and the commands that never estimate, still work
+        # underflows: a run with it is refused, and so is check-assumptions,
+        # which checks H3 at the smoothness the run uses; but a run with a
+        # valid override, and eval, which uses no smoothness, still work
         problem = {"family": "power_margin_uniform_1d", "kappa": 0.005}
         path = write_config(tmp_path, problem=problem, pool_size=300, budgets=[3000],
                             epsilon=0.4, seeds=[1])
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert "of lb 0.5, alpha 0.005, L 2.0, d 1" in capsys.readouterr().err
-        assert main(["check-assumptions", "--config", path, "--out", str(tmp_path / "c")]) == 0
+        for command in ("run", "check-assumptions"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+            assert "of lb 0.5, alpha 0.005, L 2.0, d 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
         active = write_active_set(tmp_path, problem, [[0.25], [0.75]])
         assert main(["eval", "--config", path, "--active-set", active]) == 0
         override = write_config(tmp_path, problem=problem, pool_size=300, budgets=[3000],
@@ -334,10 +335,9 @@ class TestSweepCommand:
             assert parts["empty_active"] == f"{empty}/{len(cells)}"
             assert "median_excess_active" in parts
 
-    def test_cell_matches_run_under_margin_override(self, tmp_path):
-        # the override cuts k' from 1335 to 331 labels per point, under the budget
-        path = write_config(tmp_path, budgets=[1000],
-                            margin_override={"beta": 2.0, "C": 1.0})
+    def test_cell_matches_run_at_c_const_1(self, tmp_path):
+        # c 1 cuts k' from 1335 to 167-274 labels per point, under the budget
+        path = write_config(tmp_path, budgets=[1000], c_const=1.0)
         run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
         assert main(["run", "--config", path, "--out", str(run_out)]) == 0
         assert main(["sweep", "--config", path, "--out", str(sweep_out)]) == 0
@@ -413,6 +413,22 @@ class TestCheckAssumptionsCommand:
         assert payload["all_passed"] is True
         assert "H3: not checked (" in capsys.readouterr().out
 
+    def test_h3_is_checked_at_the_smoothness_the_run_uses(self, tmp_path, capsys):
+        # kappa 2 certifies L 2, which holds; the override's L 1.01 does not
+        path = write_config(tmp_path, problem={"family": "power_margin_uniform_1d",
+                                               "kappa": 2.0},
+                            pool_size=800, smoothness_override={"alpha": 1.0, "L": 1.01})
+        out = tmp_path / "chk"
+        assert main(["check-assumptions", "--config", path, "--out", str(out)]) == 2
+        payload = json.load(open(out / "assumptions.json"))
+        (h3,) = [r for r in payload["reports"] if r["assumption"] == "H3"]
+        problem = load_config(path).build_problem()
+        want = kalls.cli.check_smoothness(problem, rng=kalls.cli.substream(3, "points"),
+                                          smooth=kalls.cli.SmoothnessParams(1.0, 1.01, 1))
+        assert h3 == want.as_dict() and not want.passed
+        assert payload["all_passed"] is False
+        assert "H3: FAILED" in capsys.readouterr().out
+
 
 class TestFeasibilityCommand:
     def test_prints_table(self, tmp_path, capsys):
@@ -429,6 +445,19 @@ class TestFeasibilityCommand:
         out = capsys.readouterr().out
         assert re.search(r"^  k_budget +nan$", out, re.M)
         assert re.search(r"^  phi_n +nan$", out, re.M)
+
+    def test_scales_that_underflow(self, tmp_path, capsys):
+        # alpha 0.0076 has a stage table, so a run accepts it, but p_tilde_eps
+        # and the unlabeled-sampling scale underflow to 0.0
+        path = write_config(tmp_path, problem={"family": "power_margin_uniform_1d",
+                                               "kappa": 0.0},
+                            smoothness_override={"alpha": 0.0076, "L": 1.2},
+                            pool_size=2000, budgets=[1000], epsilon=0.2)
+        assert main(["feasibility", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  t_eps_delta +inf$", out, re.M)
+        assert re.search(r"^  estprob_pool_rhs +inf$", out, re.M)
+        assert re.search(r"^  pool_estprob_ok +no$", out, re.M)
 
     def test_takes_no_seed_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -481,11 +510,14 @@ class TestEvalProvenance:
         assert main(["eval", "--config", path, "--active-set", active]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_config_with_the_removed_u_const_key(self, tmp_path, capsys):
-        # an active set saved while u_const was a config key: eval reads the
+    @pytest.mark.parametrize("key,value", [
+        ("u_const", 50), ("lb_factor", 0.1), ("margin_override", None), ("output_dir", "."),
+    ], ids=["u_const", "lb_factor", "margin_override", "output_dir"])
+    def test_config_with_a_removed_key(self, tmp_path, capsys, key, value):
+        # an active set saved while the key was a config key: eval reads the
         # embedded problem block alone, so it scores the set as before
         path = write_config(tmp_path)
-        old = {**asdict(load_config(path)), "u_const": 50}
+        old = {**asdict(load_config(path)), key: value}
         problem = old.pop("problem")
         scores = []
         for config in ({}, old):

@@ -242,14 +242,35 @@ class TestFeasibilityReport:
 
     def test_never_raises_and_renders(self):
         # delta 0.5 is a delta a run accepts, above 1/e, where loglog(1/delta)
-        # <= 0: k_budget and phi_n are NaN there
-        for delta in (0.05, 0.5):
-            config = dataclasses.replace(self.config, delta=delta)
-            rep = feasibility_report(config, self.smooth, self.margin, w=10**7)
+        # <= 0: k_budget and phi_n are NaN there.  At alpha 0.0076-0.02 (kappa
+        # 0's margin) p_tilde_eps or the unlabeled-sampling scale underflows to
+        # 0.0, or a polynomial part overflows: what they give is inf
+        replace = dataclasses.replace
+        kappa0 = MarginParams(beta=1.0, C=2.0)
+        rhs, t, polys = "estprob_pool_rhs", "t_eps_delta", ("budget_poly_part", "pool_poly_part")
+        cases = [
+            (self.config, self.smooth, self.margin, 10**7, ()),
+            (replace(self.config, delta=0.5), self.smooth, self.margin, 10**7, (rhs,)),
+            (self.config, SmoothnessParams(0.0076, 1.2, 1), kappa0, 2000, (rhs, t)),
+            (replace(self.config, epsilon=1e-6), SmoothnessParams(0.01, 1.2, 1), kappa0, 2000,
+             (rhs, t)),
+            (replace(self.config, n=10**9), SmoothnessParams(0.02, 1.2, 1), kappa0, 2000,
+             (rhs,)),
+            (replace(self.config, epsilon=1e-6), SmoothnessParams(0.0076, 1.2, 1), kappa0, 2000,
+             (rhs, t, *polys)),
+        ]
+        for config, smooth, margin, w, infinite in cases:
+            rep = feasibility_report(config, smooth, margin, w=w)
             rows = rep.render().splitlines()[1:]
             assert [r.split()[0] for r in rows] == [f.name for f in dataclasses.fields(rep)]
             assert rep.pool_estprob_ok in (True, False)
-            assert math.isnan(rep.k_budget) == math.isnan(rep.phi_n) == (delta == 0.5)
+            assert math.isnan(rep.k_budget) == math.isnan(rep.phi_n) == (config.delta == 0.5)
+            values = dataclasses.asdict(rep)
+            assert sorted(k for k, v in values.items() if v == math.inf) == sorted(infinite)
+            # each check follows from the values it compares
+            assert rep.budget_ok_poly_part_only == (config.n >= rep.budget_poly_part)
+            assert rep.pool_rate_ok_poly_part_only == (w >= rep.pool_poly_part)
+            assert rep.pool_estprob_ok == (w >= rep.estprob_pool_rhs)
 
 
 class TestParamValidation:
@@ -269,7 +290,8 @@ class TestParamValidation:
         assert ok.ball_accuracy(0.5) == (1.0 / (128.0 * 1.2)) ** 100.0 > 0.0
         assert ok.ball_accuracy(0.2) == (0.2 / (64.0 * 1.2)) ** (1 / 0.01)
         # an accuracy that underflows is refused where a run uses it
-        # (core.RecordRows), not here: check-assumptions and eval use none
+        # (core.RecordRows, cli.ExperimentConfig.smooth_params), not here:
+        # eval uses none
         for alpha, d in ((0.005, 1), (0.01, 2)):
             assert SmoothnessParams(alpha=alpha, L=1.2, d=d).ball_accuracy(0.5) == 0.0
 
@@ -301,8 +323,8 @@ class TestParamValidation:
         for bad in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="c_const must be finite and >= 1"):
                 KallsConfig(epsilon=0.2, delta=0.05, n=10, c_const=bad)
-        # lb_factor 0 would accept a record with lb 0, whose accuracy eps_o is 0
-        for bad in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="lb_factor must be finite and > 0"):
-                KallsConfig(epsilon=0.2, delta=0.05, n=10, lb_factor=bad)
-        assert KallsConfig(epsilon=0.2, delta=0.05, n=10, c_const=1.0, lb_factor=1e-9)
+        # lb_factor is a constant of the learner, not a field
+        with pytest.raises(TypeError, match="lb_factor"):
+            KallsConfig(epsilon=0.2, delta=0.05, n=10, lb_factor=0.1)
+        assert KallsConfig.lb_factor == 0.1
+        assert KallsConfig(epsilon=0.2, delta=0.05, n=10).lb_factor == 0.1
