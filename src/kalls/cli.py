@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from . import __version__, core
 from .evaluate import compare, evaluation_stream, excess_risk, run_active
 from .seeding import substream
-from .synth import check_doubling, check_margin, check_smoothness, make_problem
+from .synth import SyntheticProblem, check_doubling, check_margin, check_smoothness, make_problem
 from .thresholds import (KallsConfig, SmoothnessParams, feasibility_report, margin_delta,
                          per_point_delta)
 
@@ -182,13 +182,11 @@ def _out_dir(args) -> str:
     return out
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    problem = cfg.build_problem()
+def cmd_run(args, cfg: ExperimentConfig, problem: SyntheticProblem) -> int:
     seed = _seed(args, cfg)
     budget = cfg.budgets[0]
     active, trace = run_active(problem, cfg.kalls_config(budget), cfg.pool_size, seed,
-                               cfg.smooth_params(problem), problem.certified_margin)
+                               cfg.smooth_params(problem))
 
     out = _out_dir(args)
     meta = _provenance(cfg, seed)
@@ -204,9 +202,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    problem = cfg.build_problem()
+def cmd_sweep(args, cfg: ExperimentConfig, problem: SyntheticProblem) -> int:
     seeds = cfg.seeds if args.seed_override is None else [args.seed_override]
     table = compare(problem, cfg.budgets, cfg.kalls_config(cfg.budgets[0]), seeds,
                     w=cfg.pool_size, n_test=cfg.n_test, threads=args.threads,
@@ -228,9 +224,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_check_assumptions(args) -> int:
-    cfg = load_config(args.config)
-    problem = cfg.build_problem()
+def cmd_check_assumptions(args, cfg: ExperimentConfig, problem: SyntheticProblem) -> int:
     seed = _seed(args, cfg)
     # each of H2, H3 and H4 lands in exactly one of the two lists
     reports, not_checked = [], []
@@ -272,9 +266,7 @@ def cmd_check_assumptions(args) -> int:
     return 0 if payload["all_passed"] else 2
 
 
-def cmd_feasibility(args) -> int:
-    cfg = load_config(args.config)
-    problem = cfg.build_problem()
+def cmd_feasibility(args, cfg: ExperimentConfig, problem: SyntheticProblem) -> int:
     smooth = cfg.smooth_params(problem)
     for budget in cfg.budgets:
         report = feasibility_report(cfg.kalls_config(budget), smooth,
@@ -301,9 +293,7 @@ def _saved_problem(path: str) -> dict | None:
     return None
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    problem = cfg.build_problem()
+def cmd_eval(args, cfg: ExperimentConfig, problem: SyntheticProblem) -> int:
     active = core.ActiveSet.from_csv(args.active_set)
     saved = _saved_problem(args.active_set)
     d_default = inspect.signature(make_problem).parameters["d"].default
@@ -321,8 +311,7 @@ def cmd_eval(args) -> int:
     payload["active_set"] = args.active_set
     payload["risk"] = asdict(est)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "risk.json")
+        path = os.path.join(_out_dir(args), "risk.json")
         _write_json(path, payload)
         print(f"wrote {path}")
     else:
@@ -348,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, draws=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        if draws:  # feasibility draws nothing, so it takes no seed
+        if draws:  # feasibility draws nothing and only prints: no seed, no output directory
             p.add_argument("--seed-override", type=int, default=None,
                            help="learner seed to use instead of the config's seeds")
-        p.add_argument("--out", default=None, help="output directory (default: .; eval: stdout)")
+            p.add_argument("--out", default=None,
+                           help="output directory (default: .; eval: stdout)")
         p.add_argument("--threads", type=_threads, default=1)
 
     p_run = sub.add_parser("run", help="single active-learning run")
@@ -384,7 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"note: --threads {args.threads} has no effect on '{args.command}', "
               "which runs serially", file=sys.stderr)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        return args.fn(args, cfg, cfg.build_problem())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

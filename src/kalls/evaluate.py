@@ -14,7 +14,7 @@ from . import core
 from .pool import LabelOracle, Pool, knn_vote
 from .seeding import substream
 from .synth import SyntheticProblem
-from .thresholds import KallsConfig, MarginParams, SmoothnessParams, margin_delta
+from .thresholds import KallsConfig, SmoothnessParams, margin_delta
 
 
 @dataclass(frozen=True)
@@ -164,29 +164,28 @@ def evaluation_stream(seed: int, budget: int) -> np.random.Generator:
 
 
 def run_active(problem: SyntheticProblem, config: KallsConfig, w: int, seed: int,
-               smooth: SmoothnessParams, margin: MarginParams
-               ) -> tuple[core.ActiveSet, core.RunTrace]:
-    """One active run with budget ``config.n``: the pool, the oracle and the
-    estimation stream come from substreams keyed by (seed, budget)."""
+               smooth: SmoothnessParams) -> tuple[core.ActiveSet, core.RunTrace]:
+    """One active run with budget ``config.n``, at the smoothness ``smooth`` and
+    the problem's ``certified_margin``: the pool, the oracle and the estimation
+    stream come from substreams keyed by (seed, budget)."""
     budget = config.n
     pool = Pool(problem.sample(w, substream(seed, "pool", budget)))
     oracle = LabelOracle(pool, problem.eta, budget,
                          seed=int(substream(seed, "oracle", budget).integers(2**62)),
                          mode=config.budget_mode)
-    return core.run_kalls(pool, oracle, config, smooth, margin,
+    return core.run_kalls(pool, oracle, config, smooth, problem.certified_margin,
                           est_rng=substream(seed, "estimation", budget))
 
 
 def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
-             n_test: int, delta_margin: float, smooth: SmoothnessParams,
-             margin: MarginParams) -> CellResult:
-    """One (budget, seed) cell, budget ``config.n``: active run, label-matched
-    passive baseline, paired evaluation on a shared test draw.  The passive k
-    is ``default_passive_k`` at the alpha of ``smooth``, the smoothness the
-    active run used."""
+             n_test: int, delta_margin: float, smooth: SmoothnessParams) -> CellResult:
+    """One (budget, seed) cell, budget ``config.n``: active run (``run_active``,
+    at the problem's certified margin), label-matched passive baseline, paired
+    evaluation on a shared test draw.  The passive k is ``default_passive_k`` at
+    the alpha of ``smooth``, the smoothness the active run used."""
     t0 = time.perf_counter()
     budget = config.n
-    active, trace = run_active(problem, config, w, seed, smooth, margin)
+    active, trace = run_active(problem, config, w, seed, smooth)
     X_test = problem.sample(n_test, evaluation_stream(seed, budget))
     terms = _bayes_terms(problem, X_test, delta_margin)  # shared by both arms
 
@@ -213,30 +212,30 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
 def compare(problem: SyntheticProblem, budgets: list[int], config: KallsConfig,
             seeds: list[int], w: int, n_test: int,
             delta_margin: float | None = None, threads: int = 1,
-            smooth: SmoothnessParams | None = None,
-            margin: MarginParams | None = None) -> ComparisonTable:
+            smooth: SmoothnessParams | None = None) -> ComparisonTable:
     """Active-vs-passive grid over budgets x seeds: one ``run_cell`` per
     (budget, seed), with ``config`` at ``n = budget``.
 
-    The learner uses ``smooth`` and ``margin``, by default the problem's
-    certified constants; a problem without certified smoothness (kappa = 0)
-    needs ``smooth``.  The passive baseline is trained on the labels the active
-    run actually spent (label-for-label fairness), with k from the alpha of
+    The learner uses ``smooth``, by default the problem's certified
+    smoothness, and always the problem's ``certified_margin``; a problem
+    without certified smoothness (kappa = 0) needs ``smooth``.
+    ``delta_margin`` defaults to ``margin_delta`` at ``config.epsilon`` and
+    that margin.  The passive baseline is trained on the labels the active run
+    actually spent (label-for-label fairness), with k from the alpha of
     ``smooth``.  A cell with no classifier has None in its row (``CellResult``
-    says where), and nothing is raised.  Cells
-    own independent substreams keyed by (seed, budget), so the result is
-    identical however the grid is scheduled.
+    says where), and nothing is raised.  Cells own independent substreams
+    keyed by (seed, budget), so the result is identical however the grid is
+    scheduled.
     """
     if not budgets or not seeds:
         raise ValueError("budgets and seeds must be nonempty")
     smooth = smooth or problem.certified_smooth
     if smooth is None:
         raise ValueError("problem has no certified smoothness (kappa=0); pass smooth")
-    margin = margin or problem.certified_margin
     if delta_margin is None:
-        delta_margin = margin_delta(config.epsilon, margin)
+        delta_margin = margin_delta(config.epsilon, problem.certified_margin)
     cell = partial(run_cell, problem, w=w, n_test=n_test, delta_margin=delta_margin,
-                   smooth=smooth, margin=margin)
+                   smooth=smooth)
     configs = [replace(config, n=b) for b in budgets]
     # the config and the seed of each cell, budget-major
     grid = ([c for c in configs for _ in seeds], [s for _ in configs for s in seeds])

@@ -64,8 +64,8 @@ class SyntheticProblem:
     family: str
 
     def __init__(self, kappa: float, d: int, seed: int) -> None:
-        if kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {kappa}")
+        if not 0.0 <= kappa < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
         self.kappa = float(kappa)
         self.d = int(d)
         self.seed = int(seed)
@@ -101,10 +101,6 @@ class SyntheticProblem:
     def margin_mass(self, eps: np.ndarray) -> np.ndarray:
         """Exact P(|eta(X) - 1/2| <= eps)."""
         return _power_margin_mass(eps, self.kappa)
-
-    def bayes_risk(self) -> float:
-        """E[min(eta, 1 - eta)] = kappa / (2 (kappa + 1)) for these families."""
-        return self.kappa / (2.0 * (self.kappa + 1.0))
 
     def mean_abs_margin(self) -> float:
         """E|2 eta - 1| = 1 / (kappa + 1); the excess risk of the flipped Bayes rule."""
@@ -220,10 +216,6 @@ class DiscreteAtoms(SyntheticProblem):
         lo = np.searchsorted(self.atoms, (1.0 - v) / 2.0, side="left")
         hi = np.searchsorted(self.atoms, (1.0 + v) / 2.0, side="right")
         return (hi - lo) / self.n_atoms
-
-    def bayes_risk(self):
-        e = self.eta(self.atoms[:, None])
-        return float(np.mean(np.minimum(e, 1.0 - e)))
 
     def mean_abs_margin(self):
         return float(np.mean(np.abs(2.0 * self.eta(self.atoms[:, None]) - 1.0)))

@@ -187,6 +187,21 @@ class TestConfig:
         assert main(["run", "--config", override, "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_kappa_not_finite_exits_1_before_any_label(self, tmp_path, monkeypatch, capsys,
+                                                        kappa):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(kalls.core, "run_kalls", forbidden)
+        path = write_config(tmp_path, problem={"family": "power_margin_uniform_1d",
+                                               "kappa": kappa})
+        for command in ("run", "sweep", "feasibility", "check-assumptions"):
+            out = [] if command == "feasibility" else ["--out", str(tmp_path / "o")]
+            assert main([command, "--config", path] + out) == 1, command
+            assert capsys.readouterr().err.startswith("config error: bad problem: kappa")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("family", ["power_margin_uniform_1d",
                                         "power_margin_gaussian_1d", "product_uniform_nd"])
     def test_n_atoms_without_atoms_exits_1(self, tmp_path, capsys, family):
@@ -466,6 +481,14 @@ class TestFeasibilityCommand:
         assert exc.value.code == 2
         assert "--seed-override" in capsys.readouterr().err
 
+    def test_takes_no_out(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["feasibility", "--config", path, "--out", str(tmp_path / "fo")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "fo").exists()
+
 
 class TestEvalCommand:
     def test_reevaluate_saved_active_set(self, tmp_path, capsys):
@@ -588,7 +611,7 @@ class TestEvalProvenance:
 class TestThreadsFlag:
     @pytest.mark.parametrize("command", ["run", "check-assumptions", "feasibility", "eval"])
     def test_note_where_unused(self, tmp_path, monkeypatch, capsys, command):
-        monkeypatch.setattr(kalls.cli, "cmd_" + command.replace("-", "_"), lambda args: 0)
+        monkeypatch.setattr(kalls.cli, "cmd_" + command.replace("-", "_"), lambda *args: 0)
         path = write_config(tmp_path)
         extra = ["--active-set", "unused.csv"] if command == "eval" else []
         assert main([command, "--config", path, "--threads", "2"] + extra) == 0
@@ -599,7 +622,7 @@ class TestThreadsFlag:
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda args: 0)
+        monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda *args: 0)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", write_config(tmp_path), "--threads", value])
         assert exc.value.code == 2
@@ -612,7 +635,7 @@ class TestThreadsFlag:
         assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
 
     def test_sweep_uses_it_silently(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda args: 0)
+        monkeypatch.setattr(kalls.cli, "cmd_sweep", lambda *args: 0)
         assert main(["sweep", "--config", write_config(tmp_path), "--threads", "2"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -692,8 +715,9 @@ sys.modules["mpmath"] = None  # any import of it raises ImportError
 from kalls.cli import main
 codes = {{}}
 with contextlib.redirect_stdout(io.StringIO()):
-    for command in ("run", "sweep", "feasibility"):
+    for command in ("run", "sweep"):
         codes[command] = main([command, "--config", {path!r}, "--out", {out!r}])
+    codes["feasibility"] = main(["feasibility", "--config", {path!r}])
     codes["eval"] = main(["eval", "--config", {path!r}, "--active-set",
                           {os.path.join(out, "active_set_seed3_n400.csv")!r}])
 print(json.dumps(codes))
