@@ -9,6 +9,7 @@ import inspect
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__, core
@@ -25,8 +26,7 @@ class ConfigError(ValueError):
 
 # nested blocks: {key: kind} and the keys each must have
 _BLOCKS = {
-    "problem": ({"family": "str", "kappa": "float", "d": "int", "n_atoms": "int"},
-                {"family"}),
+    "problem": ({"family": "str", "kappa": "float", "d": "int"}, {"family"}),
     "smoothness_override": ({"alpha": "float", "L": "float"}, {"alpha", "L"}),
 }
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad config value: {exc}") from exc
         if cfg.smoothness_override is not None:
             # d comes from the problem; d=1 checks alpha and L alone
-            _override(SmoothnessParams, cfg.smoothness_override, d=1)
+            _override(cfg.smoothness_override, d=1)
         return cfg
 
     def build_problem(self):
@@ -88,7 +88,7 @@ class ExperimentConfig:
         estimate a single record's ball masses (``core.record_accuracy`` at
         lb = 1/2), so such a config fails before any label is spent."""
         if self.smoothness_override is not None:
-            smooth = _override(SmoothnessParams, self.smoothness_override, d=problem.d)
+            smooth = _override(self.smoothness_override, d=problem.d)
         elif problem.certified_smooth is None:
             raise ConfigError(
                 "problem has no certified smoothness (kappa=0); "
@@ -102,11 +102,11 @@ class ExperimentConfig:
         return smooth
 
 
-def _override(cls, values: dict, **extra):
+def _override(values: dict, d: int) -> SmoothnessParams:
     try:
-        return cls(**values, **extra)
+        return SmoothnessParams(**values, d=d)
     except ValueError as exc:
-        raise ConfigError(f"bad {cls.__name__} override: {exc}") from exc
+        raise ConfigError(f"bad SmoothnessParams override: {exc}") from exc
 
 
 def _typed_block(raw: dict, kinds: dict[str, str], required: set[str],
@@ -140,19 +140,31 @@ def _typed(value, kind: str, key: str):
     if kind == "int" and number and value % 1 == 0:
         return int(value)
     if kind == "float" and number:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int too large for a double
+            pass
     if (kind == "str" and isinstance(value, str)) or (kind == "dict" and isinstance(value, dict)):
         return value
     raise ConfigError(f"'{key}' must be {kind}, got {value!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a key given twice is a ConfigError, since
+    json would otherwise keep the last value silently."""
+    twice = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    if twice:
+        raise ConfigError(f"config key(s) given twice: {', '.join(twice)}")
+    return dict(pairs)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # bytes not UTF-8, an int json cannot read
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 

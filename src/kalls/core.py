@@ -25,14 +25,6 @@ _U = 50
 RELIABLE_ACCEPT_RATIO = 75.0 / 94.0  # estimate threshold of the informativeness test
 
 
-class AbstainEmpty(RuntimeError):
-    """confident_label was invoked with no request allowance."""
-
-
-class EmptyActiveSet(RuntimeError):
-    """1-NN classification requested from an empty active set."""
-
-
 @dataclass(frozen=True)
 class ActiveRecord:
     point: np.ndarray
@@ -222,12 +214,12 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     """
     cap = min(int(k_prime), int(t_budget))
     if cap < 1:
-        raise AbstainEmpty("no label request possible: min(k', t) < 1")
+        raise RuntimeError("no label request possible: min(k', t) < 1")
     if neighbors is None:
         neighbors = neighbor_order(pool, center_index)
     cap = min(cap, neighbors.shape[0])
     if cap < 1:
-        raise AbstainEmpty("pool has no neighbors to request")
+        raise RuntimeError("pool has no neighbors to request")
 
     idx = neighbors[:cap]
     cum = np.add.accumulate(oracle.peek_labels(idx), dtype=np.int64)  # labels 1 so far
@@ -294,15 +286,14 @@ class RecordRows:
     largest accuracy, that of lb = 1/2, and a run whose every record would
     fail is refused before it spends a label.
 
-    ``trace`` is the run's ``RunTrace`` (a fresh one by default), where
-    ``reliable`` counts its estimates and certifies its skips.
+    ``trace`` is a fresh ``RunTrace``, where ``reliable`` counts its
+    estimates and certifies its skips; ``run_kalls`` returns it.
     """
 
-    def __init__(self, smooth: th.SmoothnessParams, delta_min: float,
-                 trace: RunTrace | None = None) -> None:
+    def __init__(self, smooth: th.SmoothnessParams, delta_min: float) -> None:
         self.smooth, self.delta_min = smooth, delta_min
         record_accuracy(smooth, 0.5, delta_min)
-        self.trace = RunTrace() if trace is None else trace
+        self.trace = RunTrace()
         self.active = ActiveSet()
         self.points = np.zeros((0, smooth.d))
         self.rows: list[np.ndarray] = []
@@ -421,8 +412,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     set.  ValueError, before any label, where the largest accuracy, that of
     LB = 1/2, has no stage table at the last scanned point's delta_s, and
     at acceptance where the record's own has none (``record_accuracy``).
-    The table carries the trace, so ``reliable`` adds its estimator counters
-    and skip certificates to it.
+    The returned trace is the table's own (``rows.trace``), to which
+    ``reliable`` adds its estimator counters and skip certificates.
     """
     if pool.w < 2:
         raise ValueError("pool must contain at least 2 points")
@@ -430,8 +421,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         raise ValueError(
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
-    trace = RunTrace()
-    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w), trace)
+    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w))
+    trace = rows.trace
 
     for s in range(1, pool.w + 1):
         if oracle.remaining_budget <= 0:
@@ -478,6 +469,6 @@ def one_nn_label_batch(active: ActiveSet, queries: np.ndarray) -> np.ndarray:
     """1-NN labels for a batch of queries; distance ties go to the lowest
     source index (records are stored in source order)."""
     if not active.records:
-        raise EmptyActiveSet("cannot classify with an empty active set")
+        raise RuntimeError("cannot classify with an empty active set")
     return knn_vote(active.points(), active.labels(), queries, 1)
 

@@ -27,10 +27,6 @@ from typing import Callable
 import numpy as np
 
 
-class SamplerExhausted(RuntimeError):
-    """The draw source could not supply the requested number of samples."""
-
-
 # slots and not frozen: a frozen dataclass takes about 4x as long to build,
 # and reliable builds one per ball
 @dataclass(slots=True)
@@ -116,7 +112,7 @@ def ber_est(sampler: Callable[[int], np.ndarray], epsilon_o: float,
     def ones_in(count: int) -> int:
         out = np.asarray(sampler(count))
         if out.shape != (count,):
-            raise SamplerExhausted(
+            raise RuntimeError(
                 f"sampler returned {out.shape} for a request of {count} draws")
         return int(np.count_nonzero(out))
 

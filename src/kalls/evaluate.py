@@ -144,6 +144,8 @@ class ComparisonTable:
         return float(median(vals)) if vals else float("nan")
 
     def median_deep_agreement(self, budget: int) -> float:
+        """Per-budget median; a cell with an empty active set, which has no
+        classifier, counts as agreement 0.0."""
         vals = [r.deep_margin_agreement if r.deep_margin_agreement is not None else 0.0
                 for r in self.rows if r.budget == budget]
         return float(median(vals))

@@ -104,10 +104,6 @@ from typing import Callable
 import numpy as np
 
 
-class BudgetExhausted(RuntimeError):
-    """A label request would drive the oracle budget negative."""
-
-
 def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite-valued")
@@ -584,7 +580,7 @@ class LabelOracle:
 
     def request_batch(self, indices: np.ndarray) -> np.ndarray:
         """Request labels for pool indices, with exact budget accounting.  A
-        request over budget raises ``BudgetExhausted``, and one with an index
+        request over budget raises ``RuntimeError``, and one with an index
         out of range or not an integer ``ValueError``; neither reveals or
         charges anything.  An empty request returns no label."""
         idx = self._index_array(indices)
@@ -602,7 +598,7 @@ class LabelOracle:
         cost = idx.size if self.mode == "strict_paper" else n_fresh
         if cost > self._remaining:
             self._revealed[fresh] = False
-            raise BudgetExhausted(
+            raise RuntimeError(
                 f"request of cost {cost} exceeds remaining budget {self._remaining}")
         self._remaining -= cost
         self._fresh += n_fresh

@@ -181,14 +181,12 @@ class GaussianPowerMargin1D(SyntheticProblem):
 
 class DiscreteAtoms(SyntheticProblem):
     family = "discrete_atoms"
+    # An even atom count keeps every |2a-1| >= 1/M, giving the clean margin constant.
+    n_atoms = 256
 
-    def __init__(self, kappa: float, seed: int, n_atoms: int = 256) -> None:
-        if n_atoms < 2 or n_atoms % 2 != 0:
-            raise ValueError(f"n_atoms must be an even integer >= 2, got {n_atoms}")
+    def __init__(self, kappa: float, seed: int) -> None:
         super().__init__(kappa, 1, seed)
-        self.n_atoms = int(n_atoms)
         self.atoms = (np.arange(self.n_atoms) + 0.5) / self.n_atoms
-        # Even atom count keeps every |2a-1| >= 1/M, giving the clean margin constant.
         if self.kappa > 0.0:
             self.certified_margin = MarginParams(beta=1.0 / self.kappa,
                                                  C=2.0 ** (1.0 + 1.0 / self.kappa))
@@ -298,13 +296,11 @@ _FAMILY_TABLE = {cls.family: cls for cls in (UniformPowerMargin1D, GaussianPower
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def make_problem(family: str, kappa: float = 1.0, d: int = 1, seed: int = 0,
-                 n_atoms: int | None = None) -> SyntheticProblem:
+def make_problem(family: str, kappa: float = 1.0, d: int = 1,
+                 seed: int = 0) -> SyntheticProblem:
     """Factory for the synthetic families; kappa = 0 is the noiseless limit.
-    Every family but ``product_uniform_nd`` is one-dimensional.  ``n_atoms``
-    applies to ``discrete_atoms`` alone (default 256)."""
-    if n_atoms is not None and family != DiscreteAtoms.family:
-        raise ValueError(f"n_atoms applies only to discrete_atoms, not {family!r}")
+    Every family but ``product_uniform_nd`` is one-dimensional, and
+    ``discrete_atoms`` has ``DiscreteAtoms.n_atoms`` = 256 atoms."""
     cls = _FAMILY_TABLE.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -312,7 +308,7 @@ def make_problem(family: str, kappa: float = 1.0, d: int = 1, seed: int = 0,
         return cls(kappa, d, seed)
     if d != 1:
         raise ValueError(f"{family} is one-dimensional")
-    return cls(kappa, seed) if n_atoms is None else cls(kappa, seed, n_atoms=n_atoms)
+    return cls(kappa, seed)
 
 
 # -- assumption checkers ----------------------------------------------------

@@ -84,6 +84,36 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
 
+    def _refused(self, tmp_path, capsys, path, named):
+        """``kalls run`` on ``path`` is a config error naming ``named``, and
+        writes nothing."""
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bytes_not_utf8_exits_1(self, tmp_path, capsys):
+        path = Path(write_config(tmp_path))
+        path.write_bytes(path.read_bytes().replace(b'"kappa"', b'"\xffkappa"'))
+        self._refused(tmp_path, capsys, path, str(path))
+
+    def test_int_json_cannot_read_exits_1(self, tmp_path, capsys):
+        # past 4300 digits, json's int() refuses the literal
+        path = Path(write_config(tmp_path, pool_size=1500))
+        path.write_text(path.read_text().replace("1500", "1" * 5000))
+        self._refused(tmp_path, capsys, path, str(path))
+
+    @pytest.mark.parametrize("old,new,key", [
+        ('"epsilon": 0.25', '"epsilon": 0.25, "epsilon": 0.4', "epsilon"),
+        ('"kappa": 1.0', '"kappa": 1.0, "kappa": 2.0', "kappa"),
+    ], ids=["top", "problem"])
+    def test_key_given_twice_exits_1(self, tmp_path, capsys, old, new, key):
+        # json keeps the last of two values, which would change the run silently
+        path = Path(write_config(tmp_path))
+        text = json.dumps(json.loads(path.read_text()))
+        path.write_text(text.replace(old, new, 1))
+        self._refused(tmp_path, capsys, path, f"config key(s) given twice: {key}")
+
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "problem": {},\n  oops\n}\n')
@@ -113,19 +143,23 @@ class TestConfig:
         ({"seeds": "12"}, "seeds"),
         ({"n_test": 0}, "n_test"),
         ({"problem": {"family": "product_uniform_nd", "kappa": 1.0, "d": 2.7}}, "problem.d"),
-        ({"problem": {"family": "discrete_atoms", "n_atoms": 64.9}}, "problem.n_atoms"),
         # json reads NaN and Infinity, which a plain `x < low` check lets through
         ({"c_const": float("nan")}, "c_const"),
         ({"c_const": float("inf")}, "c_const"),
+        # an int too large for a double, where a real is expected
+        ({"epsilon": 10**400}, "epsilon"),
+        ({"c_const": 10**400}, "c_const"),
+        ({"problem": {"family": "power_margin_uniform_1d", "kappa": 10**400}}, "problem.kappa"),
+        ({"smoothness_override": {"alpha": 1.0, "L": 10**400}}, "smoothness_override.L"),
     ], ids=["pool_size-str", "pool_size-float", "pool_size-bool", "pool_size-1",
             "budgets-str", "budgets-float", "seeds-str", "n_test-0",
-            "d-float", "n_atoms-float", "c_const-nan", "c_const-inf"])
+            "d-float", "c_const-nan", "c_const-inf",
+            "epsilon-huge", "c_const-huge", "kappa-huge", "L-huge"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, key):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path)
-        assert main(["run", "--config", path]) == 1
-        assert key in capsys.readouterr().err
+        self._refused(tmp_path, capsys, path, key)
 
     def test_integral_values_keep_their_kind(self, tmp_path):
         path = write_config(tmp_path, pool_size=1500.0, c_const=8,
@@ -202,18 +236,14 @@ class TestConfig:
             assert capsys.readouterr().err.startswith("config error: bad problem: kappa")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("family", ["power_margin_uniform_1d",
-                                        "power_margin_gaussian_1d", "product_uniform_nd"])
+    # discrete_atoms has 256 atoms, so n_atoms is no key, whatever the family
+    @pytest.mark.parametrize("family", ["power_margin_uniform_1d", "power_margin_gaussian_1d",
+                                        "discrete_atoms", "product_uniform_nd"])
     def test_n_atoms_without_atoms_exits_1(self, tmp_path, capsys, family):
         path = write_config(tmp_path, problem={"family": family, "n_atoms": 64})
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert "n_atoms" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: unknown config key(s): problem.n_atoms\n"
         assert not (tmp_path / "o").exists()
-
-    def test_n_atoms_with_atoms_runs(self, tmp_path):
-        path = write_config(tmp_path, problem={"family": "discrete_atoms", "n_atoms": 64},
-                            budgets=[200], pool_size=400)
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     def test_value_error_inside_a_run_exits_2(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -545,6 +575,20 @@ class TestEvalProvenance:
         scores = []
         for config in ({}, old):
             active = write_active_set(tmp_path, problem, [[0.25], [0.75]], **config)
+            assert main(["eval", "--config", path, "--active-set", active]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            scores.append(json.loads(out.out))
+        assert scores[0] == scores[1]
+
+    def test_saved_problem_with_n_atoms(self, tmp_path, capsys):
+        # an active set saved while n_atoms was a problem key: eval reads the
+        # family and d alone, so it scores the set without a warning
+        path = write_config(tmp_path, problem={"family": "discrete_atoms", "kappa": 1.0})
+        scores = []
+        for extra in ({}, {"n_atoms": 256}):
+            problem = {"family": "discrete_atoms", "kappa": 1.0, **extra}
+            active = write_active_set(tmp_path, problem, [[0.25], [0.75]])
             assert main(["eval", "--config", path, "--active-set", active]) == 0
             out = capsys.readouterr()
             assert out.err == ""

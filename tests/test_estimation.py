@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from kalls.estimation import (BerEstResult, SamplerExhausted, _stage_loop, ber_est,
-                              ber_est_max_stage, est_prob, est_prob_from_sq_dists,
-                              g_factor, stage_table)
+from kalls.estimation import (BerEstResult, _stage_loop, ber_est, ber_est_max_stage,
+                              est_prob, est_prob_from_sq_dists, g_factor, stage_table)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
 
@@ -80,7 +79,7 @@ class TestBerEst:
         def short_sampler(count):
             return np.zeros(min(count, 100), dtype=np.int64)
 
-        with pytest.raises(SamplerExhausted):
+        with pytest.raises(RuntimeError, match="sampler returned"):
             ber_est(short_sampler, EPS_O, DELTA_P, U)
 
     def test_param_domains(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import kalls.pool
-from kalls.pool import (BudgetExhausted, LabelOracle, Pool, center_order, k_nearest,
-                        knn_vote, nearest_mask, nearest_order, neighbor_order, sq_dists)
+from kalls.pool import (LabelOracle, Pool, center_order, k_nearest, knn_vote, nearest_mask,
+                        nearest_order, neighbor_order, sq_dists)
 from kalls.seeding import substream
 from kalls.synth import make_problem
 
@@ -253,7 +253,7 @@ class TestLabelOracle:
         for _ in range(3):
             oracle.request_batch([0])
         assert oracle.remaining_budget == 0
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(RuntimeError, match="exceeds remaining budget"):
             oracle.request_batch([0])
 
     def test_cached_mode_charges_fresh_only(self):
@@ -265,7 +265,7 @@ class TestLabelOracle:
         assert oracle.remaining_budget == 1
         oracle.request_batch([1])
         assert oracle.remaining_budget == 0
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(RuntimeError, match="exceeds remaining budget"):
             oracle.request_batch([2])
 
     def test_cached_mode_charges_a_repeated_index_once(self):
@@ -279,7 +279,7 @@ class TestLabelOracle:
         oracle.request_batch([3, 4, 4, 5, 3])
         assert oracle.remaining_budget == 2
         assert oracle.fresh_requests == 3
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(RuntimeError, match="exceeds remaining budget"):
             oracle.request_batch([6, 7, 8, 6])  # 3 fresh > 2 left: nothing revealed
         assert (oracle.remaining_budget, oracle.fresh_requests) == (2, 3)
         oracle.request_batch([6, 7, 6, 7])
@@ -292,7 +292,7 @@ class TestLabelOracle:
         oracle.request_batch([3, 3, 3])
         assert oracle.remaining_budget == 2
         assert oracle.fresh_requests == 1
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(RuntimeError, match="exceeds remaining budget"):
             oracle.request_batch([4, 4, 5])  # cost 3 > 2 left: nothing revealed
         assert (oracle.remaining_budget, oracle.fresh_requests) == (2, 1)
         oracle.request_batch([4, 4])

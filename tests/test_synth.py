@@ -42,8 +42,6 @@ class TestFactory:
             make_problem(one_d, d=2)
         with pytest.raises(ValueError):
             make_problem("product_uniform_nd", d=1)
-        with pytest.raises(ValueError):
-            make_problem("discrete_atoms", n_atoms=33)
         for kappa in (-1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
                 make_problem("power_margin_uniform_1d", kappa=kappa)
@@ -112,7 +110,7 @@ class TestClosedForms:
         assert m.C * 0.25**m.beta == 0.5
 
     def test_discrete_closed_forms_match_atom_sums(self):
-        p = make_problem("discrete_atoms", kappa=0.5, n_atoms=64)
+        p = make_problem("discrete_atoms", kappa=0.5)
         eta = p.eta(p.atoms[:, None])
         assert p.mean_abs_margin() == pytest.approx(float(np.mean(np.abs(2 * eta - 1))))
 
@@ -125,10 +123,12 @@ class TestBallMass:
         assert p.ball_mass(np.array([[0.5]]), np.array([2.0]))[0] == 1.0
 
     def test_discrete_open_ball_counts(self):
-        p = make_problem("discrete_atoms", kappa=1.0, n_atoms=8)
-        # atoms at 0.0625 + k/8; open ball of radius 1/8 around an atom holds only itself
+        p = make_problem("discrete_atoms", kappa=1.0)
+        assert p.atoms.size == 256
+        # atoms at (k + 1/2)/256, dyadic and so exact; the open ball of radius
+        # 1/256 around an atom holds only itself
         c = p.atoms[3:4, None]
-        assert p.ball_mass(c, np.array([1.0 / 8.0]))[0] == pytest.approx(1.0 / 8.0)
+        assert p.ball_mass(c, np.array([1.0 / 256.0]))[0] == 1.0 / 256.0
         assert p.ball_mass(c, np.array([0.0]))[0] == 0.0
 
     def test_gaussian_mass_is_cdf_difference(self):
@@ -224,7 +224,7 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_discrete_samples_are_atoms(self):
-        p = make_problem("discrete_atoms", kappa=1.0, n_atoms=32)
+        p = make_problem("discrete_atoms", kappa=1.0)
         X = p.sample(500, substream(10, "points"))
         assert set(np.unique(X)).issubset(set(p.atoms))
 
