@@ -129,8 +129,10 @@ def _typed_block(raw: dict, kinds: dict[str, str], required: set[str],
 def _typed(value, kind: str, key: str):
     """``value`` as ``kind`` (``int``, ``float``, ``str``, ``dict``,
     ``list[<kind>]``, optionally ``| None``).  An int is a float; a float is an
-    int only when integral; a bool is neither.  Anything else is a ConfigError,
-    never a rounded, truncated or split value."""
+    int only when integral; a bool is neither.  An int lies in [-2^63, 2^63),
+    the range of a seed's 64 bits, where ``substream`` gives distinct seeds
+    distinct streams.  Anything else is a ConfigError, never a rounded,
+    truncated, wrapped or split value."""
     if value is None and kind.endswith(" | None"):
         return None
     kind = kind.removesuffix(" | None")
@@ -138,7 +140,9 @@ def _typed(value, kind: str, key: str):
         return [_typed(v, kind[5:-1], f"{key}[{i}]") for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int" and number and value % 1 == 0:
-        return int(value)
+        if -2**63 <= value < 2**63:
+            return int(value)
+        raise ConfigError(f"'{key}' must be an int in [-2^63, 2^63), got {value!r}")
     if kind == "float" and number:
         try:
             return float(value)

@@ -204,13 +204,19 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     Requests labels of successive neighbors, stopping at min(k', t) requests or
     as soon as |running mean - 1/2| > 2 b(delta_s, k) (the cut-off).  Returns the
     majority label over the requested set.  The stopping index is computed on the
-    oracle's predetermined realizations and exactly those labels are then
-    requested, which is request-for-request identical to the sequential loop.
+    oracle's predetermined realizations, ``oracle.labels``, read once, and
+    exactly those labels are then charged with one ``request_batch``, which is
+    request-for-request identical to the sequential loop.
 
     ``neighbors``, when given, must be ``neighbor_order(pool, center_index)``:
     every pool index but the centre, nearest first, ties to the lower index
     (``run_kalls`` passes the indices of its one ``center_order`` per point).
-    When it is None the order is computed here.
+    When it is None the order is computed here.  Only ``request_batch``
+    checks the indices, so a ``neighbors`` that breaks this contract can fail
+    at the read with numpy's ``IndexError`` (an entry past the pool) rather
+    than ``ValueError``; an entry of Q that is out of range still fails that
+    check before anything is charged, and an entry past Q cannot change the
+    outcome, since the cut-off at k reads only the first k labels.
     """
     cap = min(int(k_prime), int(t_budget))
     if cap < 1:
@@ -222,7 +228,7 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
         raise RuntimeError("pool has no neighbors to request")
 
     idx = neighbors[:cap]
-    cum = np.add.accumulate(oracle.peek_labels(idx), dtype=np.int64)  # labels 1 so far
+    cum = np.add.accumulate(oracle.labels[idx], dtype=np.int64)  # labels 1 so far
     # |cum/k - 1/2| > 2 b(delta_s, k), each side formed in place with the
     # rounded operations of np.abs(cum / k - 0.5) and 2.0 * b
     dev = np.divide(cum, th.request_counts(cap))
@@ -277,8 +283,7 @@ class RecordRows:
     records, which ``run_kalls`` returns; ``points`` is their points as an
     (R, d) array; ``rows`` their sorted pool rows (the squared distances from
     the record's point to the pool, ascending); ``eps_o`` their accuracies
-    (``record_accuracy``) and ``thresholds`` 75/94 = 1/g(50) of each, for
-    estimates at u = 50.  All of it is computed once, when the record is
+    (``record_accuracy``).  All of it is computed once, when the record is
     accepted.
 
     ``delta_min`` is the smallest delta' of the run, that of its last scanned
@@ -298,7 +303,6 @@ class RecordRows:
         self.points = np.zeros((0, smooth.d))
         self.rows: list[np.ndarray] = []
         self.eps_o: list[float] = []
-        self.thresholds: list[float] = []
 
     def append(self, record: ActiveRecord, row: np.ndarray) -> None:
         """Keep ``record`` and its sorted pool ``row``.  ValueError, with the
@@ -310,7 +314,6 @@ class RecordRows:
         self.points = points
         self.rows.append(row)
         self.eps_o.append(eps_o)
-        self.thresholds.append(RELIABLE_ACCEPT_RATIO * eps_o)
 
 
 def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
@@ -328,11 +331,12 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     never reliable.
 
     ``rows`` is the run's record table (``RecordRows``): the records' points,
-    sorted pool rows, accuracies and thresholds, all computed when each
-    record was accepted; its rows and ``x_row`` are rows over the same
-    pool of w points.  A record the test reaches reads its stage table at
-    delta' = ``delta_s`` and u = 50 (``stage_table``), which both its balls
-    share, and each ball is then one ``est_prob`` call, which only draws.
+    sorted pool rows and accuracies, all computed when each record was
+    accepted; its rows and ``x_row`` are rows over the same pool of w
+    points.  A record the test reaches reads its stage table at delta' =
+    ``delta_s`` and u = 50 (``stage_table``) and takes its threshold
+    75/94 eps_o, both of which its two balls share, and each ball is then
+    one ``est_prob`` call, which only draws.
     The balls are counted before ``est_prob`` draws, on sorted rows of
     squared distances to the pool: ``x_row`` is X's full row, its own 0.0
     included, which ``run_kalls`` takes from its one ``center_order`` of the
@@ -355,13 +359,13 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     order, r2 = nearest_order(rows.points, x)
     np.sqrt(r2, out=r2)  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    record_rows, eps_o, thresholds = rows.rows, rows.eps_o, rows.thresholds
+    record_rows, eps_o = rows.rows, rows.eps_o
     w = x_row.shape[0]
 
     calls = draws = 0
     passed = None
     for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
-        stages, threshold = stage_table(eps_o[j], delta_s, _U), thresholds[j]
+        stages, threshold = stage_table(eps_o[j], delta_s, _U), RELIABLE_ACCEPT_RATIO * eps_o[j]
         est = est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages, rng)
         calls += 1
         draws += est.draws_used
@@ -406,12 +410,13 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     distances are X's to the records, which ``reliable`` computes with
     ``nearest_order(rows.points, x)``.  The run keeps one record table
     (``RecordRows``), and an accepted X is one append to it: its record, its
-    point, its row, its accuracy eps_o = (LB / 64L)^(d/alpha) and threshold
-    75/94 eps_o, each computed once; every estimate takes u = 50, the u at
-    which 75/94 = 1/g(u).  The table's ``active`` is the returned active
-    set.  ValueError, before any label, where the largest accuracy, that of
-    LB = 1/2, has no stage table at the last scanned point's delta_s, and
-    at acceptance where the record's own has none (``record_accuracy``).
+    point, its row and its accuracy eps_o = (LB / 64L)^(d/alpha), each
+    computed once; every estimate takes u = 50 and the threshold 75/94 eps_o,
+    and 75/94 = 1/g(u) at that u.  The table's ``active`` is the returned
+    active set.  ValueError, before any label, where the largest accuracy,
+    that of LB = 1/2, has no stage table at the last scanned point's
+    delta_s, and at acceptance where the record's own has none
+    (``record_accuracy``).
     The returned trace is the table's own (``rows.trace``), to which
     ``reliable`` adds its estimator counters and skip certificates.
     """

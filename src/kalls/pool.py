@@ -92,8 +92,11 @@ the repair is the stable argsort's order; the runs only make the sort
 linear.
 
 The oracle models an i.i.d. labeled sample: each pool point has a single
-persistent Bernoulli(eta(x)) realization, drawn up front from the seed,
-revealed on first request and cached forever after.
+persistent Bernoulli(eta(x)) realization, drawn up front from the seed into
+the read-only array ``LabelOracle.labels``.  ``request_batch`` is the ledger:
+it checks the indices a caller uses, charges the budget for them and marks
+them revealed, for good.  Reading ``labels`` charges nothing, so a caller
+reads only the labels it charges, as ``core.confident_label`` does.
 """
 from __future__ import annotations
 
@@ -520,15 +523,18 @@ class LabelOracle:
     """Budgeted, seeded access to noisy labels of pool points.
 
     The labeled dataset is realized once at construction: Y_i ~ Bernoulli(eta(X_i))
-    i.i.d. from the seed.  ``request_batch`` reveals realizations; a revealed label
-    never changes.  Budget accounting depends on the mode:
+    i.i.d. from the seed.  ``labels`` (int64) holds the realizations and
+    ``eta`` eta, at every pool point, both read-only arrays.  Reading them
+    charges nothing, so a caller reads only the labels it charges.
+    ``request_batch`` is the ledger: it charges for realizations and reveals
+    them; a revealed label never changes.  Budget accounting depends on the
+    mode:
 
       * ``strict_paper``: every request costs 1, repeat requests included.
       * ``cached_labels``: only first-time reveals cost 1; an index repeated
         within one batch is one reveal.
 
-    ``fresh_requests`` counts distinct first-time reveals in both modes, and
-    ``eta``, a read-only array, holds eta at every pool point.
+    ``fresh_requests`` counts distinct first-time reveals in both modes.
     """
 
     def __init__(self, pool: Pool, eta_fn: Callable[[np.ndarray], np.ndarray],
@@ -537,16 +543,15 @@ class LabelOracle:
             raise ValueError(f"budget must be >= 0, got {budget}")
         if mode not in ("strict_paper", "cached_labels"):
             raise ValueError(f"unknown budget mode {mode!r}")
-        self.pool = pool
         self.mode = mode
-        self.seed = int(seed)
         eta = np.array(eta_fn(pool.points), dtype=np.float64)  # a copy, made read-only
         if eta.shape != (pool.w,) or not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails
             raise ValueError("eta_fn must map pool points to values in [0, 1]")
         eta.setflags(write=False)
         self.eta = eta
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-        self._labels = (rng.random(pool.w) < eta).astype(np.int64)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+        self.labels = (rng.random(pool.w) < eta).astype(np.int64)
+        self.labels.setflags(write=False)
         self._revealed = np.zeros(pool.w, dtype=bool)
         self._remaining = int(budget)
         self._fresh = 0
@@ -568,24 +573,17 @@ class LabelOracle:
             raise ValueError(f"pool indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.intp, copy=False)
         # one pass for both ends: a negative index is a huge unsigned one
-        if idx.size and idx.view(np.uintp).max() >= self.pool.w:
+        if idx.size and idx.view(np.uintp).max() >= self.labels.shape[0]:
             raise ValueError("pool index out of range")
         return idx
 
-    def peek_labels(self, indices: np.ndarray) -> np.ndarray:
-        """Read realizations without accounting.  Internal: callers must follow up
-        with request_batch on exactly the indices whose labels they use.
-        ValueError for non-integer indices or an index out of range."""
-        return self._labels[self._index_array(indices)]
-
-    def request_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Request labels for pool indices, with exact budget accounting.  A
-        request over budget raises ``RuntimeError``, and one with an index
-        out of range or not an integer ``ValueError``; neither reveals or
-        charges anything.  An empty request returns no label."""
+    def request_batch(self, indices: np.ndarray) -> None:
+        """Charge for the labels of pool indices and reveal them, with exact
+        budget accounting; the labels are ``labels[indices]``.  A request
+        over budget raises ``RuntimeError``, and one with an index out of
+        range or not an integer ``ValueError``; neither reveals or charges
+        anything.  An empty request charges nothing."""
         idx = self._index_array(indices)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.int64)
         known = self._revealed[idx]
         if known.all():  # no fresh index: nothing to reveal or count
             fresh, n_fresh = idx[:0], 0
@@ -602,4 +600,3 @@ class LabelOracle:
                 f"request of cost {cost} exceeds remaining budget {self._remaining}")
         self._remaining -= cost
         self._fresh += n_fresh
-        return self._labels[idx]

@@ -151,15 +151,30 @@ class TestConfig:
         ({"c_const": 10**400}, "c_const"),
         ({"problem": {"family": "power_margin_uniform_1d", "kappa": 10**400}}, "problem.kappa"),
         ({"smoothness_override": {"alpha": 1.0, "L": 10**400}}, "smoothness_override.L"),
+        # an int outside [-2^63, 2^63): a budget or pool size that fails only
+        # after the run, and a seed whose stream is that of its low 64 bits
+        ({"budgets": [10**400]}, "budgets[0]"),
+        ({"seeds": [2**64 + 1]}, "seeds[0]"),
+        ({"seeds": [2**63]}, "seeds[0]"),
+        ({"seeds": [-2**63 - 1]}, "seeds[0]"),
+        ({"pool_size": 10**400}, "pool_size"),
+        ({"n_test": 1e300}, "n_test"),
     ], ids=["pool_size-str", "pool_size-float", "pool_size-bool", "pool_size-1",
             "budgets-str", "budgets-float", "seeds-str", "n_test-0",
             "d-float", "c_const-nan", "c_const-inf",
-            "epsilon-huge", "c_const-huge", "kappa-huge", "L-huge"])
+            "epsilon-huge", "c_const-huge", "kappa-huge", "L-huge",
+            "budgets-huge", "seeds-2^64+1", "seeds-2^63", "seeds-below-int64", "pool_size-huge",
+            "n_test-huge-float"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, key):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path)
         self._refused(tmp_path, capsys, path, key)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63 - 1, -2**63])
+    def test_seeds_at_the_ends_of_64_bits_load(self, tmp_path, seed):
+        cfg = load_config(write_config(tmp_path, seeds=[seed]))
+        assert cfg.seeds == [seed] and type(cfg.seeds[0]) is int
 
     def test_integral_values_keep_their_kind(self, tmp_path):
         path = write_config(tmp_path, pool_size=1500.0, c_const=8,

@@ -76,7 +76,7 @@ class TestConfidentLabel:
         pool = Pool(np.array([[0.0], [0.1], [0.2]]))
         oracle = LabelOracle(pool, lambda X: np.array([0.5, 1.0, 0.0])[: X.shape[0]],
                              10, seed=3)
-        oracle._labels = np.array([0, 1, 0])  # pin the realization: neighbors of 0 are 1,0
+        oracle.labels = np.array([0, 1, 0])  # pin the realization: neighbors of 0 are 1,0
         out = confident_label(pool, oracle, 0, k_prime=2, t_budget=10,
                               delta_s=DELTA_S)
         assert out.eta_hat == 0.5
@@ -93,8 +93,27 @@ class TestConfidentLabel:
             assert out.q.shape == (k,) and out.q.dtype == np.int64
             assert out.cut_off_fired == (k < 200)
             assert np.array_equal(out.q, neighbor_order(pool, center)[:k])
-            assert out.eta_hat == oracle.peek_labels(out.q).mean()
+            assert out.eta_hat == oracle.labels[out.q].mean()
 
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    def test_one_index_check_per_call(self, mode, monkeypatch):
+        # the labels are read once and charged once: one range check per call
+        checks = []
+        index_array = LabelOracle._index_array
+
+        def counted(oracle, indices):
+            checks.append(len(indices))
+            return index_array(oracle, indices)
+
+        monkeypatch.setattr(LabelOracle, "_index_array", counted)
+        pool = uniform_pool(300, seed=35)
+        for eta, center in ((1.0, 0), (0.5, 150)):  # cut-off fires / runs to the cap
+            oracle = LabelOracle(pool, flat_eta(eta), 10**6, seed=9, mode=mode)
+            checks.clear()
+            out = confident_label(pool, oracle, center, k_prime=200, t_budget=10**6,
+                                  delta_s=0.1)
+            assert out.cut_off_fired == (eta == 1.0)
+            assert checks == [len(out.q)]
 
     def test_budget_tail_matches_sequential_loop(self):
         # the cap is the remaining budget, which shrinks at every call; each
@@ -108,7 +127,7 @@ class TestConfidentLabel:
             if cap < 1:
                 break
             delta_s = 0.3 / s
-            labels = oracle.peek_labels(neighbor_order(pool, s))[:cap]
+            labels = oracle.labels[neighbor_order(pool, s)][:cap]
             k = next((k for k in range(1, cap + 1)
                       if abs(labels[:k].sum() / k - 0.5) > 2 * confidence_radius(delta_s, k)),
                      None)
@@ -117,7 +136,7 @@ class TestConfidentLabel:
             k_star = cap if k is None else k
             assert out.q.dtype == np.int64 and out.q.shape == (k_star,)
             assert out.q.tolist() == neighbor_order(pool, s)[:k_star].tolist()
-            assert out.eta_hat == oracle.peek_labels(out.q).mean()
+            assert out.eta_hat == oracle.labels[out.q].mean()
             assert out.eta_hat == labels[:k_star].sum() / k_star
             assert out.cut_off_fired == (k is not None)
             caps.append(cap)
@@ -135,7 +154,7 @@ class TestConfidentLabel:
         fired = []
         for s, cap in enumerate((5, 2, 400, 9, 1500, 30, 1999, 1), start=1):
             delta_s = 0.1 / s
-            labels = oracle.peek_labels(neighbor_order(pool, s))[:cap]
+            labels = oracle.labels[neighbor_order(pool, s)][:cap]
             k = next((k for k in range(1, cap + 1)
                       if abs(labels[:k].sum() / k - 0.5) > 2 * confidence_radius(delta_s, k)),
                      None)
@@ -144,7 +163,7 @@ class TestConfidentLabel:
             out = confident_label(pool, oracle, s, k_prime=cap, t_budget=10**6,
                                   delta_s=delta_s)
             assert out.q.tolist() == neighbor_order(pool, s)[:k_star].tolist()
-            assert out.eta_hat == oracle.peek_labels(out.q).mean()
+            assert out.eta_hat == oracle.labels[out.q].mean()
             assert out.eta_hat == labels[:k_star].sum() / k_star
             assert out.cut_off_fired == (k is not None)
             if mode == "strict_paper":
@@ -390,7 +409,7 @@ class TestRecordRows:
         return ActiveRecord(point=np.full(d, source_index / 10.0), inferred_label=1, lb=lb,
                             source_index=source_index)
 
-    def test_accuracy_and_threshold_of_each_record(self):
+    def test_accuracy_of_each_record(self):
         smooth = SmoothnessParams(alpha=0.5, L=1.2, d=2)
         rows = RecordRows(smooth, self.DELTA_MIN)
         lbs = (0.5, 0.2, 1e-3)
@@ -400,7 +419,6 @@ class TestRecordRows:
         eps_o = [(lb / (64.0 * 1.2)) ** (2 / 0.5) for lb in lbs]
         assert len(rows.rows) == 3
         assert rows.eps_o == eps_o
-        assert rows.thresholds == [RELIABLE_ACCEPT_RATIO * e for e in eps_o]
         assert rows.active.records == records
         assert np.array_equal(rows.points, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
 
@@ -425,7 +443,7 @@ class TestRecordRows:
         # and a record out of source order, at an accuracy that has a table
         with pytest.raises(ValueError, match="strictly increasing"):
             rows.append(self._record(0.2, 3), np.zeros(3))
-        assert len(rows.rows) == len(rows.eps_o) == len(rows.thresholds) == 1
+        assert len(rows.rows) == len(rows.eps_o) == 1
         assert rows.active.records == [first]
         assert np.array_equal(rows.points, [first.point])
 

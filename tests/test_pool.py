@@ -227,24 +227,62 @@ class TestLabelOracle:
     def test_noiseless_always_one(self):
         pool = self._pool()
         oracle = LabelOracle(pool, lambda X: np.ones(X.shape[0]), 100, seed=1)
-        assert np.all(oracle.request_batch(np.arange(50)) == 1)
+        oracle.request_batch(np.arange(50))
+        assert np.all(oracle.labels == 1)
 
     def test_cache_coherence(self):
         pool = self._pool()
         oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 100, seed=2)
-        first = oracle.request_batch([7])
+        first = int(oracle.labels[7])
+        oracle.request_batch([7])
         assert oracle.fresh_requests == 1
         for _ in range(5):
-            assert oracle.request_batch([7]) == first
+            oracle.request_batch([7])
+            assert oracle.labels[7] == first
         assert oracle.fresh_requests == 1
 
     def test_empirical_mean(self):
         w = 100_000
         pool = Pool(substream(13, "pool").random((w, 1)))
         oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.7), w, seed=3)
-        labels = oracle.request_batch(np.arange(w))
+        oracle.request_batch(np.arange(w))
         # 3 sigma binomial bound: sqrt(0.21 / 1e5) ~ 0.00145
-        assert abs(labels.mean() - 0.7) < 0.005
+        assert abs(oracle.labels.mean() - 0.7) < 0.005
+
+    def test_labels_are_a_read_only_int64_array(self):
+        w = 100
+        oracle = LabelOracle(self._pool(w), lambda X: np.full(X.shape[0], 0.5), 10, seed=4)
+        assert oracle.labels.dtype == np.int64 and oracle.labels.shape == (w,)
+        with pytest.raises(ValueError, match="read-only"):
+            oracle.labels[0] = 1 - oracle.labels[0]
+
+    def test_labels_are_drawn_from_the_seed(self):
+        w, seed = 200, 21
+        eta = np.linspace(0.0, 1.0, w)
+        oracle = LabelOracle(self._pool(w), lambda X: eta, 10, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert np.array_equal(oracle.labels, (rng.random(w) < eta).astype(np.int64))
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    def test_request_batch_returns_nothing(self, mode):
+        oracle = LabelOracle(self._pool(), lambda X: np.full(X.shape[0], 0.5), 10, seed=5,
+                             mode=mode)
+        assert oracle.request_batch([1, 2, 2]) is None
+        assert oracle.request_batch([]) is None
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    @pytest.mark.parametrize("bad,error", [([1, 2, 3, 4, 5], RuntimeError),  # over budget
+                                           ([0, 100], ValueError), ([0.0, 1.0], ValueError)])
+    def test_a_refused_request_changes_nothing(self, mode, bad, error):
+        oracle = LabelOracle(self._pool(), lambda X: np.full(X.shape[0], 0.5), 5, seed=6,
+                             mode=mode)
+        oracle.request_batch([0, 1])
+        labels, state = oracle.labels.copy(), (oracle.remaining_budget, oracle.fresh_requests)
+        with pytest.raises(error):
+            oracle.request_batch(bad)
+        assert np.array_equal(oracle.labels, labels)
+        assert (oracle.remaining_budget, oracle.fresh_requests) == state
+        assert oracle._revealed.tolist() == [True, True] + [False] * 98
 
     def test_strict_mode_charges_repeats(self):
         pool = self._pool()
@@ -272,8 +310,9 @@ class TestLabelOracle:
         pool = self._pool(w=10)
         oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=7,
                              mode="cached_labels")
-        labels = oracle.request_batch([3, 3, 3])
-        assert np.all(labels == labels[0])
+        labels = oracle.labels.copy()
+        oracle.request_batch([3, 3, 3])
+        assert np.array_equal(oracle.labels, labels)  # a reveal changes no label
         assert oracle.remaining_budget == 4
         assert oracle.fresh_requests == 1
         oracle.request_batch([3, 4, 4, 5, 3])
@@ -300,18 +339,26 @@ class TestLabelOracle:
 
     def test_label_consistency_across_modes(self):
         pool = self._pool()
+        realized = []
         for mode in ("strict_paper", "cached_labels"):
             oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5),
                                  1000, seed=6, mode=mode)
-            seen = {int(oracle.request_batch([3])[0]) for _ in range(20)}
+            seen = set()
+            for _ in range(20):
+                oracle.request_batch([3])
+                seen.add(int(oracle.labels[3]))
             assert len(seen) == 1
+            realized.append(oracle.labels)
+        assert np.array_equal(*realized)
 
     def test_determinism_same_seed(self):
         pool = self._pool()
         a = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.4), 100, seed=77)
         b = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.4), 100, seed=77)
         idx = np.arange(50)
-        assert np.array_equal(a.request_batch(idx), b.request_batch(idx))
+        a.request_batch(idx)
+        b.request_batch(idx)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_eta_is_a_read_only_copy(self):
         pool = self._pool()
@@ -327,29 +374,28 @@ class TestLabelOracle:
         # a float was truncated to an index and a bool read as 0 or 1, and charged
         pool = self._pool(w=10)
         oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=9, mode=mode)
-        for read in (oracle.request_batch, oracle.peek_labels):
-            with pytest.raises(ValueError, match="integers"):
-                read(indices)
+        with pytest.raises(ValueError, match="integers"):
+            oracle.request_batch(indices)
         assert (oracle.remaining_budget, oracle.fresh_requests) == (5, 0)
         assert not oracle._revealed.any()
         # integer dtypes of any width, and an empty request, still go through
-        for ok in ([1, 2], np.array([3], dtype=np.uint8), np.array([4], dtype=np.int32)):
-            assert np.array_equal(oracle.request_batch(ok), oracle._labels[np.asarray(ok)])
-        assert oracle.request_batch([]).shape == (0,)
+        for ok in ([1, 2], np.array([3], dtype=np.uint8), np.array([4], dtype=np.int32), []):
+            oracle.request_batch(ok)
+        assert oracle._revealed.tolist() == [False, True, True, True, True] + [False] * 5
         assert oracle.fresh_requests == 4
 
     @pytest.mark.parametrize("bad", [[-1], [10], [0, 5, 10], [3, -7, 2],
                                      np.array([2**64 - 1], dtype=np.uint64)])
     def test_out_of_range_indices_are_refused(self, bad):
-        # peek_labels too: a negative index wrapped to the end of the pool
+        # a negative index would wrap to the end of the pool
         pool = self._pool(w=10)
         oracle = LabelOracle(pool, lambda X: np.full(X.shape[0], 0.5), 5, seed=9)
-        for read in (oracle.request_batch, oracle.peek_labels):
-            with pytest.raises(ValueError, match="out of range"):
-                read(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.request_batch(bad)
         assert (oracle.remaining_budget, oracle.fresh_requests) == (5, 0)
         assert not oracle._revealed.any()
-        assert np.array_equal(oracle.request_batch([0, 9]), oracle._labels[[0, 9]])
+        oracle.request_batch([0, 9])
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (3, 2)
 
     def test_eta_validation(self):
         pool = self._pool()
