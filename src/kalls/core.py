@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import thresholds as th
-from .estimation import est_prob, stage_table
+from .estimation import est_prob, pass_negligible, stage_table
 from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
 
 # BerEst's u in the informativeness test.  Its dichotomy certifies a mass
@@ -171,7 +171,9 @@ class RunTrace:
     ``skip_certificates`` one per reliable skip, each in scan order, so
     ``len(per_point) + reliable_skips == points_scanned``.
     ``estimator_calls`` and ``estimator_draws`` count ``reliable``'s
-    ``est_prob`` calls and the draws they used."""
+    ``est_prob`` calls and the draws they used, and ``estimator_bounded``
+    the balls it failed without a call (``pass_negligible``), so
+    ``estimator_calls + estimator_bounded`` counts the balls it tested."""
 
     labels_spent: int = 0
     stopped_reason: str = "pool_exhausted"
@@ -180,6 +182,7 @@ class RunTrace:
     reliable_skips: int = 0
     estimator_calls: int = 0
     estimator_draws: int = 0
+    estimator_bounded: int = 0
     skip_certificates: list[SkipCertificate] = field(default_factory=list)
 
     def to_json(self, config_dict: dict, version: str,
@@ -335,9 +338,12 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     accepted; its rows and ``x_row`` are rows over the same pool of w
     points.  A record the test reaches reads its stage table at delta' =
     ``delta_s`` and u = 50 (``stage_table``) and takes its threshold
-    75/94 eps_o, both of which its two balls share, and each ball is then
-    one ``est_prob`` call, which only draws.
-    The balls are counted before ``est_prob`` draws, on sorted rows of
+    75/94 eps_o, both of which its two balls share.  A ball that
+    ``pass_negligible`` finds would pass with probability below 2^-64 fails
+    without a draw; every other ball is one ``est_prob`` call, which only
+    draws.  Leaving out those draws moves the law of each ball's outcome by
+    less than 2^-64, and a run's by less than that times the balls tested.
+    The balls are counted before either, on sorted rows of
     squared distances to the pool: ``x_row`` is X's full row, its own 0.0
     included, which ``run_kalls`` takes from its one ``center_order`` of the
     scan step and keeps as the row of the record X becomes.  One
@@ -347,11 +353,12 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     ``np.sqrt`` of the sorted squared record distances that
     ``nearest_order`` gives, squared again in place, bit for bit the scalar
     ``radius * radius``, so the counts equal ``count_nonzero(d2 < r2)`` on
-    the unsorted ``sq_dists`` rows and every binomial draw, and the random
-    stream, is that of a fresh distance row per ball.
+    the unsorted ``sq_dists`` rows and every cut and binomial draw, and the
+    random stream, is that of a fresh distance row per ball.
 
-    Each call adds its ``est_prob`` calls and their draws to the counters of
-    ``rows.trace``, and a pass appends a ``SkipCertificate`` for the point
+    Each call adds its ``est_prob`` calls, their draws and the balls it
+    failed without a call to the counters of ``rows.trace``, and a pass
+    appends a ``SkipCertificate`` for the point
     under test, the trace's ``points_scanned``.
     """
     if not rows.rows:
@@ -362,25 +369,27 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     record_rows, eps_o = rows.rows, rows.eps_o
     w = x_row.shape[0]
 
-    calls = draws = 0
+    calls = draws = bounded = 0
     passed = None
     for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
         stages, threshold = stage_table(eps_o[j], delta_s, _U), RELIABLE_ACCEPT_RATIO * eps_o[j]
-        est = est_prob(int(record_rows[j].searchsorted(r2_j)), w, stages, rng)
-        calls += 1
-        draws += est.draws_used
-        if est.p_hat <= threshold:
-            passed = j, "record"
-            break
-        est = est_prob(in_x, w, stages, rng)
-        calls += 1
-        draws += est.draws_used
-        if est.p_hat <= threshold:
-            passed = j, "point"
+        for ball, in_ball in (("record", int(record_rows[j].searchsorted(r2_j))),
+                              ("point", in_x)):
+            if pass_negligible(in_ball, w, stages, threshold):
+                bounded += 1
+                continue
+            est = est_prob(in_ball, w, stages, rng)
+            calls += 1
+            draws += est.draws_used
+            if est.p_hat <= threshold:
+                passed = j, ball
+                break
+        if passed is not None:
             break
     trace = rows.trace
     trace.estimator_calls += calls
     trace.estimator_draws += draws
+    trace.estimator_bounded += bounded
     if passed is None:
         return False
     j, ball = passed

@@ -16,6 +16,10 @@ at most 1.  The loop skips those stages: the first stage it runs takes all
 their draws at once (m_live of them, m_live the first stage that can stop),
 and a sum of independent Binomial(n_i, p) counts is Binomial(sum n_i, p), so
 the law of (p_hat, draws_used, terminated_early) is unchanged.
+
+``pass_negligible`` tells a caller that tests ``p_hat <= accept`` when a
+ball is so heavy that the test passes with probability below 2^-64 (a
+Chernoff bound), so the ball can fail without a draw.
 """
 from __future__ import annotations
 
@@ -80,6 +84,35 @@ def stage_table(epsilon_o: float, delta_prime: float,
     live stages up to 2^i_max, so the last holds all 2^i_max draws."""
     # u >= 7 and eps_o, delta' < 1 give K > 28*log(56), so i_max >= 5: never empty
     return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
+
+
+# 70 bits where the claim is 64: the margin covers the rounding of the test
+_CUT_LOG = 70.0 * math.log(2.0)
+
+
+def pass_negligible(in_ball: int, w: int, stages: tuple[tuple[int, float], ...],
+                    accept: float) -> bool:
+    """True when ``est_prob(in_ball, w, stages, rng)`` returns p_hat <=
+    ``accept`` with probability below 2^-64, so the caller may count the
+    ball as failed without drawing.
+
+    The loop can end with an estimate <= ``accept`` only at a stage whose
+    threshold is below ``accept`` (an early stop has p_hat above the
+    threshold) or at the last stage; the thresholds fall with m, so these
+    are the last n_rel stages, from m_rel on.  At stage s the count of ones
+    is X_s ~ Binomial(m_s, p), p = in_ball / w, and p_hat = X_s / m_s, so
+    for p > a = ``accept`` the Chernoff lower tail and a union bound give
+    P(pass) <= n_rel * exp(-m_rel (p - a)^2 / (2p)).  This answers True
+    where m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), a bound below 2^-70.
+    An empty ball (p = 0) is never cut.
+    """
+    p = in_ball / w
+    if p <= accept:
+        return False
+    n = 1
+    while n < len(stages) and stages[-n - 1][1] < accept:
+        n += 1
+    return stages[-n][0] * (p - accept) ** 2 > 2.0 * p * (_CUT_LOG + math.log(n))
 
 
 def _stage_loop(ones_in: Callable[[int], int],

@@ -316,7 +316,8 @@ class TestRunCommand:
         assert set(payload) == {"tool_version", "config", "resolved_seed",
                                 "labels_spent", "stopped_reason",
                                 "points_scanned", "reliable_skips", "per_point",
-                                "estimator_calls", "estimator_draws", "skip_certificates"}
+                                "estimator_calls", "estimator_draws", "estimator_bounded",
+                                "skip_certificates"}
         assert payload["per_point"]
         for point in payload["per_point"]:
             assert set(point) == {"s", "q_size", "lb", "accepted", "eta_hat", "y_hat",

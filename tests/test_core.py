@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 import kalls.core
 import kalls.pool
@@ -13,7 +14,8 @@ import kalls.thresholds
 from kalls.core import (RELIABLE_ACCEPT_RATIO, ActiveRecord, ActiveSet, PerPointRecord,
                         RecordRows, RunTrace, SkipCertificate, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop, est_prob, g_factor, stage_table
+from kalls.estimation import (BerEstResult, _stage_loop, est_prob, g_factor, pass_negligible,
+                              stage_table)
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -229,12 +231,13 @@ class TestReliable:
                              substream(9, "estimation")) is True
 
 
-def reference_reliable(points, x, delta_s, smooth, active, rng, draws=None):
+def reference_reliable(points, x, delta_s, smooth, active, rng, balls=None):
     """``reliable`` for ``x`` with a fresh distance row to the pool ``points``
     per ball, counted with ``count_nonzero(d2 < r2)``, and eps_o, the
     threshold and the stage table (at the core's u) computed per ball: the
-    reference the sorted rows must match.  Each ball's ``draws_used`` is
-    appended to ``draws``."""
+    reference the sorted rows must match.  Each ball appends to ``balls``
+    its (count, w, stage table, threshold, draws used), the draws None where
+    ``pass_negligible`` fails it without a draw."""
     if not active.records:
         return False
     order = nearest_order(active.points(), x)[0]
@@ -244,13 +247,17 @@ def reference_reliable(points, x, delta_s, smooth, active, rng, draws=None):
         rec = active.records[j]
         eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
         radius = float(np.sqrt(d2[j]))
+        stages, threshold = stage_table(eps_o, delta_s, kalls.core._U), RELIABLE_ACCEPT_RATIO * eps_o
         for row in (sq_dists(points, rec.point)[0], d2_x):
-            p = int(np.count_nonzero(row < radius * radius)) / row.shape[0]
-            res = _stage_loop(lambda n: int(rng.binomial(n, p)),
-                              stage_table(eps_o, delta_s, kalls.core._U))
-            if draws is not None:
-                draws.append(res.draws_used)
-            if res.p_hat <= RELIABLE_ACCEPT_RATIO * eps_o:
+            count, w = int(np.count_nonzero(row < radius * radius)), row.shape[0]
+            if pass_negligible(count, w, stages, threshold):
+                if balls is not None:
+                    balls.append((count, w, stages, threshold, None))
+                continue
+            res = _stage_loop(lambda n: int(rng.binomial(n, count / w)), stages)
+            if balls is not None:
+                balls.append((count, w, stages, threshold, res.draws_used))
+            if res.p_hat <= threshold:
                 return True
     return False
 
@@ -259,7 +266,8 @@ class TestSortedRows:
     """``run_kalls`` takes one ``center_order`` per scanned point; ``reliable``
     counts its balls on the sorted pool row it gives, which an accepted point
     keeps as its record's row.  The estimation stream must be that of a fresh
-    distance row per ball, with one ``est_prob`` call per ball."""
+    distance row per ball: each ball goes to ``pass_negligible`` with its
+    count, and then, unless it is cut, to one ``est_prob`` call."""
 
     @staticmethod
     def _noiseless_run(d, seed, reference=False):
@@ -272,45 +280,53 @@ class TestSortedRows:
         oracle = LabelOracle(pool, problem.eta, 60_000, seed=seed)
         config = KallsConfig(epsilon=0.4, delta=0.5, n=60_000)
         rng = substream(seed, "estimation")
-        draws = []  # draws_used of each ball, in estimation order
+        balls = []  # (count, w, stages, threshold, draws used or None), in test order
 
         def fresh_rows(x, x_row, delta_s, rows, rng):
             # eps_o from each record's lb, never from rows.eps_o
             return reference_reliable(pool.points, x, delta_s, rows.smooth, rows.active,
-                                      rng, draws)
+                                      rng, balls)
+
+        def cut_spy(in_ball, w, stages, accept):
+            balls.append((in_ball, w, stages, accept, None))
+            return pass_negligible(in_ball, w, stages, accept)
 
         def spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
-            draws.append(res.draws_used)
+            assert balls[-1][:3] == (in_ball, w, stages) and balls[-1][4] is None
+            balls[-1] = (*balls[-1][:4], res.draws_used)
             return res
 
         with pytest.MonkeyPatch.context() as m:
             if reference:
                 m.setattr(kalls.core, "reliable", fresh_rows)
             else:
+                m.setattr(kalls.core, "pass_negligible", cut_spy)
                 m.setattr(kalls.core, "est_prob", spy)
             active, trace = run_kalls(pool, oracle, config,
                                       SmoothnessParams(alpha=1.0, L=1.2, d=d),
                                       problem.certified_margin, est_rng=rng)
-        return active, trace, rng.bit_generator.state, draws
+        return active, trace, rng.bit_generator.state, balls
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_stream_matches_fresh_distance_rows(self, d):
-        skips = 0
+        skips = drawn = cut = 0
         for seed in (1, 2, 3):
-            active, trace, state, draws = self._noiseless_run(d, seed)
-            ref_active, ref_trace, ref_state, ref_draws = self._noiseless_run(
+            active, trace, state, balls = self._noiseless_run(d, seed)
+            ref_active, ref_trace, ref_state, ref_balls = self._noiseless_run(
                 d, seed, reference=True)
             assert trace.per_point == ref_trace.per_point
             assert trace.reliable_skips == ref_trace.reliable_skips
             assert state == ref_state
-            # one est_prob call per ball, with the reference's draws
-            assert len(draws) == len(ref_draws) > 0
-            assert sum(draws) == sum(ref_draws)
-            assert draws == ref_draws
+            # every ball with the reference's count, table and threshold, cut
+            # where the reference's is, and otherwise with its draws
+            assert len(balls) == len(ref_balls) > 0
+            assert balls == ref_balls
             assert len(active) == len(ref_active) > 1
             skips += trace.reliable_skips
-        assert skips > 0  # the test passes as well as fails
+            drawn += sum(b[4] is not None for b in balls)
+            cut += sum(b[4] is None for b in balls)
+        assert skips > 0 and drawn > 0 and cut > 0  # the test passes as well as fails
 
     def test_rows_follow_the_pool(self):
         # records from the points of one pool, queried on another
@@ -329,18 +345,23 @@ class TestSortedRows:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_trace_counts_every_estimate(self, d):
-        active, trace, _, draws = self._noiseless_run(d, seed=2)
+        active, trace, _, balls = self._noiseless_run(d, seed=2)
+        draws = [b[4] for b in balls if b[4] is not None]
         assert trace.estimator_calls == len(draws) > 0
         assert trace.estimator_draws == sum(draws)
+        assert trace.estimator_bounded == len(balls) - len(draws) > 0
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_each_skip_names_an_earlier_record(self, d, monkeypatch):
-        passes = []  # (est_prob calls, the record they end on) of each passing call
+        passes = []  # (balls tested, the record they end on) of each passing call
+
+        def tested(trace):
+            return trace.estimator_calls + trace.estimator_bounded
 
         def counted(x, x_row, delta_s, rows, rng):
-            before = rows.trace.estimator_calls
+            before = tested(rows.trace)
             if reliable(x, x_row, delta_s, rows, rng):
-                n = rows.trace.estimator_calls - before  # two balls per record, nearest first
+                n = tested(rows.trace) - before  # two balls per record, nearest first
                 j = nearest_order(rows.points, x)[0][(n - 1) // 2]
                 passes.append((n, rows.active.records[j].source_index))
                 return True
@@ -357,7 +378,7 @@ class TestSortedRows:
             for c in certificates:
                 assert c.source_index in sources and c.source_index + 1 < c.s
             # each record's ball comes before the point's, so an odd count of
-            # estimates ends on a record's ball
+            # balls ends on a record's ball
             assert [(c.ball, c.source_index) for c in certificates] == \
                 [("record" if n % 2 else "point", source) for n, source in passes]
             # every scanned point is either informative or certified, once
@@ -463,23 +484,29 @@ class TestRecordRows:
 
 
 class TestReliableCounts:
-    """``reliable`` counts every ball before ``est_prob`` draws: one
-    ``searchsorted`` of all the squared radii in X's row, and one in each
-    reached record's row.  Each count must be ``count_nonzero(d2 < r2)`` on a
-    fresh distance row, with ties, duplicate points and radius 0."""
+    """``reliable`` counts every ball before ``pass_negligible`` and
+    ``est_prob`` see it: one ``searchsorted`` of all the squared radii in X's
+    row, and one in each reached record's row.  Each count must be
+    ``count_nonzero(d2 < r2)`` on a fresh distance row, with ties, duplicate
+    points and radius 0."""
 
     def test_counts_are_count_nonzero(self, monkeypatch):
-        calls = []
+        balls, calls = [], []
+
+        def cut_input(in_ball, w, stages, accept):
+            balls.append((in_ball, w, stages, accept))
+            return pass_negligible(in_ball, w, stages, accept)
 
         def recording(in_ball, w, stages, rng):
             calls.append((in_ball, w, stages))
             return BerEstResult(1.0, 8, True)  # never passes: every record is reached
 
+        monkeypatch.setattr(kalls.core, "pass_negligible", cut_input)
         monkeypatch.setattr(kalls.core, "est_prob", recording)
         lattice = substream(46, "pool").integers(0, 4, (120, 2)).astype(np.float64)
         pool = Pool(np.vstack([lattice, lattice[:10]]))  # ties, and 10 points twice
         smooth = SmoothnessParams(alpha=1.0, L=1.2, d=2)
-        empty = exact = 0
+        empty = exact = cut = 0
         # X and the other copies of X's point
         for x_index, twins in ((0, [120]), (3, [123]), (50, []), (125, [5])):
             active = ActiveSet()
@@ -487,6 +514,7 @@ class TestReliableCounts:
             for src in sorted({1, 5, 9, 40, 77, 120, x_index, *twins}):
                 active.append(ActiveRecord(point=pool.points[src].copy(), inferred_label=1,
                                            lb=0.1 + src / 1000.0, source_index=src))
+            balls.clear()
             calls.clear()
             assert pool_reliable(pool, x_index, DELTA_S, smooth, active,
                                  substream(1, "estimation")) is False
@@ -500,11 +528,80 @@ class TestReliableCounts:
                 eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
                 for row in (sq_dists(pool.points, rec.point)[0], x_d2):
                     want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
-                                 stage_table(eps_o, DELTA_S, kalls.core._U)))
+                                 stage_table(eps_o, DELTA_S, kalls.core._U),
+                                 RELIABLE_ACCEPT_RATIO * eps_o))
                     exact += radius * radius in row
-            assert calls == want, x_index
-            empty += sum(c == 0 for c, _, _ in want)
-        assert empty >= 8 and exact > 0  # radius-0 balls, and radii on a pool distance
+            # every ball reaches the cut, and each one it keeps est_prob
+            assert balls == want, x_index
+            kept = [ball[:3] for ball in want if not pass_negligible(*ball)]
+            assert calls == kept, x_index
+            empty += sum(ball[0] == 0 for ball in want)
+            cut += len(want) - len(kept)
+        # radius-0 balls (never cut), radii on a pool distance, and cut balls
+        assert empty >= 8 and exact > 0 and cut > 0
+
+
+class TestNegligibleCut:
+    """``reliable`` fails a ball without a draw where ``pass_negligible``
+    bounds its pass probability below 2^-64.  The law of the outcome (no
+    pass, or a pass on record j's ball around X' or around X) must be the
+    one without the cut."""
+
+    W, LB, DELTA = 100_000, 0.4, 0.01
+
+    def _rows(self):
+        # X at 0.5 and records at 0.501, 0.502 and 0.503.  The rows are built
+        # for the counts: record 0's own ball and the balls around X of
+        # records 1 and 2 are heavy (p 0.02 and 0.05, cut), the others hold
+        # 424 points (p 1.02 * 75/94 eps_o), so each passes with probability
+        # about a third
+        smooth = SmoothnessParams(alpha=1.0, L=1.2, d=1)
+        rows = RecordRows(smooth, self.DELTA)
+        light, w = 424, self.W
+        assert light / w == pytest.approx(1.02 * RELIABLE_ACCEPT_RATIO
+                                          * smooth.ball_accuracy(self.LB), rel=1e-3)
+
+        def row(*runs):  # (value, count) runs, then 1.0 up to w entries
+            values = np.concatenate([np.full(n, v) for v, n in runs])
+            return np.concatenate([values, np.ones(w - values.shape[0])])
+
+        for j, in_ball in enumerate((2000, light, light)):
+            rows.append(ActiveRecord(point=np.array([0.501 + j / 1000]), inferred_label=1,
+                                     lb=self.LB, source_index=j), row((0.0, in_ball)))
+        # squared radii about 1e-6, 4e-6 and 9e-6
+        return rows, row((0.0, light), (2e-6, 5000 - light))
+
+    def _outcomes(self, seeds, stream):
+        rows, x_row = self._rows()
+        counts = {}
+        for seed in seeds:
+            if reliable(np.array([0.5]), x_row, self.DELTA, rows,
+                        substream(seed, "estimation", stream)):
+                certificate = rows.trace.skip_certificates[-1]
+                key = certificate.source_index, certificate.ball
+            else:
+                key = None
+            counts[key] = counts.get(key, 0) + 1
+        return counts, rows.trace
+
+    def test_same_law_with_and_without_the_cut(self, monkeypatch):
+        seeds = range(2000)
+        cut, cut_trace = self._outcomes(seeds, 1)
+        monkeypatch.setattr(kalls.core, "pass_negligible", lambda *ball: False)
+        drawn, drawn_trace = self._outcomes(seeds, 2)
+        outcomes = [None, (0, "point"), (1, "record"), (2, "record")]
+        assert set(cut) == set(drawn) == set(outcomes)
+        # the balls each outcome tests, and the heavy ones among them, which
+        # fail without a draw under the cut and are drawn without it
+        tested, heavy = dict(zip(outcomes, (6, 2, 3, 5))), dict(zip(outcomes, (3, 1, 1, 2)))
+        assert cut_trace.estimator_bounded == sum(n * heavy[k] for k, n in cut.items())
+        assert cut_trace.estimator_calls == sum(n * (tested[k] - heavy[k])
+                                                for k, n in cut.items())
+        assert drawn_trace.estimator_bounded == 0
+        assert drawn_trace.estimator_calls == sum(n * tested[k] for k, n in drawn.items())
+        table = np.array([[cut[k] for k in outcomes], [drawn[k] for k in outcomes]])
+        assert table.min() >= 100
+        assert chi2_contingency(table).pvalue > 1e-3
 
 
 def run_once(seed, w=4000, n=1500, kappa=1.0, eps=0.2, mode="strict_paper"):
@@ -568,7 +665,7 @@ class TestRunKalls:
                         for s, ball in ((7, "record"), (8, "point"), (9, "record"))]
         trace = RunTrace(labels_spent=63, stopped_reason="budget_exhausted",
                          per_point=records, points_scanned=9, reliable_skips=3,
-                         estimator_calls=5, estimator_draws=4096,
+                         estimator_calls=5, estimator_draws=4096, estimator_bounded=11,
                          skip_certificates=certificates)
         config = {"budgets": [200], "problem": {"family": "x", "kappa": 1.0}}
         for seed in (None, 4):
@@ -578,7 +675,8 @@ class TestRunKalls:
         _, _, _, run = run_once(seed=4, w=500, n=800)
         assert run.to_json(config, "v") == asdict_json(run, config, "v")
         assert RunTrace().to_json({}, "v") == asdict_json(RunTrace(), {}, "v") == (
-            '{"config": {}, "estimator_calls": 0, "estimator_draws": 0, "labels_spent": 0, '
+            '{"config": {}, "estimator_bounded": 0, "estimator_calls": 0, "estimator_draws": 0, '
+            '"labels_spent": 0, '
             '"per_point": [], "points_scanned": 0, "reliable_skips": 0, '
             '"skip_certificates": [], "stopped_reason": "pool_exhausted", '
             '"tool_version": "v"}\n')

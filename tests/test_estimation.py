@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import binom, chi2_contingency
 
 from kalls.estimation import (BerEstResult, _stage_loop, ber_est, ber_est_max_stage,
-                              est_prob, est_prob_from_sq_dists, g_factor, stage_table)
+                              est_prob, est_prob_from_sq_dists, g_factor, pass_negligible,
+                              stage_table)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
 
@@ -461,3 +462,58 @@ class TestStageTable:
             assert res.draws_used == 2**i_max, (eps_o, dp, u)
         assert max(i_maxes) >= 63
 
+
+
+class TestPassNegligible:
+    """``pass_negligible`` cuts a ball only where ``est_prob`` passes,
+    p_hat <= accept, with probability below 2^-64.  A pass needs a stage
+    where the loop can end with that estimate: one whose threshold is below
+    accept (an early stop has p_hat above its threshold), or the last.  So
+    the sum of P(Binomial(m_s, p) <= floor(accept * m_s)) over those stages
+    bounds it, which scipy computes; m_s is a power of 2, so
+    ``ones / m_s <= accept`` is exactly ``ones <= floor(accept * m_s)``."""
+
+    @staticmethod
+    def _pass_bound(stages, accept, p):
+        last = len(stages) - 1
+        return sum(binom.cdf(math.floor(accept * m), m, p)
+                   for i, (m, threshold) in enumerate(stages) if threshold < accept or i == last)
+
+    def test_cuts_only_where_a_pass_is_below_2_to_the_minus_64(self):
+        stage_counts, boundaries = set(), []
+        # accept 75/94 eps_o, as reliable takes it, and 2.5 eps_o, where some
+        # stages before the last have thresholds below accept
+        for eps_o, dp, ratio, w in itertools.product((0.3, 0.05, 5e-3, 1e-4),
+                                                     (0.1, 1e-3, 4e-10), (75 / 94, 2.5),
+                                                     (2000, 20000, 10**6)):
+            stages = stage_table(eps_o, dp, U)
+            accept = ratio * eps_o
+            stage_counts.add(sum(threshold < accept for _, threshold in stages))
+            # 1001 counts from 0 to w, and up to 5,000 more in a row from
+            # accept * w up, where the cut begins at reliable's accuracies
+            start = math.floor(accept * w)
+            counts = np.union1d(np.arange(start, min(w, start + 5_000) + 1),
+                                np.linspace(0, w, 1001).astype(np.int64))
+            cut = np.array([pass_negligible(int(c), w, stages, accept) for c in counts])
+            assert not cut[counts <= accept * w].any(), (eps_o, dp, ratio, w)
+            if not cut.any():
+                continue
+            first = int(cut.argmax())
+            assert cut[first:].all(), (eps_o, dp, ratio, w)  # heavier balls are cut too
+            bound = self._pass_bound(stages, accept, counts[first:] / w)
+            assert bound.max() < 2.0**-64, (eps_o, dp, ratio, w)
+            below = counts[first] - 1
+            # just below the cut, at the accuracies reliable takes (at most
+            # (1/128)^(d/alpha)), a pass is still far likelier: not vacuous
+            if eps_o <= 1 / 128 and below / w > accept and counts[first - 1] == below:
+                boundaries.append(self._pass_bound(stages, accept, below / w))
+        assert len(boundaries) >= 20 and min(boundaries) > 2.0**-100
+        assert {0, 1} < stage_counts  # the last stage alone, and several stages
+
+    def test_empty_and_light_balls_are_never_cut(self):
+        stages = stage_table(EPS_O, DELTA_P, U)
+        accept = 75 / 94 * EPS_O
+        assert not pass_negligible(0, 1000, stages, accept)
+        assert not pass_negligible(0, 1000, stages, 0.0)
+        assert not pass_negligible(79, 1000, stages, accept)  # p below accept
+        assert pass_negligible(1000, 1000, stages, accept)
