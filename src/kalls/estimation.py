@@ -32,7 +32,7 @@ import numpy as np
 
 
 # slots and not frozen: a frozen dataclass takes about 4x as long to build,
-# and reliable builds one per ball
+# and est_prob builds one per call
 @dataclass(slots=True)
 class BerEstResult:
     p_hat: float
@@ -168,16 +168,8 @@ def est_prob(in_ball: int, w: int, stages: tuple[tuple[int, float], ...],
     """
     if in_ball == 0:
         return BerEstResult(0.0, stages[-1][0], False)
-    # _stage_loop inlined, without its closure call per stage: reliable makes
-    # one call per ball
-    p, binomial = in_ball / w, rng.binomial
-    ones = m = 0
-    for target, threshold in stages:
-        ones += binomial(target - m, p)  # a Python int for scalar arguments
-        m = target
-        if ones / m > threshold:
-            return BerEstResult(ones / m, m, True)
-    return BerEstResult(ones / m, m, False)
+    p = in_ball / w
+    return _stage_loop(lambda n: rng.binomial(n, p), stages)  # a Python int per stage
 
 
 def est_prob_from_sq_dists(d2: np.ndarray, radius: float, epsilon_o: float,
