@@ -345,6 +345,17 @@ def _threads(text: str) -> int:
     return value
 
 
+def _seed_override(text: str) -> int:
+    """``--seed-override``: an int in the range ``_typed`` takes for a
+    config seed, or argparse's usage error."""
+    try:
+        return _typed(int(text), "int", "--seed-override")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kalls",
                                      description="active nearest-neighbor learning bench")
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, draws=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
         if draws:  # feasibility draws nothing and only prints: no seed, no output directory
-            p.add_argument("--seed-override", type=int, default=None,
+            p.add_argument("--seed-override", type=_seed_override, default=None,
                            help="learner seed to use instead of the config's seeds")
             p.add_argument("--out", default=None,
                            help="output directory (default: .; eval: stdout)")

@@ -330,6 +330,28 @@ class TestRunCommand:
                      "--seed-override", "11"]) == 0
         assert os.path.exists(os.path.join(out, "trace_seed11_n400.json"))
 
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    def test_seed_override_at_the_ends_of_64_bits_runs(self, tmp_path, seed):
+        path = write_config(tmp_path, pool_size=300)
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", path, "--out", out,
+                     "--seed-override", str(seed)]) == 0
+        assert os.path.exists(os.path.join(out, f"trace_seed{seed}_n400.json"))
+
+    # 2^64 + 1 would run seed 1's stream, since substream keeps the low 64 bits
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 2**64 + 1])
+    def test_seed_override_outside_64_bits_is_a_usage_error(self, tmp_path, capsys,
+                                                            command, seed):
+        path = write_config(tmp_path, pool_size=300)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(out), "--seed-override", str(seed)])
+        assert exc.value.code == 2
+        assert (f"argument --seed-override: '--seed-override' must be an int in "
+                f"[-2^63, 2^63), got {seed}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_ball_at_tiny_accuracy(self, tmp_path):
         # kappa 0 on atoms: scanned points land on record points, so both of a
         # record's balls are empty, and alpha 0.12 makes eps_o = (lb/64L)^(1/0.12)
