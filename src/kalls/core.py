@@ -358,8 +358,8 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
 
     Each call adds its ``est_prob`` calls, their draws and the balls it
     failed without a call to the counters of ``rows.trace``, and a pass
-    appends a ``SkipCertificate`` for the point
-    under test, the trace's ``points_scanned``.
+    appends a ``SkipCertificate`` for the point under test, the trace's
+    ``points_scanned``.
     """
     if not rows.rows:
         return False
