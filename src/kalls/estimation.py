@@ -92,8 +92,8 @@ _CUT_LOG = 70.0 * math.log(2.0)
 
 def pass_negligible(in_ball: int, w: int, stages: tuple[tuple[int, float], ...],
                     accept: float) -> bool:
-    """True when ``est_prob(in_ball, w, stages, rng)`` returns p_hat <=
-    ``accept`` with probability below 2^-64, so the caller may count the
+    """True only where ``est_prob(in_ball, w, stages, rng)`` returns p_hat
+    <= ``accept`` with probability below 2^-64, so the caller may count the
     ball as failed without drawing.
 
     The loop can end with an estimate <= ``accept`` only at a stage whose

@@ -247,7 +247,8 @@ def reference_reliable(points, x, delta_s, smooth, active, rng, balls=None):
         rec = active.records[j]
         eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
         radius = float(np.sqrt(d2[j]))
-        stages, threshold = stage_table(eps_o, delta_s, kalls.core._U), RELIABLE_ACCEPT_RATIO * eps_o
+        stages = stage_table(eps_o, delta_s, kalls.core._U)
+        threshold = RELIABLE_ACCEPT_RATIO * eps_o
         for row in (sq_dists(points, rec.point)[0], d2_x):
             count, w = int(np.count_nonzero(row < radius * radius)), row.shape[0]
             if pass_negligible(count, w, stages, threshold):
