@@ -292,6 +292,13 @@ PINNED_ROWS = {
         (3000, 3, 3000, 0.24144921875, 0.000193359375, 0.5079491255961844, 2),
         (3000, 4, 3000, 0.242380859375, 0.000791015625, 0.5075456711675933, 2),
     ],
+    # the d = 1 window vote on the one marginal with unbounded support
+    ("power_margin_gaussian_1d", 1): [
+        (400, 3, 400, 0.24684753292739262, 0.0030936719729733548, 0.5149469623915139, 1),
+        (400, 4, 400, None, 0.0008368726911815929, None, 1),
+        (3000, 3, 3000, 0.2551712936451809, 5.6007821365299635e-05, 0.4793969849246231, 3),
+        (3000, 4, 3000, None, 0.004659159939690222, None, 3),
+    ],
 }
 
 

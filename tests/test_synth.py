@@ -216,6 +216,35 @@ class TestCheckers:
             check_smoothness(p, n_pairs=10)
 
 
+# (checked, max_violation) of check_smoothness (20,000 pairs from one fixed
+# substream), check_margin and check_doubling at the certified constants, as
+# they were when recorded.  A change to a family's eta, ball mass or doubling
+# grid that claims the same floats must leave them as they are.
+PINNED_CHECKS = {
+    ("power_margin_uniform_1d", 0.5, 1): (
+        (20000, -0.012650529986756765), (1000, 0.0), (1000, 2.220446049250313e-16)),
+    ("power_margin_uniform_1d", 1.0, 1): (
+        (20000, -6.0161633842703566e-05), (1000, 0.0), (1000, 2.220446049250313e-16)),
+    ("power_margin_gaussian_1d", 0.5, 1): (
+        (20000, -0.022089302459765037), (1000, 0.0), (890, -0.007040954788644527)),
+    ("power_margin_gaussian_1d", 1.0, 1): (
+        (20000, -0.0001840137055056923), (1000, 0.0), (890, -0.007040954788644527)),
+    ("discrete_atoms", 0.5, 1): ((20000, 0.0), (1000, -8e-08), (1075, 0.0)),
+    ("discrete_atoms", 1.0, 1): ((20000, 0.0), (1000, -4.624658472177773e-05), (1075, 0.0)),
+    ("product_uniform_nd", 1.0, 2): (
+        (20000, -0.005042046799023733), (1000, 0.0), (980, 0.0)),
+}
+
+
+@pytest.mark.parametrize("family, kappa, d", list(PINNED_CHECKS))
+def test_assumption_checks_are_pinned(family, kappa, d):
+    p = make_problem(family, kappa=kappa, d=d, seed=0)
+    reports = (check_smoothness(p, n_pairs=20_000, rng=substream(12, "points")),
+               check_margin(p), check_doubling(p))
+    assert all(r.passed for r in reports)
+    assert tuple((r.checked, r.max_violation) for r in reports) == PINNED_CHECKS[family, kappa, d]
+
+
 class TestSampling:
     def test_reproducible_streams(self):
         p = make_problem("power_margin_gaussian_1d", kappa=1.0, seed=5)
