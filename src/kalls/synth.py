@@ -7,6 +7,11 @@ of ball masses (H4).  The margin shape is one knob ``kappa``: eta(x) crosses
 1/2 like |2F(x)-1|^kappa where F is the marginal CDF, so the same certified
 constants cover uniform, Gaussian, discrete and product marginals.
 
+A one-dimensional family is a ``sample``, a ``cdf`` F, a doubling grid and its
+constants: eta = e(F(x)) and the ball mass F(x + r) - F(x - r) are written
+once, in ``_Marginal1D``.  Discrete atoms count the atoms in their open ball
+instead.
+
 kappa = 0 is the noiseless limit (eta in {0, 1} off the boundary); it has no
 valid smoothness certificate, so ``certified_smooth`` is None there.
 """
@@ -62,6 +67,7 @@ class SyntheticProblem:
     """Base class; subclasses fix the marginal and the analytic ball mass."""
 
     family: str
+    certified_doubling: DoublingParams | None = None
 
     def __init__(self, kappa: float, d: int, seed: int) -> None:
         if not 0.0 <= kappa < math.inf:  # NaN fails both comparisons
@@ -78,7 +84,6 @@ class SyntheticProblem:
                                                  C=2.0 ** (1.0 / self.kappa))
         else:
             self.certified_margin = MarginParams(beta=1.0, C=2.0)
-        self.certified_doubling: DoublingParams | None = None
 
     # -- marginal-specific hooks -------------------------------------------
     def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -109,13 +114,10 @@ class SyntheticProblem:
     def default_rng(self) -> np.random.Generator:
         return substream(self.seed, "points")
 
-    def _points_1d(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return X[:, 0] if X.ndim == 2 else X
 
-
-def _interval_mass(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.clip(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0, 1.0)
+def _points_1d(X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    return X[:, 0] if X.ndim == 2 else X
 
 
 def _grid_1d(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,37 +126,42 @@ def _grid_1d(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nda
     return cc.reshape(-1, 1), rr.ravel()
 
 
-class UniformPowerMargin1D(SyntheticProblem):
-    family = "power_margin_uniform_1d"
+class _Marginal1D(SyntheticProblem):
+    """A one-dimensional family: eta = e(F(x)) and the open ball mass
+    F(x + r) - F(x - r), with F the marginal CDF ``cdf``."""
 
     def __init__(self, kappa: float, seed: int) -> None:
         super().__init__(kappa, 1, seed)
-        self.certified_doubling = DoublingParams(c_db=2.0, mass_floor=1e-9)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, 0.0, 1.0)
+
+    def eta(self, X):
+        return _eta_from_u(self.cdf(_points_1d(X)), self.kappa)
+
+    def ball_mass(self, centers, radii):
+        x = _points_1d(np.atleast_1d(centers))
+        r = np.asarray(radii, dtype=np.float64)
+        return self.cdf(x + r) - self.cdf(x - r)
+
+
+class UniformPowerMargin1D(_Marginal1D):
+    family = "power_margin_uniform_1d"
+    certified_doubling = DoublingParams(c_db=2.0, mass_floor=1e-9)
 
     def sample(self, n, rng=None):
         rng = rng or self.default_rng()
         return rng.random((n, 1))
 
-    def eta(self, X):
-        return _eta_from_u(self._points_1d(X), self.kappa)
-
-    def ball_mass(self, centers, radii):
-        x = self._points_1d(np.atleast_1d(np.asarray(centers, dtype=np.float64)))
-        r = np.asarray(radii, dtype=np.float64)
-        return _interval_mass(x - r, x + r)
-
     def doubling_grid(self):
         return _grid_1d(np.linspace(0.0125, 0.9875, 40), np.geomspace(1e-3, 2.0, 25))
 
 
-class GaussianPowerMargin1D(SyntheticProblem):
+class GaussianPowerMargin1D(_Marginal1D):
     family = "power_margin_gaussian_1d"
-
-    def __init__(self, kappa: float, seed: int) -> None:
-        super().__init__(kappa, 1, seed)
-        # Doubling fails in deep tails; certified only for balls above the floor,
-        # over centers within the (1e-3, 1-1e-3) quantile range.
-        self.certified_doubling = DoublingParams(c_db=16.0, mass_floor=1e-3)
+    # Doubling fails in deep tails; certified only for balls above the floor,
+    # over centers within the (1e-3, 1-1e-3) quantile range.
+    certified_doubling = DoublingParams(c_db=16.0, mass_floor=1e-3)
 
     def sample(self, n, rng=None):
         rng = rng or self.default_rng()
@@ -163,15 +170,9 @@ class GaussianPowerMargin1D(SyntheticProblem):
     # scipy.special is imported here, not at module load: it is the slowest
     # import of the package and only this family uses it
 
-    def eta(self, X):
+    def cdf(self, x):
         from scipy.special import ndtr
-        return _eta_from_u(ndtr(self._points_1d(X)), self.kappa)
-
-    def ball_mass(self, centers, radii):
-        from scipy.special import ndtr
-        x = self._points_1d(np.atleast_1d(np.asarray(centers, dtype=np.float64)))
-        r = np.asarray(radii, dtype=np.float64)
-        return ndtr(x + r) - ndtr(x - r)
+        return ndtr(x)
 
     def doubling_grid(self):
         from scipy.special import ndtri
@@ -179,28 +180,28 @@ class GaussianPowerMargin1D(SyntheticProblem):
                         np.geomspace(1e-3, 8.0, 25))
 
 
-class DiscreteAtoms(SyntheticProblem):
+class DiscreteAtoms(_Marginal1D):
+    """Uniform on the atoms (k + 1/2)/256.  At an atom the inherited ``cdf``
+    gives the midpoint of F's jump there, which is the u that eta reads."""
+
     family = "discrete_atoms"
     # An even atom count keeps every |2a-1| >= 1/M, giving the clean margin constant.
     n_atoms = 256
+    atoms = (np.arange(n_atoms) + 0.5) / n_atoms
+    certified_doubling = DoublingParams(c_db=3.0, mass_floor=1e-9)
 
     def __init__(self, kappa: float, seed: int) -> None:
-        super().__init__(kappa, 1, seed)
-        self.atoms = (np.arange(self.n_atoms) + 0.5) / self.n_atoms
+        super().__init__(kappa, seed)
         if self.kappa > 0.0:
             self.certified_margin = MarginParams(beta=1.0 / self.kappa,
                                                  C=2.0 ** (1.0 + 1.0 / self.kappa))
-        self.certified_doubling = DoublingParams(c_db=3.0, mass_floor=1e-9)
 
     def sample(self, n, rng=None):
         rng = rng or self.default_rng()
         return self.atoms[rng.integers(0, self.n_atoms, size=n)][:, None]
 
-    def eta(self, X):
-        return _eta_from_u(self._points_1d(X), self.kappa)
-
     def ball_mass(self, centers, radii):
-        x = self._points_1d(np.atleast_1d(np.asarray(centers, dtype=np.float64)))
+        x = _points_1d(np.atleast_1d(centers))
         r = np.asarray(radii, dtype=np.float64)
         lo = np.searchsorted(self.atoms, x - r, side="right")
         hi = np.searchsorted(self.atoms, x + r, side="left")
