@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import kstest
 
 from kalls.seeding import substream
-from kalls.synth import (_FAMILY_TABLE, FAMILIES, check_doubling, check_margin,
+from kalls.synth import (_FAMILY_TABLE, FAMILIES, _eta_from_u, check_doubling, check_margin,
                          check_smoothness, make_problem)
 from kalls.thresholds import DoublingParams, MarginParams, SmoothnessParams
 
@@ -20,6 +21,8 @@ def all_default_problems():
 
 
 ONE_D_FAMILIES = ["power_margin_uniform_1d", "power_margin_gaussian_1d", "discrete_atoms"]
+# the d = 1 families whose marginal has a density, so ball masses are CDF differences
+CONTINUOUS_1D = ["power_margin_uniform_1d", "power_margin_gaussian_1d"]
 
 
 class TestFactory:
@@ -157,6 +160,56 @@ class TestBallMass:
         p = make_problem("product_uniform_nd", kappa=1.0, d=3)
         with pytest.raises(NotImplementedError):
             p.ball_mass(np.array([[0.5, 0.5, 0.5]]), np.array([0.1]))
+
+
+class TestFamilyLaws:
+    """A d = 1 family is its ``sample`` and its marginal CDF ``cdf``: eta reads
+    u = F(x) and an open ball has mass F(x + r) - F(x - r)."""
+
+    # centres inside and outside the uniform support and in the Gaussian tails
+    CENTERS = np.concatenate([np.linspace(-2.0, 3.0, 51), [-9.0, 9.0]])
+    RADII = np.array([0.0, 1e-3, 0.05, 0.3, 1.0, 4.0])
+
+    def grid(self):
+        cc, rr = np.meshgrid(self.CENTERS, self.RADII, indexing="ij")
+        return cc.reshape(-1, 1), rr.ravel()
+
+    @pytest.mark.parametrize("family", CONTINUOUS_1D)
+    def test_ball_mass_is_the_cdf_difference(self, family):
+        p = make_problem(family, kappa=1.0)
+        c, r = self.grid()
+        got = p.ball_mass(c, r)
+        want = p.cdf(c[:, 0] + r) - p.cdf(c[:, 0] - r)
+        assert np.array_equal(got, want)
+        assert np.all(got[r == 0.0] == 0.0)
+
+    def test_uniform_mass_is_the_clipped_interval_length(self):
+        # the interval length min(x + r, 1) - max(x - r, 0), clipped to [0, 1]
+        p = make_problem("power_margin_uniform_1d", kappa=1.0)
+        c, r = self.grid()
+        x = c[:, 0]
+        want = np.clip(np.minimum(x + r, 1.0) - np.maximum(x - r, 0.0), 0.0, 1.0)
+        assert np.array_equal(p.ball_mass(c, r), want)
+
+    @pytest.mark.parametrize("family", ONE_D_FAMILIES)
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.0])
+    def test_eta_reads_the_cdf(self, family, kappa):
+        p = make_problem(family, kappa=kappa)
+        X = np.concatenate([p.sample(1000, substream(14, "points")), self.CENTERS[:, None]])
+        assert np.array_equal(p.eta(X), _eta_from_u(p.cdf(X[:, 0]), kappa))
+
+    @pytest.mark.parametrize("family", CONTINUOUS_1D)
+    def test_sample_follows_the_cdf(self, family):
+        p = make_problem(family, kappa=1.0)
+        X = p.sample(20_000, substream(13, "points"))
+        assert X.shape == (20_000, 1)
+        assert kstest(X[:, 0], p.cdf).pvalue > 1e-3
+
+    def test_atom_cdf_is_the_midpoint_of_its_jump(self):
+        p = make_problem("discrete_atoms", kappa=1.0)
+        k = np.arange(p.n_atoms)
+        assert np.array_equal(p.cdf(p.atoms), p.atoms)
+        assert np.array_equal(p.atoms, (k / p.n_atoms + (k + 1) / p.n_atoms) / 2.0)
 
 
 class TestCheckers:
