@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -372,6 +373,64 @@ class TestRunCommand:
         before = open(path, "rb").read()
         main(["run", "--config", path, "--out", str(tmp_path / "o")])
         assert open(path, "rb").read() == before
+
+
+# The CI smoke configs that run records through reliable, and one uniform
+# kappa 1 cached_labels run that keeps 417 records (R up to 417 per point)
+_SMOOTH = {"alpha": 1.0, "L": 1.2}
+PINNED_RUNS = {
+    # d = 1: every ball is cut
+    "noiseless": ({"problem": {"family": "power_margin_uniform_1d", "kappa": 0.0},
+                   "smoothness_override": _SMOOTH, "pool_size": 800, "budgets": [20000],
+                   "epsilon": 0.4, "delta": 0.05, "seeds": [3], "n_test": 500},
+                  (20000, "budget_exhausted", 27, 0, 0, 0, 102, 27, 2),
+                  "82aaea7872a7ec6286a44ec2fcf24d50bf99f54ff61a5421f55654c1279c4387",
+                  "e1b464a281a32e4369c59c3cf6840ba146d62c6dcd0b78bd45317f2e6c286b79"),
+    "noiseless_2d": ({"problem": {"family": "product_uniform_nd", "d": 2, "kappa": 0.0},
+                      "smoothness_override": _SMOOTH, "pool_size": 2000, "budgets": [20000],
+                      "epsilon": 0.4, "delta": 0.05, "budget_mode": "cached_labels",
+                      "seeds": [3]},
+                     (2000, "pool_exhausted", 2000, 0, 0, 0, 206150, 2000, 59),
+                     "344cd3bc2d147672ca8cb0756bd518570b5db9f492decf7111be4bf8bab39193",
+                     "1b021cd950cb7c8cda1500659622981cf21c2a707c022d30de2096876aa34a09"),
+    # i_max 80: the last stage holds 2^80 draws, and its two passes are on
+    # empty balls
+    "atoms_empty_ball": ({"problem": {"family": "discrete_atoms", "kappa": 0.0},
+                          "smoothness_override": {"alpha": 0.12, "L": 1.2}, "pool_size": 1000,
+                          "budgets": [50000], "epsilon": 0.4, "delta": 0.05, "seeds": [3]},
+                         (50000, "budget_exhausted", 57, 2, 2, 2**81, 790, 55, 8),
+                         "46739c0281aaea099c36105a091a89282b33e7406ef696b6d1ee7328d1d7caea",
+                         "db333028c350f45ef14a808ae276dbbdd7b27ce818ab22bab5f3139753d295e3"),
+    "uniform_cached": ({"problem": {"family": "power_margin_uniform_1d", "kappa": 1.0},
+                        "pool_size": 2000, "budgets": [4000], "epsilon": 0.25, "delta": 0.05,
+                        "c_const": 1.0, "budget_mode": "cached_labels", "seeds": [3]},
+                       (2000, "pool_exhausted", 2000, 27, 137, 287309824, 850524, 1973, 417),
+                       "f19f8127c5d098552261ee24001f3c036073084598d9d84cf95b781ad651876f",
+                       "1c23bede06d2ae8ac679afeaadbc34b2ca627df3f0aff99c5835d3eb6ad13b03"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_run_outputs_are_pinned(tmp_path, name):
+    """``kalls run`` writes the same trace and active set as when these pins
+    were recorded: the counters as numbers, and the SHA-256 of the trace
+    without ``tool_version`` and ``config`` (sorted-key JSON) and of the
+    active-set rows (the CSV without its '#' lines)."""
+    config, counters, trace_sha, rows_sha = PINNED_RUNS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    tag = f"seed3_n{config['budgets'][0]}"
+    trace = json.loads((tmp_path / f"trace_{tag}.json").read_text())
+    del trace["tool_version"], trace["config"]
+    rows = "".join(line for line in open(tmp_path / f"active_set_{tag}.csv")
+                   if not line.startswith("#"))
+    assert (*(trace[key] for key in ("labels_spent", "stopped_reason", "points_scanned",
+                                     "reliable_skips", "estimator_calls", "estimator_draws",
+                                     "estimator_bounded")),
+            len(trace["per_point"]), rows.count("\n") - 1) == counters
+    assert hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest() == trace_sha
+    assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha
 
 
 class TestSweepCommand:
