@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
+from operator import getitem
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import thresholds as th
-from .estimation import est_prob, pass_negligible, stage_table
+from .estimation import cut_counts, est_prob, stage_table
 from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
 
 # BerEst's u in the informativeness test.  Its dichotomy certifies a mass
@@ -172,7 +173,7 @@ class RunTrace:
     ``len(per_point) + reliable_skips == points_scanned``.
     ``estimator_calls`` and ``estimator_draws`` count ``reliable``'s
     ``est_prob`` calls and the draws they used, and ``estimator_bounded``
-    the balls it failed without a call (``pass_negligible``), so
+    the balls it failed without a call (``estimation.cut_counts``), so
     ``estimator_calls + estimator_bounded`` counts the balls it tested."""
 
     labels_spent: int = 0
@@ -305,7 +306,7 @@ class RecordRows:
         self.active = ActiveSet()
         self.points = np.zeros((0, smooth.d))
         self.rows: list[np.ndarray] = []
-        self.eps_o: list[float] = []
+        self.eps_o = np.zeros(0)
 
     def append(self, record: ActiveRecord, row: np.ndarray) -> None:
         """Keep ``record`` and its sorted pool ``row``.  ValueError, with the
@@ -316,7 +317,7 @@ class RecordRows:
         self.active.append(record)
         self.points = points
         self.rows.append(row)
-        self.eps_o.append(eps_o)
+        self.eps_o = np.append(self.eps_o, eps_o)
 
 
 def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
@@ -336,28 +337,31 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     ``rows`` is the run's record table (``RecordRows``): the records' points,
     sorted pool rows and accuracies, all computed when each record was
     accepted; its rows and ``x_row`` are rows over the same pool of w
-    points.  A record the test reaches reads its stage table at delta' =
-    ``delta_s`` and u = 50 (``stage_table``) and takes its threshold
-    75/94 eps_o, both of which its two balls share.  A ball that
-    ``pass_negligible`` finds would pass with probability below 2^-64 fails
-    without a draw; every other ball is one ``est_prob`` call, which only
-    draws.  Leaving out those draws moves the law of each ball's outcome by
-    less than 2^-64, and a run's by less than that times the balls tested.
-    The balls are counted before either, on sorted rows of
-    squared distances to the pool: ``x_row`` is X's full row, its own 0.0
-    included, which ``run_kalls`` takes from its one ``center_order`` of the
-    scan step and keeps as the row of the record X becomes.  One
-    ``searchsorted`` of all the squared radii in ``x_row`` counts every ball
-    around X; each record's ball is one ``searchsorted`` in its row, made
-    only when the test reaches the record.  The squared radii are
-    ``np.sqrt`` of the sorted squared record distances that
-    ``nearest_order`` gives, squared again in place, bit for bit the scalar
-    ``radius * radius``, so the counts equal ``count_nonzero(d2 < r2)`` on
-    the unsorted ``sq_dists`` rows and every cut and binomial draw, and the
+    points.  ``x_row`` is X's full row, its own 0.0 included, which
+    ``run_kalls`` takes from its one ``center_order`` of the scan step and
+    keeps as the row of the record X becomes.
+
+    A call costs a fixed number of array operations over the R records:
+    their order and squared radii (``np.sqrt`` of the sorted squared record
+    distances that ``nearest_order`` gives, squared again in place, bit for
+    bit the scalar ``radius * radius``), their thresholds 75/94 eps_o, and
+    each record's c* at delta' = ``delta_s`` and u = 50 (``cut_counts``):
+    the smallest ball count whose pass has probability below 2^-64.  A ball
+    of c* points or more fails without a draw.  A sorted row's count is the
+    number of its entries below r2, so that is a ball whose row has its
+    (c*)th entry below r2: one gather in each record's row and one in X's,
+    and no ball is counted.  Leaving out those draws moves the law of each
+    ball's outcome by less than 2^-64, and a run's by less than that times
+    the balls tested.  Only the balls the cut keeps, in the test's order,
+    are counted, each with one ``searchsorted`` in its row, and each is one
+    ``est_prob`` call, which only draws, on its record's stage table
+    (``stage_table``).  The counts equal ``count_nonzero(d2 < r2)`` on the
+    unsorted ``sq_dists`` rows, so every cut and binomial draw, and the
     random stream, is that of a fresh distance row per ball.
 
     Each call adds its ``est_prob`` calls, their draws and the balls it
-    failed without a call to the counters of ``rows.trace``, and a pass
+    failed without a call (the balls it tested less its calls) to the
+    counters of ``rows.trace``, and a pass
     appends a ``SkipCertificate`` for the point under test, the trace's
     ``points_scanned``.
     """
@@ -366,30 +370,40 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     order, r2 = nearest_order(rows.points, x)
     np.sqrt(r2, out=r2)  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    record_rows, eps_o = rows.rows, rows.eps_o
-    w = x_row.shape[0]
+    record_rows, w = rows.rows, x_row.shape[0]
+    eps_o = rows.eps_o[order]
+    accept = RELIABLE_ACCEPT_RATIO * eps_o
+    # a ball is cut when it holds c* points or more, that is when the
+    # (c*)th entry of its sorted row is below r2
+    first = cut_counts(eps_o, delta_s, _U, accept, w)
+    heavy = first <= w
+    edge = np.minimum(first, w) - 1
+    record_edge = np.fromiter(map(getitem, map(record_rows.__getitem__, order.tolist()),
+                                  edge.tolist()), np.float64, len(record_rows))
+    record_cut = heavy & (record_edge < r2)
+    point_cut = heavy & (x_row[edge] < r2)
 
-    calls = draws = bounded = 0
-    passed = None
-    for j, r2_j, in_x in zip(order.tolist(), r2.tolist(), x_row.searchsorted(r2).tolist()):
-        stages, threshold = stage_table(eps_o[j], delta_s, _U), RELIABLE_ACCEPT_RATIO * eps_o[j]
-        for ball, in_ball in (("record", int(record_rows[j].searchsorted(r2_j))),
-                              ("point", in_x)):
-            if pass_negligible(in_ball, w, stages, threshold):
-                bounded += 1
+    calls = draws = 0
+    tested, passed = 2 * len(record_rows), None
+    for k in np.flatnonzero(~(record_cut & point_cut)).tolist():
+        j = int(order[k])
+        stages, threshold = stage_table(float(eps_o[k]), delta_s, _U), float(accept[k])
+        for ball, cut, row in (("record", record_cut[k], record_rows[j]),
+                               ("point", point_cut[k], x_row)):
+            if cut:
                 continue
-            est = est_prob(in_ball, w, stages, rng)
+            est = est_prob(int(row.searchsorted(r2[k])), w, stages, rng)
             calls += 1
             draws += est.draws_used
             if est.p_hat <= threshold:
-                passed = j, ball
+                passed, tested = (j, ball), 2 * k + (1 if ball == "record" else 2)
                 break
         if passed is not None:
             break
     trace = rows.trace
     trace.estimator_calls += calls
     trace.estimator_draws += draws
-    trace.estimator_bounded += bounded
+    trace.estimator_bounded += tested - calls
     if passed is None:
         return False
     j, ball = passed

@@ -17,9 +17,11 @@ their draws at once (m_live of them, m_live the first stage that can stop),
 and a sum of independent Binomial(n_i, p) counts is Binomial(sum n_i, p), so
 the law of (p_hat, draws_used, terminated_early) is unchanged.
 
-``pass_negligible`` tells a caller that tests ``p_hat <= accept`` when a
-ball is so heavy that the test passes with probability below 2^-64 (a
-Chernoff bound), so the ball can fail without a draw.
+``cut_counts`` tells a caller that tests ``p_hat <= accept`` the smallest
+count at which a ball is so heavy that the test passes with probability
+below 2^-64 (a Chernoff bound), so that every heavier ball can fail without
+a draw; it takes an array of accuracies, one threshold table for all of
+them, and no count.
 """
 from __future__ import annotations
 
@@ -86,33 +88,89 @@ def stage_table(epsilon_o: float, delta_prime: float,
     return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
+def _max_stages(epsilon_o: np.ndarray, delta_prime: float, u: int) -> np.ndarray:
+    """``ber_est_max_stage`` of each accuracy in ``epsilon_o``, all in (0, 1),
+    as an int64 array.  With t = u / eps_o and x = 8t / delta', K = 4t log x
+    and 2K / delta' = x log x, so i_max = floor(log2(t log(x log x))).  That
+    differs from the scalar's rounding, and numpy's ``log`` from
+    ``math.log``, in the last bits, so an entry within 1e-9 of an integer,
+    where the floor could move, takes the scalar's value."""
+    t = u / epsilon_o
+    x = t * (8.0 / delta_prime)
+    up = np.log2(t * np.log(x * np.log(x))) + 1e-9
+    i_max = np.floor(up)
+    near = np.flatnonzero(up - i_max < 2e-9).tolist()
+    i_max = i_max.astype(np.int64)
+    for j in near:
+        i_max[j] = ber_est_max_stage(float(epsilon_o[j]), delta_prime, u)
+    return i_max
+
+
 # 70 bits where the claim is 64: the margin covers the rounding of the test
 _CUT_LOG = 70.0 * math.log(2.0)
 
 
-def pass_negligible(in_ball: int, w: int, stages: tuple[tuple[int, float], ...],
-                    accept: float) -> bool:
-    """True only where ``est_prob(in_ball, w, stages, rng)`` returns p_hat
-    <= ``accept`` with probability below 2^-64, so the caller may count the
-    ball as failed without drawing.
+def _chernoff_cut(count: np.ndarray, w: int, m_rel: np.ndarray, accept: np.ndarray,
+                  bits: np.ndarray) -> np.ndarray:
+    """Whether a ball of ``count`` of the w pool points is cut, entry by entry:
+    p = count / w > a and m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), with
+    ``bits`` = 70 ln 2 + ln n_rel."""
+    p = count / w
+    return (p > accept) & (m_rel * (p - accept) ** 2 > 2.0 * p * bits)
 
-    The loop can end with an estimate <= ``accept`` only at a stage whose
-    threshold is below ``accept`` (an early stop has p_hat above the
+
+def cut_counts(epsilon_o: np.ndarray, delta_prime: float, u: int, accept: np.ndarray,
+               w: int) -> np.ndarray:
+    """The smallest ball count c* of the w pool points at which
+    ``est_prob(c, w, stage_table(epsilon_o[j], delta_prime, u), rng)``
+    returns p_hat <= ``accept[j]`` with probability below 2^-64, for each
+    entry j, as an int64 array; w + 1 where no count is cut.  A caller that tests ``p_hat <= accept`` may count every ball of
+    c >= c* points as failed without drawing.
+
+    The loop can end with an estimate <= a = ``accept[j]`` only at a stage
+    whose threshold is below a (an early stop has p_hat above the
     threshold) or at the last stage; the thresholds fall with m, so these
     are the last n_rel stages, from m_rel on.  At stage s the count of ones
-    is X_s ~ Binomial(m_s, p), p = in_ball / w, and p_hat = X_s / m_s, so
-    for p > a = ``accept`` the Chernoff lower tail and a union bound give
-    P(pass) <= n_rel * exp(-m_rel (p - a)^2 / (2p)).  This answers True
-    where m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), a bound below 2^-70.
-    An empty ball (p = 0) is never cut.
+    is X_s ~ Binomial(m_s, p), p = c / w, and p_hat = X_s / m_s, so for
+    p > a the Chernoff lower tail and a union bound give
+    P(pass) <= n_rel * exp(-m_rel (p - a)^2 / (2p)).  A count is cut where
+    p > a and m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), a bound below
+    2^-70 (``_chernoff_cut``).  That set of p is p > p+, the larger root of
+    the quadratic, so the cut is monotone in the count and c* is the first
+    count above p+ w.  Rounding moves p+ w by far less than 1e-6 (at any w
+    below 10^9), so an entry whose p+ w is within 1e-6 of a whole number
+    reads the predicate there.  An empty ball (c = 0) is never cut.
+
+    Every entry shares one threshold table, that of the largest i_max at
+    delta' and u; an entry whose i_max is smaller reads a prefix of it.
     """
-    p = in_ball / w
-    if p <= accept:
-        return False
-    n = 1
-    while n < len(stages) and stages[-n - 1][1] < accept:
-        n += 1
-    return stages[-n][0] * (p - accept) ** 2 > 2.0 * p * (_CUT_LOG + math.log(n))
+    i_max = _max_stages(epsilon_o, delta_prime, u)
+    top = int(i_max.max())
+    rising = np.array([threshold for _, threshold in reversed(_thresholds(delta_prime, u, top))])
+    # the stages of the table below accept are its last rising.searchsorted(accept);
+    # of an entry's stages, up to 2^i_max, those are the ones from 2^(top - that + 1)
+    # on; none where its i_max is below the table's first stage, when its own
+    # table is the dead stage 2^i_max alone
+    n_rel = np.maximum(i_max + (rising.searchsorted(accept) - top), 1)
+    m_rel = np.ldexp(2.0, i_max - n_rel)
+    bits = np.log(n_rel) + _CUT_LOG
+    # p+ = a + (bits + sqrt(bits (bits + 2 a m_rel))) / m_rel
+    root = accept * m_rel
+    root += root
+    root += bits
+    root *= bits
+    np.sqrt(root, out=root)
+    root += bits
+    root /= m_rel
+    root += accept
+    root *= w
+    root += 1e-6
+    c_star = np.floor(root)
+    near = root - c_star < 2e-6  # c* is c_star or c_star + 1
+    c_star += 1.0
+    if near.any():
+        c_star -= near & _chernoff_cut(c_star - 1.0, w, m_rel, accept, bits)
+    return np.minimum(c_star, w + 1, out=c_star).astype(np.int64)
 
 
 def _stage_loop(ones_in: Callable[[int], int],

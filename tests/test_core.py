@@ -14,14 +14,14 @@ import kalls.thresholds
 from kalls.core import (RELIABLE_ACCEPT_RATIO, ActiveRecord, ActiveSet, PerPointRecord,
                         RecordRows, RunTrace, SkipCertificate, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import (BerEstResult, _stage_loop, est_prob, g_factor, pass_negligible,
-                              stage_table)
+from kalls.estimation import BerEstResult, _stage_loop, cut_counts, est_prob, g_factor, stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
                               adaptive_budget_bound, confidence_radius, per_point_delta)
+from test_estimation import scalar_cut
 
 DELTA_S = 0.0015625  # delta = 0.05 at scan position s = 1
 
@@ -234,10 +234,11 @@ class TestReliable:
 def reference_reliable(points, x, delta_s, smooth, active, rng, balls=None):
     """``reliable`` for ``x`` with a fresh distance row to the pool ``points``
     per ball, counted with ``count_nonzero(d2 < r2)``, and eps_o, the
-    threshold and the stage table (at the core's u) computed per ball: the
-    reference the sorted rows must match.  Each ball appends to ``balls``
-    its (count, w, stage table, threshold, draws used), the draws None where
-    ``pass_negligible`` fails it without a draw."""
+    threshold and the stage table (at the core's u) computed per ball, and
+    the scalar Chernoff cut: the reference the sorted rows and the array cut
+    must match.  Each ball appends to ``balls`` its (count, w, stage table,
+    threshold, draws used), the draws None where the cut fails it without a
+    draw."""
     if not active.records:
         return False
     order = nearest_order(active.points(), x)[0]
@@ -251,7 +252,7 @@ def reference_reliable(points, x, delta_s, smooth, active, rng, balls=None):
         threshold = RELIABLE_ACCEPT_RATIO * eps_o
         for row in (sq_dists(points, rec.point)[0], d2_x):
             count, w = int(np.count_nonzero(row < radius * radius)), row.shape[0]
-            if pass_negligible(count, w, stages, threshold):
+            if scalar_cut(count, w, stages, threshold):
                 if balls is not None:
                     balls.append((count, w, stages, threshold, None))
                 continue
@@ -267,11 +268,16 @@ class TestSortedRows:
     """``run_kalls`` takes one ``center_order`` per scanned point; ``reliable``
     counts its balls on the sorted pool row it gives, which an accepted point
     keeps as its record's row.  The estimation stream must be that of a fresh
-    distance row per ball: each ball goes to ``pass_negligible`` with its
-    count, and then, unless it is cut, to one ``est_prob`` call."""
+    distance row per ball: each ball is cut where the scalar Chernoff cut of
+    its count is, by ``cut_counts``' c*, and every other ball is one
+    ``est_prob`` call with that count."""
 
     @staticmethod
     def _noiseless_run(d, seed, reference=False):
+        """The run and, per ``reliable`` call on a nonempty record table, what
+        it tested: with the fresh rows of ``reference_reliable``, its balls;
+        else ``cut_counts``' c* and accept in test order, the balls tested and
+        the (count, w, stage table, draws used) of each ``est_prob`` call."""
         family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
         problem = make_problem(family, kappa=0.0, d=d, seed=0)
         pts = problem.sample(1500, substream(seed, "pool"))
@@ -281,52 +287,73 @@ class TestSortedRows:
         oracle = LabelOracle(pool, problem.eta, 60_000, seed=seed)
         config = KallsConfig(epsilon=0.4, delta=0.5, n=60_000)
         rng = substream(seed, "estimation")
-        balls = []  # (count, w, stages, threshold, draws used or None), in test order
+        tests, inner = [], kalls.core.reliable  # a test's own spy, if it set one
 
         def fresh_rows(x, x_row, delta_s, rows, rng):
             # eps_o from each record's lb, never from rows.eps_o
+            if rows.rows:
+                tests.append([])
             return reference_reliable(pool.points, x, delta_s, rows.smooth, rows.active,
-                                      rng, balls)
+                                      rng, tests[-1] if rows.rows else None)
 
-        def cut_spy(in_ball, w, stages, accept):
-            balls.append((in_ball, w, stages, accept, None))
-            return pass_negligible(in_ball, w, stages, accept)
+        def spied(x, x_row, delta_s, rows, rng):
+            if not rows.rows:
+                return inner(x, x_row, delta_s, rows, rng)
+            tests.append({"drawn": []})
+            before = rows.trace.estimator_calls + rows.trace.estimator_bounded
+            out = inner(x, x_row, delta_s, rows, rng)
+            tests[-1]["tested"] = rows.trace.estimator_calls + rows.trace.estimator_bounded - before
+            return out
 
-        def spy(in_ball, w, stages, rng):
+        def cut_spy(eps_o, delta_s, u, accept, w):
+            first = cut_counts(eps_o, delta_s, u, accept, w)
+            assert "first" not in tests[-1]  # one array cut per call
+            tests[-1].update(first=first.tolist(), accept=accept.tolist(), w=w)
+            return first
+
+        def draw_spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
-            assert balls[-1][:3] == (in_ball, w, stages) and balls[-1][4] is None
-            balls[-1] = (*balls[-1][:4], res.draws_used)
+            tests[-1]["drawn"].append((in_ball, w, stages, res.draws_used))
             return res
 
         with pytest.MonkeyPatch.context() as m:
             if reference:
                 m.setattr(kalls.core, "reliable", fresh_rows)
             else:
-                m.setattr(kalls.core, "pass_negligible", cut_spy)
-                m.setattr(kalls.core, "est_prob", spy)
+                m.setattr(kalls.core, "reliable", spied)
+                m.setattr(kalls.core, "cut_counts", cut_spy)
+                m.setattr(kalls.core, "est_prob", draw_spy)
             active, trace = run_kalls(pool, oracle, config,
                                       SmoothnessParams(alpha=1.0, L=1.2, d=d),
                                       problem.certified_margin, est_rng=rng)
-        return active, trace, rng.bit_generator.state, balls
+        return active, trace, rng.bit_generator.state, tests
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_stream_matches_fresh_distance_rows(self, d):
         skips = drawn = cut = 0
         for seed in (1, 2, 3):
-            active, trace, state, balls = self._noiseless_run(d, seed)
-            ref_active, ref_trace, ref_state, ref_balls = self._noiseless_run(
+            active, trace, state, tests = self._noiseless_run(d, seed)
+            ref_active, ref_trace, ref_state, ref_tests = self._noiseless_run(
                 d, seed, reference=True)
             assert trace.per_point == ref_trace.per_point
             assert trace.reliable_skips == ref_trace.reliable_skips
             assert state == ref_state
-            # every ball with the reference's count, table and threshold, cut
-            # where the reference's is, and otherwise with its draws
-            assert len(balls) == len(ref_balls) > 0
-            assert balls == ref_balls
+            assert len(tests) == len(ref_tests) > 0
+            for test, balls in zip(tests, ref_tests):
+                # the reference's balls, each with the threshold of its record,
+                # cut by c* exactly where the scalar cut of its fresh count is
+                assert test["tested"] == len(balls) > 0
+                for i, (count, w, _, threshold, used) in enumerate(balls):
+                    assert (w, threshold) == (test["w"], test["accept"][i // 2])
+                    assert (used is None) == (count >= test["first"][i // 2])
+                # and every other ball drawn with its count, table and draws
+                assert test["drawn"] == [(count, w, stages, used)
+                                         for count, w, stages, _, used in balls
+                                         if used is not None]
+                drawn += len(test["drawn"])
+                cut += test["tested"] - len(test["drawn"])
             assert len(active) == len(ref_active) > 1
             skips += trace.reliable_skips
-            drawn += sum(b[4] is not None for b in balls)
-            cut += sum(b[4] is None for b in balls)
         assert skips > 0 and drawn > 0 and cut > 0  # the test passes as well as fails
 
     def test_rows_follow_the_pool(self):
@@ -346,8 +373,12 @@ class TestSortedRows:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_trace_counts_every_estimate(self, d):
-        active, trace, _, balls = self._noiseless_run(d, seed=2)
+        # the counters against the balls of the fresh-row reference
+        _, trace, _, tests = self._noiseless_run(d, seed=2)
+        _, _, _, ref_tests = self._noiseless_run(d, seed=2, reference=True)
+        balls = [ball for test in ref_tests for ball in test]
         draws = [b[4] for b in balls if b[4] is not None]
+        assert [call[3] for test in tests for call in test["drawn"]] == draws
         assert trace.estimator_calls == len(draws) > 0
         assert trace.estimator_draws == sum(draws)
         assert trace.estimator_bounded == len(balls) - len(draws) > 0
@@ -440,7 +471,7 @@ class TestRecordRows:
             rows.append(rec, np.zeros(3))
         eps_o = [(lb / (64.0 * 1.2)) ** (2 / 0.5) for lb in lbs]
         assert len(rows.rows) == 3
-        assert rows.eps_o == eps_o
+        assert rows.eps_o.tolist() == eps_o
         assert rows.active.records == records
         assert np.array_equal(rows.points, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
 
@@ -485,24 +516,26 @@ class TestRecordRows:
 
 
 class TestReliableCounts:
-    """``reliable`` counts every ball before ``pass_negligible`` and
-    ``est_prob`` see it: one ``searchsorted`` of all the squared radii in X's
-    row, and one in each reached record's row.  Each count must be
-    ``count_nonzero(d2 < r2)`` on a fresh distance row, with ties, duplicate
-    points and radius 0."""
+    """``reliable`` cuts a ball where its sorted row's (c*)th entry is below
+    r2, and counts each ball it keeps with one ``searchsorted`` in its row
+    before ``est_prob`` sees it.  The cut must be that of the scalar Chernoff
+    cut of ``count_nonzero(d2 < r2)`` on a fresh distance row, and each
+    count ``est_prob`` sees that count, with ties, duplicate points and
+    radius 0."""
 
     def test_counts_are_count_nonzero(self, monkeypatch):
-        balls, calls = [], []
+        cuts, calls = [], []
 
-        def cut_input(in_ball, w, stages, accept):
-            balls.append((in_ball, w, stages, accept))
-            return pass_negligible(in_ball, w, stages, accept)
+        def cut_input(eps_o, delta_s, u, accept, w):
+            first = cut_counts(eps_o, delta_s, u, accept, w)
+            cuts.append((eps_o.tolist(), delta_s, u, accept.tolist(), w, first.tolist()))
+            return first
 
         def recording(in_ball, w, stages, rng):
             calls.append((in_ball, w, stages))
             return BerEstResult(1.0, 8, True)  # never passes: every record is reached
 
-        monkeypatch.setattr(kalls.core, "pass_negligible", cut_input)
+        monkeypatch.setattr(kalls.core, "cut_counts", cut_input)
         monkeypatch.setattr(kalls.core, "est_prob", recording)
         lattice = substream(46, "pool").integers(0, 4, (120, 2)).astype(np.float64)
         pool = Pool(np.vstack([lattice, lattice[:10]]))  # ties, and 10 points twice
@@ -515,26 +548,33 @@ class TestReliableCounts:
             for src in sorted({1, 5, 9, 40, 77, 120, x_index, *twins}):
                 active.append(ActiveRecord(point=pool.points[src].copy(), inferred_label=1,
                                            lb=0.1 + src / 1000.0, source_index=src))
-            balls.clear()
+            cuts.clear()
             calls.clear()
             assert pool_reliable(pool, x_index, DELTA_S, smooth, active,
                                  substream(1, "estimation")) is False
             order = nearest_order(active.points(), pool.points[x_index])[0]
             d2 = sq_dists(active.points(), pool.points[x_index])[0]
             x_d2 = sq_dists(pool.points, pool.points[x_index])[0]
-            want = []
+            want, eps_os = [], []
             for j in order.tolist():
                 rec = active.records[j]
                 radius = float(np.sqrt(d2[j]))
-                eps_o = (rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+                eps_os.append((rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha))
                 for row in (sq_dists(pool.points, rec.point)[0], x_d2):
                     want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
-                                 stage_table(eps_o, DELTA_S, kalls.core._U),
-                                 RELIABLE_ACCEPT_RATIO * eps_o))
+                                 stage_table(eps_os[-1], DELTA_S, kalls.core._U),
+                                 RELIABLE_ACCEPT_RATIO * eps_os[-1]))
                     exact += radius * radius in row
-            # every ball reaches the cut, and each one it keeps est_prob
-            assert balls == want, x_index
-            kept = [ball[:3] for ball in want if not pass_negligible(*ball)]
+            # one array cut over the records, nearest first, at their accuracies
+            (cut_call,) = cuts
+            assert cut_call[:5] == (eps_os, DELTA_S, kalls.core._U,
+                                    [ball[3] for ball in want[::2]], pool.w)
+            # the balls c* cuts are the balls the scalar cut of their count
+            # cuts, and est_prob sees each other one with its count and table
+            first = cut_call[5]
+            assert [count >= first[i // 2] for i, (count, *_) in enumerate(want)] == \
+                [scalar_cut(*ball) for ball in want], x_index
+            kept = [ball[:3] for ball in want if not scalar_cut(*ball)]
             assert calls == kept, x_index
             empty += sum(ball[0] == 0 for ball in want)
             cut += len(want) - len(kept)
@@ -542,9 +582,32 @@ class TestReliableCounts:
         assert empty >= 8 and exact > 0 and cut > 0
 
 
+    def test_nothing_is_cut_where_c_star_is_past_the_pool(self, monkeypatch):
+        # c* = w + 1 cuts no count, not even a ball that holds all w points
+        calls = []
+
+        def recording(in_ball, w, stages, rng):
+            calls.append(in_ball)
+            return BerEstResult(1.0, 8, True)  # never passes
+
+        monkeypatch.setattr(kalls.core, "cut_counts",
+                            lambda eps_o, delta_s, u, accept, w: np.full(eps_o.shape, w + 1))
+        monkeypatch.setattr(kalls.core, "est_prob", recording)
+        pool = uniform_pool(50, seed=47)
+        active = ActiveSet()
+        # records off the pool's [0, 1]: their distance to X is more than 1,
+        # so each ball around X holds the whole pool
+        for src, point in enumerate((3.0, -2.5)):
+            active.append(ActiveRecord(point=np.array([point]), inferred_label=1, lb=0.2,
+                                       source_index=src))
+        assert pool_reliable(pool, 7, DELTA_S, SmoothnessParams(alpha=1.0, L=1.2, d=1),
+                             active, substream(1, "estimation")) is False
+        assert len(calls) == 4 and calls[1] == calls[3] == pool.w
+
+
 class TestNegligibleCut:
-    """``reliable`` fails a ball without a draw where ``pass_negligible``
-    bounds its pass probability below 2^-64.  The law of the outcome (no
+    """``reliable`` fails a ball without a draw where ``cut_counts`` bounds
+    its pass probability below 2^-64.  The law of the outcome (no
     pass, or a pass on record j's ball around X' or around X) must be the
     one without the cut."""
 
@@ -588,7 +651,9 @@ class TestNegligibleCut:
     def test_same_law_with_and_without_the_cut(self, monkeypatch):
         seeds = range(2000)
         cut, cut_trace = self._outcomes(seeds, 1)
-        monkeypatch.setattr(kalls.core, "pass_negligible", lambda *ball: False)
+        # no count is cut: c* = w + 1
+        monkeypatch.setattr(kalls.core, "cut_counts",
+                            lambda eps_o, delta_s, u, accept, w: np.full(eps_o.shape, w + 1))
         drawn, drawn_trace = self._outcomes(seeds, 2)
         outcomes = [None, (0, "point"), (1, "record"), (2, "record")]
         assert set(cut) == set(drawn) == set(outcomes)

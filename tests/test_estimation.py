@@ -7,14 +7,37 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2_contingency
 
-from kalls.estimation import (BerEstResult, _stage_loop, ber_est, ber_est_max_stage,
-                              est_prob, est_prob_from_sq_dists, g_factor, pass_negligible,
-                              stage_table)
+import kalls.estimation
+from kalls.estimation import (BerEstResult, _max_stages, _stage_loop, ber_est,
+                              ber_est_max_stage, cut_counts, est_prob, est_prob_from_sq_dists,
+                              g_factor, stage_table)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
+from kalls.thresholds import SmoothnessParams, per_point_delta
 
 # Standard parameters used throughout: accuracy 0.1, confidence 0.1, budget 50.
 EPS_O, DELTA_P, U = 0.1, 0.1, 50
+
+
+def scalar_cut(in_ball, w, stages, accept):
+    """The Chernoff cut of one ball of ``in_ball`` of the ``w`` pool points,
+    as a scalar: the reference ``cut_counts`` must match.  A pass, p_hat <=
+    a = ``accept``, needs one of the last n_rel stages, those whose
+    threshold is below a (or the last alone), the first of them m_rel
+    draws; the ball is cut where p = in_ball / w > a and
+    m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel)."""
+    p = in_ball / w
+    if p <= accept:
+        return False
+    n = 1
+    while n < len(stages) and stages[-n - 1][1] < accept:
+        n += 1
+    return stages[-n][0] * (p - accept) ** 2 > 2.0 * p * (70.0 * math.log(2.0) + math.log(n))
+
+
+def first_cut(eps_o, delta_prime, u, accept, w):
+    """``cut_counts`` of one ball."""
+    return int(cut_counts(np.array([eps_o]), delta_prime, u, np.array([accept]), w)[0])
 
 
 def const_sampler(value):
@@ -465,7 +488,7 @@ class TestStageTable:
 
 
 class TestPassNegligible:
-    """``pass_negligible`` cuts a ball only where ``est_prob`` passes,
+    """``cut_counts`` cuts a ball only where ``est_prob`` passes,
     p_hat <= accept, with probability below 2^-64.  A pass needs a stage
     where the loop can end with that estimate: one whose threshold is below
     accept (an early stop has p_hat above its threshold), or the last.  So
@@ -494,12 +517,14 @@ class TestPassNegligible:
             start = math.floor(accept * w)
             counts = np.union1d(np.arange(start, min(w, start + 5_000) + 1),
                                 np.linspace(0, w, 1001).astype(np.int64))
-            cut = np.array([pass_negligible(int(c), w, stages, accept) for c in counts])
+            cut = counts >= first_cut(eps_o, dp, U, accept, w)
+            # the cut is the scalar predicate at every count
+            assert cut.tolist() == [scalar_cut(int(c), w, stages, accept) for c in counts], \
+                (eps_o, dp, ratio, w)
             assert not cut[counts <= accept * w].any(), (eps_o, dp, ratio, w)
             if not cut.any():
                 continue
             first = int(cut.argmax())
-            assert cut[first:].all(), (eps_o, dp, ratio, w)  # heavier balls are cut too
             bound = self._pass_bound(stages, accept, counts[first:] / w)
             assert bound.max() < 2.0**-64, (eps_o, dp, ratio, w)
             below = counts[first] - 1
@@ -511,9 +536,110 @@ class TestPassNegligible:
         assert {0, 1} < stage_counts  # the last stage alone, and several stages
 
     def test_empty_and_light_balls_are_never_cut(self):
-        stages = stage_table(EPS_O, DELTA_P, U)
         accept = 75 / 94 * EPS_O
-        assert not pass_negligible(0, 1000, stages, accept)
-        assert not pass_negligible(0, 1000, stages, 0.0)
-        assert not pass_negligible(79, 1000, stages, accept)  # p below accept
-        assert pass_negligible(1000, 1000, stages, accept)
+        # 79 of 1000 is below accept; the whole pool is cut
+        assert 79 < first_cut(EPS_O, DELTA_P, U, accept, 1000) <= 1000
+        assert first_cut(EPS_O, DELTA_P, U, 0.0, 1000) >= 1  # an empty ball, even at 0
+
+
+class TestCutCounts:
+    """``cut_counts`` takes i_max from one numpy expression and c* from the
+    root of the cut's quadratic.  Both must be exact: i_max the scalar
+    ``ber_est_max_stage``, and c* the first count the scalar predicate cuts."""
+
+    @staticmethod
+    def _scalar_calls(monkeypatch):
+        calls = []
+        scalar = ber_est_max_stage
+
+        def counted(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(kalls.estimation, "ber_est_max_stage", counted)
+        return calls
+
+    @pytest.mark.parametrize("u", [7, 50])
+    def test_max_stages_is_the_scalars_on_a_grid(self, u, monkeypatch):
+        rng = substream(15, "estimation")
+        eps_o = 10.0 ** rng.uniform(-290, 0, 20_000)
+        scalar_calls = self._scalar_calls(monkeypatch)
+        for dp in (0.5, 0.05, 1e-4, per_point_delta(0.05, 2000), 1e-12):
+            want = [ber_est_max_stage(e, dp, u) for e in eps_o.tolist()]
+            scalar_calls.clear()
+            got = _max_stages(eps_o, dp, u)
+            assert got.dtype == np.int64 and got.tolist() == want, dp
+            assert len(scalar_calls) <= 5  # the scalar only near a whole log2
+
+    def test_max_stages_near_a_whole_log2(self, monkeypatch):
+        # bisect eps_o to the edge where i_max steps, so that its log2 is
+        # within 1e-12 of a whole number on either side
+        edges = []
+        for dp, target in itertools.product((0.1, 1e-6, 4e-10), (12, 20, 40, 70)):
+            lo, hi = 1e-300, 1.0 - 1e-12  # log eps_o: i_max > target at lo, <= at hi
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                if ber_est_max_stage(mid, dp, U) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            edges += [(lo, dp), (hi, dp)]
+            assert ber_est_max_stage(lo, dp, U) == target + 1 == ber_est_max_stage(hi, dp, U) + 1
+        scalar_calls = self._scalar_calls(monkeypatch)
+        for e, dp in edges:
+            around = [e * (1.0 + k * 2.0**-52) for k in range(-3, 4)]
+            got = _max_stages(np.array(around), dp, U)
+            assert got.tolist() == [ber_est_max_stage(a, dp, U) for a in around], (e, dp)
+        assert scalar_calls  # the edges take the scalar
+
+    def test_cut_is_the_scalar_predicate_around_c_star(self):
+        n_rels, dead, kept = set(), 0, 0
+        for d, ratio, w in itertools.product((1, 2), (75 / 94, 2.5), (2000, 50_000)):
+            smooth = SmoothnessParams(alpha=1.0, L=1.2, d=d)
+            eps_o = np.array([smooth.ball_accuracy(lb) for lb in (1e-3, 0.01, 0.05, 0.2, 0.5)]
+                             + [0.3, 0.6, 0.9])  # i_max below the shared table's first stage
+            for dp in (0.05, per_point_delta(0.05, 10), per_point_delta(0.05, 2000)):
+                accept = ratio * eps_o
+                first = cut_counts(eps_o, dp, U, accept, w)
+                assert first.dtype == np.int64
+                for e, a, c in zip(eps_o.tolist(), accept.tolist(), first.tolist()):
+                    stages = stage_table(e, dp, U)
+                    n_rels.add(min(sum(t < a for _, t in stages), 2))
+                    dead += stages[0][1] >= 1.0
+                    assert 1 <= c <= w + 1 and not scalar_cut(c - 1, w, stages, a), (e, dp, w)
+                    if c <= w:
+                        kept += 1
+                        assert scalar_cut(c, w, stages, a) and scalar_cut(c + 1, w, stages, a)
+        # n_rel = 1 (no stage, or the last alone, below accept) and n_rel > 1;
+        # entries whose own table is one dead stage; and cut counts
+        assert n_rels == {0, 1, 2} and dead > 0 and kept > 0
+
+    def test_root_within_a_millionth_of_a_count(self, monkeypatch):
+        # bisect accept to where c* steps, so that p+ w is within 1e-9 of a
+        # whole number: the predicate decides there
+        predicate = []
+        cut = kalls.estimation._chernoff_cut
+
+        def counted(*args):
+            predicate.append(args)
+            return cut(*args)
+
+        monkeypatch.setattr(kalls.estimation, "_chernoff_cut", counted)
+        steps = 0
+        for eps_o, dp, w in itertools.product((5e-3, 0.05), (1e-3, 4e-10), (20_000, 10**6)):
+            stages = stage_table(eps_o, dp, U)
+            lo, hi = 75 / 94 * eps_o, 0.9 * eps_o
+            c_lo, c_hi = first_cut(eps_o, dp, U, lo, w), first_cut(eps_o, dp, U, hi, w)
+            assert c_lo < c_hi <= w
+            while hi - lo > 1e-12 * lo:
+                mid = 0.5 * (lo + hi)
+                if first_cut(eps_o, dp, U, mid, w) == c_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            predicate.clear()
+            for a in (lo, hi):
+                c = first_cut(eps_o, dp, U, a, w)
+                assert not scalar_cut(c - 1, w, stages, a) and scalar_cut(c, w, stages, a)
+            steps += bool(predicate)
+        assert steps == 8
