@@ -374,14 +374,14 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     eps_o = rows.eps_o[order]
     accept = RELIABLE_ACCEPT_RATIO * eps_o
     # a ball is cut when it holds c* points or more, that is when the
-    # (c*)th entry of its sorted row is below r2
-    first = cut_counts(eps_o, delta_s, _U, accept, w)
-    heavy = first <= w
-    edge = np.minimum(first, w) - 1
+    # (c*)th entry of its sorted row is below r2; c* = w + 1 cuts none
+    c_star = cut_counts(eps_o, delta_s, _U, accept, w)
+    some = c_star <= w
+    edge = np.minimum(c_star, w) - 1
     record_edge = np.fromiter(map(getitem, map(record_rows.__getitem__, order.tolist()),
                                   edge.tolist()), np.float64, len(record_rows))
-    record_cut = heavy & (record_edge < r2)
-    point_cut = heavy & (x_row[edge] < r2)
+    record_cut = some & (record_edge < r2)
+    point_cut = some & (x_row[edge] < r2)
 
     calls = draws = 0
     tested, passed = 2 * len(record_rows), None

@@ -91,10 +91,11 @@ def stage_table(epsilon_o: float, delta_prime: float,
 def _max_stages(epsilon_o: np.ndarray, delta_prime: float, u: int) -> np.ndarray:
     """``ber_est_max_stage`` of each accuracy in ``epsilon_o``, all in (0, 1),
     as an int64 array.  With t = u / eps_o and x = 8t / delta', K = 4t log x
-    and 2K / delta' = x log x, so i_max = floor(log2(t log(x log x))).  That
-    differs from the scalar's rounding, and numpy's ``log`` from
-    ``math.log``, in the last bits, so an entry within 1e-9 of an integer,
-    where the floor could move, takes the scalar's value."""
+    and 2K / delta' = x log x, so i_max = floor(log2(t log(x log x))).  This
+    order of operations rounds differently from the scalar's, and numpy's
+    ``log`` may differ from ``math.log`` in the last bit, so an entry whose
+    log2 is within 1e-9 of a whole number, where the floor could move,
+    takes the scalar's value."""
     t = u / epsilon_o
     x = t * (8.0 / delta_prime)
     up = np.log2(t * np.log(x * np.log(x))) + 1e-9
@@ -124,8 +125,9 @@ def cut_counts(epsilon_o: np.ndarray, delta_prime: float, u: int, accept: np.nda
     """The smallest ball count c* of the w pool points at which
     ``est_prob(c, w, stage_table(epsilon_o[j], delta_prime, u), rng)``
     returns p_hat <= ``accept[j]`` with probability below 2^-64, for each
-    entry j, as an int64 array; w + 1 where no count is cut.  A caller that tests ``p_hat <= accept`` may count every ball of
-    c >= c* points as failed without drawing.
+    entry j, as an int64 array; w + 1 where no count is cut.  A caller
+    that tests ``p_hat <= accept`` may count every ball of c >= c* points
+    as failed without drawing.
 
     The loop can end with an estimate <= a = ``accept[j]`` only at a stage
     whose threshold is below a (an early stop has p_hat above the
@@ -147,30 +149,20 @@ def cut_counts(epsilon_o: np.ndarray, delta_prime: float, u: int, accept: np.nda
     i_max = _max_stages(epsilon_o, delta_prime, u)
     top = int(i_max.max())
     rising = np.array([threshold for _, threshold in reversed(_thresholds(delta_prime, u, top))])
-    # the stages of the table below accept are its last rising.searchsorted(accept);
-    # of an entry's stages, up to 2^i_max, those are the ones from 2^(top - that + 1)
-    # on; none where its i_max is below the table's first stage, when its own
-    # table is the dead stage 2^i_max alone
+    # the table's last rising.searchsorted(accept) stages have thresholds below
+    # accept; an entry's own table is the table's stages up to 2^i_max, or
+    # the dead stage 2^i_max alone where i_max is below the table's first
     n_rel = np.maximum(i_max + (rising.searchsorted(accept) - top), 1)
     m_rel = np.ldexp(2.0, i_max - n_rel)
     bits = np.log(n_rel) + _CUT_LOG
-    # p+ = a + (bits + sqrt(bits (bits + 2 a m_rel))) / m_rel
-    root = accept * m_rel
-    root += root
-    root += bits
-    root *= bits
-    np.sqrt(root, out=root)
-    root += bits
-    root /= m_rel
-    root += accept
-    root *= w
-    root += 1e-6
-    c_star = np.floor(root)
-    near = root - c_star < 2e-6  # c* is c_star or c_star + 1
-    c_star += 1.0
-    if near.any():
-        c_star -= near & _chernoff_cut(c_star - 1.0, w, m_rel, accept, bits)
-    return np.minimum(c_star, w + 1, out=c_star).astype(np.int64)
+    # p+ w, p+ = a + (bits + sqrt(bits (bits + 2a m_rel))) / m_rel, plus 1e-6
+    scaled = (accept + (bits + np.sqrt(bits * (bits + 2.0 * accept * m_rel))) / m_rel) * w + 1e-6
+    above = np.floor(scaled)
+    c_star = above + 1.0  # the first count above p+ w
+    near = scaled - above < 2e-6
+    if near.any():  # p+ w is within 1e-6 of the count above: the predicate decides
+        c_star -= near & _chernoff_cut(above, w, m_rel, accept, bits)
+    return np.minimum(c_star, w + 1).astype(np.int64)
 
 
 def _stage_loop(ones_in: Callable[[int], int],

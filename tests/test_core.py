@@ -299,10 +299,13 @@ class TestSortedRows:
         def spied(x, x_row, delta_s, rows, rng):
             if not rows.rows:
                 return inner(x, x_row, delta_s, rows, rng)
+            def tested():
+                return rows.trace.estimator_calls + rows.trace.estimator_bounded
+
             tests.append({"drawn": []})
-            before = rows.trace.estimator_calls + rows.trace.estimator_bounded
+            before = tested()
             out = inner(x, x_row, delta_s, rows, rng)
-            tests[-1]["tested"] = rows.trace.estimator_calls + rows.trace.estimator_bounded - before
+            tests[-1]["tested"] = tested() - before
             return out
 
         def cut_spy(eps_o, delta_s, u, accept, w):
