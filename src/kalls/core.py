@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from operator import getitem
 from dataclasses import dataclass, field
+from operator import getitem
 
 import numpy as np
 
 from . import thresholds as th
 from .estimation import cut_counts, est_prob, stage_table
-from .pool import LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order
+from .pool import (LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order,
+                   sq_dists)
 
 # BerEst's u in the informativeness test.  Its dichotomy certifies a mass
 # <= eps_o from an estimate <= eps_o / g(u), and 75/94 = 1/g(50); at a smaller
@@ -287,8 +288,8 @@ class RecordRows:
     records, which ``run_kalls`` returns; ``points`` is their points as an
     (R, d) array; ``rows`` their sorted pool rows (the squared distances from
     the record's point to the pool, ascending); ``eps_o`` their accuracies
-    (``record_accuracy``).  All of it is computed once, when the record is
-    accepted.
+    (``record_accuracy``), as a float64 array.  All of it is computed once,
+    when the record is accepted.
 
     ``delta_min`` is the smallest delta' of the run, that of its last scanned
     point.  lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the
@@ -342,57 +343,60 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     keeps as the row of the record X becomes.
 
     A call costs a fixed number of array operations over the R records:
-    their order and squared radii (``np.sqrt`` of the sorted squared record
-    distances that ``nearest_order`` gives, squared again in place, bit for
-    bit the scalar ``radius * radius``), their thresholds 75/94 eps_o, and
-    each record's c* at delta' = ``delta_s`` and u = 50 (``cut_counts``):
-    the smallest ball count whose pass has probability below 2^-64.  A ball
-    of c* points or more fails without a draw.  A sorted row's count is the
-    number of its entries below r2, so that is a ball whose row has its
-    (c*)th entry below r2: one gather in each record's row and one in X's,
-    and no ball is counted.  Leaving out those draws moves the law of each
+    their squared radii (``np.sqrt`` of the squared record distances that
+    ``sq_dists`` gives, squared again in place, bit for bit the scalar
+    ``radius * radius``), their thresholds 75/94 eps_o, and each record's c*
+    at delta' = ``delta_s`` and u = 50 (``cut_counts``): the smallest ball
+    count whose pass has probability below 2^-64.  A ball of c* points or
+    more fails without a draw.  A sorted row's count is the number of its
+    entries below r2, so that is a ball whose row has its (c*)th entry
+    below r2: one gather in each record's row and one in X's, and no ball
+    is counted to be cut.  Leaving out those draws moves the law of each
     ball's outcome by less than 2^-64, and a run's by less than that times
-    the balls tested.  Only the balls the cut keeps, in the test's order,
-    are counted, each with one ``searchsorted`` in its row, and each is one
-    ``est_prob`` call, which only draws, on its record's stage table
-    (``stage_table``).  The counts equal ``count_nonzero(d2 < r2)`` on the
-    unsorted ``sq_dists`` rows, so every cut and binomial draw, and the
+    the balls tested.  Only where the cut keeps a ball are the records
+    ordered, nearest first (``nearest_order``), and only the kept balls are
+    counted, each with one ``searchsorted`` in its row, in the test's order;
+    each is one ``est_prob`` call, which only draws, on its record's stage
+    table (``stage_table``).  The counts equal ``count_nonzero(d2 < r2)`` on
+    the unsorted ``sq_dists`` rows, so every cut and binomial draw, and the
     random stream, is that of a fresh distance row per ball.
 
     Each call adds its ``est_prob`` calls, their draws and the balls it
     failed without a call (the balls it tested less its calls) to the
-    counters of ``rows.trace``, and a pass
-    appends a ``SkipCertificate`` for the point under test, the trace's
-    ``points_scanned``.
+    counters of ``rows.trace``, and a pass appends a ``SkipCertificate``
+    for the point under test, the trace's ``points_scanned``.
     """
     if not rows.rows:
         return False
-    order, r2 = nearest_order(rows.points, x)
-    np.sqrt(r2, out=r2)  # bit for bit the scalar sqrt of each entry
+    r2 = np.sqrt(sq_dists(rows.points, x)[0])  # bit for bit the scalar sqrt of each entry
     r2 *= r2
-    record_rows, w = rows.rows, x_row.shape[0]
-    eps_o = rows.eps_o[order]
+    record_rows, eps_o, w = rows.rows, rows.eps_o, x_row.shape[0]
     accept = RELIABLE_ACCEPT_RATIO * eps_o
     # a ball is cut when it holds c* points or more, that is when the
     # (c*)th entry of its sorted row is below r2; c* = w + 1 cuts none
     c_star = cut_counts(eps_o, delta_s, _U, accept, w)
     some = c_star <= w
     edge = np.minimum(c_star, w) - 1
-    record_edge = np.fromiter(map(getitem, map(record_rows.__getitem__, order.tolist()),
-                                  edge.tolist()), np.float64, len(record_rows))
+    record_edge = np.fromiter(map(getitem, record_rows, edge.tolist()), np.float64,
+                              len(record_rows))
     record_cut = some & (record_edge < r2)
     point_cut = some & (x_row[edge] < r2)
+    kept = ~(record_cut & point_cut)
 
     calls = draws = 0
     tested, passed = 2 * len(record_rows), None
-    for k in np.flatnonzero(~(record_cut & point_cut)).tolist():
+    positions = []
+    if kept.any():  # the positions of the records with a kept ball, nearest first
+        order = nearest_order(rows.points, x)[0]
+        positions = np.flatnonzero(kept[order]).tolist()
+    for k in positions:
         j = int(order[k])
-        stages, threshold = stage_table(float(eps_o[k]), delta_s, _U), float(accept[k])
-        for ball, cut, row in (("record", record_cut[k], record_rows[j]),
-                               ("point", point_cut[k], x_row)):
+        stages, threshold = stage_table(float(eps_o[j]), delta_s, _U), float(accept[j])
+        for ball, cut, row in (("record", record_cut[j], record_rows[j]),
+                               ("point", point_cut[j], x_row)):
             if cut:
                 continue
-            est = est_prob(int(row.searchsorted(r2[k])), w, stages, rng)
+            est = est_prob(int(row.searchsorted(r2[j])), w, stages, rng)
             calls += 1
             draws += est.draws_used
             if est.p_hat <= threshold:
@@ -431,7 +435,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     which ``reliable`` counts the balls around X; an accepted X keeps that
     very array as its record's row, for the balls around it.  The only other
     distances are X's to the records, which ``reliable`` computes with
-    ``nearest_order(rows.points, x)``.  The run keeps one record table
+    ``sq_dists(rows.points, x)`` (and ``nearest_order`` where its cut keeps
+    a ball).  The run keeps one record table
     (``RecordRows``), and an accepted X is one append to it: its record, its
     point, its row and its accuracy eps_o = (LB / 64L)^(d/alpha), each
     computed once; every estimate takes u = 50 and the threshold 75/94 eps_o,

@@ -276,8 +276,9 @@ class TestSortedRows:
     def _noiseless_run(d, seed, reference=False):
         """The run and, per ``reliable`` call on a nonempty record table, what
         it tested: with the fresh rows of ``reference_reliable``, its balls;
-        else ``cut_counts``' c* and accept in test order, the balls tested and
-        the (count, w, stage table, draws used) of each ``est_prob`` call."""
+        else the records nearest first, ``cut_counts``' c* and accept in
+        record order, the balls tested and the (count, w, stage table, draws
+        used) of each ``est_prob`` call."""
         family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
         problem = make_problem(family, kappa=0.0, d=d, seed=0)
         pts = problem.sample(1500, substream(seed, "pool"))
@@ -302,7 +303,7 @@ class TestSortedRows:
             def tested():
                 return rows.trace.estimator_calls + rows.trace.estimator_bounded
 
-            tests.append({"drawn": []})
+            tests.append({"drawn": [], "order": nearest_order(rows.points, x)[0].tolist()})
             before = tested()
             out = inner(x, x_row, delta_s, rows, rng)
             tests[-1]["tested"] = tested() - before
@@ -347,8 +348,9 @@ class TestSortedRows:
                 # cut by c* exactly where the scalar cut of its fresh count is
                 assert test["tested"] == len(balls) > 0
                 for i, (count, w, _, threshold, used) in enumerate(balls):
-                    assert (w, threshold) == (test["w"], test["accept"][i // 2])
-                    assert (used is None) == (count >= test["first"][i // 2])
+                    j = test["order"][i // 2]  # two balls per record, nearest first
+                    assert (w, threshold) == (test["w"], test["accept"][j])
+                    assert (used is None) == (count >= test["first"][j])
                 # and every other ball drawn with its count, table and draws
                 assert test["drawn"] == [(count, w, stages, used)
                                          for count, w, stages, _, used in balls
@@ -558,23 +560,23 @@ class TestReliableCounts:
             order = nearest_order(active.points(), pool.points[x_index])[0]
             d2 = sq_dists(active.points(), pool.points[x_index])[0]
             x_d2 = sq_dists(pool.points, pool.points[x_index])[0]
-            want, eps_os = [], []
+            eps_os = [(rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+                      for rec in active.records]
+            want = []  # the balls in test order: records nearest first
             for j in order.tolist():
-                rec = active.records[j]
                 radius = float(np.sqrt(d2[j]))
-                eps_os.append((rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha))
-                for row in (sq_dists(pool.points, rec.point)[0], x_d2):
+                for row in (sq_dists(pool.points, active.records[j].point)[0], x_d2):
                     want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
-                                 stage_table(eps_os[-1], DELTA_S, kalls.core._U),
-                                 RELIABLE_ACCEPT_RATIO * eps_os[-1]))
+                                 stage_table(eps_os[j], DELTA_S, kalls.core._U),
+                                 RELIABLE_ACCEPT_RATIO * eps_os[j]))
                     exact += radius * radius in row
-            # one array cut over the records, nearest first, at their accuracies
+            # one array cut over the records, in record order, at their accuracies
             (cut_call,) = cuts
             assert cut_call[:5] == (eps_os, DELTA_S, kalls.core._U,
-                                    [ball[3] for ball in want[::2]], pool.w)
+                                    [RELIABLE_ACCEPT_RATIO * e for e in eps_os], pool.w)
             # the balls c* cuts are the balls the scalar cut of their count
             # cuts, and est_prob sees each other one with its count and table
-            first = cut_call[5]
+            first = [cut_call[5][j] for j in order.tolist()]
             assert [count >= first[i // 2] for i, (count, *_) in enumerate(want)] == \
                 [scalar_cut(*ball) for ball in want], x_index
             kept = [ball[:3] for ball in want if not scalar_cut(*ball)]
