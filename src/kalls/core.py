@@ -375,12 +375,12 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     # a ball is cut when it holds c* points or more, that is when the
     # (c*)th entry of its sorted row is below r2; c* = w + 1 cuts none
     c_star = cut_counts(eps_o, delta_s, _U, accept, w)
-    some = c_star <= w
+    cuttable = c_star <= w
     edge = np.minimum(c_star, w) - 1
     record_edge = np.fromiter(map(getitem, record_rows, edge.tolist()), np.float64,
                               len(record_rows))
-    record_cut = some & (record_edge < r2)
-    point_cut = some & (x_row[edge] < r2)
+    record_cut = cuttable & (record_edge < r2)
+    point_cut = cuttable & (x_row[edge] < r2)
     kept = ~(record_cut & point_cut)
 
     calls = draws = 0
