@@ -300,6 +300,7 @@ class TestSortedRows:
         def spied(x, x_row, delta_s, rows, rng):
             if not rows.rows:
                 return inner(x, x_row, delta_s, rows, rng)
+
             def tested():
                 return rows.trace.estimator_calls + rows.trace.estimator_bounded
 
