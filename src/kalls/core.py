@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import getitem
 
 import numpy as np
 
 from . import thresholds as th
-from .estimation import cut_counts, est_prob, stage_table
+from .estimation import cut_band, est_prob, stage_table
 from .pool import (LabelOracle, Pool, center_order, knn_vote, nearest_order, neighbor_order,
                    sq_dists)
 
@@ -174,7 +173,7 @@ class RunTrace:
     ``len(per_point) + reliable_skips == points_scanned``.
     ``estimator_calls`` and ``estimator_draws`` count ``reliable``'s
     ``est_prob`` calls and the draws they used, and ``estimator_bounded``
-    the balls it failed without a call (``estimation.cut_counts``), so
+    the balls it failed without a call (``estimation.cut_band``), so
     ``estimator_calls + estimator_bounded`` counts the balls it tested."""
 
     labels_spent: int = 0
@@ -288,37 +287,54 @@ class RecordRows:
     records, which ``run_kalls`` returns; ``points`` is their points as an
     (R, d) array; ``rows`` their sorted pool rows (the squared distances from
     the record's point to the pool, ascending); ``eps_o`` their accuracies
-    (``record_accuracy``), as a float64 array.  All of it is computed once,
-    when the record is accepted.
+    (``record_accuracy``), as a float64 array.  ``band`` is a (2, R) int64
+    array of each record's cut band lo <= c* <= hi (``estimation.cut_band``
+    at threshold 75/94 eps_o and u = 50) over the run's delta' range, and
+    ``band_entries`` the (2, R) float64 entries of its row at lo - 1 and
+    hi - 1, +inf where the index is past the pool.  All of it is computed
+    once, when the record is accepted.
 
-    ``delta_min`` is the smallest delta' of the run, that of its last scanned
-    point.  lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the
-    largest accuracy, that of lb = 1/2, and a run whose every record would
-    fail is refused before it spends a label.
+    [``delta_min``, ``delta_max``] is the run's delta' range, from that of
+    its last scanned point to that of its first; ``delta_max`` defaults to
+    ``delta_min``, a table for one delta', where each band is c* itself.
+    lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the largest
+    accuracy, that of lb = 1/2, at ``delta_min``, and a run whose every
+    record would fail is refused before it spends a label.
 
     ``trace`` is a fresh ``RunTrace``, where ``reliable`` counts its
     estimates and certifies its skips; ``run_kalls`` returns it.
     """
 
-    def __init__(self, smooth: th.SmoothnessParams, delta_min: float) -> None:
+    def __init__(self, smooth: th.SmoothnessParams, delta_min: float,
+                 delta_max: float | None = None) -> None:
         self.smooth, self.delta_min = smooth, delta_min
+        self.delta_max = delta_min if delta_max is None else delta_max
         record_accuracy(smooth, 0.5, delta_min)
         self.trace = RunTrace()
         self.active = ActiveSet()
         self.points = np.zeros((0, smooth.d))
         self.rows: list[np.ndarray] = []
         self.eps_o = np.zeros(0)
+        self.band = np.zeros((2, 0), np.int64)
+        self.band_entries = np.zeros((2, 0))
 
     def append(self, record: ActiveRecord, row: np.ndarray) -> None:
-        """Keep ``record`` and its sorted pool ``row``.  ValueError, with the
-        table unchanged, where ``record_accuracy`` raises for the record's lb
-        or ``ActiveSet.append`` refuses its source index."""
+        """Keep ``record`` and its sorted pool ``row``, and the record's cut
+        band over the pool of ``row``.  ValueError, with the table
+        unchanged, where ``record_accuracy`` raises for the record's lb or
+        ``ActiveSet.append`` refuses its source index."""
         eps_o = record_accuracy(self.smooth, record.lb, self.delta_min)
+        w = row.shape[0]
+        band = cut_band(eps_o, self.delta_min, self.delta_max, _U,
+                        RELIABLE_ACCEPT_RATIO * eps_o, w)
+        entries = [[row[c - 1] if c <= w else np.inf] for c in band]
         points = np.vstack((self.points, record.point))
         self.active.append(record)
         self.points = points
         self.rows.append(row)
         self.eps_o = np.append(self.eps_o, eps_o)
+        self.band = np.hstack((self.band, [[c] for c in band]))
+        self.band_entries = np.hstack((self.band_entries, entries))
 
 
 def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
@@ -336,29 +352,34 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     never reliable.
 
     ``rows`` is the run's record table (``RecordRows``): the records' points,
-    sorted pool rows and accuracies, all computed when each record was
-    accepted; its rows and ``x_row`` are rows over the same pool of w
-    points.  ``x_row`` is X's full row, its own 0.0 included, which
+    sorted pool rows, accuracies and cut bands, all computed when each
+    record was accepted; its rows and ``x_row`` are rows over the same pool
+    of w points.  ``x_row`` is X's full row, its own 0.0 included, which
     ``run_kalls`` takes from its one ``center_order`` of the scan step and
     keeps as the row of the record X becomes.
 
-    A call costs a fixed number of array operations over the R records:
-    their squared radii (``np.sqrt`` of the squared record distances that
-    ``sq_dists`` gives, squared again in place, bit for bit the scalar
-    ``radius * radius``), their thresholds 75/94 eps_o, and each record's c*
-    at delta' = ``delta_s`` and u = 50 (``cut_counts``): the smallest ball
-    count whose pass has probability below 2^-64.  A ball of c* points or
-    more fails without a draw.  A sorted row's count is the number of its
-    entries below r2, so that is a ball whose row has its (c*)th entry
-    below r2: one gather in each record's row and one in X's, and no ball
-    is counted to be cut.  Leaving out those draws moves the law of each
-    ball's outcome by less than 2^-64, and a run's by less than that times
-    the balls tested.  Only where the cut keeps a ball are the records
-    ordered, nearest first (``nearest_order``), and only the kept balls are
-    counted, each with one ``searchsorted`` in its row, in the test's order;
-    each is one ``est_prob`` call, which only draws, on its record's stage
-    table (``stage_table``).  The counts equal ``count_nonzero(d2 < r2)`` on
-    the unsorted ``sq_dists`` rows, so every cut and binomial draw, and the
+    A ball of c* points or more, c* the smallest count whose pass has
+    probability below 2^-64 at delta' = ``delta_s`` (``cut_band``), fails
+    without a draw.  Leaving out those draws moves the law of each ball's
+    outcome by less than 2^-64, and a run's by less than that times the
+    balls tested.  A sorted row's count is the number of its entries below
+    r2, so a ball holds c points or more exactly when its row's (c)th entry
+    is below r2, and no ball is counted to be cut.  Where ``delta_s`` lies
+    in the table's delta' range, a call costs a fixed number of array
+    operations over the R records: their squared radii (``np.sqrt`` of the
+    squared record distances that ``sq_dists`` gives, squared again in
+    place, bit for bit the scalar ``radius * radius``), one compare of r2
+    with each record's two stored band entries, and one gather in X's row
+    at the band's edges.  A ball of c >= hi points is cut, one of c < lo
+    kept; only the records with a ball of lo <= c < hi take their c* at
+    ``delta_s`` (``cut_band`` at the one delta') and a gather at it in both
+    rows.  Where ``delta_s`` lies outside the range, every record does.
+    Only where the cut keeps a ball are the records ordered, nearest first
+    (``nearest_order``), and only the kept balls are counted, each with one
+    ``searchsorted`` in its row, in the test's order; each is one
+    ``est_prob`` call, which only draws, on its record's stage table
+    (``stage_table``).  The counts equal ``count_nonzero(d2 < r2)`` on the
+    unsorted ``sq_dists`` rows, so every cut and binomial draw, and the
     random stream, is that of a fresh distance row per ball.
 
     Each call adds its ``est_prob`` calls, their draws and the balls it
@@ -371,16 +392,24 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     r2 = np.sqrt(sq_dists(rows.points, x)[0])  # bit for bit the scalar sqrt of each entry
     r2 *= r2
     record_rows, eps_o, w = rows.rows, rows.eps_o, x_row.shape[0]
-    accept = RELIABLE_ACCEPT_RATIO * eps_o
-    # a ball is cut when it holds c* points or more, that is when the
-    # (c*)th entry of its sorted row is below r2; c* = w + 1 cuts none
-    c_star = cut_counts(eps_o, delta_s, _U, accept, w)
-    cuttable = c_star <= w
-    edge = np.minimum(c_star, w) - 1
-    record_edge = np.fromiter(map(getitem, record_rows, edge.tolist()), np.float64,
-                              len(record_rows))
-    record_cut = cuttable & (record_edge < r2)
-    point_cut = cuttable & (x_row[edge] < r2)
+    if rows.delta_min <= delta_s <= rows.delta_max:
+        # whether each ball holds lo or more points and hi or more: at hi it
+        # is cut, below lo kept, and in between it takes c*
+        record_at = rows.band_entries < r2
+        point_at = x_row.take(rows.band - 1, mode="clip") < r2
+        point_at &= rows.band <= w
+        record_cut, point_cut = record_at[1], point_at[1]
+        exact = np.flatnonzero((record_at[0] ^ record_cut) | (point_at[0] ^ point_cut)).tolist()
+    else:  # a delta' the bands do not cover: every record takes c*
+        record_cut, point_cut = np.zeros((2, len(record_rows)), bool)
+        exact = range(len(record_rows))
+    for j in exact:
+        # c* at delta_s; a ball is cut when it holds c* points or more, that
+        # is when the (c*)th entry of its sorted row is below r2
+        c_star = cut_band(float(eps_o[j]), delta_s, delta_s, _U,
+                          RELIABLE_ACCEPT_RATIO * float(eps_o[j]), w)[0]
+        record_cut[j] = c_star <= w and record_rows[j][c_star - 1] < r2[j]
+        point_cut[j] = c_star <= w and x_row[c_star - 1] < r2[j]
     kept = ~(record_cut & point_cut)
 
     calls = draws = 0
@@ -391,7 +420,8 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
         positions = np.flatnonzero(kept[order]).tolist()
     for k in positions:
         j = int(order[k])
-        stages, threshold = stage_table(float(eps_o[j]), delta_s, _U), float(accept[j])
+        stages = stage_table(float(eps_o[j]), delta_s, _U)
+        threshold = RELIABLE_ACCEPT_RATIO * float(eps_o[j])
         for ball, cut, row in (("record", record_cut[j], record_rows[j]),
                                ("point", point_cut[j], x_row)):
             if cut:
@@ -454,7 +484,8 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
         raise ValueError(
             f"oracle budget {oracle.remaining_budget} does not match config.n {config.n}")
 
-    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w))
+    rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w),
+                      th.per_point_delta(config.delta, 1))
     trace = rows.trace
 
     for s in range(1, pool.w + 1):

@@ -17,11 +17,15 @@ their draws at once (m_live of them, m_live the first stage that can stop),
 and a sum of independent Binomial(n_i, p) counts is Binomial(sum n_i, p), so
 the law of (p_hat, draws_used, terminated_early) is unchanged.
 
-``cut_counts`` tells a caller that tests ``p_hat <= accept`` the smallest
-count at which a ball is so heavy that the test passes with probability
+``cut_band`` tells a caller that tests ``p_hat <= accept`` the smallest
+count c* at which a ball is so heavy that the test passes with probability
 below 2^-64 (a Chernoff bound), so that every heavier ball can fail without
-a draw; it takes an array of accuracies, one threshold table for all of
-them, and no count.
+a draw.  It takes one accuracy and a range of delta', reads the accuracy's
+stage tables at the range's two ends, and no count, and gives c* as a band
+lo <= c* <= hi that holds over the range: a caller that fixes the range
+once, as ``reliable``'s record table does when it accepts a record, decides
+a ball of c < lo or c >= hi at every delta' of it without c*.  At one
+delta' the band is c*.
 """
 from __future__ import annotations
 
@@ -88,81 +92,105 @@ def stage_table(epsilon_o: float, delta_prime: float,
     return _thresholds(delta_prime, u, ber_est_max_stage(epsilon_o, delta_prime, u))
 
 
-def _max_stages(epsilon_o: np.ndarray, delta_prime: float, u: int) -> np.ndarray:
-    """``ber_est_max_stage`` of each accuracy in ``epsilon_o``, all in (0, 1),
-    as an int64 array.  With t = u / eps_o and x = 8t / delta', K = 4t log x
-    and 2K / delta' = x log x, so i_max = floor(log2(t log(x log x))).  This
-    order of operations rounds differently from the scalar's, and numpy's
-    ``log`` may differ from ``math.log`` in the last bit, so an entry whose
-    log2 is within 1e-9 of a whole number, where the floor could move,
-    takes the scalar's value."""
-    t = u / epsilon_o
-    x = t * (8.0 / delta_prime)
-    up = np.log2(t * np.log(x * np.log(x))) + 1e-9
-    i_max = np.floor(up)
-    near = np.flatnonzero(up - i_max < 2e-9).tolist()
-    i_max = i_max.astype(np.int64)
-    for j in near:
-        i_max[j] = ber_est_max_stage(float(epsilon_o[j]), delta_prime, u)
-    return i_max
-
-
 # 70 bits where the claim is 64: the margin covers the rounding of the test
 _CUT_LOG = 70.0 * math.log(2.0)
 
 
-def _chernoff_cut(count: np.ndarray, w: int, m_rel: np.ndarray, accept: np.ndarray,
-                  bits: np.ndarray) -> np.ndarray:
-    """Whether a ball of ``count`` of the w pool points is cut, entry by entry:
+def _chernoff_cut(count: int, w: int, m_rel: float, accept: float, bits: float) -> bool:
+    """Whether a ball of ``count`` of the w pool points is cut:
     p = count / w > a and m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), with
     ``bits`` = 70 ln 2 + ln n_rel."""
     p = count / w
-    return (p > accept) & (m_rel * (p - accept) ** 2 > 2.0 * p * bits)
+    return p > accept and m_rel * ((p - accept) * (p - accept)) > 2.0 * p * bits
 
 
-def cut_counts(epsilon_o: np.ndarray, delta_prime: float, u: int, accept: np.ndarray,
-               w: int) -> np.ndarray:
-    """The smallest ball count c* of the w pool points at which
-    ``est_prob(c, w, stage_table(epsilon_o[j], delta_prime, u), rng)``
-    returns p_hat <= ``accept[j]`` with probability below 2^-64, for each
-    entry j, as an int64 array; w + 1 where no count is cut.  A caller
-    that tests ``p_hat <= accept`` may count every ball of c >= c* points
-    as failed without drawing.
+def _relevant_stages(epsilon_o: float, delta_prime: float, u: int,
+                     accept: float) -> tuple[int, int]:
+    """(log2 m_rel, i_max) at delta': m_rel is the first stage of
+    ``stage_table(epsilon_o, delta_prime, u)`` whose threshold is below
+    ``accept``, or its last, 2^i_max, where none is."""
+    stages = stage_table(epsilon_o, delta_prime, u)
+    n = 1
+    while n < len(stages) and stages[-n - 1][1] < accept:
+        n += 1
+    i_max = stages[-1][0].bit_length() - 1
+    return i_max - n + 1, i_max
 
-    The loop can end with an estimate <= a = ``accept[j]`` only at a stage
-    whose threshold is below a (an early stop has p_hat above the
-    threshold) or at the last stage; the thresholds fall with m, so these
-    are the last n_rel stages, from m_rel on.  At stage s the count of ones
-    is X_s ~ Binomial(m_s, p), p = c / w, and p_hat = X_s / m_s, so for
-    p > a the Chernoff lower tail and a union bound give
-    P(pass) <= n_rel * exp(-m_rel (p - a)^2 / (2p)).  A count is cut where
-    p > a and m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), a bound below
-    2^-70 (``_chernoff_cut``).  That set of p is p > p+, the larger root of
-    the quadratic, so the cut is monotone in the count and c* is the first
-    count above p+ w.  Rounding moves p+ w by far less than 1e-6 (at any w
-    below 10^9), so an entry whose p+ w is within 1e-6 of a whole number
-    reads the predicate there.  An empty ball (c = 0) is never cut.
 
-    Every entry shares one threshold table, that of the largest i_max at
-    delta' and u; an entry whose i_max is smaller reads a prefix of it.
-    """
-    i_max = _max_stages(epsilon_o, delta_prime, u)
-    top = int(i_max.max())
-    rising = np.array([threshold for _, threshold in reversed(_thresholds(delta_prime, u, top))])
-    # the table's last rising.searchsorted(accept) stages have thresholds below
-    # accept; an entry's own table is the table's stages up to 2^i_max, or
-    # the dead stage 2^i_max alone where i_max is below the table's first
-    n_rel = np.maximum(i_max + (rising.searchsorted(accept) - top), 1)
-    m_rel = np.ldexp(2.0, i_max - n_rel)
-    bits = np.log(n_rel) + _CUT_LOG
+def _first_cut(log2_m_rel: int, n_rel: int, accept: float, w: int) -> int:
+    """c*, the first count of the w that ``_chernoff_cut`` cuts at
+    m_rel = 2^``log2_m_rel`` and ``n_rel``; w + 1 where it cuts none."""
+    m_rel = math.ldexp(1.0, log2_m_rel)
+    bits = math.log(n_rel) + _CUT_LOG
     # p+ w, p+ = a + (bits + sqrt(bits (bits + 2a m_rel))) / m_rel, plus 1e-6
-    scaled = (accept + (bits + np.sqrt(bits * (bits + 2.0 * accept * m_rel))) / m_rel) * w + 1e-6
-    above = np.floor(scaled)
-    c_star = above + 1.0  # the first count above p+ w
-    near = scaled - above < 2e-6
-    if near.any():  # p+ w is within 1e-6 of the count above: the predicate decides
-        c_star -= near & _chernoff_cut(above, w, m_rel, accept, bits)
-    return np.minimum(c_star, w + 1).astype(np.int64)
+    scaled = (accept + (bits + math.sqrt(bits * (bits + 2.0 * accept * m_rel))) / m_rel) * w + 1e-6
+    above = math.floor(scaled)
+    # the first count above p+ w; where p+ w is within 1e-6 of the count
+    # above, the predicate decides
+    near_cut = scaled - above < 2e-6 and _chernoff_cut(above, w, m_rel, accept, bits)
+    return min(above if near_cut else above + 1, w + 1)
+
+
+def cut_band(epsilon_o: float, delta_lo: float, delta_hi: float, u: int,
+             accept: float, w: int) -> tuple[int, int]:
+    """A band (lo, hi), lo <= c*(delta') <= hi, that holds at every delta'
+    in [``delta_lo``, ``delta_hi``].  c*(delta') is the smallest ball count
+    of the w pool points at which
+    ``est_prob(c, w, stage_table(epsilon_o, delta', u), rng)`` returns
+    p_hat <= ``accept`` with probability below 2^-64; w + 1 where no count
+    is.  A caller that tests ``p_hat <= accept`` may count every ball of
+    c >= c* points as failed without drawing: at any delta' of the range a
+    ball of c >= hi points is cut and one of c < lo is kept, and only
+    lo <= c < hi needs c* itself.  At one delta', ``delta_lo == delta_hi``,
+    the band is c* exactly: lo == hi.  ValueError where ``delta_lo`` is
+    above ``delta_hi``, or where ``stage_table`` refuses an end.
+
+    c* at one delta'.  The loop can end with an estimate <= a = ``accept``
+    only at a stage whose threshold is below a (an early stop has p_hat
+    above the threshold) or at the last stage; the thresholds fall with m,
+    so these are the last n_rel stages, from m_rel on:
+    m_rel = min(m_a, 2^i_max), m_a the first stage of the table whose
+    threshold is below a, and n_rel = i_max - log2 m_rel + 1.  At stage s
+    the count of ones is X_s ~ Binomial(m_s, p), p = c / w, and
+    p_hat = X_s / m_s, so for p > a the Chernoff lower tail and a union
+    bound give P(pass) <= n_rel * exp(-m_rel (p - a)^2 / (2p)).  A count is
+    cut where p > a and m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel), a bound
+    below 2^-70 (``_chernoff_cut``).  That set of p is p > p+, the larger
+    root of the quadratic, so the cut is monotone in the count and c* is
+    the first count above p+ w.  Rounding moves p+ w by far less than 1e-6
+    (at any w below 10^9), so where p+ w is within 1e-6 of a whole number
+    the predicate decides that count.  An empty ball (c = 0) is never cut.
+
+    The band.  Four facts bound c*(delta') over the range:
+
+    1. i_max does not decrease as delta' falls: each log in
+       ``ber_est_max_stage`` takes an argument that rises as delta' falls.
+    2. m_rel does not decrease either: every threshold u log(2m/delta')/m
+       rises as delta' falls, so neither m_a nor the table's first stage
+       falls, and 2^i_max does not.
+    3. So n_rel = i_max - log2 m_rel + 1 lies in
+       [max(i_lo - log2 m_rel(delta_lo) + 1, 1),
+       i_hi - log2 m_rel(delta_hi) + 1], i_lo = i_max(delta_hi) and
+       i_hi = i_max(delta_lo).
+    4. c*(m_rel, n_rel) does not increase in m_rel and does not decrease in
+       n_rel: m_rel, a power of 2, scales the predicate's left side
+       exactly, its right side rises with ln n_rel, and c* is the first
+       count the predicate cuts.
+
+    So lo = c*(m_rel(delta_lo), n_min) and hi = c*(m_rel(delta_hi), n_max).
+    Each fact holds in floating point as it does in exact arithmetic
+    because ``math.log`` is monotone: every other step is a rounded
+    product, quotient, sum or floor of positive terms, and rounding to
+    nearest is monotone.  The band relies on that.
+    """
+    if not delta_lo <= delta_hi:
+        raise ValueError(f"delta_lo {delta_lo} is above delta_hi {delta_hi}")
+    # log2 m_rel and i_max at delta_lo, their largest over the range, and
+    # at delta_hi, their smallest
+    top_rel, top_i = _relevant_stages(epsilon_o, delta_lo, u, accept)
+    low_rel, low_i = _relevant_stages(epsilon_o, delta_hi, u, accept)
+    return (_first_cut(top_rel, max(low_i - top_rel + 1, 1), accept, w),
+            _first_cut(low_rel, top_i - low_rel + 1, accept, w))
 
 
 def _stage_loop(ones_in: Callable[[int], int],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -14,7 +15,7 @@ import kalls.thresholds
 from kalls.core import (RELIABLE_ACCEPT_RATIO, ActiveRecord, ActiveSet, PerPointRecord,
                         RecordRows, RunTrace, SkipCertificate, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop, cut_counts, est_prob, g_factor, stage_table
+from kalls.estimation import BerEstResult, _stage_loop, cut_band, est_prob, g_factor, stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
@@ -175,12 +176,13 @@ class TestConfidentLabel:
         assert any(fired) and not all(fired)
 
 
-def pool_reliable(pool, x_index, delta_s, smooth, active, rng):
+def pool_reliable(pool, x_index, delta_s, smooth, active, rng, deltas=None):
     """``reliable`` for pool point ``x_index``: its sorted pool row from
     ``center_order``, as ``run_kalls`` takes it, and each record's from a fresh
-    ``sq_dists`` row of the record's point."""
+    ``sq_dists`` row of the record's point, in a record table over the
+    delta' range ``deltas`` (``delta_s`` alone by default)."""
     x_row = center_order(pool, x_index)[1]
-    rows = RecordRows(smooth, delta_s)
+    rows = RecordRows(smooth, *(deltas or (delta_s,)))
     for r in active.records:
         rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
     return reliable(pool.points[x_index], x_row, delta_s, rows, rng)
@@ -269,16 +271,20 @@ class TestSortedRows:
     counts its balls on the sorted pool row it gives, which an accepted point
     keeps as its record's row.  The estimation stream must be that of a fresh
     distance row per ball: each ball is cut where the scalar Chernoff cut of
-    its count is, by ``cut_counts``' c*, and every other ball is one
-    ``est_prob`` call with that count."""
+    its count is, by its record's c* at the point's delta', and every other
+    ball is one ``est_prob`` call with that count."""
 
     @staticmethod
     def _noiseless_run(d, seed, reference=False):
         """The run and, per ``reliable`` call on a nonempty record table, what
         it tested: with the fresh rows of ``reference_reliable``, its balls;
-        else the records nearest first, ``cut_counts``' c* and accept in
-        record order, the balls tested and the (count, w, stage table, draws
-        used) of each ``est_prob`` call."""
+        else the records nearest first, their c* (``cut_band`` at the point's
+        delta') and accept in record order, the records with a ball inside
+        their band (lo <= count < hi), the accuracies of each exact cut
+        ``reliable`` took, the balls tested and the (count, w, stage table,
+        draws used) of each ``est_prob`` call.  Every ``cut_band`` call
+        outside ``reliable`` is one accepted record's band over the run's
+        delta' range."""
         family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
         problem = make_problem(family, kappa=0.0, d=d, seed=0)
         pts = problem.sample(1500, substream(seed, "pool"))
@@ -287,8 +293,10 @@ class TestSortedRows:
         pool = Pool(np.vstack([pts[:30], pts]))
         oracle = LabelOracle(pool, problem.eta, 60_000, seed=seed)
         config = KallsConfig(epsilon=0.4, delta=0.5, n=60_000)
+        deltas = per_point_delta(0.5, pool.w), per_point_delta(0.5, 1)
         rng = substream(seed, "estimation")
         tests, inner = [], kalls.core.reliable  # a test's own spy, if it set one
+        in_reliable = []  # the delta' of the reliable call under way
 
         def fresh_rows(x, x_row, delta_s, rows, rng):
             # eps_o from each record's lb, never from rows.eps_o
@@ -304,17 +312,34 @@ class TestSortedRows:
             def tested():
                 return rows.trace.estimator_calls + rows.trace.estimator_bounded
 
-            tests.append({"drawn": [], "order": nearest_order(rows.points, x)[0].tolist()})
+            w, accept = x_row.shape[0], RELIABLE_ACCEPT_RATIO * rows.eps_o
+            radius = np.sqrt(sq_dists(rows.points, x)[0])
+            r2 = radius * radius
+            lo, hi = rows.band
+            inside = [j for j, row in enumerate(rows.rows)
+                      if any(lo[j] <= c < hi[j]
+                             for c in (row.searchsorted(r2[j]), x_row.searchsorted(r2[j])))]
+            c_star = [cut_band(e, delta_s, delta_s, kalls.core._U, a, w)[0]
+                      for e, a in zip(rows.eps_o.tolist(), accept.tolist())]
+            tests.append({"drawn": [], "exact": [], "inside": inside, "w": w,
+                          "order": nearest_order(rows.points, x)[0].tolist(),
+                          "first": c_star, "accept": accept.tolist(),
+                          "eps_o": rows.eps_o.tolist()})
             before = tested()
+            in_reliable.append(delta_s)
             out = inner(x, x_row, delta_s, rows, rng)
+            in_reliable.pop()
             tests[-1]["tested"] = tested() - before
             return out
 
-        def cut_spy(eps_o, delta_s, u, accept, w):
-            first = cut_counts(eps_o, delta_s, u, accept, w)
-            assert "first" not in tests[-1]  # one array cut per call
-            tests[-1].update(first=first.tolist(), accept=accept.tolist(), w=w)
-            return first
+        def cut_spy(eps_o, delta_lo, delta_hi, u, accept, w):
+            band = cut_band(eps_o, delta_lo, delta_hi, u, accept, w)
+            if in_reliable:  # an exact cut, at the point's delta'
+                assert delta_lo == delta_hi == in_reliable[-1]
+                tests[-1]["exact"].append(eps_o)
+            else:  # an accepted record's band
+                assert (delta_lo, delta_hi) == deltas
+            return band
 
         def draw_spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
@@ -326,7 +351,7 @@ class TestSortedRows:
                 m.setattr(kalls.core, "reliable", fresh_rows)
             else:
                 m.setattr(kalls.core, "reliable", spied)
-                m.setattr(kalls.core, "cut_counts", cut_spy)
+                m.setattr(kalls.core, "cut_band", cut_spy)
                 m.setattr(kalls.core, "est_prob", draw_spy)
             active, trace = run_kalls(pool, oracle, config,
                                       SmoothnessParams(alpha=1.0, L=1.2, d=d),
@@ -356,6 +381,9 @@ class TestSortedRows:
                 assert test["drawn"] == [(count, w, stages, used)
                                          for count, w, stages, _, used in balls
                                          if used is not None]
+                # one exact cut per record with a ball inside its band, in
+                # record order, and none elsewhere
+                assert test["exact"] == [test["eps_o"][j] for j in test["inside"]]
                 drawn += len(test["drawn"])
                 cut += test["tested"] - len(test["drawn"])
             assert len(active) == len(ref_active) > 1
@@ -481,6 +509,29 @@ class TestRecordRows:
         assert rows.active.records == records
         assert np.array_equal(rows.points, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
 
+    def test_band_of_each_record(self, monkeypatch):
+        # each record's band over the table's delta' range, at its
+        # accuracy, and its row's entries at lo - 1 and hi - 1
+        smooth = SmoothnessParams(alpha=1.0, L=1.2, d=1)
+        deltas = self.DELTA_MIN, per_point_delta(0.05, 1)
+        rows = RecordRows(smooth, *deltas)
+        row = np.sort(substream(49, "pool").random(2000))
+        lbs = (0.5, 0.3, 0.1)
+        for i, lb in enumerate(lbs):
+            rows.append(self._record(lb, i), row)
+        band = np.array([cut_band(eps_o, *deltas, kalls.core._U,
+                                  RELIABLE_ACCEPT_RATIO * eps_o, 2000)
+                         for eps_o in map(smooth.ball_accuracy, lbs)]).T
+        assert rows.band.dtype == np.int64 and np.array_equal(rows.band, band)
+        assert (band[0] < band[1]).any()  # bands wider than one count
+        assert np.array_equal(rows.band_entries, row[band - 1])
+        # an edge past the pool reads +inf
+        monkeypatch.setattr(kalls.core, "cut_band",
+                            lambda eps_o, delta_lo, delta_hi, u, accept, w: (w, w + 1))
+        rows.append(self._record(0.2, 3), row)
+        assert rows.band[:, 3].tolist() == [2000, 2001]
+        assert rows.band_entries[:, 3].tolist() == [row[-1], np.inf]
+
     def test_threshold_ratio_is_one_over_g_of_the_estimates_u(self):
         # BerEst's dichotomy makes a pass certify a mass <= eps_o only where the
         # ratio is 1/g(u) at the u the stage tables take; 75/94 = 1/g(50)
@@ -503,6 +554,7 @@ class TestRecordRows:
         with pytest.raises(ValueError, match="strictly increasing"):
             rows.append(self._record(0.2, 3), np.zeros(3))
         assert len(rows.rows) == len(rows.eps_o) == 1
+        assert rows.band.shape == rows.band_entries.shape == (2, 1)
         assert rows.active.records == [first]
         assert np.array_equal(rows.points, [first.point])
 
@@ -532,72 +584,85 @@ class TestReliableCounts:
     def test_counts_are_count_nonzero(self, monkeypatch):
         cuts, calls = [], []
 
-        def cut_input(eps_o, delta_s, u, accept, w):
-            first = cut_counts(eps_o, delta_s, u, accept, w)
-            cuts.append((eps_o.tolist(), delta_s, u, accept.tolist(), w, first.tolist()))
-            return first
+        def cut_input(eps_o, delta_lo, delta_hi, u, accept, w):
+            band = cut_band(eps_o, delta_lo, delta_hi, u, accept, w)
+            cuts.append((eps_o, delta_lo, delta_hi, u, accept, w, *band))
+            return band
 
         def recording(in_ball, w, stages, rng):
             calls.append((in_ball, w, stages))
             return BerEstResult(1.0, 8, True)  # never passes: every record is reached
 
-        monkeypatch.setattr(kalls.core, "cut_counts", cut_input)
+        monkeypatch.setattr(kalls.core, "cut_band", cut_input)
         monkeypatch.setattr(kalls.core, "est_prob", recording)
         lattice = substream(46, "pool").integers(0, 4, (120, 2)).astype(np.float64)
         pool = Pool(np.vstack([lattice, lattice[:10]]))  # ties, and 10 points twice
         smooth = SmoothnessParams(alpha=1.0, L=1.2, d=2)
+        u = kalls.core._U
         empty = exact = cut = 0
-        # X and the other copies of X's point
-        for x_index, twins in ((0, [120]), (3, [123]), (50, []), (125, [5])):
-            active = ActiveSet()
-            # records on X itself and on its twins (radius 0), and others
-            for src in sorted({1, 5, 9, 40, 77, 120, x_index, *twins}):
-                active.append(ActiveRecord(point=pool.points[src].copy(), inferred_label=1,
-                                           lb=0.1 + src / 1000.0, source_index=src))
-            cuts.clear()
-            calls.clear()
-            assert pool_reliable(pool, x_index, DELTA_S, smooth, active,
-                                 substream(1, "estimation")) is False
-            order = nearest_order(active.points(), pool.points[x_index])[0]
-            d2 = sq_dists(active.points(), pool.points[x_index])[0]
-            x_d2 = sq_dists(pool.points, pool.points[x_index])[0]
-            eps_os = [(rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
-                      for rec in active.records]
-            want = []  # the balls in test order: records nearest first
-            for j in order.tolist():
-                radius = float(np.sqrt(d2[j]))
-                for row in (sq_dists(pool.points, active.records[j].point)[0], x_d2):
-                    want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
-                                 stage_table(eps_os[j], DELTA_S, kalls.core._U),
-                                 RELIABLE_ACCEPT_RATIO * eps_os[j]))
-                    exact += radius * radius in row
-            # one array cut over the records, in record order, at their accuracies
-            (cut_call,) = cuts
-            assert cut_call[:5] == (eps_os, DELTA_S, kalls.core._U,
-                                    [RELIABLE_ACCEPT_RATIO * e for e in eps_os], pool.w)
-            # the balls c* cuts are the balls the scalar cut of their count
-            # cuts, and est_prob sees each other one with its count and table
-            first = [cut_call[5][j] for j in order.tolist()]
-            assert [count >= first[i // 2] for i, (count, *_) in enumerate(want)] == \
-                [scalar_cut(*ball) for ball in want], x_index
-            kept = [ball[:3] for ball in want if not scalar_cut(*ball)]
-            assert calls == kept, x_index
-            empty += sum(ball[0] == 0 for ball in want)
-            cut += len(want) - len(kept)
+        # a table for DELTA_S alone, where each record's band is its c* and
+        # decides every ball, and one whose range lies above DELTA_S, where
+        # reliable takes every record's c* at DELTA_S
+        for deltas in ((DELTA_S, DELTA_S), (4 * DELTA_S, 16 * DELTA_S)):
+            # X and the other copies of X's point
+            for x_index, twins in ((0, [120]), (3, [123]), (50, []), (125, [5])):
+                active = ActiveSet()
+                # records on X itself and on its twins (radius 0), and others
+                for src in sorted({1, 5, 9, 40, 77, 120, x_index, *twins}):
+                    active.append(ActiveRecord(point=pool.points[src].copy(), inferred_label=1,
+                                               lb=0.1 + src / 1000.0, source_index=src))
+                cuts.clear()
+                calls.clear()
+                assert pool_reliable(pool, x_index, DELTA_S, smooth, active,
+                                     substream(1, "estimation"), deltas) is False
+                order = nearest_order(active.points(), pool.points[x_index])[0]
+                d2 = sq_dists(active.points(), pool.points[x_index])[0]
+                x_d2 = sq_dists(pool.points, pool.points[x_index])[0]
+                eps_os = [(rec.lb / (64.0 * smooth.L)) ** (smooth.d / smooth.alpha)
+                          for rec in active.records]
+                accepts = [RELIABLE_ACCEPT_RATIO * e for e in eps_os]
+                want = []  # the balls in test order: records nearest first
+                for j in order.tolist():
+                    radius = float(np.sqrt(d2[j]))
+                    for row in (sq_dists(pool.points, active.records[j].point)[0], x_d2):
+                        want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
+                                     stage_table(eps_os[j], DELTA_S, u), accepts[j]))
+                        exact += radius * radius in row
+                # one band per record at acceptance, in record order, at its
+                # accuracy over the table's range
+                bands, per_point = cuts[:len(eps_os)], cuts[len(eps_os):]
+                assert [band[:6] for band in bands] == \
+                    [(e, *deltas, u, a, pool.w) for e, a in zip(eps_os, accepts)]
+                if deltas == (DELTA_S, DELTA_S):  # lo == hi == c*, and no other cut
+                    assert per_point == [] and [b[6] for b in bands] == [b[7] for b in bands]
+                    c_star = [b[6] for b in bands]
+                else:  # each record's c* at DELTA_S, in record order
+                    assert [call[:6] for call in per_point] == \
+                        [(e, DELTA_S, DELTA_S, u, a, pool.w) for e, a in zip(eps_os, accepts)]
+                    c_star = [call[6] for call in per_point]
+                # the balls c* cuts are the balls the scalar cut of their count
+                # cuts, and est_prob sees each other one with its count and table
+                first = [c_star[j] for j in order.tolist()]
+                assert [count >= first[i // 2] for i, (count, *_) in enumerate(want)] == \
+                    [scalar_cut(*ball) for ball in want], x_index
+                kept = [ball[:3] for ball in want if not scalar_cut(*ball)]
+                assert calls == kept, x_index
+                empty += sum(ball[0] == 0 for ball in want)
+                cut += len(want) - len(kept)
         # radius-0 balls (never cut), radii on a pool distance, and cut balls
         assert empty >= 8 and exact > 0 and cut > 0
 
-
     def test_nothing_is_cut_where_c_star_is_past_the_pool(self, monkeypatch):
-        # c* = w + 1 cuts no count, not even a ball that holds all w points
+        # c* = w + 1 cuts no count, not even a ball that holds all w points:
+        # neither as a band nor as the c* of a delta' outside the band's range
         calls = []
 
         def recording(in_ball, w, stages, rng):
             calls.append(in_ball)
             return BerEstResult(1.0, 8, True)  # never passes
 
-        monkeypatch.setattr(kalls.core, "cut_counts",
-                            lambda eps_o, delta_s, u, accept, w: np.full(eps_o.shape, w + 1))
+        monkeypatch.setattr(kalls.core, "cut_band",
+                            lambda eps_o, delta_lo, delta_hi, u, accept, w: (w + 1, w + 1))
         monkeypatch.setattr(kalls.core, "est_prob", recording)
         pool = uniform_pool(50, seed=47)
         active = ActiveSet()
@@ -606,13 +671,111 @@ class TestReliableCounts:
         for src, point in enumerate((3.0, -2.5)):
             active.append(ActiveRecord(point=np.array([point]), inferred_label=1, lb=0.2,
                                        source_index=src))
-        assert pool_reliable(pool, 7, DELTA_S, SmoothnessParams(alpha=1.0, L=1.2, d=1),
-                             active, substream(1, "estimation")) is False
-        assert len(calls) == 4 and calls[1] == calls[3] == pool.w
+        smooth = SmoothnessParams(alpha=1.0, L=1.2, d=1)
+        for deltas in ((DELTA_S, DELTA_S), (4 * DELTA_S, 16 * DELTA_S)):
+            calls.clear()
+            assert pool_reliable(pool, 7, DELTA_S, smooth, active, substream(1, "estimation"),
+                                 deltas) is False
+            assert len(calls) == 4 and calls[1] == calls[3] == pool.w
+            # rows built so that both balls of each record hold all w points
+            rows = RecordRows(smooth, *deltas)
+            for record in active.records:
+                rows.append(record, np.zeros(pool.w))
+            calls.clear()
+            assert reliable(np.array([0.5]), np.zeros(pool.w), DELTA_S, rows,
+                            substream(1, "estimation")) is False
+            assert calls == [pool.w] * 4
+
+
+class TestCutBands:
+    """A record's band, set at acceptance over the table's delta' range,
+    decides a ball at any delta' of that range: cut at c >= hi, kept at
+    c < lo.  A ball of lo <= c < hi, and every ball at a delta' outside the
+    range, takes c* at the point's delta'.  Either way the outcome, the
+    trace's counters and the stream are those of ``reference_reliable``."""
+
+    SMOOTH = SmoothnessParams(alpha=1.0, L=1.2, d=1)
+    POOL = uniform_pool(2000, seed=48)
+    # the delta' range of a run at delta 0.05 over this pool
+    DELTAS = per_point_delta(0.05, 2000), per_point_delta(0.05, 1)
+
+    def _against_reference(self, x_index, delta_s, active, seed):
+        """``reliable`` on a record table over ``DELTAS``, checked against
+        ``reference_reliable`` on a copy of its stream; the table, and the
+        accuracies of each exact cut ``reliable`` took."""
+        pool, drawn, exact = self.POOL, [], []
+
+        def cut_spy(eps_o, delta_lo, delta_hi, u, accept, w):
+            if delta_lo == delta_hi == delta_s:
+                exact.append(eps_o)
+            return cut_band(eps_o, delta_lo, delta_hi, u, accept, w)
+
+        def draw_spy(in_ball, w, stages, rng):
+            res = est_prob(in_ball, w, stages, rng)
+            drawn.append((in_ball, w, stages, res.draws_used))
+            return res
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kalls.core, "cut_band", cut_spy)
+            m.setattr(kalls.core, "est_prob", draw_spy)
+            rows = RecordRows(self.SMOOTH, *self.DELTAS)
+            for r in active.records:
+                rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
+            rng = substream(seed, "estimation")
+            out = reliable(pool.points[x_index], center_order(pool, x_index)[1], delta_s,
+                           rows, rng)
+        balls, ref_rng = [], substream(seed, "estimation")
+        assert out == reference_reliable(pool.points, pool.points[x_index], delta_s,
+                                         self.SMOOTH, active, ref_rng, balls)
+        assert drawn == [(count, w, stages, used) for count, w, stages, _, used in balls
+                         if used is not None]
+        assert rows.trace.estimator_calls + rows.trace.estimator_bounded == len(balls)
+        assert rows.trace.estimator_bounded == sum(ball[4] is None for ball in balls)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return rows, exact
+
+    def _records_above(self, x_index, ranks, lb):
+        """Records on the pool points ``ranks`` places above X in the pool's
+        order: each ball of the one ``rank`` places above holds about
+        2 ``rank`` points."""
+        order = np.argsort(self.POOL.points[:, 0])
+        at = int(np.flatnonzero(order == x_index)[0])
+        active = ActiveSet()
+        for src in sorted(int(order[at + rank]) for rank in ranks):
+            active.append(ActiveRecord(point=self.POOL.points[src].copy(), inferred_label=1,
+                                       lb=lb, source_index=src))
+        return active
+
+    def test_a_ball_inside_its_band_takes_c_star(self):
+        inside = outside = 0
+        x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.5)))
+        for lb, rank, s in itertools.product((0.5, 0.3, 0.1), range(1, 10), (1, 40, 2000)):
+            delta_s = per_point_delta(0.05, s)
+            rows, exact = self._against_reference(
+                x_index, delta_s, self._records_above(x_index, [rank], lb), s)
+            # the record's two balls against its band
+            (lo,), (hi,) = rows.band
+            r2 = sq_dists(rows.points, self.POOL.points[x_index])[0]
+            x_row = center_order(self.POOL, x_index)[1]
+            counts = rows.rows[0].searchsorted(r2[0]), x_row.searchsorted(r2[0])
+            if any(lo <= c < hi for c in counts):
+                assert exact == rows.eps_o.tolist()
+                inside += 1
+            else:
+                assert exact == []
+                outside += 1
+        assert inside > 0 and outside > 0
+
+    def test_a_delta_outside_the_range_takes_c_star(self):
+        x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.3)))
+        active = self._records_above(x_index, (2, 5, 7, 40), 0.5)
+        for seed, delta_s in enumerate((0.5, self.DELTAS[1] * 1.5, self.DELTAS[0] / 2, 1e-12)):
+            rows, exact = self._against_reference(x_index, delta_s, active, seed)
+            assert exact == rows.eps_o.tolist()  # every record, in record order
 
 
 class TestNegligibleCut:
-    """``reliable`` fails a ball without a draw where ``cut_counts`` bounds
+    """``reliable`` fails a ball without a draw where ``cut_band`` bounds
     its pass probability below 2^-64.  The law of the outcome (no
     pass, or a pass on record j's ball around X' or around X) must be the
     one without the cut."""
@@ -657,9 +820,9 @@ class TestNegligibleCut:
     def test_same_law_with_and_without_the_cut(self, monkeypatch):
         seeds = range(2000)
         cut, cut_trace = self._outcomes(seeds, 1)
-        # no count is cut: c* = w + 1
-        monkeypatch.setattr(kalls.core, "cut_counts",
-                            lambda eps_o, delta_s, u, accept, w: np.full(eps_o.shape, w + 1))
+        # no count is cut: lo = hi = w + 1
+        monkeypatch.setattr(kalls.core, "cut_band",
+                            lambda eps_o, delta_lo, delta_hi, u, accept, w: (w + 1, w + 1))
         drawn, drawn_trace = self._outcomes(seeds, 2)
         outcomes = [None, (0, "point"), (1, "record"), (2, "record")]
         assert set(cut) == set(drawn) == set(outcomes)

@@ -8,8 +8,8 @@ import pytest
 from scipy.stats import binom, chi2_contingency
 
 import kalls.estimation
-from kalls.estimation import (BerEstResult, _max_stages, _stage_loop, ber_est,
-                              ber_est_max_stage, cut_counts, est_prob, est_prob_from_sq_dists,
+from kalls.estimation import (BerEstResult, _stage_loop, ber_est,
+                              ber_est_max_stage, cut_band, est_prob, est_prob_from_sq_dists,
                               g_factor, stage_table)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
@@ -21,23 +21,29 @@ EPS_O, DELTA_P, U = 0.1, 0.1, 50
 
 def scalar_cut(in_ball, w, stages, accept):
     """The Chernoff cut of one ball of ``in_ball`` of the ``w`` pool points,
-    as a scalar: the reference ``cut_counts`` must match.  A pass, p_hat <=
+    as a scalar: the reference ``cut_band`` must match.  A pass, p_hat <=
     a = ``accept``, needs one of the last n_rel stages, those whose
     threshold is below a (or the last alone), the first of them m_rel
     draws; the ball is cut where p = in_ball / w > a and
     m_rel (p - a)^2 > 2p (70 ln 2 + ln n_rel)."""
-    p = in_ball / w
-    if p <= accept:
-        return False
     n = 1
     while n < len(stages) and stages[-n - 1][1] < accept:
         n += 1
-    return stages[-n][0] * (p - accept) ** 2 > 2.0 * p * (70.0 * math.log(2.0) + math.log(n))
+    return chernoff_cut(in_ball, w, stages[-n][0], n, accept)
+
+
+def chernoff_cut(in_ball, w, m_rel, n_rel, accept):
+    """``scalar_cut`` at m_rel and n_rel."""
+    p = in_ball / w
+    return p > accept and m_rel * (p - accept) ** 2 > 2.0 * p * (70.0 * math.log(2.0)
+                                                                 + math.log(n_rel))
 
 
 def first_cut(eps_o, delta_prime, u, accept, w):
-    """``cut_counts`` of one ball."""
-    return int(cut_counts(np.array([eps_o]), delta_prime, u, np.array([accept]), w)[0])
+    """c*: ``cut_band`` at one delta', where lo == hi."""
+    lo, hi = cut_band(eps_o, delta_prime, delta_prime, u, accept, w)
+    assert lo == hi
+    return lo
 
 
 def const_sampler(value):
@@ -488,7 +494,7 @@ class TestStageTable:
 
 
 class TestPassNegligible:
-    """``cut_counts`` cuts a ball only where ``est_prob`` passes,
+    """c* (``cut_band`` at one delta') cuts a ball only where ``est_prob`` passes,
     p_hat <= accept, with probability below 2^-64.  A pass needs a stage
     where the loop can end with that estimate: one whose threshold is below
     accept (an early stop has p_hat above its threshold), or the last.  So
@@ -543,75 +549,30 @@ class TestPassNegligible:
 
 
 class TestCutCounts:
-    """``cut_counts`` takes i_max from one numpy expression and c* from the
-    root of the cut's quadratic.  Both must be exact: i_max the scalar
-    ``ber_est_max_stage``, and c* the first count the scalar predicate cuts."""
-
-    @staticmethod
-    def _scalar_calls(monkeypatch):
-        calls = []
-        scalar = ber_est_max_stage
-
-        def counted(*args):
-            calls.append(args)
-            return scalar(*args)
-
-        monkeypatch.setattr(kalls.estimation, "ber_est_max_stage", counted)
-        return calls
-
-    @pytest.mark.parametrize("u", [7, 50])
-    def test_max_stages_is_the_scalars_on_a_grid(self, u, monkeypatch):
-        rng = substream(15, "estimation")
-        eps_o = 10.0 ** rng.uniform(-290, 0, 20_000)
-        scalar_calls = self._scalar_calls(monkeypatch)
-        for dp in (0.5, 0.05, 1e-4, per_point_delta(0.05, 2000), 1e-12):
-            want = [ber_est_max_stage(e, dp, u) for e in eps_o.tolist()]
-            scalar_calls.clear()
-            got = _max_stages(eps_o, dp, u)
-            assert got.dtype == np.int64 and got.tolist() == want, dp
-            assert len(scalar_calls) <= 5  # the scalar only near a whole log2
-
-    def test_max_stages_near_a_whole_log2(self, monkeypatch):
-        # bisect eps_o to the edge where i_max steps, so that its log2 is
-        # within 1e-12 of a whole number on either side
-        edges = []
-        for dp, target in itertools.product((0.1, 1e-6, 4e-10), (12, 20, 40, 70)):
-            lo, hi = 1e-300, 1.0 - 1e-12  # log eps_o: i_max > target at lo, <= at hi
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if ber_est_max_stage(mid, dp, U) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            edges += [(lo, dp), (hi, dp)]
-            assert ber_est_max_stage(lo, dp, U) == target + 1 == ber_est_max_stage(hi, dp, U) + 1
-        scalar_calls = self._scalar_calls(monkeypatch)
-        for e, dp in edges:
-            around = [e * (1.0 + k * 2.0**-52) for k in range(-3, 4)]
-            got = _max_stages(np.array(around), dp, U)
-            assert got.tolist() == [ber_est_max_stage(a, dp, U) for a in around], (e, dp)
-        assert scalar_calls  # the edges take the scalar
+    """``cut_band`` takes c* from the root of the cut's quadratic, at the
+    m_rel and n_rel of the stage table.  At one delta' the band is c*, and
+    it must be the first count the scalar predicate cuts."""
 
     def test_cut_is_the_scalar_predicate_around_c_star(self):
         n_rels, dead, kept = set(), 0, 0
         for d, ratio, w in itertools.product((1, 2), (75 / 94, 2.5), (2000, 50_000)):
             smooth = SmoothnessParams(alpha=1.0, L=1.2, d=d)
-            eps_o = np.array([smooth.ball_accuracy(lb) for lb in (1e-3, 0.01, 0.05, 0.2, 0.5)]
-                             + [0.3, 0.6, 0.9])  # i_max below the shared table's first stage
-            for dp in (0.05, per_point_delta(0.05, 10), per_point_delta(0.05, 2000)):
-                accept = ratio * eps_o
-                first = cut_counts(eps_o, dp, U, accept, w)
-                assert first.dtype == np.int64
-                for e, a, c in zip(eps_o.tolist(), accept.tolist(), first.tolist()):
-                    stages = stage_table(e, dp, U)
-                    n_rels.add(min(sum(t < a for _, t in stages), 2))
-                    dead += stages[0][1] >= 1.0
-                    assert 1 <= c <= w + 1 and not scalar_cut(c - 1, w, stages, a), (e, dp, w)
-                    if c <= w:
-                        kept += 1
-                        assert scalar_cut(c, w, stages, a) and scalar_cut(c + 1, w, stages, a)
+            eps_o = [smooth.ball_accuracy(lb) for lb in (1e-3, 0.01, 0.05, 0.2, 0.5)] \
+                + [0.3, 0.6, 0.9]  # tables of one dead stage
+            for e, dp in itertools.product(eps_o, (0.05, per_point_delta(0.05, 10),
+                                                   per_point_delta(0.05, 2000))):
+                a = ratio * e
+                c, last = cut_band(e, dp, dp, U, a, w)
+                assert type(c) is int and c == last
+                stages = stage_table(e, dp, U)
+                n_rels.add(min(sum(t < a for _, t in stages), 2))
+                dead += stages[0][1] >= 1.0
+                assert 1 <= c <= w + 1 and not scalar_cut(c - 1, w, stages, a), (e, dp, w)
+                if c <= w:
+                    kept += 1
+                    assert scalar_cut(c, w, stages, a) and scalar_cut(c + 1, w, stages, a)
         # n_rel = 1 (no stage, or the last alone, below accept) and n_rel > 1;
-        # entries whose own table is one dead stage; and cut counts
+        # tables of one dead stage; and cut counts
         assert n_rels == {0, 1, 2} and dead > 0 and kept > 0
 
     def test_root_within_a_millionth_of_a_count(self, monkeypatch):
@@ -643,3 +604,95 @@ class TestCutCounts:
                 assert not scalar_cut(c - 1, w, stages, a) and scalar_cut(c, w, stages, a)
             steps += bool(predicate)
         assert steps == 8
+
+
+class TestCutBand:
+    """A band over [delta_lo, delta_hi] holds at every delta' of the range:
+    lo <= c*(delta') <= hi, c*(delta') the first count ``scalar_cut`` cuts
+    on ``stage_table(eps_o, delta', u)``.  At one delta' the band is c*."""
+
+    WS = (50, 2000, 20_000)
+
+    @staticmethod
+    def _relevant(eps_o, delta_prime, accept):
+        """m_rel and n_rel of ``scalar_cut`` on ``stage_table(eps_o,
+        delta_prime, U)``, for an accept below 1: the last stage 2^i_max and
+        each stage below it, down to 2^3, whose threshold u log(2m/delta')/m,
+        computed as the table computes it, is below accept."""
+        i_max, n = ber_est_max_stage(eps_o, delta_prime, U), 1
+        while i_max - n >= 3 and U * math.log(2.0 * (1 << i_max - n) / delta_prime) \
+                / (1 << i_max - n) < accept:
+            n += 1
+        return 1 << i_max - n + 1, n
+
+    @staticmethod
+    def _c_star(m_rel, n_rel, accept, w, known):
+        """The first count of the w that ``chernoff_cut`` cuts, w + 1 if none,
+        by bisection: the cut is monotone in the count."""
+        if (m_rel, n_rel, w) not in known:
+            lo, hi = 0, w + 1  # never cut at 0, cut (or past the pool) at hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if chernoff_cut(mid, w, m_rel, n_rel, accept):
+                    hi = mid
+                else:
+                    lo = mid
+            known[m_rel, n_rel, w] = hi
+        return known[m_rel, n_rel, w]
+
+    @staticmethod
+    def _accuracies(delta):
+        """(eps_o, accept) pairs: a log grid of accuracies at accept 75/94
+        eps_o, as reliable takes it, where n_rel is 1 or 2, and at 2.5 eps_o,
+        where n_rel can grow while m_rel stays; and at 75/94 eps_o, the
+        accuracies within 3 ulps of where i_max steps at the first and at
+        the last delta' of a pool of 20,000."""
+        grid = np.geomspace(1e-12, 0.3, 5).tolist()
+        pairs = [(e, ratio * e) for e, ratio in itertools.product(grid, (75 / 94, 2.5))]
+        for dp in (per_point_delta(delta, 1), per_point_delta(delta, 20_000)):
+            lo, hi = 1e-12, 0.3  # i_max is larger at lo
+            target = ber_est_max_stage(hi, dp, U) + 5
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                if ber_est_max_stage(mid, dp, U) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            pairs += [(e, 75 / 94 * e) for e in (hi * (1.0 + k * 2.0**-52) for k in range(-3, 4))]
+        return pairs
+
+    def test_relevant_stages_are_scalar_cuts(self):
+        # _relevant reads the table as scalar_cut does
+        for (eps_o, accept), dp in itertools.product(self._accuracies(0.05), (0.5, 1e-3, 1e-9)):
+            stages = stage_table(eps_o, dp, U)
+            m_rel, n_rel = self._relevant(eps_o, dp, accept)
+            for c in range(0, 2001, 7):
+                assert scalar_cut(c, 2000, stages, accept) == \
+                    chernoff_cut(c, 2000, m_rel, n_rel, accept), (eps_o, dp, c)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3])
+    def test_band_holds_at_every_delta_of_the_range(self, delta):
+        deltas = [per_point_delta(delta, s) for s in range(1, max(self.WS) + 1)]
+        wide = moves = 0
+        for eps_o, accept in self._accuracies(delta):
+            known = {}
+            relevant = [self._relevant(eps_o, dp, accept) for dp in deltas]
+            for w in self.WS:
+                lo, hi = cut_band(eps_o, deltas[w - 1], deltas[0], U, accept, w)
+                c_star = {self._c_star(m, n, accept, w, known) for m, n in relevant[:w]}
+                assert lo <= min(c_star) and max(c_star) <= hi, (eps_o, delta, w)
+                wide += lo < hi
+                moves += len(c_star) > 1
+        # bands wider than one count, and c* that moves over the range
+        assert wide > 0 and moves > 0
+
+    def test_one_delta_is_c_star(self):
+        for (eps_o, accept), dp, w in itertools.product(self._accuracies(0.05),
+                                                        (0.5, 1e-3, 1e-9), self.WS):
+            assert cut_band(eps_o, dp, dp, U, accept, w) == \
+                (self._c_star(*self._relevant(eps_o, dp, accept), accept, w, {}),) * 2, \
+                (eps_o, dp, w)
+
+    def test_reversed_range_is_refused(self):
+        with pytest.raises(ValueError, match="above delta_hi"):
+            cut_band(EPS_O, 0.1, 0.01, U, EPS_O, 100)
