@@ -295,8 +295,8 @@ class RecordRows:
     once, when the record is accepted.
 
     [``delta_min``, ``delta_max``] is the run's delta' range, from that of
-    its last scanned point to that of its first; ``delta_max`` defaults to
-    ``delta_min``, a table for one delta', where each band is c* itself.
+    its last scanned point to that of its first; in a table for one delta'
+    (``delta_min == delta_max``) each band is c* itself.
     lb = |eta_hat - 1/2| - b <= 1/2, so the constructor checks the largest
     accuracy, that of lb = 1/2, at ``delta_min``, and a run whose every
     record would fail is refused before it spends a label.
@@ -306,9 +306,8 @@ class RecordRows:
     """
 
     def __init__(self, smooth: th.SmoothnessParams, delta_min: float,
-                 delta_max: float | None = None) -> None:
-        self.smooth, self.delta_min = smooth, delta_min
-        self.delta_max = delta_min if delta_max is None else delta_max
+                 delta_max: float) -> None:
+        self.smooth, self.delta_min, self.delta_max = smooth, delta_min, delta_max
         record_accuracy(smooth, 0.5, delta_min)
         self.trace = RunTrace()
         self.active = ActiveSet()
@@ -396,6 +395,7 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
         # whether each ball holds lo or more points and hi or more: at hi it
         # is cut, below lo kept, and in between it takes c*
         record_at = rows.band_entries < r2
+        # an edge past the pool (w + 1) reads X's last entry; the mask drops it
         point_at = x_row.take(rows.band - 1, mode="clip") < r2
         point_at &= rows.band <= w
         record_cut, point_cut = record_at[1], point_at[1]

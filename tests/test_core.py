@@ -182,7 +182,7 @@ def pool_reliable(pool, x_index, delta_s, smooth, active, rng, deltas=None):
     ``sq_dists`` row of the record's point, in a record table over the
     delta' range ``deltas`` (``delta_s`` alone by default)."""
     x_row = center_order(pool, x_index)[1]
-    rows = RecordRows(smooth, *(deltas or (delta_s,)))
+    rows = RecordRows(smooth, *(deltas or (delta_s, delta_s)))
     for r in active.records:
         rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
     return reliable(pool.points[x_index], x_row, delta_s, rows, rng)
@@ -498,7 +498,7 @@ class TestRecordRows:
 
     def test_accuracy_of_each_record(self):
         smooth = SmoothnessParams(alpha=0.5, L=1.2, d=2)
-        rows = RecordRows(smooth, self.DELTA_MIN)
+        rows = RecordRows(smooth, self.DELTA_MIN, self.DELTA_MIN)
         lbs = (0.5, 0.2, 1e-3)
         records = [self._record(lb, i, d=2) for i, lb in enumerate(lbs)]
         for rec in records:
@@ -545,7 +545,8 @@ class TestRecordRows:
         (0.08, "infinity"),  # 5.9e-299: K / delta' overflows
     ])
     def test_accuracy_without_a_stage_table_is_rejected_at_acceptance(self, lb, cause):
-        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1), self.DELTA_MIN)
+        rows = RecordRows(SmoothnessParams(alpha=0.01, L=1.2, d=1), self.DELTA_MIN,
+                          self.DELTA_MIN)
         first = self._record(0.2, 3)
         rows.append(first, np.zeros(3))
         with pytest.raises(ValueError, match=rf"of lb {lb}, alpha 0\.01, L 1\.2, d 1 .*{cause}"):
@@ -561,7 +562,8 @@ class TestRecordRows:
     @pytest.mark.parametrize("alpha", [0.005, 0.007])  # eps_o at lb 1/2: 0.0, 4.6e-313
     def test_largest_accuracy_without_a_stage_table_is_rejected_up_front(self, alpha):
         with pytest.raises(ValueError, match=rf"of lb 0\.5, alpha {alpha}, L 1\.2, d 1"):
-            RecordRows(SmoothnessParams(alpha=alpha, L=1.2, d=1), self.DELTA_MIN)
+            RecordRows(SmoothnessParams(alpha=alpha, L=1.2, d=1), self.DELTA_MIN,
+                       self.DELTA_MIN)
 
     def test_run_kalls_refuses_before_any_label(self):
         pool = Pool(np.linspace(0.0, 1.0, 50)[:, None])
@@ -789,7 +791,7 @@ class TestNegligibleCut:
         # 424 points (p 1.02 * 75/94 eps_o), so each passes with probability
         # about a third
         smooth = SmoothnessParams(alpha=1.0, L=1.2, d=1)
-        rows = RecordRows(smooth, self.DELTA)
+        rows = RecordRows(smooth, self.DELTA, self.DELTA)
         light, w = 424, self.W
         assert light / w == pytest.approx(1.02 * RELIABLE_ACCEPT_RATIO
                                           * smooth.ball_accuracy(self.LB), rel=1e-3)
