@@ -17,15 +17,15 @@ their draws at once (m_live of them, m_live the first stage that can stop),
 and a sum of independent Binomial(n_i, p) counts is Binomial(sum n_i, p), so
 the law of (p_hat, draws_used, terminated_early) is unchanged.
 
-``cut_band`` tells a caller that tests ``p_hat <= accept`` the smallest
+``cut_bound`` tells a caller that tests ``p_hat <= accept`` the smallest
 count c* at which a ball is so heavy that the test passes with probability
 below 2^-64 (a Chernoff bound), so that every heavier ball can fail without
 a draw.  It takes one accuracy and a range of delta', reads the accuracy's
-stage tables at the range's two ends, and no count, and gives c* as a band
-lo <= c* <= hi that holds over the range: a caller that fixes the range
-once, as ``reliable``'s record table does when it accepts a record, decides
-a ball of c < lo or c >= hi at every delta' of it without c*.  At one
-delta' the band is c*.
+stage tables at the range's two ends, and no count, and gives an upper
+bound on c* that holds over the range: a caller that fixes the range once,
+as ``reliable``'s record table does when it accepts a record, cuts a ball
+of at least that many points at every delta' of it without c*.  At one
+delta' the bound is c*.
 """
 from __future__ import annotations
 
@@ -131,19 +131,19 @@ def _first_cut(log2_m_rel: int, n_rel: int, accept: float, w: int) -> int:
     return min(above if near_cut else above + 1, w + 1)
 
 
-def cut_band(epsilon_o: float, delta_lo: float, delta_hi: float, u: int,
-             accept: float, w: int) -> tuple[int, int]:
-    """A band (lo, hi), lo <= c*(delta') <= hi, that holds at every delta'
-    in [``delta_lo``, ``delta_hi``].  c*(delta') is the smallest ball count
-    of the w pool points at which
+def cut_bound(epsilon_o: float, delta_lo: float, delta_hi: float, u: int,
+              accept: float, w: int) -> int:
+    """An upper bound on c*(delta') that holds at every delta' in
+    [``delta_lo``, ``delta_hi``].  c*(delta') is the smallest ball count of
+    the w pool points at which
     ``est_prob(c, w, stage_table(epsilon_o, delta', u), rng)`` returns
     p_hat <= ``accept`` with probability below 2^-64; w + 1 where no count
     is.  A caller that tests ``p_hat <= accept`` may count every ball of
     c >= c* points as failed without drawing: at any delta' of the range a
-    ball of c >= hi points is cut and one of c < lo is kept, and only
-    lo <= c < hi needs c* itself.  At one delta', ``delta_lo == delta_hi``,
-    the band is c* exactly: lo == hi.  ValueError where ``delta_lo`` is
-    above ``delta_hi``, or where ``stage_table`` refuses an end.
+    ball of at least the bound's count is cut, and only a lighter ball needs
+    c* itself.  At one delta', ``delta_lo == delta_hi``, the bound is c*
+    exactly.  ValueError where ``delta_lo`` is above ``delta_hi``, or where
+    ``stage_table`` refuses an end.
 
     c* at one delta'.  The loop can end with an estimate <= a = ``accept``
     only at a stage whose threshold is below a (an early stop has p_hat
@@ -161,36 +161,33 @@ def cut_band(epsilon_o: float, delta_lo: float, delta_hi: float, u: int,
     (at any w below 10^9), so where p+ w is within 1e-6 of a whole number
     the predicate decides that count.  An empty ball (c = 0) is never cut.
 
-    The band.  Four facts bound c*(delta') over the range:
+    The bound.  Four facts bound c*(delta') over the range:
 
     1. i_max does not decrease as delta' falls: each log in
        ``ber_est_max_stage`` takes an argument that rises as delta' falls.
     2. m_rel does not decrease either: every threshold u log(2m/delta')/m
        rises as delta' falls, so neither m_a nor the table's first stage
        falls, and 2^i_max does not.
-    3. So n_rel = i_max - log2 m_rel + 1 lies in
-       [max(i_lo - log2 m_rel(delta_lo) + 1, 1),
-       i_hi - log2 m_rel(delta_hi) + 1], i_lo = i_max(delta_hi) and
-       i_hi = i_max(delta_lo).
+    3. So n_rel = i_max - log2 m_rel + 1 is at most
+       i_max(delta_lo) - log2 m_rel(delta_hi) + 1.
     4. c*(m_rel, n_rel) does not increase in m_rel and does not decrease in
        n_rel: m_rel, a power of 2, scales the predicate's left side
        exactly, its right side rises with ln n_rel, and c* is the first
        count the predicate cuts.
 
-    So lo = c*(m_rel(delta_lo), n_min) and hi = c*(m_rel(delta_hi), n_max).
-    Each fact holds in floating point as it does in exact arithmetic
-    because ``math.log`` is monotone: every other step is a rounded
-    product, quotient, sum or floor of positive terms, and rounding to
-    nearest is monotone.  The band relies on that.
+    So the bound is c*(m_rel(delta_hi), that largest n_rel).  Each fact
+    holds in floating point as it does in exact arithmetic because
+    ``math.log`` is monotone: every other step is a rounded product,
+    quotient, sum or floor of positive terms, and rounding to nearest is
+    monotone.  The bound relies on that.
     """
     if not delta_lo <= delta_hi:
         raise ValueError(f"delta_lo {delta_lo} is above delta_hi {delta_hi}")
-    # log2 m_rel and i_max at delta_lo, their largest over the range, and
-    # at delta_hi, their smallest
-    top_rel, top_i = _relevant_stages(epsilon_o, delta_lo, u, accept)
-    low_rel, low_i = _relevant_stages(epsilon_o, delta_hi, u, accept)
-    return (_first_cut(top_rel, max(low_i - top_rel + 1, 1), accept, w),
-            _first_cut(low_rel, top_i - low_rel + 1, accept, w))
+    # i_max at delta_lo, its largest over the range, and log2 m_rel at
+    # delta_hi, its smallest
+    top_i = _relevant_stages(epsilon_o, delta_lo, u, accept)[1]
+    low_rel = _relevant_stages(epsilon_o, delta_hi, u, accept)[0]
+    return _first_cut(low_rel, top_i - low_rel + 1, accept, w)
 
 
 def _stage_loop(ones_in: Callable[[int], int],

@@ -15,16 +15,17 @@ import kalls.thresholds
 from kalls.core import (RELIABLE_ACCEPT_RATIO, ActiveRecord, ActiveSet, PerPointRecord,
                         RecordRows, RunTrace, SkipCertificate, confident_label,
                         one_nn_label_batch, reliable, run_kalls)
-from kalls.estimation import BerEstResult, _stage_loop, cut_band, est_prob, g_factor, stage_table
+from kalls.estimation import BerEstResult, _stage_loop, cut_bound, est_prob, g_factor, stage_table
 from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor_order,
                         sq_dists)
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
                               adaptive_budget_bound, confidence_radius, per_point_delta)
-from test_estimation import scalar_cut
+from test_estimation import first_cut, scalar_cut
 
 DELTA_S = 0.0015625  # delta = 0.05 at scan position s = 1
+WIDE = DELTA_S / 1000, 16 * DELTA_S  # a wide delta' range that holds DELTA_S
 
 
 def flat_eta(value):
@@ -278,12 +279,12 @@ class TestSortedRows:
     def _noiseless_run(d, seed, reference=False):
         """The run and, per ``reliable`` call on a nonempty record table, what
         it tested: with the fresh rows of ``reference_reliable``, its balls;
-        else the records nearest first, their c* (``cut_band`` at the point's
-        delta') and accept in record order, the records with a ball inside
-        their band (lo <= count < hi), the accuracies of each exact cut
+        else the records nearest first, their c* (``cut_bound`` at the point's
+        delta') and accept in record order, the records with a ball below
+        their bound (count < bound), the accuracies of each exact cut
         ``reliable`` took, the balls tested and the (count, w, stage table,
-        draws used) of each ``est_prob`` call.  Every ``cut_band`` call
-        outside ``reliable`` is one accepted record's band over the run's
+        draws used) of each ``est_prob`` call.  Every ``cut_bound`` call
+        outside ``reliable`` is one accepted record's bound over the run's
         delta' range."""
         family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
         problem = make_problem(family, kappa=0.0, d=d, seed=0)
@@ -312,19 +313,17 @@ class TestSortedRows:
             def tested():
                 return rows.trace.estimator_calls + rows.trace.estimator_bounded
 
-            w, accept = x_row.shape[0], RELIABLE_ACCEPT_RATIO * rows.eps_o
+            w = x_row.shape[0]
+            accept = [RELIABLE_ACCEPT_RATIO * e for e in rows.eps_o]
             radius = np.sqrt(sq_dists(rows.points, x)[0])
             r2 = radius * radius
-            lo, hi = rows.band
-            inside = [j for j, row in enumerate(rows.rows)
-                      if any(lo[j] <= c < hi[j]
-                             for c in (row.searchsorted(r2[j]), x_row.searchsorted(r2[j])))]
-            c_star = [cut_band(e, delta_s, delta_s, kalls.core._U, a, w)[0]
-                      for e, a in zip(rows.eps_o.tolist(), accept.tolist())]
-            tests.append({"drawn": [], "exact": [], "inside": inside, "w": w,
+            below = [j for j, row in enumerate(rows.rows)
+                     if min(row.searchsorted(r2[j]), x_row.searchsorted(r2[j])) < rows.bound[j]]
+            c_star = [cut_bound(e, delta_s, delta_s, kalls.core._U, a, w)
+                      for e, a in zip(rows.eps_o, accept)]
+            tests.append({"drawn": [], "exact": [], "below": below, "w": w,
                           "order": nearest_order(rows.points, x)[0].tolist(),
-                          "first": c_star, "accept": accept.tolist(),
-                          "eps_o": rows.eps_o.tolist()})
+                          "first": c_star, "accept": accept, "eps_o": list(rows.eps_o)})
             before = tested()
             in_reliable.append(delta_s)
             out = inner(x, x_row, delta_s, rows, rng)
@@ -333,13 +332,12 @@ class TestSortedRows:
             return out
 
         def cut_spy(eps_o, delta_lo, delta_hi, u, accept, w):
-            band = cut_band(eps_o, delta_lo, delta_hi, u, accept, w)
             if in_reliable:  # an exact cut, at the point's delta'
                 assert delta_lo == delta_hi == in_reliable[-1]
                 tests[-1]["exact"].append(eps_o)
-            else:  # an accepted record's band
+            else:  # an accepted record's bound
                 assert (delta_lo, delta_hi) == deltas
-            return band
+            return cut_bound(eps_o, delta_lo, delta_hi, u, accept, w)
 
         def draw_spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
@@ -351,7 +349,7 @@ class TestSortedRows:
                 m.setattr(kalls.core, "reliable", fresh_rows)
             else:
                 m.setattr(kalls.core, "reliable", spied)
-                m.setattr(kalls.core, "cut_band", cut_spy)
+                m.setattr(kalls.core, "cut_bound", cut_spy)
                 m.setattr(kalls.core, "est_prob", draw_spy)
             active, trace = run_kalls(pool, oracle, config,
                                       SmoothnessParams(alpha=1.0, L=1.2, d=d),
@@ -381,9 +379,9 @@ class TestSortedRows:
                 assert test["drawn"] == [(count, w, stages, used)
                                          for count, w, stages, _, used in balls
                                          if used is not None]
-                # one exact cut per record with a ball inside its band, in
+                # one exact cut per record with a ball below its bound, in
                 # record order, and none elsewhere
-                assert test["exact"] == [test["eps_o"][j] for j in test["inside"]]
+                assert test["exact"] == [test["eps_o"][j] for j in test["below"]]
                 drawn += len(test["drawn"])
                 cut += test["tested"] - len(test["drawn"])
             assert len(active) == len(ref_active) > 1
@@ -505,13 +503,13 @@ class TestRecordRows:
             rows.append(rec, np.zeros(3))
         eps_o = [(lb / (64.0 * 1.2)) ** (2 / 0.5) for lb in lbs]
         assert len(rows.rows) == 3
-        assert rows.eps_o.tolist() == eps_o
+        assert rows.eps_o == eps_o
         assert rows.active.records == records
         assert np.array_equal(rows.points, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
 
     def test_band_of_each_record(self, monkeypatch):
-        # each record's band over the table's delta' range, at its
-        # accuracy, and its row's entries at lo - 1 and hi - 1
+        # each record's bound on c* over the table's delta' range, at its
+        # accuracy, and its row's entry at bound - 1
         smooth = SmoothnessParams(alpha=1.0, L=1.2, d=1)
         deltas = self.DELTA_MIN, per_point_delta(0.05, 1)
         rows = RecordRows(smooth, *deltas)
@@ -519,18 +517,20 @@ class TestRecordRows:
         lbs = (0.5, 0.3, 0.1)
         for i, lb in enumerate(lbs):
             rows.append(self._record(lb, i), row)
-        band = np.array([cut_band(eps_o, *deltas, kalls.core._U,
-                                  RELIABLE_ACCEPT_RATIO * eps_o, 2000)
-                         for eps_o in map(smooth.ball_accuracy, lbs)]).T
-        assert rows.band.dtype == np.int64 and np.array_equal(rows.band, band)
-        assert (band[0] < band[1]).any()  # bands wider than one count
-        assert np.array_equal(rows.band_entries, row[band - 1])
-        # an edge past the pool reads +inf
-        monkeypatch.setattr(kalls.core, "cut_band",
-                            lambda eps_o, delta_lo, delta_hi, u, accept, w: (w, w + 1))
-        rows.append(self._record(0.2, 3), row)
-        assert rows.band[:, 3].tolist() == [2000, 2001]
-        assert rows.band_entries[:, 3].tolist() == [row[-1], np.inf]
+        bound, c_star = (np.array([cut_bound(eps_o, *ends, kalls.core._U,
+                                             RELIABLE_ACCEPT_RATIO * eps_o, 2000)
+                                   for eps_o in map(smooth.ball_accuracy, lbs)])
+                         for ends in (deltas, deltas[:1] * 2))
+        assert rows.bound.dtype == np.int64 and np.array_equal(rows.bound, bound)
+        assert (c_star < bound).any()  # bounds above c* at a delta' of the range
+        assert np.array_equal(rows.bound_entries, row[bound - 1])
+        # a bound at the pool's last point reads its entry, one past it +inf
+        for j, past in ((3, 0), (4, 1)):
+            monkeypatch.setattr(kalls.core, "cut_bound",
+                                lambda eps_o, delta_lo, delta_hi, u, accept, w: w + past)
+            rows.append(self._record(0.2, j), row)
+        assert rows.bound[3:].tolist() == [2000, 2001]
+        assert rows.bound_entries[3:].tolist() == [row[-1], np.inf]
 
     def test_threshold_ratio_is_one_over_g_of_the_estimates_u(self):
         # BerEst's dichotomy makes a pass certify a mass <= eps_o only where the
@@ -555,7 +555,7 @@ class TestRecordRows:
         with pytest.raises(ValueError, match="strictly increasing"):
             rows.append(self._record(0.2, 3), np.zeros(3))
         assert len(rows.rows) == len(rows.eps_o) == 1
-        assert rows.band.shape == rows.band_entries.shape == (2, 1)
+        assert rows.bound.shape == rows.bound_entries.shape == (1,)
         assert rows.active.records == [first]
         assert np.array_equal(rows.points, [first.point])
 
@@ -587,25 +587,26 @@ class TestReliableCounts:
         cuts, calls = [], []
 
         def cut_input(eps_o, delta_lo, delta_hi, u, accept, w):
-            band = cut_band(eps_o, delta_lo, delta_hi, u, accept, w)
-            cuts.append((eps_o, delta_lo, delta_hi, u, accept, w, *band))
-            return band
+            bound = cut_bound(eps_o, delta_lo, delta_hi, u, accept, w)
+            cuts.append((eps_o, delta_lo, delta_hi, u, accept, w, bound))
+            return bound
 
         def recording(in_ball, w, stages, rng):
             calls.append((in_ball, w, stages))
             return BerEstResult(1.0, 8, True)  # never passes: every record is reached
 
-        monkeypatch.setattr(kalls.core, "cut_band", cut_input)
+        monkeypatch.setattr(kalls.core, "cut_bound", cut_input)
         monkeypatch.setattr(kalls.core, "est_prob", recording)
         lattice = substream(46, "pool").integers(0, 4, (120, 2)).astype(np.float64)
         pool = Pool(np.vstack([lattice, lattice[:10]]))  # ties, and 10 points twice
         smooth = SmoothnessParams(alpha=1.0, L=1.2, d=2)
         u = kalls.core._U
-        empty = exact = cut = 0
-        # a table for DELTA_S alone, where each record's band is its c* and
-        # decides every ball, and one whose range lies above DELTA_S, where
-        # reliable takes every record's c* at DELTA_S
-        for deltas in ((DELTA_S, DELTA_S), (4 * DELTA_S, 16 * DELTA_S)):
+        empty = exact = cut = below = 0
+        # a table for DELTA_S alone, where each record's bound is its c* and
+        # decides every ball, and one whose wide range holds DELTA_S, where
+        # reliable takes the c* at DELTA_S of each record with a ball below
+        # its bound
+        for deltas in ((DELTA_S, DELTA_S), WIDE):
             # X and the other copies of X's point
             for x_index, twins in ((0, [120]), (3, [123]), (50, []), (125, [5])):
                 active = ActiveSet()
@@ -630,18 +631,22 @@ class TestReliableCounts:
                         want.append((int(np.count_nonzero(row < radius * radius)), pool.w,
                                      stage_table(eps_os[j], DELTA_S, u), accepts[j]))
                         exact += radius * radius in row
-                # one band per record at acceptance, in record order, at its
+                # one bound per record at acceptance, in record order, at its
                 # accuracy over the table's range
-                bands, per_point = cuts[:len(eps_os)], cuts[len(eps_os):]
-                assert [band[:6] for band in bands] == \
+                bounds, per_point = cuts[:len(eps_os)], cuts[len(eps_os):]
+                assert [bound[:6] for bound in bounds] == \
                     [(e, *deltas, u, a, pool.w) for e, a in zip(eps_os, accepts)]
-                if deltas == (DELTA_S, DELTA_S):  # lo == hi == c*, and no other cut
-                    assert per_point == [] and [b[6] for b in bands] == [b[7] for b in bands]
-                    c_star = [b[6] for b in bands]
-                else:  # each record's c* at DELTA_S, in record order
-                    assert [call[:6] for call in per_point] == \
-                        [(e, DELTA_S, DELTA_S, u, a, pool.w) for e, a in zip(eps_os, accepts)]
-                    c_star = [call[6] for call in per_point]
+                # the c* at DELTA_S of each record with a ball below its
+                # bound, in record order; at DELTA_S alone the bound is c*
+                counts = {j: (want[2 * i][0], want[2 * i + 1][0])
+                          for i, j in enumerate(order.tolist())}
+                lower = [j for j in range(len(eps_os)) if min(counts[j]) < bounds[j][6]]
+                c_star = [first_cut(e, DELTA_S, u, a, pool.w) for e, a in zip(eps_os, accepts)]
+                assert per_point == [(eps_os[j], DELTA_S, DELTA_S, u, accepts[j], pool.w,
+                                      c_star[j]) for j in lower]
+                if deltas == (DELTA_S, DELTA_S):
+                    assert [b[6] for b in bounds] == c_star
+                below += len(lower)
                 # the balls c* cuts are the balls the scalar cut of their count
                 # cuts, and est_prob sees each other one with its count and table
                 first = [c_star[j] for j in order.tolist()]
@@ -651,20 +656,21 @@ class TestReliableCounts:
                 assert calls == kept, x_index
                 empty += sum(ball[0] == 0 for ball in want)
                 cut += len(want) - len(kept)
-        # radius-0 balls (never cut), radii on a pool distance, and cut balls
-        assert empty >= 8 and exact > 0 and cut > 0
+        # radius-0 balls (never cut), radii on a pool distance, cut balls, and
+        # records below their bound
+        assert empty >= 8 and exact > 0 and cut > 0 and below > 0
 
     def test_nothing_is_cut_where_c_star_is_past_the_pool(self, monkeypatch):
         # c* = w + 1 cuts no count, not even a ball that holds all w points:
-        # neither as a band nor as the c* of a delta' outside the band's range
+        # neither as a bound nor as the c* at the point's delta'
         calls = []
 
         def recording(in_ball, w, stages, rng):
             calls.append(in_ball)
             return BerEstResult(1.0, 8, True)  # never passes
 
-        monkeypatch.setattr(kalls.core, "cut_band",
-                            lambda eps_o, delta_lo, delta_hi, u, accept, w: (w + 1, w + 1))
+        monkeypatch.setattr(kalls.core, "cut_bound",
+                            lambda eps_o, delta_lo, delta_hi, u, accept, w: w + 1)
         monkeypatch.setattr(kalls.core, "est_prob", recording)
         pool = uniform_pool(50, seed=47)
         active = ActiveSet()
@@ -674,7 +680,7 @@ class TestReliableCounts:
             active.append(ActiveRecord(point=np.array([point]), inferred_label=1, lb=0.2,
                                        source_index=src))
         smooth = SmoothnessParams(alpha=1.0, L=1.2, d=1)
-        for deltas in ((DELTA_S, DELTA_S), (4 * DELTA_S, 16 * DELTA_S)):
+        for deltas in ((DELTA_S, DELTA_S), WIDE):
             calls.clear()
             assert pool_reliable(pool, 7, DELTA_S, smooth, active, substream(1, "estimation"),
                                  deltas) is False
@@ -690,19 +696,26 @@ class TestReliableCounts:
 
 
 class TestCutBands:
-    """A record's band, set at acceptance over the table's delta' range,
-    decides a ball at any delta' of that range: cut at c >= hi, kept at
-    c < lo.  A ball of lo <= c < hi, and every ball at a delta' outside the
-    range, takes c* at the point's delta'.  Either way the outcome, the
-    trace's counters and the stream are those of ``reference_reliable``."""
+    """A record's bound on c*, set at acceptance over the table's delta'
+    range, cuts the record at any delta' of that range where both its balls
+    hold at least the bound's count.  A record with a ball below its bound
+    takes c* at the point's delta'.  Either way the outcome, the trace's
+    counters and the stream are those of ``reference_reliable``.  A delta'
+    outside the range is refused."""
 
     SMOOTH = SmoothnessParams(alpha=1.0, L=1.2, d=1)
     POOL = uniform_pool(2000, seed=48)
     # the delta' range of a run at delta 0.05 over this pool
     DELTAS = per_point_delta(0.05, 2000), per_point_delta(0.05, 1)
 
-    def _against_reference(self, x_index, delta_s, active, seed):
-        """``reliable`` on a record table over ``DELTAS``, checked against
+    def _table(self, active, deltas):
+        rows = RecordRows(self.SMOOTH, *deltas)
+        for r in active.records:
+            rows.append(r, np.sort(sq_dists(self.POOL.points, r.point)[0]))
+        return rows
+
+    def _against_reference(self, x_index, delta_s, active, seed, deltas=DELTAS):
+        """``reliable`` on a record table over ``deltas``, checked against
         ``reference_reliable`` on a copy of its stream; the table, and the
         accuracies of each exact cut ``reliable`` took."""
         pool, drawn, exact = self.POOL, [], []
@@ -710,7 +723,7 @@ class TestCutBands:
         def cut_spy(eps_o, delta_lo, delta_hi, u, accept, w):
             if delta_lo == delta_hi == delta_s:
                 exact.append(eps_o)
-            return cut_band(eps_o, delta_lo, delta_hi, u, accept, w)
+            return cut_bound(eps_o, delta_lo, delta_hi, u, accept, w)
 
         def draw_spy(in_ball, w, stages, rng):
             res = est_prob(in_ball, w, stages, rng)
@@ -718,11 +731,9 @@ class TestCutBands:
             return res
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(kalls.core, "cut_band", cut_spy)
+            m.setattr(kalls.core, "cut_bound", cut_spy)
             m.setattr(kalls.core, "est_prob", draw_spy)
-            rows = RecordRows(self.SMOOTH, *self.DELTAS)
-            for r in active.records:
-                rows.append(r, np.sort(sq_dists(pool.points, r.point)[0]))
+            rows = self._table(active, deltas)
             rng = substream(seed, "estimation")
             out = reliable(pool.points[x_index], center_order(pool, x_index)[1], delta_s,
                            rows, rng)
@@ -748,36 +759,61 @@ class TestCutBands:
                                        lb=lb, source_index=src))
         return active
 
-    def test_a_ball_inside_its_band_takes_c_star(self):
-        inside = outside = 0
+    def _below(self, rows, x_index):
+        """The accuracies, in record order, of the records with a ball
+        below their bound."""
+        r2 = sq_dists(rows.points, self.POOL.points[x_index])[0]
+        x_row = center_order(self.POOL, x_index)[1]
+        return [e for e, row, r, bound in zip(rows.eps_o, rows.rows, r2, rows.bound)
+                if min(row.searchsorted(r), x_row.searchsorted(r)) < bound]
+
+    def test_a_ball_below_its_bound_takes_c_star(self):
+        below = cut = 0
         x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.5)))
         for lb, rank, s in itertools.product((0.5, 0.3, 0.1), range(1, 10), (1, 40, 2000)):
             delta_s = per_point_delta(0.05, s)
             rows, exact = self._against_reference(
                 x_index, delta_s, self._records_above(x_index, [rank], lb), s)
-            # the record's two balls against its band
-            (lo,), (hi,) = rows.band
-            r2 = sq_dists(rows.points, self.POOL.points[x_index])[0]
-            x_row = center_order(self.POOL, x_index)[1]
-            counts = rows.rows[0].searchsorted(r2[0]), x_row.searchsorted(r2[0])
-            if any(lo <= c < hi for c in counts):
-                assert exact == rows.eps_o.tolist()
-                inside += 1
-            else:
-                assert exact == []
-                outside += 1
-        assert inside > 0 and outside > 0
+            # the record's two balls against its bound
+            assert exact == self._below(rows, x_index)
+            below += len(exact)
+            cut += not exact
+        assert below > 0 and cut > 0
 
-    def test_a_delta_outside_the_range_takes_c_star(self):
+    def test_a_wide_range_takes_c_star_below_the_bound(self):
+        # delta's at and past the ends of a run's range, in one range that
+        # holds them all
         x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.3)))
         active = self._records_above(x_index, (2, 5, 7, 40), 0.5)
-        for seed, delta_s in enumerate((0.5, self.DELTAS[1] * 1.5, self.DELTAS[0] / 2, 1e-12)):
-            rows, exact = self._against_reference(x_index, delta_s, active, seed)
-            assert exact == rows.eps_o.tolist()  # every record, in record order
+        delta_s = (0.5, self.DELTAS[1] * 1.5, self.DELTAS[0] / 2, 1e-12)
+        below = 0
+        for seed, delta in enumerate(delta_s):
+            rows, exact = self._against_reference(x_index, delta, active, seed,
+                                                  (min(delta_s), max(delta_s)))
+            assert exact == self._below(rows, x_index)
+            below += len(exact)
+        assert 0 < below < len(delta_s) * len(active)
+
+    def test_a_delta_outside_the_range_is_refused(self):
+        # before the trace's counters or the stream move, with records or
+        # without
+        x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.3)))
+        x_row = center_order(self.POOL, x_index)[1]
+        for active in (ActiveSet(), self._records_above(x_index, (2, 5, 7, 40), 0.5)):
+            rows = self._table(active, self.DELTAS)
+            for seed, delta_s in enumerate((0.5, self.DELTAS[1] * 1.5, self.DELTAS[0] / 2,
+                                            1e-12)):
+                rng = substream(seed, "estimation")
+                state = rng.bit_generator.state
+                with pytest.raises(ValueError, match=rf"delta' {delta_s!r} is outside the "
+                                                     r"record table's range \["):
+                    reliable(self.POOL.points[x_index], x_row, delta_s, rows, rng)
+                assert rng.bit_generator.state == state
+                assert vars(rows.trace) == vars(RunTrace())
 
 
 class TestNegligibleCut:
-    """``reliable`` fails a ball without a draw where ``cut_band`` bounds
+    """``reliable`` fails a ball without a draw where ``cut_bound`` bounds
     its pass probability below 2^-64.  The law of the outcome (no
     pass, or a pass on record j's ball around X' or around X) must be the
     one without the cut."""
@@ -822,9 +858,9 @@ class TestNegligibleCut:
     def test_same_law_with_and_without_the_cut(self, monkeypatch):
         seeds = range(2000)
         cut, cut_trace = self._outcomes(seeds, 1)
-        # no count is cut: lo = hi = w + 1
-        monkeypatch.setattr(kalls.core, "cut_band",
-                            lambda eps_o, delta_lo, delta_hi, u, accept, w: (w + 1, w + 1))
+        # no count is cut: c* = w + 1
+        monkeypatch.setattr(kalls.core, "cut_bound",
+                            lambda eps_o, delta_lo, delta_hi, u, accept, w: w + 1)
         drawn, drawn_trace = self._outcomes(seeds, 2)
         outcomes = [None, (0, "point"), (1, "record"), (2, "record")]
         assert set(cut) == set(drawn) == set(outcomes)

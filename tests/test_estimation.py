@@ -9,7 +9,7 @@ from scipy.stats import binom, chi2_contingency
 
 import kalls.estimation
 from kalls.estimation import (BerEstResult, _stage_loop, ber_est,
-                              ber_est_max_stage, cut_band, est_prob, est_prob_from_sq_dists,
+                              ber_est_max_stage, cut_bound, est_prob, est_prob_from_sq_dists,
                               g_factor, stage_table)
 from kalls.pool import sq_dists
 from kalls.seeding import substream
@@ -21,7 +21,7 @@ EPS_O, DELTA_P, U = 0.1, 0.1, 50
 
 def scalar_cut(in_ball, w, stages, accept):
     """The Chernoff cut of one ball of ``in_ball`` of the ``w`` pool points,
-    as a scalar: the reference ``cut_band`` must match.  A pass, p_hat <=
+    as a scalar: the reference ``cut_bound`` must match.  A pass, p_hat <=
     a = ``accept``, needs one of the last n_rel stages, those whose
     threshold is below a (or the last alone), the first of them m_rel
     draws; the ball is cut where p = in_ball / w > a and
@@ -40,10 +40,8 @@ def chernoff_cut(in_ball, w, m_rel, n_rel, accept):
 
 
 def first_cut(eps_o, delta_prime, u, accept, w):
-    """c*: ``cut_band`` at one delta', where lo == hi."""
-    lo, hi = cut_band(eps_o, delta_prime, delta_prime, u, accept, w)
-    assert lo == hi
-    return lo
+    """c*: ``cut_bound`` at one delta'."""
+    return cut_bound(eps_o, delta_prime, delta_prime, u, accept, w)
 
 
 def const_sampler(value):
@@ -494,7 +492,7 @@ class TestStageTable:
 
 
 class TestPassNegligible:
-    """c* (``cut_band`` at one delta') cuts a ball only where ``est_prob`` passes,
+    """c* (``cut_bound`` at one delta') cuts a ball only where ``est_prob`` passes,
     p_hat <= accept, with probability below 2^-64.  A pass needs a stage
     where the loop can end with that estimate: one whose threshold is below
     accept (an early stop has p_hat above its threshold), or the last.  So
@@ -549,8 +547,8 @@ class TestPassNegligible:
 
 
 class TestCutCounts:
-    """``cut_band`` takes c* from the root of the cut's quadratic, at the
-    m_rel and n_rel of the stage table.  At one delta' the band is c*, and
+    """``cut_bound`` takes c* from the root of the cut's quadratic, at the
+    m_rel and n_rel of the stage table.  At one delta' the bound is c*, and
     it must be the first count the scalar predicate cuts."""
 
     def test_cut_is_the_scalar_predicate_around_c_star(self):
@@ -562,8 +560,8 @@ class TestCutCounts:
             for e, dp in itertools.product(eps_o, (0.05, per_point_delta(0.05, 10),
                                                    per_point_delta(0.05, 2000))):
                 a = ratio * e
-                c, last = cut_band(e, dp, dp, U, a, w)
-                assert type(c) is int and c == last
+                c = cut_bound(e, dp, dp, U, a, w)
+                assert type(c) is int
                 stages = stage_table(e, dp, U)
                 n_rels.add(min(sum(t < a for _, t in stages), 2))
                 dead += stages[0][1] >= 1.0
@@ -607,9 +605,9 @@ class TestCutCounts:
 
 
 class TestCutBand:
-    """A band over [delta_lo, delta_hi] holds at every delta' of the range:
-    lo <= c*(delta') <= hi, c*(delta') the first count ``scalar_cut`` cuts
-    on ``stage_table(eps_o, delta', u)``.  At one delta' the band is c*."""
+    """A bound over [delta_lo, delta_hi] holds at every delta' of the range:
+    c*(delta') <= bound, c*(delta') the first count ``scalar_cut`` cuts on
+    ``stage_table(eps_o, delta', u)``.  At one delta' the bound is c*."""
 
     WS = (50, 2000, 20_000)
 
@@ -673,26 +671,25 @@ class TestCutBand:
     @pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3])
     def test_band_holds_at_every_delta_of_the_range(self, delta):
         deltas = [per_point_delta(delta, s) for s in range(1, max(self.WS) + 1)]
-        wide = moves = 0
+        loose = moves = 0
         for eps_o, accept in self._accuracies(delta):
             known = {}
             relevant = [self._relevant(eps_o, dp, accept) for dp in deltas]
             for w in self.WS:
-                lo, hi = cut_band(eps_o, deltas[w - 1], deltas[0], U, accept, w)
+                bound = cut_bound(eps_o, deltas[w - 1], deltas[0], U, accept, w)
                 c_star = {self._c_star(m, n, accept, w, known) for m, n in relevant[:w]}
-                assert lo <= min(c_star) and max(c_star) <= hi, (eps_o, delta, w)
-                wide += lo < hi
+                assert max(c_star) <= bound, (eps_o, delta, w)
+                loose += max(c_star) < bound
                 moves += len(c_star) > 1
-        # bands wider than one count, and c* that moves over the range
-        assert wide > 0 and moves > 0
+        # bounds above every c* of the range, and c* that moves over it
+        assert loose > 0 and moves > 0
 
     def test_one_delta_is_c_star(self):
         for (eps_o, accept), dp, w in itertools.product(self._accuracies(0.05),
                                                         (0.5, 1e-3, 1e-9), self.WS):
-            assert cut_band(eps_o, dp, dp, U, accept, w) == \
-                (self._c_star(*self._relevant(eps_o, dp, accept), accept, w, {}),) * 2, \
-                (eps_o, dp, w)
+            assert cut_bound(eps_o, dp, dp, U, accept, w) == \
+                self._c_star(*self._relevant(eps_o, dp, accept), accept, w, {}), (eps_o, dp, w)
 
     def test_reversed_range_is_refused(self):
         with pytest.raises(ValueError, match="above delta_hi"):
-            cut_band(EPS_O, 0.1, 0.01, U, EPS_O, 100)
+            cut_bound(EPS_O, 0.1, 0.01, U, EPS_O, 100)
