@@ -393,6 +393,14 @@ PINNED_RUNS = {
                      (2000, "pool_exhausted", 2000, 0, 0, 0, 206150, 2000, 59),
                      "344cd3bc2d147672ca8cb0756bd518570b5db9f492decf7111be4bf8bab39193",
                      "1b021cd950cb7c8cda1500659622981cf21c2a707c022d30de2096876aa34a09"),
+    # d = 1 on a pool of 2000: 36 of the 181 points tested against records
+    # have a ball below its record's bound, so reliable takes c* there
+    "noiseless_band": ({"problem": {"family": "power_margin_uniform_1d", "kappa": 0.0},
+                        "smoothness_override": _SMOOTH, "pool_size": 2000, "budgets": [150000],
+                        "epsilon": 0.4, "delta": 0.05, "seeds": [3]},
+                       (150000, "budget_exhausted", 182, 26, 43, 11272192, 16668, 156, 101),
+                       "44cb096b51cb782907bb4ba4bcd63ce04cfc4339abbd26f6f8d360793a73c3a1",
+                       "7f56e8472e356ea3b7dc6d12f46926bb4122abf98390efc6a24f4de9caf4622a"),
     # i_max 80: the last stage holds 2^80 draws, and its two passes are on
     # empty balls
     "atoms_empty_ball": ({"problem": {"family": "discrete_atoms", "kappa": 0.0},
