@@ -350,37 +350,24 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     stops at the first that passes.  A run with no record yet is
     never reliable.
 
-    ``rows`` is the run's record table (``RecordRows``): the records' points,
-    sorted pool rows, accuracies and bounds on c*, all computed when each
-    record was accepted; its rows and ``x_row`` are rows over the same pool
-    of w points.  ``x_row`` is X's full row, its own 0.0 included, which
-    ``run_kalls`` takes from its one ``center_order`` of the scan step and
-    keeps as the row of the record X becomes.  ``delta_s`` must lie in the
-    table's delta' range, as every scanned point's does; ValueError, naming
-    it and the range, before the trace or ``rng`` is touched, where it does
-    not.
+    ``rows`` is the run's record table (``RecordRows``); its rows and
+    ``x_row``, X's full sorted row (its own 0.0 included, from the scan
+    step's ``center_order``), are rows over the same pool of w points.
+    ``delta_s`` must lie in the table's delta' range; ValueError, naming it
+    and the range, before the trace or ``rng`` is touched, where it does not.
 
     A ball of c* points or more, c* the smallest count whose pass has
     probability below 2^-64 at delta' = ``delta_s`` (``cut_bound``), fails
-    without a draw.  Leaving out those draws moves the law of each ball's
-    outcome by less than 2^-64, and a run's by less than that times the
-    balls tested.  A sorted row's count is the number of its entries below
-    r2, so a ball holds c points or more exactly when its row's (c)th entry
-    is below r2, and no ball is counted to be cut.  A call costs a fixed
-    number of array operations over the R records: their squared radii
-    (``np.sqrt`` of the squared record distances that ``sq_dists`` gives,
-    squared again in place, bit for bit the scalar ``radius * radius``),
-    one compare of r2 with each record's stored bound entry, and one gather
-    in X's row at the bounds.  A record whose two balls both hold at least
-    its bound's count is cut; every other record takes its c* at
-    ``delta_s`` (``cut_bound`` at the one delta') and a gather at it in
-    both rows.  Only where the cut keeps a ball are the records ordered,
-    nearest first (``nearest_order``), and only the kept balls are counted,
-    each with one ``searchsorted`` in its row, in the test's order; each is
-    one ``est_prob`` call, which only draws, on its record's stage table
-    (``stage_table``).  The counts equal ``count_nonzero(d2 < r2)`` on the
-    unsorted ``sq_dists`` rows, so every cut and binomial draw, and the
-    random stream, is that of a fresh distance row per ball.
+    without a draw, which moves the law of each ball's outcome by less than
+    2^-64.  A ball holds c points or more exactly when the (c)th entry of
+    its sorted row is below r2.  One array pass, against each record's bound
+    on c*, finds the records with a ball below it; only where there is one
+    does the test walk the records, nearest first (``nearest_order``).  Each
+    such record the walk reaches takes its c* at ``delta_s`` and cuts each
+    ball that holds c* points; every other ball is one ``est_prob`` call on
+    its count (one ``searchsorted`` in its row) and its record's stage
+    table.  So every cut and draw, and the random stream, are those of a
+    fresh distance row per ball.
 
     Each call adds its ``est_prob`` calls, their draws and the balls it
     failed without a call (the balls it tested less its calls) to the
@@ -395,32 +382,21 @@ def reliable(x: np.ndarray, x_row: np.ndarray, delta_s: float, rows: RecordRows,
     r2 = np.sqrt(sq_dists(rows.points, x)[0])  # bit for bit the scalar sqrt of each entry
     r2 *= r2
     record_rows, eps_o, w = rows.rows, rows.eps_o, x_row.shape[0]
-    # whether each ball holds its record's bound or more points.  A bound
-    # past the pool (w + 1) reads X's last entry, but its record entry is
-    # +inf, so that record is never cut here and takes c* below
-    record_cut = rows.bound_entries < r2
-    point_cut = x_row.take(rows.bound - 1, mode="clip") < r2
-    for j in np.flatnonzero(~(record_cut & point_cut)).tolist():
-        # c* at delta_s; a ball is cut when it holds c* points or more, that
-        # is when the (c*)th entry of its sorted row is below r2
-        c_star = cut_bound(eps_o[j], delta_s, delta_s, _U, RELIABLE_ACCEPT_RATIO * eps_o[j], w)
-        record_cut[j] = c_star <= w and record_rows[j][c_star - 1] < r2[j]
-        point_cut[j] = c_star <= w and x_row[c_star - 1] < r2[j]
-    kept = ~(record_cut & point_cut)
-
+    # the records with a ball below their bound.  A bound past the pool
+    # (w + 1) reads X's last entry, but its record entry is +inf, so that
+    # record is below it
+    below = ~((rows.bound_entries < r2) & (x_row.take(rows.bound - 1, mode="clip") < r2))
     calls = draws = 0
     tested, passed = 2 * len(record_rows), None
-    positions = []
-    if kept.any():  # the positions of the records with a kept ball, nearest first
-        order = nearest_order(rows.points, x)[0]
-        positions = np.flatnonzero(kept[order]).tolist()
-    for k in positions:
-        j = int(order[k])
-        stages = stage_table(eps_o[j], delta_s, _U)
+    order = nearest_order(rows.points, x)[0].tolist() if below.any() else []
+    for k, j in enumerate(order):
+        if not below[j]:
+            continue
         threshold = RELIABLE_ACCEPT_RATIO * eps_o[j]
-        for ball, cut, row in (("record", record_cut[j], record_rows[j]),
-                               ("point", point_cut[j], x_row)):
-            if cut:
+        c_star = cut_bound(eps_o[j], delta_s, delta_s, _U, threshold, w)
+        stages = stage_table(eps_o[j], delta_s, _U)
+        for ball, row in (("record", record_rows[j]), ("point", x_row)):
+            if c_star <= w and row[c_star - 1] < r2[j]:  # it holds c* points or more
                 continue
             est = est_prob(int(row.searchsorted(r2[j])), w, stages, rng)
             calls += 1

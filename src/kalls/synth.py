@@ -208,10 +208,9 @@ class DiscreteAtoms(_Marginal1D):
         return np.maximum(hi - lo, 0) / self.n_atoms
 
     def margin_mass(self, eps):
-        eps = np.asarray(eps, dtype=np.float64)
-        if self.kappa == 0.0:
-            return np.where(eps >= 0.5, 1.0, 0.0)
-        v = (2.0 * eps) ** (1.0 / self.kappa)
+        # |eta - 1/2| <= eps at the atoms a with |2a - 1| <= v, v the uniform
+        # family's margin mass at eps; no atom is 1/2, so v = 0 counts none
+        v = _power_margin_mass(eps, self.kappa)
         lo = np.searchsorted(self.atoms, (1.0 - v) / 2.0, side="left")
         hi = np.searchsorted(self.atoms, (1.0 + v) / 2.0, side="right")
         return (hi - lo) / self.n_atoms

@@ -261,6 +261,36 @@ class TestConfig:
         assert capsys.readouterr().err == "config error: unknown config key(s): problem.n_atoms\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["seeds", "budgets"])
+    def test_empty_list_exits_1(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, **{key: []})
+        with pytest.raises(ConfigError, match=f"^'{key}' must be nonempty$"):
+            load_config(path)
+        self._refused(tmp_path, capsys, path, f"'{key}' must be nonempty")
+
+    def test_top_level_not_an_object_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match=r"^config section '<top>' must be an object$"):
+            load_config(path)
+        self._refused(tmp_path, capsys, path, "config section '<top>' must be an object")
+
+    def test_kappa_0_without_override_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, problem={"family": "power_margin_uniform_1d",
+                                               "kappa": 0.0})
+        message = "problem has no certified smoothness (kappa=0); set 'smoothness_override'"
+        cfg = load_config(path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cfg.smooth_params(cfg.build_problem())
+        self._refused(tmp_path, capsys, path, message)
+
+    def test_override_with_l_1_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, smoothness_override={"alpha": 1.0, "L": 1.0})
+        with pytest.raises(ConfigError,
+                           match=r"^bad SmoothnessParams override: L must be > 1, got 1.0$"):
+            load_config(path)
+        self._refused(tmp_path, capsys, path, "bad SmoothnessParams override: L must be > 1")
+
     def test_value_error_inside_a_run_exits_2(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("deep failure")
@@ -351,6 +381,15 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert (f"argument --seed-override: '--seed-override' must be an int in "
                 f"[-2^63, 2^63), got {seed}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override_not_an_int_is_a_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, pool_size=300)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", path, "--out", str(out), "--seed-override", "abc"])
+        assert exc.value.code == 2
+        assert "argument --seed-override: invalid int value: 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_ball_at_tiny_accuracy(self, tmp_path):

@@ -75,6 +75,13 @@ class TestConfidentLabel:
         with pytest.raises(RuntimeError, match=r"no label request possible: min\(k', t\) < 1"):
             confident_label(pool, oracle, 0, k_prime=5, t_budget=0, delta_s=DELTA_S)
 
+    def test_a_one_point_pool_has_no_neighbor_to_request(self):
+        pool = Pool(np.array([[0.5]]))
+        oracle = LabelOracle(pool, flat_eta(0.5), 10, seed=6)
+        with pytest.raises(RuntimeError, match="^pool has no neighbors to request$"):
+            confident_label(pool, oracle, 0, k_prime=5, t_budget=5, delta_s=DELTA_S)
+        assert oracle.remaining_budget == 10
+
     def test_majority_convention_at_half(self):
         # eta_hat exactly 1/2 labels 1
         pool = Pool(np.array([[0.0], [0.1], [0.2]]))
@@ -267,6 +274,21 @@ def reference_reliable(points, x, delta_s, smooth, active, rng, balls=None):
     return False
 
 
+def walked(order, below, passed):
+    """The records whose c* ``reliable`` takes: those of ``below`` (a ball
+    below their bound) in ``order``, nearest first, up to the record
+    ``passed`` whose ball passed, or all of them where it is None."""
+    records = [j for j in order if j in below]
+    return records if passed is None else records[:records.index(passed) + 1]
+
+
+def passed_record(rows, out):
+    """The record of ``rows`` whose ball passed in the ``reliable`` call
+    that just returned ``out``, or None where ``out`` is False."""
+    sources = [r.source_index for r in rows.active.records]
+    return sources.index(rows.trace.skip_certificates[-1].source_index) if out else None
+
+
 class TestSortedRows:
     """``run_kalls`` takes one ``center_order`` per scanned point; ``reliable``
     counts its balls on the sorted pool row it gives, which an accepted point
@@ -282,8 +304,9 @@ class TestSortedRows:
         else the records nearest first, their c* (``cut_bound`` at the point's
         delta') and accept in record order, the records with a ball below
         their bound (count < bound), the accuracies of each exact cut
-        ``reliable`` took, the balls tested and the (count, w, stage table,
-        draws used) of each ``est_prob`` call.  Every ``cut_bound`` call
+        ``reliable`` took, the balls tested, the record whose ball passed
+        (None where none did) and the (count, w, stage table, draws used) of
+        each ``est_prob`` call.  Every ``cut_bound`` call
         outside ``reliable`` is one accepted record's bound over the run's
         delta' range."""
         family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
@@ -329,6 +352,7 @@ class TestSortedRows:
             out = inner(x, x_row, delta_s, rows, rng)
             in_reliable.pop()
             tests[-1]["tested"] = tested() - before
+            tests[-1]["passed"] = passed_record(rows, out)
             return out
 
         def cut_spy(eps_o, delta_lo, delta_hi, u, accept, w):
@@ -379,9 +403,10 @@ class TestSortedRows:
                 assert test["drawn"] == [(count, w, stages, used)
                                          for count, w, stages, _, used in balls
                                          if used is not None]
-                # one exact cut per record with a ball below its bound, in
-                # record order, and none elsewhere
-                assert test["exact"] == [test["eps_o"][j] for j in test["below"]]
+                # one exact cut per record with a ball below its bound, nearest
+                # first up to the record whose ball passed, and none elsewhere
+                assert test["exact"] == [test["eps_o"][j] for j in walked(
+                    test["order"], test["below"], test["passed"])]
                 drawn += len(test["drawn"])
                 cut += test["tested"] - len(test["drawn"])
             assert len(active) == len(ref_active) > 1
@@ -699,9 +724,9 @@ class TestCutBands:
     """A record's bound on c*, set at acceptance over the table's delta'
     range, cuts the record at any delta' of that range where both its balls
     hold at least the bound's count.  A record with a ball below its bound
-    takes c* at the point's delta'.  Either way the outcome, the trace's
-    counters and the stream are those of ``reference_reliable``.  A delta'
-    outside the range is refused."""
+    takes c* at the point's delta' where the nearest-first walk reaches it.
+    Either way the outcome, the trace's counters and the stream are those
+    of ``reference_reliable``.  A delta' outside the range is refused."""
 
     SMOOTH = SmoothnessParams(alpha=1.0, L=1.2, d=1)
     POOL = uniform_pool(2000, seed=48)
@@ -759,13 +784,18 @@ class TestCutBands:
                                        lb=lb, source_index=src))
         return active
 
-    def _below(self, rows, x_index):
-        """The accuracies, in record order, of the records with a ball
-        below their bound."""
-        r2 = sq_dists(rows.points, self.POOL.points[x_index])[0]
+    def _walked(self, rows, x_index):
+        """The accuracies of the records whose c* ``reliable`` took in its
+        one call on ``rows``: those with a ball below their bound, nearest
+        first, up to the record whose ball passed."""
+        x = self.POOL.points[x_index]
+        r2 = sq_dists(rows.points, x)[0]
         x_row = center_order(self.POOL, x_index)[1]
-        return [e for e, row, r, bound in zip(rows.eps_o, rows.rows, r2, rows.bound)
-                if min(row.searchsorted(r), x_row.searchsorted(r)) < bound]
+        below = [j for j, (row, r, bound) in enumerate(zip(rows.rows, r2, rows.bound))
+                 if min(row.searchsorted(r), x_row.searchsorted(r)) < bound]
+        passed = passed_record(rows, bool(rows.trace.skip_certificates))
+        return [rows.eps_o[j] for j in walked(nearest_order(rows.points, x)[0].tolist(),
+                                              below, passed)]
 
     def test_a_ball_below_its_bound_takes_c_star(self):
         below = cut = 0
@@ -775,7 +805,7 @@ class TestCutBands:
             rows, exact = self._against_reference(
                 x_index, delta_s, self._records_above(x_index, [rank], lb), s)
             # the record's two balls against its bound
-            assert exact == self._below(rows, x_index)
+            assert exact == self._walked(rows, x_index)
             below += len(exact)
             cut += not exact
         assert below > 0 and cut > 0
@@ -790,7 +820,7 @@ class TestCutBands:
         for seed, delta in enumerate(delta_s):
             rows, exact = self._against_reference(x_index, delta, active, seed,
                                                   (min(delta_s), max(delta_s)))
-            assert exact == self._below(rows, x_index)
+            assert exact == self._walked(rows, x_index)
             below += len(exact)
         assert 0 < below < len(delta_s) * len(active)
 
@@ -902,6 +932,15 @@ class TestRunKalls:
         assert len(active) == 0
         assert trace.stopped_reason == "budget_exhausted"
         assert trace.labels_spent == 0
+
+    def test_a_one_point_pool_is_refused(self):
+        pool = Pool(np.array([[0.5]]))
+        oracle = LabelOracle(pool, flat_eta(1.0), 100, seed=2)
+        config = KallsConfig(epsilon=0.2, delta=0.05, n=100)
+        with pytest.raises(ValueError, match="^pool must contain at least 2 points$"):
+            run_kalls(pool, oracle, config, SmoothnessParams(alpha=1.0, L=2.0, d=1),
+                      MarginParams(beta=1, C=2), est_rng=substream(2, "estimation"))
+        assert oracle.remaining_budget == 100
 
     def test_two_point_pool_first_point_informative(self):
         pool = Pool(np.array([[0.2], [0.8]]))

@@ -135,6 +135,10 @@ class TestPassiveKnn:
         assert default_passive_k(10, alpha=1.0, d=1) == 5      # ceil(10^(2/3)) = ceil(4.64)
         assert default_passive_k(1, alpha=0.5, d=3) == 1
 
+    def test_default_k_refuses_no_labels(self):
+        with pytest.raises(ValueError, match="^n_labels must be >= 1$"):
+            default_passive_k(0, alpha=1.0, d=1)
+
     def test_default_k_matches_mpmath_rule(self):
         def reference(n, alpha, d):
             # the same rule in mpmath arbitrary precision

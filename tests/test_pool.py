@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,20 @@ class TestPoolCsv:
         with pytest.raises(ValueError):
             Pool(np.array([[0.0], [np.nan]]))
 
+    def test_rejects_no_points(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "points must be a nonempty (w, d) array, got shape (0, 1)")):
+            Pool(np.zeros((0, 1)))
+
+    def test_sq_dists_refuses_other_dimensions(self):
+        with pytest.raises(ValueError, match="^queries have 1 coordinates, points 2$"):
+            sq_dists(np.zeros((3, 2)), np.zeros(1))
+
+    def test_center_order_refuses_an_index_past_the_pool(self):
+        pool = Pool(np.arange(5.0)[:, None])
+        with pytest.raises(ValueError, match=re.escape("center_index 5 out of range [0, 5)")):
+            center_order(pool, pool.w)
+
 
 class TestLabelOracle:
     def _pool(self, w=100, seed=12):
@@ -402,6 +418,13 @@ class TestLabelOracle:
         for bad in (1.5, -0.5, np.nan):  # a NaN eta would draw label 0
             with pytest.raises(ValueError, match="eta_fn"):
                 LabelOracle(pool, lambda X: np.full(X.shape[0], bad), 10, seed=1)
+
+    def test_budget_and_mode_validation(self):
+        pool, eta = self._pool(), lambda X: np.full(X.shape[0], 0.5)
+        with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
+            LabelOracle(pool, eta, -1, seed=1)
+        with pytest.raises(ValueError, match="^unknown budget mode 'x'$"):
+            LabelOracle(pool, eta, 10, seed=1, mode="x")
 
     def test_neighbor_order_excludes_center(self):
         pool = self._pool(w=30)

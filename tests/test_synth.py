@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -116,6 +118,12 @@ class TestClosedForms:
         p = make_problem("discrete_atoms", kappa=0.5)
         eta = p.eta(p.atoms[:, None])
         assert p.mean_abs_margin() == pytest.approx(float(np.mean(np.abs(2 * eta - 1))))
+
+    def test_discrete_kappa_zero_margin_is_a_step_at_one_half(self):
+        # at kappa 0 every atom has |eta - 1/2| = 1/2
+        p = make_problem("discrete_atoms", kappa=0.0)
+        assert p.margin_mass(np.array([0.1, 0.4999, 0.5, 0.7])).tolist() == [0, 0, 1, 1]
+        assert check_margin(p).passed
 
 
 class TestBallMass:
@@ -262,6 +270,17 @@ class TestCheckers:
         assert report.max_violation == float("-inf")
         assert report.as_dict()["max_violation"] == "-inf"
 
+    def test_input_checks(self):
+        p = make_problem("power_margin_uniform_1d", kappa=1.0)
+        with pytest.raises(ValueError, match="^n_pairs must be >= 1$"):
+            check_smoothness(p, n_pairs=0)
+        with pytest.raises(ValueError, match="^grid must supply matching nonempty centers "
+                                             "and radii$"):
+            check_doubling(p, grid=(np.zeros((3, 1)), np.ones(2)))
+        # the product family certifies doubling at d = 2 only
+        with pytest.raises(ValueError, match="^problem has no certified doubling constants$"):
+            check_doubling(make_problem("product_uniform_nd", kappa=1.0, d=3))
+
     def test_kappa_zero_margin_certificate_holds(self):
         p = make_problem("power_margin_uniform_1d", kappa=0.0)
         assert check_margin(p).passed
@@ -299,6 +318,12 @@ def test_assumption_checks_are_pinned(family, kappa, d):
 
 
 class TestSampling:
+    def test_unknown_rng_role_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown rng role 'labels'; expected one of ['estimation', 'evaluation', "
+                "'oracle', 'passive', 'points', 'pool']")):
+            substream(1, "labels")
+
     def test_reproducible_streams(self):
         p = make_problem("power_margin_gaussian_1d", kappa=1.0, seed=5)
         a = p.sample(100, substream(9, "points"))

@@ -152,6 +152,8 @@ class TestLabelBudget:
         m = MarginParams(beta=1, C=1)
         with pytest.raises(ValueError):
             label_budget_k(0.2, 0.5, m, 8)
+        with pytest.raises(ValueError, match="^c_const must be > 0, got 0$"):
+            label_budget_real(0.2, 0.05, m, 0)
 
 
 class TestPhiN:
@@ -320,6 +322,8 @@ class TestParamValidation:
             KallsConfig(epsilon=0.2, delta=0.05, n=10, budget_mode="free_lunch")
         with pytest.raises(ValueError):
             KallsConfig(epsilon=0.2, delta=0.05, n=-1)
+        with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\), got 1.5$"):
+            KallsConfig(epsilon=0.2, delta=1.5, n=10)
         for bad in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="c_const must be finite and >= 1"):
                 KallsConfig(epsilon=0.2, delta=0.05, n=10, c_const=bad)
