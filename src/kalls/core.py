@@ -212,6 +212,21 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
     exactly those labels are then charged with one ``request_batch``, which is
     request-for-request identical to the sequential loop.
 
+    The cut-off is tested only where it can fire, with the same outcome:
+
+    * the floor: the deviation is at most 1/2, and with
+      h = log(1/delta_s) + loglog(1/delta_s) no k up to
+      ``th.cutoff_floor(delta_s)`` = floor(32 h) has 2 b(delta_s, k) below
+      1/2, so deviations are formed only past it (none at a cap at or below
+      it);
+    * the screen: b(delta_s, k)^2 = (2/k) (h + loglog(e k)) falls strictly
+      with k, since loglog(e k) rises by at most 1/k from k to k + 1 while
+      h > 1; the computed radii keep that order, as their relative steps,
+      about 1/(2k), are far above an ulp (tested to k = 20,000 for delta_s
+      down to 1e-16).  So no k whose deviation is at most 2 b(delta_s, cap)
+      can fire, and radii are formed only from the first k whose deviation
+      passes that one scalar.
+
     ``neighbors``, when given, must be ``neighbor_order(pool, center_index)``:
     every pool index but the centre, nearest first, ties to the lower index
     (``run_kalls`` passes the indices of its one ``center_order`` per point).
@@ -233,21 +248,25 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
 
     idx = neighbors[:cap]
     cum = np.add.accumulate(oracle.labels[idx], dtype=np.int64)  # labels 1 so far
-    # |cum/k - 1/2| > 2 b(delta_s, k), each side formed in place with the
-    # rounded operations of np.abs(cum / k - 0.5) and 2.0 * b
-    dev = np.divide(cum, th.request_counts(cap))
-    dev -= 0.5
-    np.abs(dev, out=dev)
-    twice_b = th.confidence_radii(delta_s, cap)
-    twice_b *= 2.0
-    fired = dev > twice_b
-    first = int(fired.argmax())  # the first True, or 0 when none is
-    if fired[first]:
-        k_star = first + 1
-        cut_off_fired = True
-    else:
-        k_star = cap
-        cut_off_fired = False
+    k_star, cut_off_fired = cap, False
+    floor = th.cutoff_floor(delta_s)
+    if floor < cap:
+        # |cum/k - 1/2| > 2 b(delta_s, k) for k past the floor, each side
+        # formed in place with the rounded operations of np.abs(cum / k - 0.5)
+        # and 2.0 * b
+        dev = np.divide(cum[floor:], th.request_counts(cap)[floor:])
+        dev -= 0.5
+        np.abs(dev, out=dev)
+        screen = dev > 2.0 * th.confidence_radius(delta_s, cap)
+        j = int(screen.argmax())  # the first True, or 0 when none is
+        if screen[j]:
+            twice_b = th.confidence_radii(delta_s, cap, start=floor + j + 1)
+            twice_b *= 2.0
+            fired = dev[j:] > twice_b
+            first = int(fired.argmax())
+            if fired[first]:
+                k_star = floor + j + first + 1
+                cut_off_fired = True
 
     q = idx[:k_star]
     oracle.request_batch(q)

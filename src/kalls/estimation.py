@@ -183,10 +183,11 @@ def cut_bound(epsilon_o: float, delta_lo: float, delta_hi: float, u: int,
     """
     if not delta_lo <= delta_hi:
         raise ValueError(f"delta_lo {delta_lo} is above delta_hi {delta_hi}")
-    # i_max at delta_lo, its largest over the range, and log2 m_rel at
-    # delta_hi, its smallest
-    top_i = _relevant_stages(epsilon_o, delta_lo, u, accept)[1]
-    low_rel = _relevant_stages(epsilon_o, delta_hi, u, accept)[0]
+    # log2 m_rel at delta_hi, its smallest over the range, and i_max at
+    # delta_lo, its largest
+    low_rel, top_i = _relevant_stages(epsilon_o, delta_hi, u, accept)
+    if delta_lo < delta_hi:
+        top_i = _relevant_stages(epsilon_o, delta_lo, u, accept)[1]
     return _first_cut(low_rel, top_i - low_rel + 1, accept, w)
 
 

@@ -157,19 +157,36 @@ def _k_terms(cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _K_TERMS
 
 
-def confidence_radii(delta: float, cap: int) -> np.ndarray:
-    """``confidence_radius(delta, k)`` for k = 1..cap, bit for bit: each entry
-    is formed from the same float terms with the same rounded operations, and
-    the delta-free terms are read from a table computed once with ``math.log``.
-    The result is a new array, which the caller may overwrite.  Callers pass
-    a cap that changes from call to call, so the table grows to the largest
-    cap seen and is sliced."""
+def cutoff_floor(delta: float) -> int:
+    """floor(32 h), h = log(1/delta) + loglog(1/delta): no k up to it has
+    2 ``confidence_radius(delta, k)`` below 1/2, so a mean of 0/1 labels,
+    which is at most 1/2 from 1/2, cannot pass ``confident_label``'s cut-off
+    there.
+
+    For k <= 32 h, b^2 = (2/k) (h + loglog(e k)) >= 1/16 + (2/k) loglog(e k).
+    The last term is 0 only at k = 1, where b^2 >= 2h > 2; at k >= 2 it is
+    at least loglog(2e) / h > 0.5 / h times 1/16, a margin that the few
+    rounded operations, and the floor of a rounded 32 h, cannot undo for
+    any h a float can hold (h < 760).
+    """
+    return math.floor(32.0 * _log_loglog(delta))
+
+
+def confidence_radii(delta: float, cap: int, start: int = 1) -> np.ndarray:
+    """``confidence_radius(delta, k)`` for k = start..cap, bit for bit: each
+    entry is formed from the same float terms with the same rounded
+    operations, and the delta-free terms are read from a table computed once
+    with ``math.log``.  The result is a new array, which the caller may
+    overwrite.  Callers pass a cap that changes from call to call, so the
+    table grows to the largest cap seen and is sliced."""
     head = _log_loglog(delta)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    if not 1 <= start <= cap:
+        raise ValueError(f"start must be in [1, cap], got {start} with cap {cap}")
     _, inv, loglog = _k_terms(cap)
-    radii = loglog[:cap] + head
-    radii *= inv[:cap]
+    radii = loglog[start - 1:cap] + head
+    radii *= inv[start - 1:cap]
     return np.sqrt(radii, out=radii)
 
 

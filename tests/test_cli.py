@@ -454,6 +454,14 @@ PINNED_RUNS = {
                        (2000, "pool_exhausted", 2000, 27, 137, 287309824, 850524, 1973, 417),
                        "f19f8127c5d098552261ee24001f3c036073084598d9d84cf95b781ad651876f",
                        "1c23bede06d2ae8ac679afeaadbc34b2ca627df3f0aff99c5835d3eb6ad13b03"),
+    # label inference: every cap is past the cut-off floor, 8 points have a
+    # deviation above 2 b(delta_s, cap), and no cut-off fires
+    "cached_noisy": ({"problem": {"family": "power_margin_uniform_1d", "kappa": 0.5},
+                      "pool_size": 1000, "budgets": [200000], "epsilon": 0.2, "delta": 0.05,
+                      "budget_mode": "cached_labels", "seeds": [3]},
+                     (1000, "pool_exhausted", 1000, 0, 0, 0, 0, 1000, 0),
+                     "e07ef12d77f04b746db016ea4839bba070954d668baef2c936dc548b9753a528",
+                     "21a04d9cf7157844456c5770ae133f629cb66bac38881923080c1d11f13bf5ab"),
 }
 
 

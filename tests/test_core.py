@@ -21,7 +21,8 @@ from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
-                              adaptive_budget_bound, confidence_radius, per_point_delta)
+                              adaptive_budget_bound, confidence_radius, cutoff_floor,
+                              per_point_delta)
 from test_estimation import first_cut, scalar_cut
 
 DELTA_S = 0.0015625  # delta = 0.05 at scan position s = 1
@@ -156,6 +157,50 @@ class TestConfidentLabel:
         assert all(a > b for a, b in zip(caps, caps[1:]))
         assert any(fired) and not fired[-1]
 
+    @pytest.mark.parametrize("case", ["balanced_then_ones", "cap_at_the_floor", "ones"])
+    def test_planted_labels_match_the_sequential_loop(self, case, monkeypatch):
+        # the pool is 0, 1, 2, ... on a line, so the neighbours of 0 are 1, 2, ...
+        # in order and the planted labels are read in that order.  Balanced
+        # labels that turn all-1 at 600 pass the screen well past the floor;
+        # all-1 labels pass it at the first k past the floor, and no cap up to
+        # the floor can fire.  (No label sequence fires at the first k past the
+        # floor itself: 2 b(delta_s, floor + 1) > 1/2, as loglog(e k) > 1/32.)
+        floor = cutoff_floor(DELTA_S)
+        cap = floor if case == "cap_at_the_floor" else 2000
+        planted = np.ones(2001, dtype=np.int64)
+        if case == "balanced_then_ones":
+            planted[1:601] = np.arange(600) % 2
+        pool = Pool(np.arange(2001, dtype=np.float64)[:, None])
+        oracle = LabelOracle(pool, flat_eta(0.5), 10**6, seed=7)
+        oracle.labels = planted
+        starts = []
+        radii = kalls.thresholds.confidence_radii
+
+        def spy(delta, cap, start=1):
+            starts.append(start)
+            return radii(delta, cap, start)
+
+        monkeypatch.setattr(kalls.thresholds, "confidence_radii", spy)
+        labels = planted[1:cap + 1]
+        twice_b_cap = 2 * confidence_radius(DELTA_S, cap)
+        screen = next((k for k in range(floor + 1, cap + 1)
+                       if abs(labels[:k].sum() / k - 0.5) > twice_b_cap), None)
+        k = next((k for k in range(1, cap + 1)
+                  if abs(labels[:k].sum() / k - 0.5) > 2 * confidence_radius(DELTA_S, k)),
+                 None)
+        out = confident_label(pool, oracle, 0, k_prime=cap, t_budget=10**6, delta_s=DELTA_S)
+        k_star = cap if k is None else k
+        assert out.q.tolist() == list(range(1, k_star + 1))
+        assert out.cut_off_fired == (k is not None)
+        assert out.eta_hat == labels[:k_star].sum() / k_star
+        assert starts == ([] if screen is None else [screen])
+        if case == "balanced_then_ones":
+            assert floor + 1 < screen <= k
+        elif case == "ones":
+            assert (screen, k) == (floor + 1, 328)
+        else:
+            assert screen is None and k is None
+
     @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
     def test_sequential_loop_while_the_tables_grow(self, mode, monkeypatch):
         # from an empty k table: caps that grow it, then slices of it
@@ -171,6 +216,7 @@ class TestConfidentLabel:
                      None)
             k_star = cap if k is None else k
             spent = oracle.remaining_budget
+            size = kalls.thresholds._K_TERMS[0].shape[0]
             out = confident_label(pool, oracle, s, k_prime=cap, t_budget=10**6,
                                   delta_s=delta_s)
             assert out.q.tolist() == neighbor_order(pool, s)[:k_star].tolist()
@@ -180,7 +226,9 @@ class TestConfidentLabel:
             if mode == "strict_paper":
                 assert spent - oracle.remaining_budget == k_star
             fired.append(out.cut_off_fired)
-            assert kalls.thresholds._K_TERMS[0].shape[0] >= cap
+            # the table is read, and grown to the cap, only past the cut-off floor
+            grown = kalls.thresholds._K_TERMS[0].shape[0]
+            assert grown >= cap if cap > cutoff_floor(delta_s) else grown == size
         assert any(fired) and not all(fired)
 
 
@@ -772,14 +820,14 @@ class TestCutBands:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         return rows, exact
 
-    def _records_above(self, x_index, ranks, lb):
+    def _records_above(self, x_index, ranks, lbs):
         """Records on the pool points ``ranks`` places above X in the pool's
-        order: each ball of the one ``rank`` places above holds about
-        2 ``rank`` points."""
+        order, with the guarantees ``lbs`` in the same order: each ball of
+        the one ``rank`` places above holds about 2 ``rank`` points."""
         order = np.argsort(self.POOL.points[:, 0])
         at = int(np.flatnonzero(order == x_index)[0])
         active = ActiveSet()
-        for src in sorted(int(order[at + rank]) for rank in ranks):
+        for src, lb in sorted((int(order[at + rank]), lb) for rank, lb in zip(ranks, lbs)):
             active.append(ActiveRecord(point=self.POOL.points[src].copy(), inferred_label=1,
                                        lb=lb, source_index=src))
         return active
@@ -803,7 +851,7 @@ class TestCutBands:
         for lb, rank, s in itertools.product((0.5, 0.3, 0.1), range(1, 10), (1, 40, 2000)):
             delta_s = per_point_delta(0.05, s)
             rows, exact = self._against_reference(
-                x_index, delta_s, self._records_above(x_index, [rank], lb), s)
+                x_index, delta_s, self._records_above(x_index, [rank], [lb]), s)
             # the record's two balls against its bound
             assert exact == self._walked(rows, x_index)
             below += len(exact)
@@ -812,9 +860,11 @@ class TestCutBands:
 
     def test_a_wide_range_takes_c_star_below_the_bound(self):
         # delta's at and past the ends of a run's range, in one range that
-        # holds them all
+        # holds them all; distinct lbs give distinct eps_o, so the walk's
+        # records are checked, not only their number (here the three nearest
+        # take c* at every delta')
         x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.3)))
-        active = self._records_above(x_index, (2, 5, 7, 40), 0.5)
+        active = self._records_above(x_index, (2, 5, 7, 40), (0.1, 0.3, 0.5, 0.2))
         delta_s = (0.5, self.DELTAS[1] * 1.5, self.DELTAS[0] / 2, 1e-12)
         below = 0
         for seed, delta in enumerate(delta_s):
@@ -829,7 +879,7 @@ class TestCutBands:
         # without
         x_index = int(np.argmin(np.abs(self.POOL.points[:, 0] - 0.3)))
         x_row = center_order(self.POOL, x_index)[1]
-        for active in (ActiveSet(), self._records_above(x_index, (2, 5, 7, 40), 0.5)):
+        for active in (ActiveSet(), self._records_above(x_index, (2, 5, 7, 40), [0.5] * 4)):
             rows = self._table(active, self.DELTAS)
             for seed, delta_s in enumerate((0.5, self.DELTAS[1] * 1.5, self.DELTAS[0] / 2,
                                             1e-12)):

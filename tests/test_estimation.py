@@ -690,6 +690,22 @@ class TestCutBand:
             assert cut_bound(eps_o, dp, dp, U, accept, w) == \
                 self._c_star(*self._relevant(eps_o, dp, accept), accept, w, {}), (eps_o, dp, w)
 
+    def test_one_delta_reads_the_table_once(self, monkeypatch):
+        calls = []
+        relevant = kalls.estimation._relevant_stages
+
+        def spy(*args):
+            calls.append(args)
+            return relevant(*args)
+
+        monkeypatch.setattr(kalls.estimation, "_relevant_stages", spy)
+        accept = 75 / 94 * EPS_O
+        cut_bound(EPS_O, 1e-3, 1e-3, U, accept, 2000)
+        assert calls == [(EPS_O, 1e-3, U, accept)]
+        calls.clear()
+        cut_bound(EPS_O, 1e-5, 1e-3, U, accept, 2000)
+        assert sorted(calls) == [(EPS_O, 1e-5, U, accept), (EPS_O, 1e-3, U, accept)]
+
     def test_reversed_range_is_refused(self):
         with pytest.raises(ValueError, match="above delta_hi"):
             cut_bound(EPS_O, 0.1, 0.01, U, EPS_O, 100)

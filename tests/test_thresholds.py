@@ -18,9 +18,14 @@ from kalls import thresholds
 from kalls.thresholds import (INFEASIBLE_BUDGET, DoublingParams, KallsConfig,
                               MarginParams, SmoothnessParams,
                               adaptive_budget_bound, confidence_radius,
-                              confidence_radii, feasibility_report,
+                              confidence_radii, cutoff_floor, feasibility_report,
                               label_budget_k, label_budget_real, margin_delta,
                               per_point_delta, phi_n, request_counts)
+
+
+# per-point deltas from delta_s at s = 1 of a run at delta 0.05 down to 1e-16,
+# where confident_label relies on the cut-off floor and falling radii
+FLOOR_DELTAS = np.geomspace(0.05 / 32, 1e-16, 9).tolist()
 
 
 def rel_err(got, want):
@@ -73,6 +78,16 @@ class TestConfidenceRadius:
             vals = np.array([confidence_radius(delta, int(k)) for k in ks])
             assert np.all(np.diff(vals) < 0)
             assert np.all(np.diff(confidence_radii(delta, 5000)) < 0)
+        for delta in FLOOR_DELTAS:
+            assert np.all(np.diff(confidence_radii(delta, 20_000)) < 0)
+
+    def test_no_cutoff_up_to_the_floor(self):
+        # a mean of 0/1 labels is at most 1/2 from 1/2, so no k up to the
+        # floor can pass |mean - 1/2| > 2 b
+        for delta in FLOOR_DELTAS:
+            floor = cutoff_floor(delta)
+            assert floor == math.floor(32 * (math.log(1 / delta) + math.log(math.log(1 / delta))))
+            assert all(2 * confidence_radius(delta, k) >= 0.5 for k in range(1, floor + 1))
 
     def test_quadrupling_shrinks(self):
         for k in (1, 7, 400, 31337):
@@ -85,6 +100,8 @@ class TestConfidenceRadius:
             for cap in (1, 2, 1999, 5000):
                 want = [confidence_radius(delta, k) for k in range(1, cap + 1)]
                 assert confidence_radii(delta, cap).tolist() == want
+                for start in {1, min(2, cap), cap // 2 + 1, cap}:
+                    assert confidence_radii(delta, cap, start).tolist() == want[start - 1:]
 
     def test_table_shrinks_and_grows(self, monkeypatch):
         # the cap shrinks at every point near the end of a budget, then a
@@ -128,6 +145,11 @@ class TestConfidenceRadius:
             confidence_radii(0.01, 0)
         with pytest.raises(ValueError):
             confidence_radii(0.5, 10)
+        for start in (0, 11):
+            with pytest.raises(ValueError, match="start must be in"):
+                confidence_radii(0.01, 10, start)
+        with pytest.raises(ValueError):
+            cutoff_floor(0.5)
 
 
 class TestLabelBudget:
