@@ -207,25 +207,11 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
 
     Requests labels of successive neighbors, stopping at min(k', t) requests or
     as soon as |running mean - 1/2| > 2 b(delta_s, k) (the cut-off).  Returns the
-    majority label over the requested set.  The stopping index is computed on the
-    oracle's predetermined realizations, ``oracle.labels``, read once, and
-    exactly those labels are then charged with one ``request_batch``, which is
+    majority label over the requested set.  The stopping index is
+    ``th.first_cutoff`` of the running count of 1-labels among the oracle's
+    predetermined realizations, ``oracle.labels``, read once; exactly those
+    labels are then charged with one ``request_batch``, which is
     request-for-request identical to the sequential loop.
-
-    The cut-off is tested only where it can fire, with the same outcome:
-
-    * the floor: the deviation is at most 1/2, and with
-      h = log(1/delta_s) + loglog(1/delta_s) no k up to
-      ``th.cutoff_floor(delta_s)`` = floor(32 h) has 2 b(delta_s, k) below
-      1/2, so deviations are formed only past it (none at a cap at or below
-      it);
-    * the screen: b(delta_s, k)^2 = (2/k) (h + loglog(e k)) falls strictly
-      with k, since loglog(e k) rises by at most 1/k from k to k + 1 while
-      h > 1; the computed radii keep that order, as their relative steps,
-      about 1/(2k), are far above an ulp (tested to k = 20,000 for delta_s
-      down to 1e-16).  So no k whose deviation is at most 2 b(delta_s, cap)
-      can fire, and radii are formed only from the first k whose deviation
-      passes that one scalar.
 
     ``neighbors``, when given, must be ``neighbor_order(pool, center_index)``:
     every pool index but the centre, nearest first, ties to the lower index
@@ -248,33 +234,15 @@ def confident_label(pool: Pool, oracle: LabelOracle, center_index: int,
 
     idx = neighbors[:cap]
     cum = np.add.accumulate(oracle.labels[idx], dtype=np.int64)  # labels 1 so far
-    k_star, cut_off_fired = cap, False
-    floor = th.cutoff_floor(delta_s)
-    if floor < cap:
-        # |cum/k - 1/2| > 2 b(delta_s, k) for k past the floor, each side
-        # formed in place with the rounded operations of np.abs(cum / k - 0.5)
-        # and 2.0 * b
-        dev = np.divide(cum[floor:], th.request_counts(cap)[floor:])
-        dev -= 0.5
-        np.abs(dev, out=dev)
-        screen = dev > 2.0 * th.confidence_radius(delta_s, cap)
-        j = int(screen.argmax())  # the first True, or 0 when none is
-        if screen[j]:
-            twice_b = th.confidence_radii(delta_s, cap, start=floor + j + 1)
-            twice_b *= 2.0
-            fired = dev[j:] > twice_b
-            first = int(fired.argmax())
-            if fired[first]:
-                k_star = floor + j + first + 1
-                cut_off_fired = True
-
+    k_cut = th.first_cutoff(cum, delta_s)
+    k_star = k_cut or cap
     q = idx[:k_star]
     oracle.request_batch(q)
     eta_hat = float(cum[k_star - 1]) / k_star
     return ConfidentOutcome(
         y_hat=1 if eta_hat >= 0.5 else 0,
         q=q,
-        cut_off_fired=cut_off_fired,
+        cut_off_fired=k_cut > 0,
         eta_hat=eta_hat,
     )
 

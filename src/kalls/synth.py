@@ -120,10 +120,11 @@ def _points_1d(X: np.ndarray) -> np.ndarray:
     return X[:, 0] if X.ndim == 2 else X
 
 
-def _grid_1d(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (center, radius) pair of the two grids, centers as an (n, 1) column."""
-    cc, rr = np.meshgrid(centers, radii, indexing="ij")
-    return cc.reshape(-1, 1), rr.ravel()
+def _pair_grid(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (center, radius) pair of the two grids, center-major, the centers
+    as rows (a 1-D grid of n centers as an (n, 1) column)."""
+    centers = centers.reshape(centers.shape[0], -1)
+    return np.repeat(centers, radii.size, axis=0), np.tile(radii, centers.shape[0])
 
 
 class _Marginal1D(SyntheticProblem):
@@ -154,7 +155,7 @@ class UniformPowerMargin1D(_Marginal1D):
         return rng.random((n, 1))
 
     def doubling_grid(self):
-        return _grid_1d(np.linspace(0.0125, 0.9875, 40), np.geomspace(1e-3, 2.0, 25))
+        return _pair_grid(np.linspace(0.0125, 0.9875, 40), np.geomspace(1e-3, 2.0, 25))
 
 
 class GaussianPowerMargin1D(_Marginal1D):
@@ -176,8 +177,8 @@ class GaussianPowerMargin1D(_Marginal1D):
 
     def doubling_grid(self):
         from scipy.special import ndtri
-        return _grid_1d(ndtri(np.linspace(1e-3, 1.0 - 1e-3, 40)),
-                        np.geomspace(1e-3, 8.0, 25))
+        return _pair_grid(ndtri(np.linspace(1e-3, 1.0 - 1e-3, 40)),
+                          np.geomspace(1e-3, 8.0, 25))
 
 
 class DiscreteAtoms(_Marginal1D):
@@ -221,7 +222,7 @@ class DiscreteAtoms(_Marginal1D):
     def doubling_grid(self):
         step = max(1, self.n_atoms // 40)
         spacing = 1.0 / self.n_atoms
-        return _grid_1d(self.atoms[::step], np.geomspace(0.6 * spacing, 2.0, 25))
+        return _pair_grid(self.atoms[::step], np.geomspace(0.6 * spacing, 2.0, 25))
 
 
 def _quarter_disc_area(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -284,11 +285,8 @@ class ProductUniformND(SyntheticProblem):
     def doubling_grid(self):
         g = np.linspace(0.05, 0.95, 7)
         cx, cy = np.meshgrid(g, g, indexing="ij")
-        centers = np.column_stack([cx.ravel(), cy.ravel()])
-        radii = np.geomspace(1e-2, 1.6, 20)
-        cc = np.repeat(centers, radii.size, axis=0)
-        rr = np.tile(radii, centers.shape[0])
-        return cc, rr
+        return _pair_grid(np.column_stack([cx.ravel(), cy.ravel()]),
+                          np.geomspace(1e-2, 1.6, 20))
 
 
 _FAMILY_TABLE = {cls.family: cls for cls in (UniformPowerMargin1D, GaussianPowerMargin1D,

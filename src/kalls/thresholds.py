@@ -3,9 +3,10 @@
 Every quantity the active learner needs ahead of time lives here: the anytime
 confidence radius ``b(delta, k)``, the margin width ``Delta``, the per-point
 label budget ``k(eps, delta)``, the per-point confidence split ``delta_s``, and
-the (purely diagnostic) feasibility report.  All functions are pure; the
-one table that ``confidence_radii`` and ``request_counts`` read changes how
-fast they answer, not what.
+the (purely diagnostic) feasibility report; and ``first_cutoff``, the first
+request count at which ``confident_label``'s running mean of labels leaves
+1/2 by more than 2 b(delta, k).  All functions are pure; the one table that
+``first_cutoff`` reads changes how fast it answers, not what.
 """
 from __future__ import annotations
 
@@ -157,45 +158,72 @@ def _k_terms(cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _K_TERMS
 
 
-def cutoff_floor(delta: float) -> int:
-    """floor(32 h), h = log(1/delta) + loglog(1/delta): no k up to it has
-    2 ``confidence_radius(delta, k)`` below 1/2, so a mean of 0/1 labels,
-    which is at most 1/2 from 1/2, cannot pass ``confident_label``'s cut-off
-    there.
-
-    For k <= 32 h, b^2 = (2/k) (h + loglog(e k)) >= 1/16 + (2/k) loglog(e k).
-    The last term is 0 only at k = 1, where b^2 >= 2h > 2; at k >= 2 it is
-    at least loglog(2e) / h > 0.5 / h times 1/16, a margin that the few
-    rounded operations, and the floor of a rounded 32 h, cannot undo for
-    any h a float can hold (h < 760).
-    """
-    return math.floor(32.0 * _log_loglog(delta))
-
-
-def confidence_radii(delta: float, cap: int, start: int = 1) -> np.ndarray:
-    """``confidence_radius(delta, k)`` for k = start..cap, bit for bit: each
-    entry is formed from the same float terms with the same rounded
-    operations, and the delta-free terms are read from a table computed once
-    with ``math.log``.  The result is a new array, which the caller may
-    overwrite.  Callers pass a cap that changes from call to call, so the
-    table grows to the largest cap seen and is sliced."""
-    head = _log_loglog(delta)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if not 1 <= start <= cap:
-        raise ValueError(f"start must be in [1, cap], got {start} with cap {cap}")
+def _confidence_radii(head: float, cap: int, start: int) -> np.ndarray:
+    """``confidence_radius(delta, k)`` for k = start..cap, head =
+    ``_log_loglog(delta)``, bit for bit: each entry is formed from the same
+    float terms with the same rounded operations, and the delta-free terms
+    are read from the table, computed once with ``math.log``.  The result is
+    a new array, which the caller may overwrite."""
     _, inv, loglog = _k_terms(cap)
     radii = loglog[start - 1:cap] + head
     radii *= inv[start - 1:cap]
     return np.sqrt(radii, out=radii)
 
 
-def request_counts(cap: int) -> np.ndarray:
-    """k = 1..cap as a read-only float64 array, the request counts the radii
-    above are taken at, sliced from the same table."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    return _k_terms(cap)[0][:cap]
+def first_cutoff(cum: np.ndarray, delta: float) -> int:
+    """The first k in 1..len(cum) with |cum[k-1]/k - 1/2| > 2
+    ``confidence_radius(delta, k)``, or 0 where no k passes.
+
+    ``cum`` is the running count of 1-labels among the first k requests
+    (int64).  The answer is the sequential loop's, but the cut-off is tested
+    only where it can fire, with h = log(1/delta) + loglog(1/delta) formed
+    once:
+
+    * the floor: the deviation is at most 1/2, and no k up to floor(32 h)
+      has 2 b(delta, k) below 1/2, so deviations are formed only past it
+      (none where len(cum) is at or below it).  For k <= 32 h,
+      b^2 = (2/k) (h + loglog(e k)) >= 1/16 + (2/k) loglog(e k).  The last
+      term is 0 only at k = 1, where b^2 >= 2h > 2; at k >= 2 it is at least
+      loglog(2e) / h > 0.5 / h times 1/16, a margin that the few rounded
+      operations, and the floor of a rounded 32 h, cannot undo for any h a
+      float can hold (h < 760);
+    * the screen: b(delta, k)^2 falls strictly with k, since loglog(e k)
+      rises by at most 1/k from k to k + 1 while h > 1; the computed radii
+      keep that order, as their relative steps, about 1/(2k), are far above
+      an ulp (tested to k = 20,000 for delta down to 1e-16).  So no k whose
+      deviation is at most 2 b(delta, len(cum)) can fire, and radii are
+      formed only from the first k whose deviation passes that one scalar.
+
+    Each side is formed with the rounded operations of
+    ``abs(cum[k-1] / k - 0.5)`` and ``2.0 * b``.  The table of k, 2/k and
+    loglog(e k) grows to the largest len(cum) that passes the floor.
+    """
+    head = _log_loglog(delta)
+    floor = math.floor(32.0 * head)
+    cap = cum.shape[0]
+    if floor >= cap:
+        return 0
+    dev = np.divide(cum[floor:], _k_terms(cap)[0][floor:cap])
+    dev -= 0.5
+    np.abs(dev, out=dev)
+    screen = dev > 2.0 * confidence_radius(delta, cap)
+    j = int(screen.argmax())  # the first True, or 0 when none is
+    if not screen[j]:
+        return 0
+    twice_b = _confidence_radii(head, cap, floor + j + 1)
+    twice_b *= 2.0
+    fired = dev[j:] > twice_b
+    first = int(fired.argmax())
+    return floor + j + first + 1 if fired[first] else 0
+
+
+def _request_bound(head: float, width: float, c_const: float) -> float:
+    """(c / w^2) * (head + loglog(512*sqrt(e)/w)) requests to tell a mean
+    apart from 1/2 at a width w; inf where w^2 underflows to 0.0."""
+    square = width * width
+    if square == 0.0:
+        return math.inf
+    return (c_const / square) * (head + math.log(math.log(512.0 * math.sqrt(math.e) / width)))
 
 
 def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
@@ -203,14 +231,12 @@ def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
     """Per-point label budget before rounding: (c/Delta^2) * bracket.
 
     bracket = log(1/delta) + loglog(1/delta) + loglog(512*sqrt(e)/Delta).
-    Exactly linear in ``c_const``.
+    Exactly linear in ``c_const``; inf where Delta^2 underflows to 0.0.
     """
     head = _log_loglog(delta)
     if c_const <= 0.0:
         raise ValueError(f"c_const must be > 0, got {c_const}")
-    dm = margin_delta(epsilon, margin)
-    bracket = head + math.log(math.log(512.0 * math.sqrt(math.e) / dm))
-    return (c_const / (dm * dm)) * bracket
+    return _request_bound(head, margin_delta(epsilon, margin), c_const)
 
 
 def label_budget_k(epsilon: float, delta: float, margin: MarginParams,
@@ -241,14 +267,15 @@ def adaptive_budget_bound(margin_gap: float, delta_s: float,
                           c_const: float = KallsConfig.c_const) -> float:
     """Noise-adaptive request bound for a point with |eta(x) - 1/2| = margin_gap.
 
-    (c / (4 a^2)) * (log(1/delta_s) + loglog(1/delta_s) + loglog(256*sqrt(e)/a));
-    diagnostic only -- it needs the true regression function.
+    (c / (4 a^2)) * (log(1/delta_s) + loglog(1/delta_s) + loglog(256*sqrt(e)/a)),
+    the label budget's bound at the width 2a, bit for bit, and inf where
+    (2a)^2 underflows to 0.0; diagnostic only -- it needs the true
+    regression function.
     """
     head = _log_loglog(delta_s)
     if not 0.0 < margin_gap <= 0.5:
         raise ValueError(f"margin_gap must be in (0, 1/2], got {margin_gap}")
-    bracket = head + math.log(math.log(256.0 * math.sqrt(math.e) / margin_gap))
-    return (c_const / (4.0 * margin_gap * margin_gap)) * bracket
+    return _request_bound(head, 2.0 * margin_gap, c_const)
 
 
 @dataclass(frozen=True)

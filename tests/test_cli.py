@@ -672,6 +672,24 @@ class TestFeasibilityCommand:
         assert not (tmp_path / "fo").exists()
 
 
+@pytest.mark.parametrize("command", ["feasibility", "run", "sweep"])
+def test_margin_width_that_squares_to_zero(tmp_path, capsys, command):
+    # kappa 100 at epsilon 1e-300: Delta is 4.67e-298, and Delta^2
+    # underflows to 0.0; the per-point budget saturates, so the cap is the
+    # remaining label budget
+    path = write_config(tmp_path, problem={"family": "power_margin_uniform_1d",
+                                           "kappa": 100.0},
+                        pool_size=2000, budgets=[200], epsilon=1e-300, seeds=[1])
+    out = [] if command == "feasibility" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", path, *out]) == 0
+    if command == "feasibility":
+        assert re.search(r"^  k_budget +9223372036854775807$", capsys.readouterr().out, re.M)
+    elif command == "run":
+        trace = json.load(open(tmp_path / "o" / "trace_seed1_n200.json"))
+        assert trace["labels_spent"] == 200
+        assert trace["per_point"][0]["k_cap"] == 200
+
+
 class TestEvalCommand:
     def test_reevaluate_saved_active_set(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -21,9 +21,9 @@ from kalls.pool import (LabelOracle, Pool, center_order, nearest_order, neighbor
 from kalls.seeding import substream
 from kalls.synth import make_problem
 from kalls.thresholds import (KallsConfig, MarginParams, SmoothnessParams,
-                              adaptive_budget_bound, confidence_radius, cutoff_floor,
-                              per_point_delta)
+                              adaptive_budget_bound, confidence_radius, per_point_delta)
 from test_estimation import first_cut, scalar_cut
+from test_thresholds import cutoff_floor
 
 DELTA_S = 0.0015625  # delta = 0.05 at scan position s = 1
 WIDE = DELTA_S / 1000, 16 * DELTA_S  # a wide delta' range that holds DELTA_S
@@ -174,13 +174,13 @@ class TestConfidentLabel:
         oracle = LabelOracle(pool, flat_eta(0.5), 10**6, seed=7)
         oracle.labels = planted
         starts = []
-        radii = kalls.thresholds.confidence_radii
+        radii = kalls.thresholds._confidence_radii
 
-        def spy(delta, cap, start=1):
+        def spy(head, cap, start):
             starts.append(start)
-            return radii(delta, cap, start)
+            return radii(head, cap, start)
 
-        monkeypatch.setattr(kalls.thresholds, "confidence_radii", spy)
+        monkeypatch.setattr(kalls.thresholds, "_confidence_radii", spy)
         labels = planted[1:cap + 1]
         twice_b_cap = 2 * confidence_radius(DELTA_S, cap)
         screen = next((k for k in range(floor + 1, cap + 1)

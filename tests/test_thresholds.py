@@ -17,15 +17,40 @@ import pytest
 from kalls import thresholds
 from kalls.thresholds import (INFEASIBLE_BUDGET, DoublingParams, KallsConfig,
                               MarginParams, SmoothnessParams,
-                              adaptive_budget_bound, confidence_radius,
-                              confidence_radii, cutoff_floor, feasibility_report,
-                              label_budget_k, label_budget_real, margin_delta,
-                              per_point_delta, phi_n, request_counts)
+                              adaptive_budget_bound, confidence_radius, feasibility_report,
+                              first_cutoff, label_budget_k, label_budget_real,
+                              margin_delta, per_point_delta, phi_n)
 
 
 # per-point deltas from delta_s at s = 1 of a run at delta 0.05 down to 1e-16,
-# where confident_label relies on the cut-off floor and falling radii
+# where first_cutoff relies on the cut-off floor and falling radii
 FLOOR_DELTAS = np.geomspace(0.05 / 32, 1e-16, 9).tolist()
+
+# the certified margin of power_margin_uniform_1d at kappa 100: at epsilon
+# 1e-300 its width Delta is 4.67e-298, whose square underflows to 0.0
+KAPPA_100_MARGIN = MarginParams(beta=0.01, C=1.0069555500567189)
+
+
+def cutoff_floor(delta):
+    """floor(32 h), h = log(1/delta) + loglog(1/delta): first_cutoff forms no
+    deviation up to it."""
+    return math.floor(32 * (math.log(1 / delta) + math.log(math.log(1 / delta))))
+
+
+def confidence_radii(delta, cap, start=1):
+    """The private radii of k = start..cap that first_cutoff compares with."""
+    return thresholds._confidence_radii(thresholds._log_loglog(delta), cap, start)
+
+
+def sequential_cutoff(labels, delta):
+    """The first k with |sum/k - 1/2| > 2 confidence_radius(delta, k), one k
+    at a time, or 0 where none passes."""
+    total = 0
+    for k, label in enumerate(labels.tolist(), start=1):
+        total += label
+        if abs(total / k - 0.5) > 2 * confidence_radius(delta, k):
+            return k
+    return 0
 
 
 def rel_err(got, want):
@@ -86,8 +111,10 @@ class TestConfidenceRadius:
         # floor can pass |mean - 1/2| > 2 b
         for delta in FLOOR_DELTAS:
             floor = cutoff_floor(delta)
-            assert floor == math.floor(32 * (math.log(1 / delta) + math.log(math.log(1 / delta))))
             assert all(2 * confidence_radius(delta, k) >= 0.5 for k in range(1, floor + 1))
+            ones = np.arange(1, floor + 2, dtype=np.int64)
+            assert first_cutoff(ones[:floor], delta) == 0
+            assert first_cutoff(ones, delta) == 0  # 2 b(delta, floor + 1) > 1/2
 
     def test_quadrupling_shrinks(self):
         for k in (1, 7, 400, 31337):
@@ -114,15 +141,14 @@ class TestConfidenceRadius:
         assert thresholds._K_TERMS[0].shape[0] == 20_000
 
     def test_request_counts_grow_and_stay_read_only(self, monkeypatch):
+        # the k column that first_cutoff divides the running counts by
         monkeypatch.setattr(thresholds, "_K_TERMS", (np.zeros(0),) * 3)
         for cap in (3, 1, 2000, 7, 4001, 5):
-            ks = request_counts(cap)
+            ks = thresholds._k_terms(cap)[0][:cap]
             assert ks.dtype == np.float64
             assert ks.tolist() == [float(k) for k in range(1, cap + 1)]
-            assert not ks.flags.writeable
+            assert all(not column.flags.writeable for column in thresholds._K_TERMS)
         assert thresholds._K_TERMS[0].shape[0] == 4001
-        with pytest.raises(ValueError):
-            request_counts(0)
 
     def test_import_builds_no_table(self):
         # the table grows on first use, so importing kalls allocates none of it
@@ -141,15 +167,38 @@ class TestConfidenceRadius:
             confidence_radius(-0.1, 10)
         with pytest.raises(ValueError):
             confidence_radius(0.01, 0)
-        with pytest.raises(ValueError):
-            confidence_radii(0.01, 0)
-        with pytest.raises(ValueError):
-            confidence_radii(0.5, 10)
-        for start in (0, 11):
-            with pytest.raises(ValueError, match="start must be in"):
-                confidence_radii(0.01, 10, start)
-        with pytest.raises(ValueError):
-            cutoff_floor(0.5)
+        for cap in (0, 10, 2000):
+            with pytest.raises(ValueError):
+                first_cutoff(np.zeros(cap, dtype=np.int64), 0.5)
+        assert first_cutoff(np.zeros(0, dtype=np.int64), 0.01) == 0
+
+
+class TestFirstCutoff:
+    @pytest.mark.parametrize("case", ["random", "alternating", "zeros", "ones",
+                                      "balanced_then_ones"])
+    def test_matches_the_sequential_loop(self, case):
+        # caps of 1, the floor, the floor + 1 and 20,000 for every delta, and
+        # on either side of a k that fires; the cut-off at k reads only the
+        # first k labels, so each cap is a prefix
+        n = 20_000
+        labels = {
+            "random": np.random.default_rng(5).integers(0, 2, n),
+            "alternating": np.arange(n) % 2,
+            "zeros": np.zeros(n, dtype=np.int64),
+            "ones": np.ones(n, dtype=np.int64),
+            "balanced_then_ones": (np.arange(n) % 2) | (np.arange(n) >= 3000),
+        }[case]
+        cum = np.add.accumulate(labels, dtype=np.int64)
+        fired = 0
+        for delta in FLOOR_DELTAS:
+            want = sequential_cutoff(labels, delta)
+            floor = cutoff_floor(delta)
+            for cap in {1, floor, floor + 1, n} | ({want - 1, want} if want else set()):
+                got = first_cutoff(cum[:cap], delta)
+                assert type(got) is int
+                assert got == (want if want <= cap else 0), (delta, cap)
+            fired += want > 0
+        assert fired == (0 if case in ("random", "alternating") else len(FLOOR_DELTAS))
 
 
 class TestLabelBudget:
@@ -169,6 +218,12 @@ class TestLabelBudget:
     def test_saturates_instead_of_overflowing(self):
         m = MarginParams(beta=1, C=1)
         assert label_budget_k(1e-300, 0.05, m, 8) == INFEASIBLE_BUDGET
+
+    def test_saturates_where_the_squared_width_underflows(self):
+        dm = margin_delta(1e-300, KAPPA_100_MARGIN)
+        assert dm > 0.0 and dm * dm == 0.0
+        assert label_budget_real(1e-300, 0.05, KAPPA_100_MARGIN, 8) == math.inf
+        assert label_budget_k(1e-300, 0.05, KAPPA_100_MARGIN, 8) == INFEASIBLE_BUDGET
 
     def test_domain(self):
         m = MarginParams(beta=1, C=1)
@@ -222,6 +277,19 @@ class TestAdaptiveBudgetBound:
             adaptive_budget_bound(0.0, 1e-3)
         with pytest.raises(ValueError):
             adaptive_budget_bound(0.7, 1e-3)
+
+    def test_inf_where_the_squared_width_underflows(self):
+        for gap in (1e-300, 5e-324):
+            assert adaptive_budget_bound(gap, 1e-3) == math.inf
+        assert math.isfinite(adaptive_budget_bound(1e-150, 1e-3))
+
+    def test_is_the_label_budget_at_width_2a(self):
+        # margin_delta(4a, beta 0, C 1) = 2a, so the two bounds are one
+        for a in np.geomspace(1e-150, 0.2499, 40).tolist():
+            for delta in (0.3, 0.05, 1e-3, 1e-9, 1e-16):
+                for c in (1.0, 8.0, 123.5, 7e6):
+                    assert adaptive_budget_bound(a, delta, c) == \
+                        label_budget_real(4 * a, delta, MarginParams(0, 1), c)
 
 
 class TestPurity:
@@ -282,6 +350,8 @@ class TestFeasibilityReport:
              (rhs,)),
             (replace(self.config, epsilon=1e-6), SmoothnessParams(0.0076, 1.2, 1), kappa0, 2000,
              (rhs, t, *polys)),
+            # kappa 100's margin width squares to 0.0: the budget saturates
+            (replace(self.config, epsilon=1e-300), self.smooth, KAPPA_100_MARGIN, 2000, polys),
         ]
         for config, smooth, margin, w, infinite in cases:
             rep = feasibility_report(config, smooth, margin, w=w)
@@ -295,6 +365,7 @@ class TestFeasibilityReport:
             assert rep.budget_ok_poly_part_only == (config.n >= rep.budget_poly_part)
             assert rep.pool_rate_ok_poly_part_only == (w >= rep.pool_poly_part)
             assert rep.pool_estprob_ok == (w >= rep.estprob_pool_rhs)
+            assert (rep.k_budget == INFEASIBLE_BUDGET) == (config.epsilon == 1e-300)
 
 
 class TestParamValidation:
