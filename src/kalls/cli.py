@@ -356,7 +356,7 @@ def _seed_override(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kalls",
                                      description="active nearest-neighbor learning bench")
     parser.add_argument("--version", action="version", version=__version__)
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.threads > 1 and args.command != "sweep":
         print(f"note: --threads {args.threads} has no effect on '{args.command}', "
               "which runs serially", file=sys.stderr)

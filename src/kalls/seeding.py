@@ -11,7 +11,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use; every call draws from it
 
 # Stable numeric role codes; never renumber, traces depend on them.
-ROLES = {
+_ROLES = {
     "pool": 1,
     "oracle": 2,
     "estimation": 3,
@@ -23,7 +23,7 @@ ROLES = {
 
 def substream(seed: int, role: str, *extra: int) -> np.random.Generator:
     """Return a Generator for a named substream of the master seed."""
-    if role not in ROLES:
-        raise ValueError(f"unknown rng role {role!r}; expected one of {sorted(ROLES)}")
-    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, ROLES[role], *(int(x) for x in extra)]
+    if role not in _ROLES:
+        raise ValueError(f"unknown rng role {role!r}; expected one of {sorted(_ROLES)}")
+    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, _ROLES[role], *(int(x) for x in extra)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))

@@ -7,10 +7,12 @@ of ball masses (H4).  The margin shape is one knob ``kappa``: eta(x) crosses
 1/2 like |2F(x)-1|^kappa where F is the marginal CDF, so the same certified
 constants cover uniform, Gaussian, discrete and product marginals.
 
-A one-dimensional family is a ``sample``, a ``cdf`` F, a doubling grid and its
-constants: eta = e(F(x)) and the ball mass F(x + r) - F(x - r) are written
-once, in ``_Marginal1D``.  Discrete atoms count the atoms in their open ball
-instead.
+Families are built by name with ``make_problem``; ``FAMILIES`` lists the
+names.  A family is a ``SyntheticProblem`` that defines four hooks:
+``sample``, ``eta``, ``ball_mass`` and ``doubling_grid``.  A one-dimensional
+family is a ``sample``, a ``cdf`` F, a doubling grid and its constants:
+eta = e(F(x)) and the ball mass F(x + r) - F(x - r) are written once, in
+``_Marginal1D``.  Discrete atoms count the atoms in their open ball instead.
 
 kappa = 0 is the noiseless limit (eta in {0, 1} off the boundary); it has no
 valid smoothness certificate, so ``certified_smooth`` is None there.
@@ -63,8 +65,54 @@ def _power_margin_mass(eps: np.ndarray, kappa: float) -> np.ndarray:
     return np.minimum((2.0 * eps) ** (1.0 / kappa), 1.0)
 
 
+def _smoothness_L(kappa: float, d: int) -> float:
+    """The certified H3 constant L = max(2, K (2 / V_d^(1/d))^alpha), with
+    alpha = min(kappa, 1), K = max(kappa, 1) and V_d the volume of the unit
+    d-ball; V_1 = 2, so for d = 1 it is max(2, kappa).  H3 reads
+    |eta(x) - eta(z)| <= L * mass(B(x, rho))^(alpha/d), rho = |x - z|.
+
+    The link.  With s = 2u - 1, e(u) = 1/2 + sign(s)|s|^kappa / 2.  For
+    kappa >= 1 the signed power has slope at most kappa on [-1, 1], so
+    |e(u) - e(v)| <= kappa |u - v|.  For kappa < 1 it is kappa-Hoelder with
+    constant 2^(1 - kappa) (||s|^k - |t|^k| <= |s - t|^k on one side of 0,
+    |s|^k + |t|^k <= 2^(1 - k) (|s| + |t|)^k across it), so
+    |e(u) - e(v)| <= |u - v|^kappa.  Either way |e(u) - e(v)| <= K |u - v|^alpha.
+
+    d = 1.  eta = e(u) with u = F(x).  The open ball B(x, rho) holds every
+    point from x up to, not including, z, so its mass is at least |u(x) - u(z)|:
+    F(x + rho) - F(x - rho) >= |F(z) - F(x)| for a CDF; for atoms j spacings
+    apart the ball holds the j atoms from x up to z, of mass j/M, the gap
+    between their midpoint CDFs, which eta reads.  So
+    |eta(x) - eta(z)| <= K mass^alpha <= L mass^alpha.
+
+    Product, d >= 2.  eta reads x_0 only, so |eta(x) - eta(z)| <= K m^alpha
+    with m = min(rho, 1).  The mass of B(x, rho) in the unit cube is smallest
+    at a corner: by Fubini along one coordinate at a time, a chord
+    [x_i - h, x_i + h] meets [0, 1] in at least min(h, 1), which x_i = 0
+    attains.  At the corner the ball holds the orthant part of B(0, m), which
+    lies in the cube, so mass >= V_d (m / 2)^d and
+    L mass^(alpha/d) >= L (V_d^(1/d) / 2)^alpha m^alpha >= K m^alpha.
+    """
+    # 2 / V_d^(1/d) = 2 Gamma(d/2 + 1)^(1/d) / sqrt(pi), in logs so that a
+    # large d cannot overflow; d = 1 is exact, so L is 2.0 wherever 2 holds
+    spread = 1.0 if d == 1 else 2.0 * math.exp(math.lgamma(d / 2 + 1) / d) / math.sqrt(math.pi)
+    return max(2.0, max(kappa, 1.0) * spread ** min(kappa, 1.0))
+
+
 class SyntheticProblem:
-    """Base class; subclasses fix the marginal and the analytic ball mass."""
+    """Base class of the families, which ``make_problem`` builds by name.
+
+    A family sets ``family`` (its name), may set ``certified_doubling``, and
+    defines four hooks:
+
+    - ``sample(n, rng=None)``: n points of the marginal as an (n, d) array,
+      drawn from ``rng``, else from ``default_rng()``;
+    - ``eta(X)``: the regression function at the rows of X;
+    - ``ball_mass(centers, radii)``: the analytic marginal mass of open
+      Euclidean balls;
+    - ``doubling_grid()``: the (centers, radii) pairs that ``check_doubling``
+      tests.
+    """
 
     family: str
     certified_doubling: DoublingParams | None = None
@@ -75,29 +123,15 @@ class SyntheticProblem:
         self.kappa = float(kappa)
         self.d = int(d)
         self.seed = int(seed)
-        alpha = min(self.kappa, 1.0)
-        self.certified_smooth = (
-            SmoothnessParams(alpha=alpha, L=2.0, d=self.d) if self.kappa > 0.0 else None
-        )
         if self.kappa > 0.0:
+            self.certified_smooth = SmoothnessParams(alpha=min(self.kappa, 1.0),
+                                                     L=_smoothness_L(self.kappa, self.d),
+                                                     d=self.d)
             self.certified_margin = MarginParams(beta=1.0 / self.kappa,
                                                  C=2.0 ** (1.0 / self.kappa))
         else:
+            self.certified_smooth = None
             self.certified_margin = MarginParams(beta=1.0, C=2.0)
-
-    # -- marginal-specific hooks -------------------------------------------
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        raise NotImplementedError
-
-    def eta(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def ball_mass(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Analytic marginal mass of open Euclidean balls."""
-        raise NotImplementedError
-
-    def doubling_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
     # -- shared exact quantities -------------------------------------------
     def bayes(self, X: np.ndarray) -> np.ndarray:
@@ -131,8 +165,10 @@ class _Marginal1D(SyntheticProblem):
     """A one-dimensional family: eta = e(F(x)) and the open ball mass
     F(x + r) - F(x - r), with F the marginal CDF ``cdf``."""
 
-    def __init__(self, kappa: float, seed: int) -> None:
-        super().__init__(kappa, 1, seed)
+    def __init__(self, kappa: float, d: int, seed: int) -> None:
+        if d != 1:
+            raise ValueError(f"{self.family} is one-dimensional")
+        super().__init__(kappa, d, seed)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, 0.0, 1.0)
@@ -146,7 +182,7 @@ class _Marginal1D(SyntheticProblem):
         return self.cdf(x + r) - self.cdf(x - r)
 
 
-class UniformPowerMargin1D(_Marginal1D):
+class _UniformPowerMargin1D(_Marginal1D):
     family = "power_margin_uniform_1d"
     certified_doubling = DoublingParams(c_db=2.0, mass_floor=1e-9)
 
@@ -158,7 +194,7 @@ class UniformPowerMargin1D(_Marginal1D):
         return _pair_grid(np.linspace(0.0125, 0.9875, 40), np.geomspace(1e-3, 2.0, 25))
 
 
-class GaussianPowerMargin1D(_Marginal1D):
+class _GaussianPowerMargin1D(_Marginal1D):
     family = "power_margin_gaussian_1d"
     # Doubling fails in deep tails; certified only for balls above the floor,
     # over centers within the (1e-3, 1-1e-3) quantile range.
@@ -181,7 +217,7 @@ class GaussianPowerMargin1D(_Marginal1D):
                           np.geomspace(1e-3, 8.0, 25))
 
 
-class DiscreteAtoms(_Marginal1D):
+class _DiscreteAtoms(_Marginal1D):
     """Uniform on the atoms (k + 1/2)/256.  At an atom the inherited ``cdf``
     gives the midpoint of F's jump there, which is the u that eta reads."""
 
@@ -191,8 +227,8 @@ class DiscreteAtoms(_Marginal1D):
     atoms = (np.arange(n_atoms) + 0.5) / n_atoms
     certified_doubling = DoublingParams(c_db=3.0, mass_floor=1e-9)
 
-    def __init__(self, kappa: float, seed: int) -> None:
-        super().__init__(kappa, seed)
+    def __init__(self, kappa: float, d: int, seed: int) -> None:
+        super().__init__(kappa, d, seed)
         if self.kappa > 0.0:
             self.certified_margin = MarginParams(beta=1.0 / self.kappa,
                                                  C=2.0 ** (1.0 + 1.0 / self.kappa))
@@ -254,7 +290,7 @@ def _circle_box_area(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> np.ndarra
             - q(1.0 - cx, -cy) + q(-cx, -cy))
 
 
-class ProductUniformND(SyntheticProblem):
+class _ProductUniformND(SyntheticProblem):
     family = "product_uniform_nd"
 
     def __init__(self, kappa: float, d: int, seed: int) -> None:
@@ -289,8 +325,8 @@ class ProductUniformND(SyntheticProblem):
                           np.geomspace(1e-2, 1.6, 20))
 
 
-_FAMILY_TABLE = {cls.family: cls for cls in (UniformPowerMargin1D, GaussianPowerMargin1D,
-                                              DiscreteAtoms, ProductUniformND)}
+_FAMILY_TABLE = {cls.family: cls for cls in (_UniformPowerMargin1D, _GaussianPowerMargin1D,
+                                              _DiscreteAtoms, _ProductUniformND)}
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
@@ -298,15 +334,11 @@ def make_problem(family: str, kappa: float = 1.0, d: int = 1,
                  seed: int = 0) -> SyntheticProblem:
     """Factory for the synthetic families; kappa = 0 is the noiseless limit.
     Every family but ``product_uniform_nd`` is one-dimensional, and
-    ``discrete_atoms`` has ``DiscreteAtoms.n_atoms`` = 256 atoms."""
+    ``discrete_atoms`` has 256 atoms (its ``n_atoms``)."""
     cls = _FAMILY_TABLE.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if cls is ProductUniformND:
-        return cls(kappa, d, seed)
-    if d != 1:
-        raise ValueError(f"{family} is one-dimensional")
-    return cls(kappa, seed)
+    return cls(kappa, d, seed)
 
 
 # -- assumption checkers ----------------------------------------------------

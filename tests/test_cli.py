@@ -569,6 +569,20 @@ class TestCheckAssumptionsCommand:
         assert got["resolved_seed"] == 11
         assert got["config"]["seeds"] == [3]
 
+    @pytest.mark.parametrize("problem", [
+        {"family": "power_margin_uniform_1d", "kappa": 3.0},
+        {"family": "power_margin_gaussian_1d", "kappa": 3.0},
+        {"family": "discrete_atoms", "kappa": 3.0},
+        {"family": "product_uniform_nd", "d": 2, "kappa": 2.0}])
+    def test_steep_margins_pass_at_their_certificate(self, tmp_path, problem):
+        # L grows past 2 with kappa; at L = 2 the d = 1 families fail H3 here
+        path = write_config(tmp_path, problem=problem, pool_size=800)
+        out = tmp_path / "chk"
+        assert main(["check-assumptions", "--config", path, "--out", str(out)]) == 0
+        payload = json.load(open(out / "assumptions.json"))
+        assert [r["assumption"] for r in payload["reports"]] == ["H3", "H2", "H4"]
+        assert payload["all_passed"] is True
+
     @staticmethod
     def check_partition(payload):
         # each assumption in exactly one of the two lists, a skip with a reason

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from kalls.seeding import substream
-from kalls.synth import (_FAMILY_TABLE, FAMILIES, _eta_from_u, check_doubling, check_margin,
-                         check_smoothness, make_problem)
+from kalls.synth import (_FAMILY_TABLE, FAMILIES, SyntheticProblem, _eta_from_u,
+                         check_doubling, check_margin, check_smoothness, make_problem)
 from kalls.thresholds import DoublingParams, MarginParams, SmoothnessParams
 
 
@@ -45,11 +45,22 @@ class TestFactory:
             make_problem("no_such_family")
         with pytest.raises(ValueError, match=f"{one_d} is one-dimensional"):
             make_problem(one_d, d=2)
+        with pytest.raises(ValueError, match=f"^{one_d} is one-dimensional$"):
+            make_problem(one_d, kappa=float("nan"), d=2)  # d is checked before kappa
         with pytest.raises(ValueError):
             make_problem("product_uniform_nd", d=1)
         for kappa in (-1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
                 make_problem("power_margin_uniform_1d", kappa=kappa)
+
+    @pytest.mark.parametrize("cls", list(_FAMILY_TABLE.values()), ids=FAMILIES)
+    def test_every_family_defines_the_hooks(self, cls):
+        # the base class has no stubs, so a missing hook would surface only
+        # as an AttributeError in a run
+        for hook in ("sample", "eta", "ball_mass", "doubling_grid"):
+            owner = next((k for k in cls.__mro__ if hook in vars(k)), None)
+            assert owner is not None, (cls.family, hook)
+            assert owner is not SyntheticProblem and issubclass(owner, SyntheticProblem)
 
     def test_certified_constants(self):
         p = make_problem("power_margin_uniform_1d", kappa=1.0)
@@ -286,6 +297,66 @@ class TestCheckers:
         assert check_margin(p).passed
         with pytest.raises(ValueError):
             check_smoothness(p, n_pairs=10)
+
+
+class TestSmoothnessCertificate:
+    """The certified L = max(2, max(kappa, 1) (2 / V_d^(1/d))^alpha) of
+    ``synth._smoothness_L``, alpha = min(kappa, 1), V_d the unit ball's volume."""
+
+    @staticmethod
+    def h3_violation(p, rho, smooth=None):
+        # x at the corner 0 of the support, z at rho along the axis eta reads:
+        # the ball about x is lightest there, and eta moves fastest
+        smooth = smooth or p.certified_smooth
+        x = np.zeros((1, p.d))
+        z = x.copy()
+        z[0, 0] = rho
+        mass = p.ball_mass(x, np.array([rho]))[0]
+        return abs(p.eta(x) - p.eta(z))[0] - smooth.L * mass ** (smooth.alpha / smooth.d)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("family, d", [("power_margin_uniform_1d", 1),
+                                           ("product_uniform_nd", 2)])
+    def test_worst_case_pairs_hold(self, family, d, rho, kappa):
+        p = make_problem(family, kappa=kappa, d=d)
+        assert self.h3_violation(p, rho) <= 1e-9
+
+    @pytest.mark.parametrize("family, kappa, d, violation", [
+        ("power_margin_uniform_1d", 3.0, 1, 0.0094),   # 0.0294 against 0.02
+        ("product_uniform_nd", 2.0, 2, 0.0021),        # 0.0198 against 0.0177
+    ])
+    def test_the_pairs_break_l_two(self, family, kappa, d, violation):
+        # the same pairs at rho 0.01 fail at L = 2, the constant certified before
+        p = make_problem(family, kappa=kappa, d=d)
+        two = SmoothnessParams(alpha=p.certified_smooth.alpha, L=2.0, d=d)
+        assert self.h3_violation(p, 0.01, two) == pytest.approx(violation, abs=1e-4)
+
+    @pytest.mark.parametrize("family, d, kappa", [
+        *((f, 1, k) for f in ONE_D_FAMILIES for k in (3.0, 5.0, 100.0)),
+        ("product_uniform_nd", 2, 2.0), ("product_uniform_nd", 2, 3.0)])
+    def test_sampled_pairs_pass(self, family, d, kappa):
+        p = make_problem(family, kappa=kappa, d=d)
+        report = check_smoothness(p, n_pairs=20_000, rng=substream(7, "points"))
+        assert report.passed, report
+
+    @pytest.mark.parametrize("family, d, kappa", [
+        *((f, 1, k) for f in ONE_D_FAMILIES for k in (0.5, 1.0, 2.0)),
+        *(("product_uniform_nd", d, k) for d in (2, 3) for k in (0.5, 1.0))])
+    def test_l_is_exactly_two_where_two_holds(self, family, d, kappa):
+        assert make_problem(family, kappa=kappa, d=d).certified_smooth.L == 2.0
+
+    def test_l_past_two(self):
+        def L(kappa, d):
+            family = "power_margin_uniform_1d" if d == 1 else "product_uniform_nd"
+            return make_problem(family, kappa=kappa, d=d).certified_smooth.L
+
+        assert L(3.0, 1) == 3.0 and L(100.0, 1) == 100.0
+        assert L(2.0, 2) == pytest.approx(4.0 / np.sqrt(np.pi), rel=1e-14)
+        # V_13 < 1: from d = 13 on, L passes 2 at kappa 1
+        assert L(1.0, 12) == 2.0
+        assert L(1.0, 13) == pytest.approx(2.0145, abs=1e-4)
+        assert np.isfinite(L(1.0, 100_000))
 
 
 # (checked, max_violation) of check_smoothness (20,000 pairs from one fixed
