@@ -9,6 +9,7 @@ backing the final 1-NN classifier.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -419,6 +420,12 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     record carries the noise-adaptive request bound k_tilde, from the
     oracle's eta at the point (None where eta is 1/2 or the bound overflows).
 
+    Each informative point forms h = log(1/delta_s) + loglog(1/delta_s) once
+    (``th._head``) and takes k', the LB radius and k_tilde from it through
+    the private helpers of ``label_budget_k``, ``confidence_radius`` and
+    ``adaptive_budget_bound``, with their floats; ``first_cutoff``, inside
+    ``confident_label``, reads the same h back from ``th._head``.
+
     One ``center_order`` per scanned point gives X's neighbour order, which
     ``confident_label`` requests along, and X's full sorted pool row, on
     which ``reliable`` counts the balls around X; an accepted X keeps that
@@ -446,6 +453,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     rows = RecordRows(smooth, th.per_point_delta(config.delta, pool.w),
                       th.per_point_delta(config.delta, 1))
     trace = rows.trace
+    width = th.margin_delta(config.epsilon, margin)  # the margin width Delta of k'
 
     for s in range(1, pool.w + 1):
         if oracle.remaining_budget <= 0:
@@ -459,18 +467,19 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             trace.reliable_skips += 1
             continue
 
-        k_prime = th.label_budget_k(config.epsilon, delta_s, margin, config.c_const)
+        head = th._head(delta_s)  # h, once for the point (docstring)
+        k_prime = th._ceil_budget(th._request_bound(head, width, config.c_const))
         t_before = oracle.remaining_budget
         outcome = confident_label(pool, oracle, x_index, k_prime, t_before, delta_s,
                                   neighbors=neighbors)
         q_size = len(outcome.q)
-        b_q = th.confidence_radius(delta_s, q_size)
+        b_q = th._radius(head, q_size)
         lb = abs(outcome.eta_hat - 0.5) - b_q
         accepted = lb >= config.lb_factor * b_q
 
         gap = abs(float(oracle.eta[x_index]) - 0.5)
-        value = th.adaptive_budget_bound(gap, delta_s, config.c_const) if gap else np.inf
-        k_tilde = value if np.isfinite(value) else None  # keep the trace valid JSON
+        value = th._request_bound(head, 2.0 * gap, config.c_const) if gap else math.inf
+        k_tilde = value if math.isfinite(value) else None  # keep the trace valid JSON
         trace.per_point.append(PerPointRecord(
             s=s, q_size=q_size, lb=lb, accepted=accepted,
             eta_hat=outcome.eta_hat, y_hat=outcome.y_hat,

@@ -5,8 +5,9 @@ confidence radius ``b(delta, k)``, the margin width ``Delta``, the per-point
 label budget ``k(eps, delta)``, the per-point confidence split ``delta_s``, and
 the (purely diagnostic) feasibility report; and ``first_cutoff``, the first
 request count at which ``confident_label``'s running mean of labels leaves
-1/2 by more than 2 b(delta, k).  All functions are pure; the one table that
-``first_cutoff`` reads changes how fast it answers, not what.
+1/2 by more than 2 b(delta, k).  All functions are pure; the table that
+``first_cutoff`` reads, and the last h = log(1/delta) + loglog(1/delta) that
+``_head`` keeps, change how fast they answer, not what.
 """
 from __future__ import annotations
 
@@ -116,6 +117,22 @@ def _log_loglog(delta: float) -> float:
     return log_inv + math.log(log_inv)
 
 
+# the last delta that ``_head`` was asked for, with its h
+_HEAD = (math.nan, math.nan)
+
+
+def _head(delta: float) -> float:
+    """``_log_loglog(delta)``, formed once for a delta asked for in a row:
+    ``run_kalls`` and then ``first_cutoff`` ask for the same delta_s at each
+    scanned point, so h is formed once per point.  The pair is read and
+    replaced whole, so a reader never mixes two deltas."""
+    global _HEAD
+    last = _HEAD
+    if last[0] != delta:
+        last = _HEAD = (delta, _log_loglog(delta))
+    return last[1]
+
+
 def margin_delta(epsilon: float, margin: MarginParams) -> float:
     """Margin width Delta = max(eps/2, (eps/2C)^(1/(beta+1)))."""
     if not 0.0 < epsilon < 1.0:
@@ -131,6 +148,11 @@ def confidence_radius(delta: float, k: int) -> float:
     head = _log_loglog(delta)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return _radius(head, k)
+
+
+def _radius(head: float, k: int) -> float:
+    """``confidence_radius(delta, k)`` for k >= 1, head = ``_log_loglog(delta)``."""
     return math.sqrt((2.0 / k) * (head + math.log(math.log(math.e * k))))
 
 
@@ -177,7 +199,7 @@ def first_cutoff(cum: np.ndarray, delta: float) -> int:
     ``cum`` is the running count of 1-labels among the first k requests
     (int64).  The answer is the sequential loop's, but the cut-off is tested
     only where it can fire, with h = log(1/delta) + loglog(1/delta) formed
-    once:
+    once (``_head``, so a ``run_kalls`` point reads back its own h):
 
     * the floor: the deviation is at most 1/2, and no k up to floor(32 h)
       has 2 b(delta, k) below 1/2, so deviations are formed only past it
@@ -198,7 +220,7 @@ def first_cutoff(cum: np.ndarray, delta: float) -> int:
     ``abs(cum[k-1] / k - 0.5)`` and ``2.0 * b``.  The table of k, 2/k and
     loglog(e k) grows to the largest len(cum) that passes the floor.
     """
-    head = _log_loglog(delta)
+    head = _head(delta)
     floor = math.floor(32.0 * head)
     cap = cum.shape[0]
     if floor >= cap:
@@ -206,7 +228,7 @@ def first_cutoff(cum: np.ndarray, delta: float) -> int:
     dev = np.divide(cum[floor:], _k_terms(cap)[0][floor:cap])
     dev -= 0.5
     np.abs(dev, out=dev)
-    screen = dev > 2.0 * confidence_radius(delta, cap)
+    screen = dev > 2.0 * _radius(head, cap)
     j = int(screen.argmax())  # the first True, or 0 when none is
     if not screen[j]:
         return 0
@@ -242,7 +264,12 @@ def label_budget_real(epsilon: float, delta: float, margin: MarginParams,
 def label_budget_k(epsilon: float, delta: float, margin: MarginParams,
                    c_const: float) -> int:
     """Integer per-point label budget k(eps, delta); saturates at INFEASIBLE_BUDGET."""
-    value = label_budget_real(epsilon, delta, margin, c_const)
+    return _ceil_budget(label_budget_real(epsilon, delta, margin, c_const))
+
+
+def _ceil_budget(value: float) -> int:
+    """A request bound rounded up to a budget of at least 1, saturating at
+    INFEASIBLE_BUDGET (inf included)."""
     if not math.isfinite(value) or value >= float(INFEASIBLE_BUDGET):
         return INFEASIBLE_BUDGET
     return max(1, math.ceil(value))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,9 @@ import pytest
 
 import kalls.cli
 import kalls.core
+from kalls import thresholds
 from kalls.cli import ConfigError, ExperimentConfig, load_config, main
+from kalls.thresholds import per_point_delta
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -462,6 +465,15 @@ PINNED_RUNS = {
                      (1000, "pool_exhausted", 1000, 0, 0, 0, 0, 1000, 0),
                      "e07ef12d77f04b746db016ea4839bba070954d668baef2c936dc548b9753a528",
                      "21a04d9cf7157844456c5770ae133f629cb66bac38881923080c1d11f13bf5ab"),
+    # duplicate coordinates: caps of 194 make Q depend on the order among
+    # equal coordinates, 115 records put reliable on duplicate-coordinate
+    # rows, and the whole pool is revealed
+    "atoms_cached": ({"problem": {"family": "discrete_atoms", "kappa": 0.5},
+                      "pool_size": 1000, "budgets": [200000], "epsilon": 0.2, "delta": 0.05,
+                      "c_const": 1.0, "budget_mode": "cached_labels", "seeds": [3]},
+                     (1000, "pool_exhausted", 1000, 361, 361, 3163243413504, 109642, 639, 115),
+                     "a926056bcd97d4ed92c28e0c5288fff308879c2e7f6e8aae9457dac3d657c21f",
+                     "806f9f99f8ce0f4708c657f371e963fc2cc909fba15db6b5edc17b9bd768886b"),
 }
 
 
@@ -486,6 +498,34 @@ def test_run_outputs_are_pinned(tmp_path, name):
             len(trace["per_point"]), rows.count("\n") - 1) == counters
     assert hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest() == trace_sha
     assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha
+
+
+def test_one_log_term_per_scanned_point(tmp_path, monkeypatch):
+    """``kalls run`` forms log(1/delta_s) + loglog(1/delta_s) once per
+    informative point: on the benchmark's label_inference execution 7
+    (learner seeds 14 and 15, every one of 2000 points informative), 4000
+    times in all."""
+    formed = []
+    log_loglog = thresholds._log_loglog
+
+    def counted(delta):
+        formed.append(delta)
+        return log_loglog(delta)
+
+    monkeypatch.setattr(thresholds, "_log_loglog", counted)
+    monkeypatch.setattr(thresholds, "_HEAD", (math.nan, math.nan))
+    config = {"problem": {"family": "power_margin_uniform_1d", "d": 1, "kappa": 1.0},
+              "pool_size": 2000, "budgets": [200000], "epsilon": 0.2, "delta": 0.01,
+              "budget_mode": "cached_labels", "seeds": [14, 15]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for seed in (14, 15):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path),
+                     "--seed-override", str(seed)]) == 0
+        trace = json.loads((tmp_path / f"trace_seed{seed}_n200000.json").read_text())
+        assert len(trace["per_point"]) == trace["points_scanned"] == 2000
+    assert len(formed) == 4000
+    assert formed[:2000] == [per_point_delta(0.01, s) for s in range(1, 2001)]
 
 
 class TestSweepCommand:

@@ -142,14 +142,17 @@ class TestNearestOrder:
         self.check(pts, np.vstack([pts[:20], rng.random((20, d)) * 3 - 1]))
         self.check_pool(Pool(pts), (0, 17, 499))
 
-    @pytest.mark.parametrize("values", [1, 3, 8])
+    @pytest.mark.parametrize("values", [1, 2, 3, 8])
     @pytest.mark.parametrize("d", [1, 3])
     def test_integer_lattice(self, values, d):
-        # exact squared distances: many real ties in every row
+        # exact squared distances: many real ties in every row.  The
+        # all-equal and two-valued pools take every centre: the coordinate
+        # sort leaves the order among equal coordinates open, and no centre's
+        # order may depend on it
         rng = substream(27, "points", values, d)
         pts = rng.integers(0, values, (300, d)).astype(np.float64)
         self.check(pts, np.vstack([pts[:10], rng.integers(-1, values + 1, (10, d)) + 0.5]))
-        self.check_pool(Pool(pts), (0, 150, 299))
+        self.check_pool(Pool(pts), range(300) if values <= 2 else (0, 150, 299))
 
     def test_duplicate_points(self):
         rng = substream(28, "points")
@@ -158,10 +161,11 @@ class TestNearestOrder:
         self.check(pts, np.vstack([pts[:10], base[:5], rng.random((5, 2))]))
         self.check_pool(Pool(pts), (0, 1, 399))
 
-    def test_discrete_atoms_pool(self):
+    @pytest.mark.parametrize("w,centers", [(4000, (0, 1234, 3999)), (300, range(300))])
+    def test_discrete_atoms_pool(self, w, centers):
         problem = make_problem("discrete_atoms", kappa=1.0, seed=0)
-        pool = Pool(problem.sample(4000, substream(29, "pool")))
-        self.check_pool(pool, (0, 1234, 3999))
+        pool = Pool(problem.sample(w, substream(29, "pool")))
+        self.check_pool(pool, centers)
 
     def test_rounded_ties_on_both_sides(self):
         # +-1 and +-(1 + 2^-52) round to equal squared distances from a tiny
@@ -412,6 +416,84 @@ class TestLabelOracle:
         assert not oracle._revealed.any()
         oracle.request_batch([0, 9])
         assert (oracle.remaining_budget, oracle.fresh_requests) == (3, 2)
+
+    def _revealed_oracle(self, mode, budget=50, w=20):
+        """An oracle whose whole pool of ``w`` is revealed, with ``budget`` left."""
+        oracle = LabelOracle(self._pool(w), lambda X: np.full(X.shape[0], 0.5), w + budget,
+                             seed=14, mode=mode)
+        oracle.request_batch(np.arange(w))
+        assert oracle._revealed.all() and oracle.fresh_requests == w
+        assert oracle.remaining_budget == budget
+        return oracle
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    def test_revealed_pool_charges_the_request_or_nothing(self, mode):
+        oracle = self._revealed_oracle(mode)
+        for idx in ([3], [0, 0, 19, 5], np.arange(20)[::-1], [], np.array([7], dtype=np.uint8)):
+            before = oracle.remaining_budget
+            oracle.request_batch(idx)
+            assert before - oracle.remaining_budget == (len(idx) if mode == "strict_paper"
+                                                        else 0)
+            assert oracle.fresh_requests == 20
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    @pytest.mark.parametrize("bad", [[20], [-1], [0, 25], [3, -7, 2], [1.0, 2.0],
+                                     np.array([2.5]), np.array([2**64 - 1], dtype=np.uint64)])
+    def test_revealed_pool_still_checks_indices(self, mode, bad):
+        oracle = self._revealed_oracle(mode)
+        with pytest.raises(ValueError, match="out of range|integers"):
+            oracle.request_batch(bad)
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (50, 20)
+
+    def test_revealed_pool_over_budget(self):
+        # strict_paper charges repeats of revealed labels, and refuses a
+        # request past the budget whole; cached_labels charges them nothing,
+        # even with no budget left
+        oracle = self._revealed_oracle("strict_paper", budget=3)
+        with pytest.raises(RuntimeError, match="^request of cost 4 exceeds remaining budget 3$"):
+            oracle.request_batch([0, 1, 2, 3])
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (3, 20)
+        oracle.request_batch([0, 1, 2])
+        assert (oracle.remaining_budget, oracle.fresh_requests) == (0, 20)
+        with pytest.raises(RuntimeError, match="exceeds remaining budget"):
+            oracle.request_batch([5])
+        cached = self._revealed_oracle("cached_labels", budget=0)
+        cached.request_batch(np.arange(20))
+        assert (cached.remaining_budget, cached.fresh_requests) == (0, 20)
+
+    @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
+    def test_budget_trajectory_across_the_full_reveal(self, mode):
+        # random requests that reveal the whole pool part way through, on an
+        # oracle over w points and one over w + 1 whose last point is never
+        # requested, so it stays on the general path: both charge alike at
+        # every step, refusals included, and as a reference set of revealed
+        # indices does
+        w, budget = 30, 700
+        rng = np.random.default_rng(15)
+        eta = lambda X: np.full(X.shape[0], 0.5)
+        fast = LabelOracle(self._pool(w), eta, budget, seed=16, mode=mode)
+        general = LabelOracle(self._pool(w + 1), eta, budget, seed=16, mode=mode)
+        revealed, remaining, refused = set(), budget, 0
+        for _ in range(300):
+            idx = rng.integers(0, w, int(rng.integers(0, 12)))
+            new = set(idx.tolist()) - revealed
+            cost = idx.size if mode == "strict_paper" else len(new)
+            for oracle in (fast, general):
+                if cost > remaining:
+                    with pytest.raises(RuntimeError, match="exceeds remaining budget"):
+                        oracle.request_batch(idx)
+                else:
+                    oracle.request_batch(idx)
+            if cost > remaining:
+                refused += 1
+            else:
+                revealed |= new
+                remaining -= cost
+            for oracle in (fast, general):
+                assert (oracle.remaining_budget, oracle.fresh_requests) == \
+                    (remaining, len(revealed))
+        assert len(revealed) == w and fast._revealed.all() and not general._revealed.all()
+        assert (refused > 0) == (mode == "strict_paper")
 
     def test_eta_validation(self):
         pool = self._pool()

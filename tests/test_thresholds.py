@@ -292,6 +292,65 @@ class TestAdaptiveBudgetBound:
                         label_budget_real(4 * a, delta, MarginParams(0, 1), c)
 
 
+class TestPointPlan:
+    """``run_kalls`` forms h = ``_head(delta_s)`` once per informative point
+    and takes k', the LB radius b(delta_s, |Q|) and k_tilde from private
+    helpers on it; each must be the public function's float bit for bit."""
+
+    # s over 1..10^6: every s up to 300, then a geometric grid
+    S_GRID = sorted({*range(1, 301), *np.geomspace(300, 10**6, 150).astype(int).tolist()})
+    # (epsilon, margin): a small and a large k', and a margin width whose
+    # square underflows, where k' saturates at INFEASIBLE_BUDGET
+    MARGINS = [(0.4, MarginParams(beta=1, C=1)), (0.2, MarginParams(beta=0.5, C=2)),
+               (1e-300, KAPPA_100_MARGIN)]
+    # margin gaps of k_tilde: 1e-170 and 5e-324 make (2a)^2 underflow to 0.0
+    GAPS = [0.5, 0.25, 1e-3, 1e-150, 1e-170, 5e-324]
+
+    @pytest.mark.parametrize("delta", [0.3, 0.05, 0.01])
+    def test_matches_the_public_functions(self, delta):
+        saturated = 0
+        for s in self.S_GRID:
+            delta_s = per_point_delta(delta, s)
+            head = thresholds._head(delta_s)
+            assert head == thresholds._log_loglog(delta_s)
+            floor = cutoff_floor(delta_s)
+            for c in (1.0, 8.0):
+                caps = set()
+                for eps, margin in self.MARGINS:
+                    width = margin_delta(eps, margin)
+                    k_prime = thresholds._ceil_budget(thresholds._request_bound(head, width, c))
+                    assert k_prime == label_budget_k(eps, delta_s, margin, c)
+                    caps.add(k_prime)
+                    saturated += k_prime == INFEASIBLE_BUDGET
+                for q in {1, floor, floor + 1} | caps:
+                    assert thresholds._radius(head, q) == confidence_radius(delta_s, q), (s, q)
+                for gap in self.GAPS:
+                    assert thresholds._request_bound(head, 2.0 * gap, c) == \
+                        adaptive_budget_bound(gap, delta_s, c)
+        assert saturated == 2 * len(self.S_GRID)
+
+    def test_head_reads_back_only_its_last_delta(self, monkeypatch):
+        # the kept pair answers only the delta it was formed for; a refused
+        # delta raises as _log_loglog does and keeps nothing
+        formed = []
+
+        def counted(delta):
+            formed.append(delta)
+            return log_loglog(delta)
+
+        log_loglog = thresholds._log_loglog
+        monkeypatch.setattr(thresholds, "_log_loglog", counted)
+        monkeypatch.setattr(thresholds, "_HEAD", (math.nan, math.nan))
+        asked = [1e-3, 1e-3, 2e-3, 1e-3, 1e-3, 1e-3 * (1 + 2**-52)]
+        for delta in asked:
+            assert thresholds._head(delta) == log_loglog(delta)
+        assert formed == [1e-3, 2e-3, 1e-3, 1e-3 * (1 + 2**-52)]
+        for bad in (0.5, 0.0, math.nan):
+            with pytest.raises(ValueError, match="delta must be in"):
+                thresholds._head(bad)
+        assert thresholds._HEAD == (asked[-1], log_loglog(asked[-1]))
+
+
 class TestPurity:
     def test_bit_identical_reevaluation(self):
         m = MarginParams(beta=1, C=2)
