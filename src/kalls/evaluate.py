@@ -2,6 +2,7 @@
 k-NN baseline for label-for-label active-vs-passive comparisons."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from decimal import ROUND_CEILING, Decimal, localcontext
@@ -36,11 +37,14 @@ def _bayes_terms(problem: SyntheticProblem, X: np.ndarray, delta_margin: float
             np.abs(eta - 0.5) > delta_margin)
 
 
-def _risk_on_sample(classifier, X: np.ndarray,
-                    terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> RiskEstimate:
-    """The risk of ``classifier`` on the test draw ``X``, whose ``_bayes_terms``
-    are ``terms``."""
-    weight, fstar, deep = terms
+def excess_risk(classifier, problem: SyntheticProblem, n_test: int,
+                delta_margin: float, rng: np.random.Generator) -> RiskEstimate:
+    """Monte-Carlo excess risk E[|2 eta - 1| 1{f != f*}] over fresh draws, plus
+    agreement with the Bayes rule restricted to |eta - 1/2| > delta_margin."""
+    if n_test < 1:
+        raise ValueError(f"n_test must be >= 1, got {n_test}")
+    X = problem.sample(n_test, rng)
+    weight, fstar, deep = _bayes_terms(problem, X, delta_margin)
     pred = np.asarray(classifier(X), dtype=np.int64)
     loss = weight * (pred != fstar)
     n = X.shape[0]
@@ -51,21 +55,21 @@ def _risk_on_sample(classifier, X: np.ndarray,
                         n_test=n, deep_margin_agreement=agreement, n_deep=n_deep)
 
 
-def excess_risk(classifier, problem: SyntheticProblem, n_test: int,
-                delta_margin: float, rng: np.random.Generator) -> RiskEstimate:
-    """Monte-Carlo excess risk E[|2 eta - 1| 1{f != f*}] over fresh draws, plus
-    agreement with the Bayes rule restricted to |eta - 1/2| > delta_margin."""
-    if n_test < 1:
-        raise ValueError(f"n_test must be >= 1, got {n_test}")
-    X = problem.sample(n_test, rng)
-    return _risk_on_sample(classifier, X, _bayes_terms(problem, X, delta_margin))
-
-
 def default_passive_k(n_labels: int, alpha: float, d: int) -> int:
-    """ceil(n^(2 alpha / (2 alpha + d))), resolved to 60 significant digits so
-    exact integer powers (e.g. 1000^(2/3) = 100) round to the true integer."""
+    """ceil(n^(2 alpha / (2 alpha + d))).
+
+    The float power v = n ** (2 alpha / (2 alpha + d)) is within 1e-13 of the
+    true power, relatively, for n < 2^63 (two roundings in the exponent,
+    scaled by ln n < 44, and one in the power), so where v lies more than
+    1e-9 v from a whole number its ceiling is the true one.  The rest, exact
+    integer powers such as 1000^(2/3) = 100 and every v above 5e8 (where
+    1e-9 v passes 1/2), is resolved to 60 significant digits, so an exact
+    power rounds to the true integer."""
     if n_labels < 1:
         raise ValueError("n_labels must be >= 1")
+    v = n_labels ** (2 * alpha / (2 * alpha + d))
+    if abs(v - round(v)) > 1e-9 * v:
+        return max(1, math.ceil(v))
     with localcontext() as ctx:
         ctx.prec = 60
         a = Decimal(alpha)
@@ -184,24 +188,42 @@ def run_cell(problem: SyntheticProblem, config: KallsConfig, seed: int, w: int,
     """One (budget, seed) cell, budget ``config.n``: active run (``run_active``,
     at the problem's certified margin), label-matched passive baseline, paired
     evaluation on a shared test draw.  The passive k is ``default_passive_k`` at
-    the alpha of ``smooth``, the smoothness the active run used."""
+    the alpha of ``smooth``, the smoothness the active run used.
+
+    Each arm's values are those ``excess_risk`` gives on the same draw, bit
+    for bit, without the statistics no column keeps.  For d = 1 both arms vote on the draw sorted
+    by its coordinate, so the argsort inside each d = 1 vote meets sorted
+    input; a vote depends on its query alone, so sorting changes no label.
+    The labels go back to the draw's order before the loss is averaged,
+    because a float mean sums in array order and another order can change
+    its last bits."""
     t0 = time.perf_counter()
     budget = config.n
     active, trace = run_active(problem, config, w, seed, smooth)
     X_test = problem.sample(n_test, evaluation_stream(seed, budget))
-    terms = _bayes_terms(problem, X_test, delta_margin)  # shared by both arms
+    weight, fstar, deep = _bayes_terms(problem, X_test, delta_margin)  # shared by both arms
+    by_x = np.argsort(X_test[:, 0]) if problem.d == 1 else None
+    X_vote = X_test if by_x is None else X_test[by_x]
+
+    def misses(pred: np.ndarray) -> np.ndarray:
+        """Where the labels ``pred`` of ``X_vote`` differ from the Bayes
+        labels, in draw order."""
+        if by_x is not None:
+            pred_sorted, pred = pred, np.empty_like(pred)
+            pred[by_x] = pred_sorted
+        return pred != fstar
 
     excess_active = agreement = excess_passive = None
     if len(active):
-        est_a = _risk_on_sample(lambda X: core.one_nn_label_batch(active, X),
-                                X_test, terms)
-        excess_active, agreement = est_a.excess_risk, est_a.deep_margin_agreement
+        miss = misses(core.one_nn_label_batch(active, X_vote))
+        excess_active = float(np.mean(weight * miss))
+        agreement = float(np.mean(~miss[deep])) if deep.any() else 1.0
     labels_used = trace.labels_spent
     if labels_used >= 1:
         classifier_p = passive_knn(problem, labels_used,
                                    default_passive_k(labels_used, smooth.alpha, problem.d),
                                    substream(seed, "passive", budget))
-        excess_passive = _risk_on_sample(classifier_p, X_test, terms).excess_risk
+        excess_passive = float(np.mean(weight * misses(classifier_p(X_vote))))
 
     return CellResult(
         family=problem.family, kappa=problem.kappa, budget=budget, seed=seed,

@@ -6,12 +6,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from kalls.core import one_nn_label_batch
 from kalls.evaluate import (CellResult, ComparisonTable, PassiveKnn, compare,
-                            default_passive_k, excess_risk, passive_knn)
+                            default_passive_k, evaluation_stream, excess_risk,
+                            passive_knn, run_active)
 from kalls.pool import nearest_mask, sq_dists
 from kalls.seeding import substream
 from kalls.synth import make_problem
-from kalls.thresholds import KallsConfig, SmoothnessParams
+from kalls.thresholds import KallsConfig, SmoothnessParams, margin_delta
 
 
 def bayes_classifier(problem):
@@ -153,7 +155,14 @@ class TestPassiveKnn:
         ns = set(range(1, 501)) | {200, 1000, 5000, 1000 ** 2}
         for power in (2, 3, 5):
             ns |= {b ** power for b in range(1, 101) if b ** power <= 10 ** 6}
-        for alpha in (1.0, 0.5, 0.7, 1 / 3):
+        # one either side of every square, cube and fifth power up to 10^6,
+        # where the float power lies nearest a whole number without being one,
+        # and n from 10^9 to 10^15
+        for power in (2, 3, 5):
+            ns |= {b ** power + e for b in range(2, 1001) if b ** power <= 10 ** 6
+                   for e in (-1, 1)}
+        ns |= {10 ** e for e in range(9, 16)}
+        for alpha in (1.0, 0.5, 0.7, 1 / 3, 0.25):
             for d in (1, 2, 3):
                 got = [default_passive_k(n, alpha, d) for n in sorted(ns)]
                 assert got == [reference(n, alpha, d) for n in sorted(ns)], (alpha, d)
@@ -243,6 +252,43 @@ class TestCompare:
             want = excess_risk(passive, self.p, 500, 0.0,
                                substream(row.seed, "evaluation", row.budget))
             assert row.excess_passive == want.excess_risk
+
+    @pytest.mark.parametrize("family, d", [("power_margin_uniform_1d", 1),
+                                           ("power_margin_gaussian_1d", 1),
+                                           ("discrete_atoms", 1), ("product_uniform_nd", 2)])
+    def test_rows_match_the_unsorted_scoring(self, family, d):
+        # a d = 1 cell votes on its test draw sorted; each value must still be
+        # excess_risk's on the draw in its own order, as kalls eval scores it
+        problem = make_problem(family, kappa=1.0, d=d, seed=0)
+        cfg = KallsConfig(epsilon=0.25, delta=0.05, n=200)
+        smooth = problem.certified_smooth
+        delta_margin = margin_delta(cfg.epsilon, problem.certified_margin)
+        table = compare(problem, [0, 400, 3000], cfg, seeds=[3, 4], w=2000, n_test=2000)
+        scored = empty_active = no_labels = 0
+        for row in table.rows:
+            active, _ = run_active(problem, replace(cfg, n=row.budget), 2000, row.seed, smooth)
+            if len(active):
+                scored += 1
+                want = excess_risk(lambda X: one_nn_label_batch(active, X), problem, 2000,
+                                   delta_margin, evaluation_stream(row.seed, row.budget))
+                assert (row.excess_active, row.deep_margin_agreement) == \
+                    (want.excess_risk, want.deep_margin_agreement)
+            else:
+                empty_active += 1
+                assert row.excess_active is row.deep_margin_agreement is None
+            labels = row.labels_used_active
+            if labels:
+                passive = passive_knn(problem, labels,
+                                      default_passive_k(labels, smooth.alpha, d),
+                                      substream(row.seed, "passive", row.budget))
+                want = excess_risk(passive, problem, 2000, delta_margin,
+                                   evaluation_stream(row.seed, row.budget))
+                assert row.excess_passive == want.excess_risk
+            else:
+                no_labels += 1
+                assert row.excess_passive is None
+        # the grid holds scored, empty and zero-label cells
+        assert scored and empty_active and no_labels
 
     def test_median_fallback_counts_failures_as_worst_case(self):
         table = compare(self.p, [0], self.cfg, seeds=[1, 2], w=200, n_test=500)
