@@ -421,10 +421,12 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
     oracle's eta at the point (None where eta is 1/2 or the bound overflows).
 
     Each informative point forms h = log(1/delta_s) + loglog(1/delta_s) once
-    (``th._head``) and takes k', the LB radius and k_tilde from it through
-    the private helpers of ``label_budget_k``, ``confidence_radius`` and
-    ``adaptive_budget_bound``, with their floats; ``first_cutoff``, inside
-    ``confident_label``, reads the same h back from ``th._head``.
+    (``th._log_loglog``, which keeps its last delta) and takes k', the LB
+    radius and k_tilde from it through the private helpers of
+    ``label_budget_k``, ``confidence_radius`` and ``adaptive_budget_bound``,
+    with their floats; ``first_cutoff``, inside ``confident_label``, reads
+    the same h back.  Where no cut-off fires, |Q| is the cap, and the LB
+    radius is the screen's b(delta_s, cap), read back from ``th._radius``.
 
     One ``center_order`` per scanned point gives X's neighbour order, which
     ``confident_label`` requests along, and X's full sorted pool row, on
@@ -467,7 +469,7 @@ def run_kalls(pool: Pool, oracle: LabelOracle, config: th.KallsConfig,
             trace.reliable_skips += 1
             continue
 
-        head = th._head(delta_s)  # h, once for the point (docstring)
+        head = th._log_loglog(delta_s)  # h, once for the point (docstring)
         k_prime = th._ceil_budget(th._request_bound(head, width, config.c_const))
         t_before = oracle.remaining_budget
         outcome = confident_label(pool, oracle, x_index, k_prime, t_before, delta_s,

@@ -5,12 +5,15 @@ confidence radius ``b(delta, k)``, the margin width ``Delta``, the per-point
 label budget ``k(eps, delta)``, the per-point confidence split ``delta_s``, and
 the (purely diagnostic) feasibility report; and ``first_cutoff``, the first
 request count at which ``confident_label``'s running mean of labels leaves
-1/2 by more than 2 b(delta, k).  All functions are pure; the table that
-``first_cutoff`` reads, and the last h = log(1/delta) + loglog(1/delta) that
-``_head`` keeps, change how fast they answer, not what.
+1/2 by more than 2 b(delta, k).  All functions are pure.  Three private
+memos change how fast they answer, not what: h = log(1/delta) +
+loglog(1/delta) and b(delta, k) are kept for their last arguments
+(``_log_loglog``, ``_radius``), and the tables of k, 2/k and loglog(e k)
+that ``first_cutoff`` reads for each power-of-two size (``_k_table``).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar
@@ -109,28 +112,17 @@ class KallsConfig:
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
 
 
+@functools.lru_cache(maxsize=1)
 def _log_loglog(delta: float) -> float:
-    """log(1/delta) + loglog(1/delta), the leading terms of the bounds below."""
+    """log(1/delta) + loglog(1/delta), the leading terms of the bounds below.
+
+    Kept for the last delta: ``run_kalls`` and then ``first_cutoff`` ask for
+    the same delta_s at each scanned point, so h is formed once per point.
+    A refused delta raises and is not kept."""
     if not 0.0 < delta < _INV_E:
         raise ValueError(f"delta must be in (0, 1/e) so loglog(1/delta) > 0, got {delta}")
     log_inv = math.log(1.0 / delta)
     return log_inv + math.log(log_inv)
-
-
-# the last delta that ``_head`` was asked for, with its h
-_HEAD = (math.nan, math.nan)
-
-
-def _head(delta: float) -> float:
-    """``_log_loglog(delta)``, formed once for a delta asked for in a row:
-    ``run_kalls`` and then ``first_cutoff`` ask for the same delta_s at each
-    scanned point, so h is formed once per point.  The pair is read and
-    replaced whole, so a reader never mixes two deltas."""
-    global _HEAD
-    last = _HEAD
-    if last[0] != delta:
-        last = _HEAD = (delta, _log_loglog(delta))
-    return last[1]
 
 
 def margin_delta(epsilon: float, margin: MarginParams) -> float:
@@ -151,33 +143,31 @@ def confidence_radius(delta: float, k: int) -> float:
     return _radius(head, k)
 
 
+@functools.lru_cache(maxsize=1)
 def _radius(head: float, k: int) -> float:
-    """``confidence_radius(delta, k)`` for k >= 1, head = ``_log_loglog(delta)``."""
+    """``confidence_radius(delta, k)`` for k >= 1, head = ``_log_loglog(delta)``.
+
+    Kept for the last (head, k): where no cut-off fires, ``run_kalls``'s LB
+    radius b(delta_s, |Q|) is ``first_cutoff``'s screen radius b(delta_s, cap)."""
     return math.sqrt((2.0 / k) * (head + math.log(math.log(math.e * k))))
 
 
-# k, 2/k and log(log(e*k)) for k = 1..len, read-only float64: the request
-# counts and the terms of b(delta, k) that do not depend on delta.  Not built
-# at import; ``_k_terms`` grows it (never shrinks it) and replaces the triple
-# whole, so a reader holds a consistent triple.
-_K_TERMS = (np.zeros(0), np.zeros(0), np.zeros(0))
+@functools.cache
+def _k_table(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k, 2/k and log(log(e*k)) for k = 1..size, read-only float64: the
+    request counts and the terms of b(delta, k) that do not depend on delta.
+    The logs come from math.log, since numpy's differs from it by an ulp at
+    some k; the division and product are rounded as Python's are."""
+    ks = np.arange(1, size + 1, dtype=np.float64)
+    table = (ks, 2.0 / ks, np.array([math.log(math.log(ek)) for ek in (math.e * ks).tolist()]))
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def _k_terms(cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_K_TERMS``, grown to the largest cap seen (at least doubling)."""
-    global _K_TERMS
-    size = _K_TERMS[0].shape[0]
-    if cap > size:
-        ks = np.arange(1, max(cap, 2 * size) + 1, dtype=np.float64)
-        # the logs of the new k come from math.log, since numpy's differs from
-        # it by an ulp at some k; the division and product are rounded as
-        # Python's are
-        loglog = np.fromiter(map(math.log, map(math.log, (math.e * ks[size:]).tolist())),
-                             np.float64, ks.shape[0] - size)
-        _K_TERMS = (ks, 2.0 / ks, np.concatenate((_K_TERMS[2], loglog)))
-        for column in _K_TERMS:
-            column.setflags(write=False)
-    return _K_TERMS
+    """``_k_table`` at the power of two at or above ``cap`` >= 1."""
+    return _k_table(1 << (cap - 1).bit_length())
 
 
 def _confidence_radii(head: float, cap: int, start: int) -> np.ndarray:
@@ -199,7 +189,7 @@ def first_cutoff(cum: np.ndarray, delta: float) -> int:
     ``cum`` is the running count of 1-labels among the first k requests
     (int64).  The answer is the sequential loop's, but the cut-off is tested
     only where it can fire, with h = log(1/delta) + loglog(1/delta) formed
-    once (``_head``, so a ``run_kalls`` point reads back its own h):
+    once (``_log_loglog``, so a ``run_kalls`` point reads back its own h):
 
     * the floor: the deviation is at most 1/2, and no k up to floor(32 h)
       has 2 b(delta, k) below 1/2, so deviations are formed only past it
@@ -218,9 +208,9 @@ def first_cutoff(cum: np.ndarray, delta: float) -> int:
 
     Each side is formed with the rounded operations of
     ``abs(cum[k-1] / k - 0.5)`` and ``2.0 * b``.  The table of k, 2/k and
-    loglog(e k) grows to the largest len(cum) that passes the floor.
+    loglog(e k) is read only for a len(cum) that passes the floor.
     """
-    head = _head(delta)
+    head = _log_loglog(delta)
     floor = math.floor(32.0 * head)
     cap = cum.shape[0]
     if floor >= cap:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -500,32 +499,35 @@ def test_run_outputs_are_pinned(tmp_path, name):
     assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha
 
 
-def test_one_log_term_per_scanned_point(tmp_path, monkeypatch):
+def test_one_log_term_per_scanned_point(tmp_path):
     """``kalls run`` forms log(1/delta_s) + loglog(1/delta_s) once per
-    informative point: on the benchmark's label_inference execution 7
-    (learner seeds 14 and 15, every one of 2000 points informative), 4000
-    times in all."""
-    formed = []
-    log_loglog = thresholds._log_loglog
-
-    def counted(delta):
-        formed.append(delta)
-        return log_loglog(delta)
-
-    monkeypatch.setattr(thresholds, "_log_loglog", counted)
-    monkeypatch.setattr(thresholds, "_HEAD", (math.nan, math.nan))
+    informative point, and ``first_cutoff`` reads it back: on the benchmark's
+    label_inference execution 7 (learner seeds 14 and 15, every one of 2000
+    points informative, no cut-off fired), 2000 times per run.  The LB
+    radius b(delta_s, |Q|) is the screen's b(delta_s, cap) read back, and
+    every cap takes the one k table."""
+    memos = (thresholds._log_loglog, thresholds._radius, thresholds._k_table)
     config = {"problem": {"family": "power_margin_uniform_1d", "d": 1, "kappa": 1.0},
               "pool_size": 2000, "budgets": [200000], "epsilon": 0.2, "delta": 0.01,
               "budget_mode": "cached_labels", "seeds": [14, 15]}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    for seed in (14, 15):
+    for memo in memos:
+        memo.cache_clear()
+    for runs, seed in enumerate((14, 15), start=1):
         assert main(["run", "--config", str(path), "--out", str(tmp_path),
                      "--seed-override", str(seed)]) == 0
         trace = json.loads((tmp_path / f"trace_seed{seed}_n200000.json").read_text())
         assert len(trace["per_point"]) == trace["points_scanned"] == 2000
-    assert len(formed) == 4000
-    assert formed[:2000] == [per_point_delta(0.01, s) for s in range(1, 2001)]
+        assert not any(point["cut_off_fired"] for point in trace["per_point"])
+        for memo in memos[:2]:
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (2000 * runs, 2000 * runs), memo
+        assert thresholds._k_table.cache_info().misses == 1
+    # the last h kept is that of the last point, s = 2000
+    hits = thresholds._log_loglog.cache_info().hits
+    thresholds._log_loglog(per_point_delta(0.01, 2000))
+    assert thresholds._log_loglog.cache_info().hits == hits + 1
 
 
 class TestSweepCommand:
@@ -757,22 +759,35 @@ class TestEvalCommand:
         assert risk["n_test"] == 1000
 
 
-    def test_eval_scores_the_cell_of_the_run(self, tmp_path):
-        # the CI noiseless smoke config: run keeps 2 records at budget 20000;
-        # budgets[0] is the larger budget, so a key of the last budget differs
-        path = write_config(tmp_path,
-                            problem={"family": "power_margin_uniform_1d", "kappa": 0.0},
-                            smoothness_override={"alpha": 1.0, "L": 1.2},
-                            pool_size=800, budgets=[20000, 5000], epsilon=0.4,
-                            n_test=500)
+    # the CI noiseless smoke config: run keeps 2 records at budget 20000;
+    # budgets[0] is the larger budget, so a key of the last budget differs.
+    # Then one kappa 1 config per family, each with a nonempty active set: a
+    # d = 1 sweep cell votes on its test draw sorted, eval on the draw in its
+    # own order
+    FAMILY = {"pool_size": 2000, "budgets": [400], "epsilon": 0.25, "n_test": 2000}
+
+    @pytest.mark.parametrize("overrides", [
+        {"problem": {"family": "power_margin_uniform_1d", "kappa": 0.0},
+         "smoothness_override": {"alpha": 1.0, "L": 1.2},
+         "pool_size": 800, "budgets": [20000, 5000], "epsilon": 0.4, "n_test": 500},
+        {"problem": {"family": "power_margin_uniform_1d", "kappa": 1.0}, **FAMILY},
+        {"problem": {"family": "power_margin_gaussian_1d", "kappa": 1.0}, **FAMILY},
+        {"problem": {"family": "discrete_atoms", "kappa": 1.0}, **FAMILY},
+        {"problem": {"family": "product_uniform_nd", "d": 2, "kappa": 1.0}, **FAMILY},
+    ], ids=["noiseless", "uniform", "gaussian", "atoms", "product_2d"])
+    def test_eval_scores_the_cell_of_the_run(self, tmp_path, overrides):
+        path = write_config(tmp_path, **overrides)
+        budget = overrides["budgets"][0]
         out = tmp_path / "o"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         assert main(["run", "--config", path, "--out", str(out)]) == 0
+        active = out / f"active_set_seed3_n{budget}.csv"
+        assert len(kalls.core.ActiveSet.from_csv(str(active))) > 0
         assert main(["eval", "--config", path, "--out", str(out),
-                     "--active-set", str(out / "active_set_seed3_n20000.csv")]) == 0
+                     "--active-set", str(active)]) == 0
         with open(out / "comparison.csv") as fh:
             rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
-        (cell,) = [r for r in rows if r["budget"] == "20000" and r["seed"] == "3"]
+        (cell,) = [r for r in rows if r["budget"] == str(budget) and r["seed"] == "3"]
         risk = json.load(open(out / "risk.json"))["risk"]
         assert risk["excess_risk"] == float(cell["excess_active"])
         assert risk["deep_margin_agreement"] == float(cell["deep_margin_agreement"])

@@ -202,9 +202,11 @@ class TestConfidentLabel:
             assert screen is None and k is None
 
     @pytest.mark.parametrize("mode", ["strict_paper", "cached_labels"])
-    def test_sequential_loop_while_the_tables_grow(self, mode, monkeypatch):
-        # from an empty k table: caps that grow it, then slices of it
-        monkeypatch.setattr(kalls.thresholds, "_K_TERMS", (np.zeros(0),) * 3)
+    def test_sequential_loop_while_the_tables_grow(self, mode):
+        # from no k table: caps that build larger ones, then slices of them
+        tables = kalls.thresholds._k_table
+        tables.cache_clear()
+        sizes = set()
         pool = uniform_pool(2000, seed=37)
         oracle = LabelOracle(pool, flat_eta(0.9), 10**6, seed=11, mode=mode)
         fired = []
@@ -216,7 +218,7 @@ class TestConfidentLabel:
                      None)
             k_star = cap if k is None else k
             spent = oracle.remaining_budget
-            size = kalls.thresholds._K_TERMS[0].shape[0]
+            before = tables.cache_info()
             out = confident_label(pool, oracle, s, k_prime=cap, t_budget=10**6,
                                   delta_s=delta_s)
             assert out.q.tolist() == neighbor_order(pool, s)[:k_star].tolist()
@@ -226,9 +228,16 @@ class TestConfidentLabel:
             if mode == "strict_paper":
                 assert spent - oracle.remaining_budget == k_star
             fired.append(out.cut_off_fired)
-            # the table is read, and grown to the cap, only past the cut-off floor
-            grown = kalls.thresholds._K_TERMS[0].shape[0]
-            assert grown >= cap if cap > cutoff_floor(delta_s) else grown == size
+            # a table is read only past the cut-off floor, and built once for
+            # the power of two at or above the cap
+            after = tables.cache_info()
+            read = cap > cutoff_floor(delta_s)
+            size = 1 << (cap - 1).bit_length()
+            assert (after.hits + after.misses > before.hits + before.misses) == read
+            assert after.misses - before.misses == (read and size not in sizes)
+            if read:
+                sizes.add(size)
+                assert kalls.thresholds._k_terms(cap)[0].shape[0] == size
         assert any(fired) and not all(fired)
 
 

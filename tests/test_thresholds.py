@@ -130,30 +130,38 @@ class TestConfidenceRadius:
                 for start in {1, min(2, cap), cap // 2 + 1, cap}:
                     assert confidence_radii(delta, cap, start).tolist() == want[start - 1:]
 
-    def test_table_shrinks_and_grows(self, monkeypatch):
+    def test_table_shrinks_and_grows(self):
         # the cap shrinks at every point near the end of a budget, then a
-        # larger one grows the table; the slices stay the scalar radii
-        monkeypatch.setattr(thresholds, "_K_TERMS", (np.zeros(0),) * 3)
-        for cap in (5000, 4999, 1999, 3, 1, 2, 6001, 7, 20_000, 5000):
+        # larger one builds a larger table; the slices stay the scalar radii
+        tables = thresholds._k_table
+        tables.cache_clear()
+        caps = (5000, 4999, 1999, 3, 1, 2, 6001, 7, 20_000, 5000)
+        for cap in caps:
             want = [confidence_radius(0.002, k) for k in range(1, cap + 1)]
             assert confidence_radii(0.002, cap).tolist() == want
-            assert thresholds._K_TERMS[0].shape[0] >= cap
-        assert thresholds._K_TERMS[0].shape[0] == 20_000
+            size = thresholds._k_terms(cap)[0].shape[0]
+            assert cap <= size < 2 * cap
+        # one table per power of two: 8192, 2048, 4, 1, 2, 8 and 32768
+        info = tables.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (7, 7, 2 * len(caps) - 7)
 
-    def test_request_counts_grow_and_stay_read_only(self, monkeypatch):
+    def test_request_counts_grow_and_stay_read_only(self):
         # the k column that first_cutoff divides the running counts by
-        monkeypatch.setattr(thresholds, "_K_TERMS", (np.zeros(0),) * 3)
+        thresholds._k_table.cache_clear()
         for cap in (3, 1, 2000, 7, 4001, 5):
-            ks = thresholds._k_terms(cap)[0][:cap]
+            table = thresholds._k_terms(cap)
+            ks = table[0][:cap]
             assert ks.dtype == np.float64
             assert ks.tolist() == [float(k) for k in range(1, cap + 1)]
-            assert all(not column.flags.writeable for column in thresholds._K_TERMS)
-        assert thresholds._K_TERMS[0].shape[0] == 4001
+            assert all(not column.flags.writeable for column in table)
+            with pytest.raises(ValueError, match="read-only"):
+                table[2][0] = 0.0
+        assert thresholds._k_table.cache_info().currsize == 5  # 4, 1, 2048, 8, 8192
 
     def test_import_builds_no_table(self):
-        # the table grows on first use, so importing kalls allocates none of it
+        # a table is built on first use, so importing kalls allocates none
         code = ("import kalls, kalls.cli; t = kalls.thresholds; "
-                "assert [c.size for c in t._K_TERMS] == [0, 0, 0]")
+                "assert t._k_table.cache_info().currsize == 0")
         src = os.path.dirname(os.path.dirname(thresholds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
@@ -293,8 +301,8 @@ class TestAdaptiveBudgetBound:
 
 
 class TestPointPlan:
-    """``run_kalls`` forms h = ``_head(delta_s)`` once per informative point
-    and takes k', the LB radius b(delta_s, |Q|) and k_tilde from private
+    """``run_kalls`` forms h = ``_log_loglog(delta_s)`` once per informative
+    point and takes k', the LB radius b(delta_s, |Q|) and k_tilde from private
     helpers on it; each must be the public function's float bit for bit."""
 
     # s over 1..10^6: every s up to 300, then a geometric grid
@@ -311,8 +319,8 @@ class TestPointPlan:
         saturated = 0
         for s in self.S_GRID:
             delta_s = per_point_delta(delta, s)
-            head = thresholds._head(delta_s)
-            assert head == thresholds._log_loglog(delta_s)
+            head = thresholds._log_loglog(delta_s)
+            assert head == thresholds._log_loglog.__wrapped__(delta_s)
             floor = cutoff_floor(delta_s)
             for c in (1.0, 8.0):
                 caps = set()
@@ -323,32 +331,31 @@ class TestPointPlan:
                     caps.add(k_prime)
                     saturated += k_prime == INFEASIBLE_BUDGET
                 for q in {1, floor, floor + 1} | caps:
-                    assert thresholds._radius(head, q) == confidence_radius(delta_s, q), (s, q)
+                    radius = thresholds._radius(head, q)
+                    thresholds._radius.cache_clear()  # the public one forms its own
+                    assert radius == confidence_radius(delta_s, q), (s, q)
                 for gap in self.GAPS:
                     assert thresholds._request_bound(head, 2.0 * gap, c) == \
                         adaptive_budget_bound(gap, delta_s, c)
         assert saturated == 2 * len(self.S_GRID)
 
-    def test_head_reads_back_only_its_last_delta(self, monkeypatch):
-        # the kept pair answers only the delta it was formed for; a refused
-        # delta raises as _log_loglog does and keeps nothing
-        formed = []
-
-        def counted(delta):
-            formed.append(delta)
-            return log_loglog(delta)
-
-        log_loglog = thresholds._log_loglog
-        monkeypatch.setattr(thresholds, "_log_loglog", counted)
-        monkeypatch.setattr(thresholds, "_HEAD", (math.nan, math.nan))
+    def test_log_term_memo_answers_only_its_last_delta(self):
+        # the memo answers only the delta it was formed for; a refused delta
+        # raises and is not kept, nor does it evict the last one
+        memo = thresholds._log_loglog
+        memo.cache_clear()
         asked = [1e-3, 1e-3, 2e-3, 1e-3, 1e-3, 1e-3 * (1 + 2**-52)]
         for delta in asked:
-            assert thresholds._head(delta) == log_loglog(delta)
-        assert formed == [1e-3, 2e-3, 1e-3, 1e-3 * (1 + 2**-52)]
+            assert memo(delta) == memo.__wrapped__(delta)
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 2, 1)
         for bad in (0.5, 0.0, math.nan):
             with pytest.raises(ValueError, match="delta must be in"):
-                thresholds._head(bad)
-        assert thresholds._HEAD == (asked[-1], log_loglog(asked[-1]))
+                memo(bad)
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (7, 2, 1)
+        assert memo(asked[-1]) == memo.__wrapped__(asked[-1])
+        assert memo.cache_info().hits == 3
 
 
 class TestPurity:
@@ -363,6 +370,38 @@ class TestPurity:
         ]
         for f in calls:
             assert f() == f()
+
+    def test_memos_are_transparent(self):
+        # one shuffled sequence that moves every memo: interleaved deltas
+        # (two a float apart), caps at and below the cut-off floor, and caps
+        # in the k tables of 512, 2048 and 8192, rising and falling; each
+        # answer is the one given with every memo cleared, bit for bit
+        rng = np.random.default_rng(43)
+        memos = (thresholds._log_loglog, thresholds._radius, thresholds._k_table)
+        margin = MarginParams(beta=1, C=2)
+        calls = []
+        for delta in (0.05 / 32, 1e-3, 1e-3 * (1 + 2**-52), 1e-9):
+            floor = cutoff_floor(delta)
+            for cap in (1, floor - 1, floor, 300, 400, 1500, 2000, 7000):
+                for p in (0.5, 0.6, 0.9):
+                    cum = np.add.accumulate(rng.random(cap) < p, dtype=np.int64)
+                    calls.append((first_cutoff, (cum, delta)))
+                calls.append((confidence_radius, (delta, cap)))
+            for eps in (0.4, 0.1, 1e-3):
+                calls.append((label_budget_k, (eps, delta, margin, 8.0)))
+        calls = [calls[i] for i in rng.permutation(len(calls))]
+        sizes = [1 << (args[0].size - 1).bit_length() for f, args in calls
+                 if f is first_cutoff and args[0].size > cutoff_floor(args[1])]
+        assert set(sizes) == {512, 2048, 8192}
+        steps = np.diff(sizes)
+        assert (steps > 0).any() and (steps < 0).any()
+        answers = [f(*args) for f, args in calls]
+        assert any(answers[i] for i, (f, _) in enumerate(calls) if f is first_cutoff)
+        for (f, args), got in zip(calls, answers):
+            for memo in memos:
+                memo.cache_clear()
+            want = f(*args)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (f.__name__, args[1:])
 
 
 class TestFeasibilityReport:
